@@ -35,8 +35,8 @@ class CoinFlipPolicy final : public core::CachePrivacyPolicy {
                                                       bool effective_private,
                                                       util::SimTime) override {
     if (effective_private && rng_.bernoulli(miss_probability_))
-      return {.action = core::LookupAction::kSimulatedMiss, .artificial_delay = 0};
-    return {.action = core::LookupAction::kExposeHit, .artificial_delay = 0};
+      return {.action = core::LookupOutcome::kSimulatedMiss, .artificial_delay = 0};
+    return {.action = core::LookupOutcome::kExposedHit, .artificial_delay = 0};
   }
 
   [[nodiscard]] std::string_view name() const noexcept override { return "CoinFlip"; }

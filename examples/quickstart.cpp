@@ -72,8 +72,8 @@ int main() {
               util::to_millis(probe_unread));
   std::printf("\nRouter stats: %llu interests, %llu cache hits, %llu misses\n",
               static_cast<unsigned long long>(router.stats().interests_received),
-              static_cast<unsigned long long>(router.stats().exposed_hits),
-              static_cast<unsigned long long>(router.stats().true_misses));
+              static_cast<unsigned long long>(router.engine().stats().exposed_hits),
+              static_cast<unsigned long long>(router.engine().stats().true_misses));
   std::printf("See examples/timing_attack_demo.cpp for the full attack and the\n"
               "countermeasures that defeat it.\n");
   return 0;

@@ -96,8 +96,8 @@ TelemetryScenarioResult run_telemetry_scenario(const TelemetryScenarioConfig& co
 
   scheduler.run();
   result.end_time = scheduler.now();
-  result.exposed_hits = scenario->router->stats().exposed_hits;
-  result.delayed_hits = scenario->router->stats().delayed_hits;
+  result.exposed_hits = scenario->router->engine().stats().exposed_hits;
+  result.delayed_hits = scenario->router->engine().stats().delayed_hits;
   // Close out the time series: one forced row at the end of the run so the
   // exported CSV covers the tail even between cadence boundaries.
   if (hub != nullptr) hub->recorder().sample_at(result.end_time);

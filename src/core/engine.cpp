@@ -2,19 +2,10 @@
 
 #include <stdexcept>
 
+#include "util/invariant.hpp"
 #include "util/tracing.hpp"
 
 namespace ndnp::core {
-
-std::string_view to_string(RequestOutcome::Kind kind) noexcept {
-  switch (kind) {
-    case RequestOutcome::Kind::kTrueMiss: return "TrueMiss";
-    case RequestOutcome::Kind::kExposedHit: return "ExposedHit";
-    case RequestOutcome::Kind::kDelayedHit: return "DelayedHit";
-    case RequestOutcome::Kind::kSimulatedMiss: return "SimulatedMiss";
-  }
-  return "?";
-}
 
 CachePrivacyEngine::CachePrivacyEngine(std::size_t cache_capacity,
                                        cache::EvictionPolicy eviction,
@@ -28,80 +19,91 @@ CachePrivacyEngine::CachePrivacyEngine(std::size_t cache_capacity,
   if (!policy_) throw std::invalid_argument("CachePrivacyEngine: null policy");
   if (admission_probability_ < 0.0 || admission_probability_ > 1.0)
     throw std::invalid_argument("CachePrivacyEngine: admission probability must be in [0,1]");
-  store_.set_trace_label("engine");
-  policy_->set_trace_label("engine");
+  set_trace_label("engine");
 }
 
-RequestOutcome CachePrivacyEngine::handle(const ndn::Interest& interest, util::SimTime now,
-                                          const FetchFn& fetch) {
+void CachePrivacyEngine::set_trace_label(const std::string& label) {
+  store_.set_trace_label(label);
+  policy_->set_trace_label(label);
+}
+
+LookupResult CachePrivacyEngine::lookup(const ndn::Interest& interest, util::SimTime now) {
   ++stats_.requests;
-  NDNP_TRACE_EVENT(util::TraceEventType::kInterestRx, "engine", now, interest.name.to_uri(),
-                   interest.private_req ? "private=1" : "private=0");
-
-  if (cache::Entry* entry = store_.find(interest)) {
-    const bool effective_private = resolve_effective_privacy(*entry, interest);
-    const LookupDecision decision =
-        policy_->on_cached_lookup(*entry, interest, effective_private, now);
-    // Any access refreshes recency — "the corresponding cache entry becomes
-    // fresh even if the response is delayed" — and a simulated miss is
-    // still an access.
-    store_.touch(*entry, now);
-    switch (decision.action) {
-      case LookupAction::kExposeHit:
-        ++stats_.exposed_hits;
-        return {.kind = RequestOutcome::Kind::kExposedHit,
-                .response_delay = 0,
-                .served_from_cache = true};
-      case LookupAction::kDelayedHit:
-        ++stats_.delayed_hits;
-        return {.kind = RequestOutcome::Kind::kDelayedHit,
-                .response_delay = decision.artificial_delay,
-                .served_from_cache = true};
-      case LookupAction::kSimulatedMiss: {
-        // Mimic a miss faithfully: the response takes as long as the
-        // original upstream fetch took.
-        ++stats_.simulated_misses;
-        return {.kind = RequestOutcome::Kind::kSimulatedMiss,
-                .response_delay = entry->meta.fetch_delay,
-                .served_from_cache = false};
-      }
-    }
+  cache::Entry* entry = store_.find(interest, now);
+  if (entry == nullptr) {
+    ++stats_.true_misses;
+    return {};
   }
+  const bool effective_private = resolve_effective_privacy(*entry, interest);
+  const LookupDecision decision =
+      policy_->on_cached_lookup(*entry, interest, effective_private, now);
+  NDNP_INVARIANT_CHECK("engine", decision.action != LookupOutcome::kTrueMiss,
+                       "policy %s answered a cached lookup for %s with TrueMiss",
+                       std::string(policy_->name()).c_str(), interest.name.to_uri().c_str());
+  // Any access refreshes recency — "the corresponding cache entry becomes
+  // fresh even if the response is delayed" — and a simulated miss is
+  // still an access.
+  store_.touch(*entry, now);
+  ++stats_.count(decision.action);
+  return {.outcome = decision.action,
+          .entry = entry,
+          .artificial_delay =
+              decision.action == LookupOutcome::kDelayedHit ? decision.artificial_delay : 0};
+}
 
-  // True miss: fetch upstream, cache (subject to admission), and respond
-  // after the fetch delay (padded by the policy when it hides miss/hit
-  // asymmetry).
-  ++stats_.true_misses;
-  auto [data, fetch_delay] = fetch(interest);
-  NDNP_TRACE_EVENT(util::TraceEventType::kDataRx, "engine", now, data.name.to_uri(),
-                   "from=upstream", -1, fetch_delay);
-  if (admission_probability_ < 1.0 && !rng_.bernoulli(admission_probability_)) {
-    const bool would_be_private = data.producer_marked_private() || interest.private_req;
-    return {.kind = RequestOutcome::Kind::kTrueMiss,
-            .response_delay = policy_->miss_response_delay(fetch_delay, would_be_private),
-            .served_from_cache = false};
+bool CachePrivacyEngine::admit(ndn::Data data, const ndn::Interest& cause,
+                               util::SimDuration fetch_delay, util::SimTime now,
+                               util::Rng& coin) {
+  if (cache::Entry* existing = store_.find_exact(data.name)) {
+    existing->data = std::move(data);
+    store_.touch(*existing, now);
+    return true;
   }
+  if (admission_probability_ < 1.0 && !coin.bernoulli(admission_probability_)) return false;
   cache::EntryMeta meta;
   meta.inserted_at = now;
   meta.last_access = now;
   meta.fetch_delay = fetch_delay;
   cache::Entry& entry = store_.insert(std::move(data), meta);
-  init_privacy_marking(entry, interest);
-  policy_->on_insert(entry, interest, now);
-  const util::SimDuration response =
-      policy_->miss_response_delay(fetch_delay, entry.meta.treated_private);
-  return {.kind = RequestOutcome::Kind::kTrueMiss,
-          .response_delay = response,
-          .served_from_cache = false};
+  init_privacy_marking(entry, cause);
+  policy_->on_insert(entry, cause, now);
+  return true;
+}
+
+RequestOutcome CachePrivacyEngine::handle(const ndn::Interest& interest, util::SimTime now,
+                                          const FetchFn& fetch) {
+  NDNP_TRACE_EVENT(util::TraceEventType::kInterestRx, "engine", now, interest.name.to_uri(),
+                   interest.private_req ? "private=1" : "private=0");
+  const LookupResult found = lookup(interest, now);
+  // A simulated miss mimics a miss faithfully: the response takes as long
+  // as the original upstream fetch took.
+  if (found.outcome == LookupOutcome::kSimulatedMiss)
+    return {.kind = found.outcome, .response_delay = found.entry->meta.fetch_delay};
+  if (found.outcome != LookupOutcome::kTrueMiss)
+    return {.kind = found.outcome, .response_delay = found.artificial_delay};
+
+  // True miss: fetch upstream, offer the Data to the cache, and respond
+  // after the fetch delay (padded by the policy when it hides miss/hit
+  // asymmetry). The padding sees the marking the Data would get on insert.
+  auto [data, fetch_delay] = fetch(interest);
+  NDNP_TRACE_EVENT(util::TraceEventType::kDataRx, "engine", now, data.name.to_uri(),
+                   "from=upstream", -1, fetch_delay);
+  const bool treated_private = data.producer_marked_private() || interest.private_req;
+  admit(std::move(data), interest, fetch_delay, now, rng_);
+  return {.kind = LookupOutcome::kTrueMiss,
+          .response_delay = policy_->miss_response_delay(fetch_delay, treated_private)};
+}
+
+void EngineStats::export_outcomes(util::MetricsRegistry& registry,
+                                  const std::string& prefix) const {
+  for (const LookupOutcome outcome : kLookupOutcomes)
+    registry.counter(prefix + "." + std::string(counter_name(outcome))).inc(count(outcome));
 }
 
 void CachePrivacyEngine::export_metrics(util::MetricsRegistry& registry,
                                         const std::string& prefix) const {
   registry.counter(prefix + ".requests").inc(stats_.requests);
-  registry.counter(prefix + ".exposed_hits").inc(stats_.exposed_hits);
-  registry.counter(prefix + ".delayed_hits").inc(stats_.delayed_hits);
-  registry.counter(prefix + ".simulated_misses").inc(stats_.simulated_misses);
-  registry.counter(prefix + ".true_misses").inc(stats_.true_misses);
+  stats_.export_outcomes(registry, prefix);
   store_.export_metrics(registry, prefix + ".cs");
   policy_->export_metrics(registry, prefix + ".policy");
 }

@@ -12,7 +12,7 @@ void NoPrivacyPolicy::on_insert(cache::Entry&, const ndn::Interest&, util::SimTi
 
 LookupDecision NoPrivacyPolicy::on_cached_lookup(cache::Entry& entry, const ndn::Interest&,
                                                  bool effective_private, util::SimTime now) {
-  const LookupDecision decision{.action = LookupAction::kExposeHit, .artificial_delay = 0};
+  const LookupDecision decision{.action = LookupOutcome::kExposedHit, .artificial_delay = 0};
   trace_decision(entry, decision, effective_private, now);
   return decision;
 }
@@ -56,14 +56,14 @@ void AlwaysDelayPolicy::on_insert(cache::Entry&, const ndn::Interest&, util::Sim
 
 LookupDecision AlwaysDelayPolicy::on_cached_lookup(cache::Entry& entry, const ndn::Interest&,
                                                    bool effective_private, util::SimTime now) {
-  LookupDecision decision{.action = LookupAction::kExposeHit, .artificial_delay = 0};
+  LookupDecision decision{.action = LookupOutcome::kExposedHit, .artificial_delay = 0};
   if (effective_private) {
     switch (mode_) {
       case DelayMode::kConstant:
-        decision = {.action = LookupAction::kDelayedHit, .artificial_delay = gamma_};
+        decision = {.action = LookupOutcome::kDelayedHit, .artificial_delay = gamma_};
         break;
       case DelayMode::kContentSpecific:
-        decision = {.action = LookupAction::kDelayedHit,
+        decision = {.action = LookupOutcome::kDelayedHit,
                     .artificial_delay = entry.meta.fetch_delay};
         break;
       case DelayMode::kDynamic: {
@@ -75,7 +75,7 @@ LookupDecision AlwaysDelayPolicy::on_cached_lookup(cache::Entry& entry, const nd
             std::pow(dynamic_.decay, static_cast<double>(entry.meta.request_count));
         const auto delay =
             std::max(dynamic_.two_hop_floor, static_cast<util::SimDuration>(scaled));
-        decision = {.action = LookupAction::kDelayedHit, .artificial_delay = delay};
+        decision = {.action = LookupOutcome::kDelayedHit, .artificial_delay = delay};
         break;
       }
     }
@@ -116,14 +116,14 @@ void NaiveThresholdPolicy::on_insert(cache::Entry& entry, const ndn::Interest&, 
 LookupDecision NaiveThresholdPolicy::on_cached_lookup(cache::Entry& entry, const ndn::Interest&,
                                                       bool effective_private, util::SimTime now) {
   if (!effective_private) {
-    const LookupDecision decision{.action = LookupAction::kExposeHit, .artificial_delay = 0};
+    const LookupDecision decision{.action = LookupOutcome::kExposedHit, .artificial_delay = 0};
     trace_decision(entry, decision, effective_private, now);
     return decision;
   }
   ++entry.meta.request_count;
   const auto count = static_cast<std::int64_t>(entry.meta.request_count);
-  const LookupDecision decision{.action = count <= k_ ? LookupAction::kSimulatedMiss
-                                                      : LookupAction::kExposeHit,
+  const LookupDecision decision{.action = count <= k_ ? LookupOutcome::kSimulatedMiss
+                                                      : LookupOutcome::kExposedHit,
                                 .artificial_delay = 0};
   trace_decision(entry, decision, effective_private, now, count, k_);
   return decision;
@@ -199,7 +199,7 @@ void RandomCachePolicy::on_insert(cache::Entry& entry, const ndn::Interest&, uti
 LookupDecision RandomCachePolicy::on_cached_lookup(cache::Entry& entry, const ndn::Interest&,
                                                    bool effective_private, util::SimTime now) {
   if (!effective_private) {
-    const LookupDecision decision{.action = LookupAction::kExposeHit, .artificial_delay = 0};
+    const LookupDecision decision{.action = LookupOutcome::kExposedHit, .artificial_delay = 0};
     trace_decision(entry, decision, effective_private, now);
     return decision;
   }
@@ -215,8 +215,8 @@ LookupDecision RandomCachePolicy::on_cached_lookup(cache::Entry& entry, const nd
     threshold = it->second.threshold;
   }
   // Algorithm 1 lines 10-14.
-  const LookupDecision decision{.action = count <= threshold ? LookupAction::kSimulatedMiss
-                                                             : LookupAction::kExposeHit,
+  const LookupDecision decision{.action = count <= threshold ? LookupOutcome::kSimulatedMiss
+                                                             : LookupOutcome::kExposedHit,
                                 .artificial_delay = 0};
   trace_decision(entry, decision, effective_private, now, count, threshold);
   return decision;

@@ -4,11 +4,22 @@
 
 namespace ndnp::core {
 
-std::string_view to_string(LookupAction action) noexcept {
-  switch (action) {
-    case LookupAction::kExposeHit: return "ExposeHit";
-    case LookupAction::kDelayedHit: return "DelayedHit";
-    case LookupAction::kSimulatedMiss: return "SimulatedMiss";
+std::string_view to_string(LookupOutcome outcome) noexcept {
+  switch (outcome) {
+    case LookupOutcome::kExposedHit: return "ExposedHit";
+    case LookupOutcome::kDelayedHit: return "DelayedHit";
+    case LookupOutcome::kSimulatedMiss: return "SimulatedMiss";
+    case LookupOutcome::kTrueMiss: return "TrueMiss";
+  }
+  return "?";
+}
+
+std::string_view counter_name(LookupOutcome outcome) noexcept {
+  switch (outcome) {
+    case LookupOutcome::kExposedHit: return "exposed_hits";
+    case LookupOutcome::kDelayedHit: return "delayed_hits";
+    case LookupOutcome::kSimulatedMiss: return "simulated_misses";
+    case LookupOutcome::kTrueMiss: return "true_misses";
   }
   return "?";
 }

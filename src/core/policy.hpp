@@ -9,6 +9,8 @@
 // but can never hide true cache misses.
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -19,16 +21,30 @@
 
 namespace ndnp::core {
 
-enum class LookupAction {
-  kExposeHit,      // serve immediately from cache
-  kDelayedHit,     // serve from cache after `artificial_delay`
-  kSimulatedMiss,  // behave exactly as if the content were not cached
+/// The four ways a router answers an interest. This is the one spelling of
+/// the outcome: the engine's counters, the forwarder, the telemetry
+/// detectors, policy_decision trace events and probe forensics all use it.
+enum class LookupOutcome : std::uint8_t {
+  kExposedHit,     // served from cache, hit visible
+  kDelayedHit,     // served from cache after an artificial delay
+  kSimulatedMiss,  // cached, but behaves exactly as if it were not
+  kTrueMiss,       // not cached; fetched upstream
 };
 
-[[nodiscard]] std::string_view to_string(LookupAction action) noexcept;
+inline constexpr std::array<LookupOutcome, 4> kLookupOutcomes = {
+    LookupOutcome::kExposedHit, LookupOutcome::kDelayedHit, LookupOutcome::kSimulatedMiss,
+    LookupOutcome::kTrueMiss};
 
+/// "ExposedHit", "DelayedHit", "SimulatedMiss", "TrueMiss".
+[[nodiscard]] std::string_view to_string(LookupOutcome outcome) noexcept;
+/// Metric counter name: "exposed_hits", "delayed_hits", "simulated_misses",
+/// "true_misses".
+[[nodiscard]] std::string_view counter_name(LookupOutcome outcome) noexcept;
+
+/// A policy's verdict on a cached entry. `action` is never kTrueMiss: a
+/// policy can hide cache hits but never true misses.
 struct LookupDecision {
-  LookupAction action = LookupAction::kExposeHit;
+  LookupOutcome action = LookupOutcome::kExposedHit;
   /// Extra response delay for kDelayedHit (ignored otherwise).
   util::SimDuration artificial_delay = 0;
 };

@@ -43,9 +43,10 @@ class Fnv1a {
 
 void digest_forwarder(Fnv1a& digest, const Forwarder& forwarder) {
   const ForwarderStats& s = forwarder.stats();
+  const core::EngineStats& o = forwarder.engine().stats();
   for (const std::uint64_t v :
-       {s.interests_received, s.data_received, s.exposed_hits, s.delayed_hits,
-        s.simulated_misses, s.true_misses, s.forwarded_interests, s.collapsed_interests,
+       {s.interests_received, s.data_received, o.exposed_hits, o.delayed_hits,
+        o.simulated_misses, o.true_misses, s.forwarded_interests, s.collapsed_interests,
         s.nonce_drops, s.scope_drops, s.no_route_drops, s.pit_overflows, s.admission_skips,
         s.nacks_sent, s.nacks_received, s.unsolicited_data, s.pit_expirations,
         s.data_forwarded, s.pit_inserts, s.pit_satisfied, s.pit_nack_erased})
@@ -575,13 +576,14 @@ DifferentialResult run_differential_episode(std::uint64_t seed, std::size_t num_
       }
     }
     const ForwarderStats& ds = dut.stats();
+    const core::EngineStats& dos = dut.engine().stats();
     const ReferenceForwarder::Stats& rs = ref.stats();
     const std::array<std::tuple<const char*, std::uint64_t, std::uint64_t>, 19> counters = {{
         {"interests_received", ds.interests_received, rs.interests_received},
         {"data_received", ds.data_received, rs.data_received},
         {"nacks_received", ds.nacks_received, rs.nacks_received},
-        {"exposed_hits", ds.exposed_hits, rs.exposed_hits},
-        {"true_misses", ds.true_misses, rs.true_misses},
+        {"exposed_hits", dos.exposed_hits, rs.exposed_hits},
+        {"true_misses", dos.true_misses, rs.true_misses},
         {"collapsed_interests", ds.collapsed_interests, rs.collapsed},
         {"nonce_drops", ds.nonce_drops, rs.nonce_drops},
         {"scope_drops", ds.scope_drops, rs.scope_drops},

@@ -13,10 +13,10 @@ Forwarder::Forwarder(Scheduler& scheduler, std::string name, ForwarderConfig con
                      std::unique_ptr<core::CachePrivacyPolicy> policy)
     : Node(scheduler, std::move(name), config.seed),
       config_(config),
-      cs_(config.cs_capacity, config.eviction, config.seed ^ 0x9e3779b97f4a7c15ULL),
-      policy_(policy ? std::move(policy) : std::make_unique<core::NoPrivacyPolicy>()) {
-  cs_.set_trace_label(this->name());
-  policy_->set_trace_label(this->name());
+      engine_(config.cs_capacity, config.eviction,
+              policy ? std::move(policy) : std::make_unique<core::NoPrivacyPolicy>(),
+              config.seed ^ 0x9e3779b97f4a7c15ULL, config.cache_admission_probability) {
+  engine_.set_trace_label(this->name());
 }
 
 std::string_view to_string(ForwardingStrategy strategy) noexcept {
@@ -34,7 +34,7 @@ void Forwarder::arm_telemetry(telemetry::TelemetryHub* hub) {
   // Occupancy gauges ride along with the built-in detector series. Probes
   // read live state at sample time; registration must precede the first
   // sample (the recorder freezes its column set there).
-  hub->add_probe("cs.size", [this] { return static_cast<double>(cs_.size()); });
+  hub->add_probe("cs.size", [this] { return static_cast<double>(cs().size()); });
   hub->add_probe("pit.size", [this] { return static_cast<double>(pit_.size()); });
   hub->add_probe("forwarder.interests_received",
                  [this] { return static_cast<double>(stats_.interests_received); });
@@ -89,35 +89,8 @@ bool Forwarder::pit_erase(std::uint64_t name_hash, const ndn::Name& name) noexce
 
 void Forwarder::handle_interest(const ndn::Interest& interest, FaceId in_face) {
   NDNP_TRACE_SCOPE(name().c_str(), "forwarder", "handle_interest");
-  // One hash per packet: every PIT probe below reuses it. With telemetry
-  // armed, one visit_prefix_hashes pass yields the depth-2 prefix-bucket
-  // hash alongside the full hash at the same cost (FNV-1a is
-  // prefix-incremental), so the hot path never hashes the name twice.
-  std::uint64_t name_hash = 0;
-  std::uint64_t prefix_bucket_hash = 0;
-#if NDNP_TELEMETRY
-  if (telemetry_ != nullptr) {
-    std::size_t depth = 0;
-    std::uint64_t depth2 = 0;
-    interest.name.visit_prefix_hashes([&](std::uint64_t h) {
-      if (depth == 2) depth2 = h;
-      name_hash = h;
-      ++depth;
-    });
-    prefix_bucket_hash = depth > 2 ? depth2 : name_hash;
-  } else {
-    name_hash = interest.name.hash64();
-  }
-  const auto telemetry_note = [&](telemetry::LookupOutcome outcome) {
-    if (telemetry_ != nullptr)
-      telemetry_->on_lookup(static_cast<std::uint64_t>(in_face), prefix_bucket_hash, outcome,
-                            now());
-  };
-#else
-  name_hash = interest.name.hash64();
-  (void)prefix_bucket_hash;
-  const auto telemetry_note = [](telemetry::LookupOutcome) {};
-#endif
+  // One hash per packet: every PIT probe below reuses it.
+  const std::uint64_t name_hash = interest.name.hash64();
 
   // Loop suppression: a nonce already recorded for this name means the
   // interest circled back.
@@ -128,37 +101,25 @@ void Forwarder::handle_interest(const ndn::Interest& interest, FaceId in_face) {
     }
   }
 
-  // 1. Content Store, filtered through the privacy policy (stale entries
-  // are invisible to MustBeFresh interests).
-  if (cache::Entry* entry = cs_.find(interest, now())) {
-    const bool effective_private = core::resolve_effective_privacy(*entry, interest);
-    const core::LookupDecision decision =
-        policy_->on_cached_lookup(*entry, interest, effective_private, now());
-    // All accesses refresh recency, even hidden ones (Section VII).
-    cs_.touch(*entry, now());
-    switch (decision.action) {
-      case core::LookupAction::kExposeHit:
-        ++stats_.exposed_hits;
-        telemetry_note(telemetry::LookupOutcome::kExposedHit);
-        send_data(in_face, entry->data);
-        return;
-      case core::LookupAction::kDelayedHit: {
-        ++stats_.delayed_hits;
-        telemetry_note(telemetry::LookupOutcome::kDelayedHit);
-        // Pooled copy: the CS entry may be evicted before the delay fires.
-        const util::PoolRef<ndn::Data> held = pooled_copy(entry->data);
-        scheduler().schedule_in(decision.artificial_delay,
-                                [this, in_face, held] { send_data(in_face, *held); });
-        return;
-      }
-      case core::LookupAction::kSimulatedMiss:
-        ++stats_.simulated_misses;
-        telemetry_note(telemetry::LookupOutcome::kSimulatedMiss);
-        break;  // fall through to the miss path below
+  // 1. Content Store, filtered through the privacy policy. A simulated
+  // miss behaves exactly like a true one from here on.
+  const core::LookupResult found = engine_.lookup(interest, now());
+  telemetry::note_lookup(telemetry_, static_cast<std::uint64_t>(in_face), interest.name,
+                         found.outcome, now());
+  switch (found.outcome) {
+    case core::LookupOutcome::kExposedHit:
+      send_data(in_face, found.entry->data);
+      return;
+    case core::LookupOutcome::kDelayedHit: {
+      // Pooled copy: the CS entry may be evicted before the delay fires.
+      const util::PoolRef<ndn::Data> held = pooled_copy(found.entry->data);
+      scheduler().schedule_in(found.artificial_delay,
+                              [this, in_face, held] { send_data(in_face, *held); });
+      return;
     }
-  } else {
-    ++stats_.true_misses;
-    telemetry_note(telemetry::LookupOutcome::kTrueMiss);
+    case core::LookupOutcome::kSimulatedMiss:
+    case core::LookupOutcome::kTrueMiss:
+      break;
   }
 
   // 2. PIT: collapse onto an existing pending interest for the same name.
@@ -289,31 +250,16 @@ void Forwarder::handle_data(const ndn::Data& data, FaceId) {
     return;
   }
 
-  // Cache. If the exact name is already cached (e.g. the Data answers a
-  // simulated miss we forwarded), refresh the payload but keep the policy
-  // state — re-initializing would resample Random-Cache thresholds and
-  // leak.
-  if (cache::Entry* existing = cs_.find_exact(data.name)) {
-    existing->data = data;
-    cs_.touch(*existing, now());
-  } else if (config_.cache_admission_probability < 1.0 &&
-             !rng().bernoulli(config_.cache_admission_probability)) {
+  // Cache. The earliest-created matching PIT entry defines the fetch delay
+  // (interest-in -> content-out) and the marking cause; the admission coin
+  // draws from this node's stream.
+  const PitEntry* earliest =
+      std::min_element(matches.begin(), matches.end(), [](const auto& a, const auto& b) {
+        return a.second->created_at < b.second->created_at;
+      })->second;
+  if (!engine_.admit(data, earliest->first_interest, now() - earliest->created_at, now(),
+                     rng()))
     ++stats_.admission_skips;
-  } else {
-    // The earliest-created matching PIT entry defines the fetch delay
-    // (interest-in -> content-out) and the marking cause.
-    const PitEntry* earliest =
-        std::min_element(matches.begin(), matches.end(), [](const auto& a, const auto& b) {
-          return a.second->created_at < b.second->created_at;
-        })->second;
-    cache::EntryMeta meta;
-    meta.inserted_at = now();
-    meta.last_access = now();
-    meta.fetch_delay = now() - earliest->created_at;
-    cache::Entry& entry = cs_.insert(data, meta);
-    core::init_privacy_marking(entry, earliest->first_interest);
-    policy_->on_insert(entry, earliest->first_interest, now());
-  }
 
   // Forward downstream and flush the satisfied PIT entries. The policy may
   // pad the miss response (constant-gamma Always-Delay equalizes fast
@@ -333,7 +279,7 @@ void Forwarder::handle_data(const ndn::Data& data, FaceId) {
                      match->first_interest.name.to_uri(), {}, -1, fetch_delay,
                      static_cast<std::int64_t>(match->downstreams.size()));
     const util::SimDuration miss_pad =
-        policy_->miss_response_delay(fetch_delay, treated_private) - fetch_delay;
+        policy().miss_response_delay(fetch_delay, treated_private) - fetch_delay;
     for (const Downstream& downstream : match->downstreams) {
       util::SimDuration pad = miss_pad;
       if (config_.pad_collapsed_private && treated_private &&
@@ -434,10 +380,7 @@ void Forwarder::export_metrics(util::MetricsRegistry& registry,
                                const std::string& prefix) const {
   registry.counter(prefix + ".interests_received").inc(stats_.interests_received);
   registry.counter(prefix + ".data_received").inc(stats_.data_received);
-  registry.counter(prefix + ".exposed_hits").inc(stats_.exposed_hits);
-  registry.counter(prefix + ".delayed_hits").inc(stats_.delayed_hits);
-  registry.counter(prefix + ".simulated_misses").inc(stats_.simulated_misses);
-  registry.counter(prefix + ".true_misses").inc(stats_.true_misses);
+  engine_.stats().export_outcomes(registry, prefix);
   registry.counter(prefix + ".forwarded_interests").inc(stats_.forwarded_interests);
   registry.counter(prefix + ".collapsed_interests").inc(stats_.collapsed_interests);
   registry.counter(prefix + ".nonce_drops").inc(stats_.nonce_drops);
@@ -454,8 +397,8 @@ void Forwarder::export_metrics(util::MetricsRegistry& registry,
   registry.counter(prefix + ".pit_inserts").inc(stats_.pit_inserts);
   registry.counter(prefix + ".pit_satisfied").inc(stats_.pit_satisfied);
   registry.counter(prefix + ".pit_nack_erased").inc(stats_.pit_nack_erased);
-  cs_.export_metrics(registry, prefix + ".cs");
-  policy_->export_metrics(registry, prefix + ".policy");
+  cs().export_metrics(registry, prefix + ".cs");
+  policy().export_metrics(registry, prefix + ".policy");
   export_fault_metrics(registry, prefix);
   if (telemetry_ != nullptr) telemetry_->export_metrics(registry, prefix + ".telemetry");
 }
@@ -474,15 +417,17 @@ void Forwarder::check_invariants() const {
                        static_cast<unsigned long long>(stats_.pit_nack_erased), pit_.size());
   // Interest disposition: at quiescence every received interest was
   // resolved through exactly one of the handler's exit paths.
-  const std::uint64_t dispositions = stats_.nonce_drops + stats_.exposed_hits +
-                                     stats_.delayed_hits + stats_.collapsed_interests +
-                                     stats_.scope_drops + stats_.no_route_drops +
-                                     stats_.pit_overflows + stats_.pit_inserts;
+  // (Unused when -DNDNP_INVARIANT=0 compiles the check out.)
+  const core::EngineStats& outcomes = engine_.stats();
+  [[maybe_unused]] const std::uint64_t dispositions =
+      stats_.nonce_drops + outcomes.exposed_hits + outcomes.delayed_hits +
+      stats_.collapsed_interests + stats_.scope_drops + stats_.no_route_drops +
+      stats_.pit_overflows + stats_.pit_inserts;
   NDNP_INVARIANT_CHECK("forwarder", stats_.interests_received == dispositions,
                        "%s: interests_received=%llu != dispositions=%llu", name().c_str(),
                        static_cast<unsigned long long>(stats_.interests_received),
                        static_cast<unsigned long long>(dispositions));
-  cs_.check_integrity();
+  cs().check_integrity();
   check_face_conservation();
 }
 

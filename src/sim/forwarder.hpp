@@ -8,12 +8,14 @@
 //  - FIB (Forwarding Information Base): longest-prefix-match routing of
 //         interests toward producers.
 //
-// The attached core::CachePrivacyPolicy decides how cache hits are exposed
-// (expose / delay / simulate-miss); a simulated miss makes the forwarder
-// behave exactly as if the lookup had failed, including forwarding the
-// interest upstream. Scope handling is configurable because NDN routers
-// "are allowed to disregard this field" — the scope-probe attack only works
-// against honoring routers.
+// The CS and the attached core::CachePrivacyPolicy live in a
+// core::CachePrivacyEngine, which makes the paper's decision: an interest
+// runs the engine's lookup() step (expose / delay / simulate-miss), and
+// Data satisfying the PIT runs its admit() step. A simulated miss makes the
+// forwarder behave exactly as if the lookup had failed, including
+// forwarding the interest upstream. Scope handling is configurable because
+// NDN routers "are allowed to disregard this field" — the scope-probe
+// attack only works against honoring routers.
 #pragma once
 
 #include <cstdint>
@@ -23,7 +25,7 @@
 #include <vector>
 
 #include "cache/content_store.hpp"
-#include "core/policy.hpp"
+#include "core/engine.hpp"
 #include "sim/node.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/open_hash.hpp"
@@ -70,13 +72,11 @@ struct ForwarderConfig {
   std::uint64_t seed = 1;
 };
 
+/// Packet-level counters. The four lookup-outcome counters are the
+/// engine's (Forwarder::engine().stats()).
 struct ForwarderStats {
   std::uint64_t interests_received = 0;
   std::uint64_t data_received = 0;
-  std::uint64_t exposed_hits = 0;
-  std::uint64_t delayed_hits = 0;
-  std::uint64_t simulated_misses = 0;
-  std::uint64_t true_misses = 0;
   std::uint64_t forwarded_interests = 0;
   std::uint64_t collapsed_interests = 0;
   std::uint64_t nonce_drops = 0;
@@ -113,11 +113,15 @@ class Forwarder final : public Node {
   void receive_data(const ndn::Data& data, FaceId in_face) override;
   void receive_nack(const ndn::Nack& nack, FaceId in_face) override;
 
-  [[nodiscard]] const cache::ContentStore& cs() const noexcept { return cs_; }
-  [[nodiscard]] cache::ContentStore& cs() noexcept { return cs_; }
+  [[nodiscard]] const cache::ContentStore& cs() const noexcept { return engine_.store(); }
+  [[nodiscard]] cache::ContentStore& cs() noexcept { return engine_.store(); }
   [[nodiscard]] const ForwarderStats& stats() const noexcept { return stats_; }
   [[nodiscard]] const ForwarderConfig& config() const noexcept { return config_; }
-  [[nodiscard]] const core::CachePrivacyPolicy& policy() const noexcept { return *policy_; }
+  [[nodiscard]] const core::CachePrivacyPolicy& policy() const noexcept {
+    return engine_.policy();
+  }
+  /// The cache decision (CS + policy + outcome counters).
+  [[nodiscard]] const core::CachePrivacyEngine& engine() const noexcept { return engine_; }
   [[nodiscard]] std::size_t pit_size() const noexcept { return pit_.size(); }
 
   /// Shrink or grow the PIT capacity mid-run (0 = unlimited). Used by the
@@ -139,8 +143,8 @@ class Forwarder final : public Node {
 
   /// Attach an online telemetry hub (not owned; pass nullptr to detach).
   /// Registers this forwarder's CS/PIT occupancy gauges as time-series
-  /// probes and, while armed, feeds every interest disposition in
-  /// handle_interest into the hub's detectors. The hub only observes —
+  /// probes and, while armed, feeds every lookup outcome into the hub's
+  /// detectors (telemetry::note_lookup). The hub only observes —
   /// arming never changes forwarding behavior or event order. The hot-path
   /// hook compiles out entirely under -DNDNP_TELEMETRY=0 (arming still
   /// registers the probes so recorders keep a stable column set).
@@ -190,8 +194,7 @@ class Forwarder final : public Node {
 
   ForwarderConfig config_;
   telemetry::TelemetryHub* telemetry_ = nullptr;
-  cache::ContentStore cs_;
-  std::unique_ptr<core::CachePrivacyPolicy> policy_;
+  core::CachePrivacyEngine engine_;
   util::OpenHashTable<PitEntry> pit_;
   std::map<ndn::Name, FibEntry> fib_;
   std::uint64_t next_pit_version_ = 0;

@@ -251,7 +251,7 @@ void Node::check_face_conservation() const {
   for (FaceId face = 0; face < faces_.size(); ++face) {
     const FaceEnd& end = faces_[face];
     if (end.fault_state == nullptr) continue;  // deliveries not tracked
-    const FaceAccounting& acct = end.accounting;
+    [[maybe_unused]] const FaceAccounting& acct = end.accounting;  // check-only
     NDNP_INVARIANT_CHECK("link", acct.packets_out == acct.losses + acct.deliveries,
                          "%s face %zu: packets_out=%llu != losses=%llu + deliveries=%llu",
                          name_.c_str(), face,

@@ -344,17 +344,6 @@ std::vector<FlatEvent> parse_trace_jsonl(std::istream& in) {
 // ---------------------------------------------------------------------------
 // Attack forensics.
 
-std::string_view to_string(ProbeVerdict verdict) noexcept {
-  switch (verdict) {
-    case ProbeVerdict::kTrueHit: return "TrueHit";
-    case ProbeVerdict::kDelayedHit: return "DelayedHit";
-    case ProbeVerdict::kSimulatedMiss: return "SimulatedMiss";
-    case ProbeVerdict::kTrueMiss: return "TrueMiss";
-    case ProbeVerdict::kUnknown: return "Unknown";
-  }
-  return "?";
-}
-
 ForensicsReport probe_forensics(const std::vector<FlatEvent>& events) {
   // Per-name indexes over the two ground-truth streams. Events arrive in
   // recording order, so each bucket is already sorted by time.
@@ -426,41 +415,37 @@ ForensicsReport probe_forensics(const std::vector<FlatEvent>& events) {
       if (it != lit->second.end() && (*it)->t <= ev.t) lookup = *it;
     }
 
-    if (lookup == nullptr) {
-      probe.verdict = ProbeVerdict::kUnknown;
-    } else if (detail_field(lookup->detail, "result") != "hit") {
-      probe.verdict = ProbeVerdict::kTrueMiss;
+    if (lookup != nullptr) {
       probe.decided_by = lookup->node;
-    } else {
-      probe.decided_by = lookup->node;
+      probe.verdict = core::LookupOutcome::kTrueMiss;
+    }
+    if (lookup != nullptr && detail_field(lookup->detail, "result") == "hit") {
       // Cached: the policy decision at the same router tells us what the
       // adversary was actually shown.
-      probe.verdict = ProbeVerdict::kTrueHit;
+      probe.verdict = core::LookupOutcome::kExposedHit;
       const auto dit = decisions.find(ev.name);
       if (dit != decisions.end()) {
         const auto it = first_at_or_after(dit->second, lookup->t);
         if (it != dit->second.end() && (*it)->t <= ev.t && (*it)->node == lookup->node) {
           const std::string action = detail_field((*it)->detail, "action");
-          if (action == "DelayedHit")
-            probe.verdict = ProbeVerdict::kDelayedHit;
-          else if (action == "SimulatedMiss")
-            probe.verdict = ProbeVerdict::kSimulatedMiss;
+          for (const core::LookupOutcome outcome : core::kLookupOutcomes)
+            if (action == core::to_string(outcome)) probe.verdict = outcome;
         }
       }
     }
 
-    const bool cached = probe.verdict == ProbeVerdict::kTrueHit ||
-                        probe.verdict == ProbeVerdict::kDelayedHit ||
-                        probe.verdict == ProbeVerdict::kSimulatedMiss;
-    probe.agrees = probe.verdict != ProbeVerdict::kUnknown && !probe.truth.empty() &&
-                   (probe.truth == "hit") == cached;
+    probe.agrees = probe.verdict.has_value() && !probe.truth.empty() &&
+                   (probe.truth == "hit") == (*probe.verdict != core::LookupOutcome::kTrueMiss);
 
-    switch (probe.verdict) {
-      case ProbeVerdict::kTrueHit: ++report.true_hits; break;
-      case ProbeVerdict::kDelayedHit: ++report.delayed_hits; break;
-      case ProbeVerdict::kSimulatedMiss: ++report.simulated_misses; break;
-      case ProbeVerdict::kTrueMiss: ++report.true_misses; break;
-      case ProbeVerdict::kUnknown: ++report.unknown; break;
+    if (!probe.verdict) {
+      ++report.unknown;
+    } else {
+      switch (*probe.verdict) {
+        case core::LookupOutcome::kExposedHit: ++report.exposed_hits; break;
+        case core::LookupOutcome::kDelayedHit: ++report.delayed_hits; break;
+        case core::LookupOutcome::kSimulatedMiss: ++report.simulated_misses; break;
+        case core::LookupOutcome::kTrueMiss: ++report.true_misses; break;
+      }
     }
     if (probe.agrees) ++report.agreements;
     attribute_faults(probe, ev.t - ev.a);
@@ -480,11 +465,13 @@ std::string ForensicsReport::format_table() const {
   out << "  name\n";
   char row[320];
   for (const ProbeForensics& probe : probes) {
+    const std::string verdict =
+        probe.verdict ? std::string(core::to_string(*probe.verdict)) : "Unknown";
     std::snprintf(row, sizeof row, "%-6lld %-11.3f %-8.3f %-6s %-14s %-7s %-6s",
                   static_cast<long long>(probe.round),
                   static_cast<double>(probe.probe_time) / 1e6,
                   static_cast<double>(probe.rtt) / 1e6, probe.truth.c_str(),
-                  std::string(to_string(probe.verdict)).c_str(), probe.decided_by.c_str(),
+                  verdict.c_str(), probe.decided_by.c_str(),
                   probe.agrees ? "yes" : "no");
     out << row;
     if (with_faults) {
@@ -500,9 +487,9 @@ std::string ForensicsReport::format_table() const {
   }
   char summary[320];
   std::snprintf(summary, sizeof summary,
-                "probes=%zu true_hit=%zu delayed_hit=%zu simulated_miss=%zu true_miss=%zu "
+                "probes=%zu exposed_hit=%zu delayed_hit=%zu simulated_miss=%zu true_miss=%zu "
                 "unknown=%zu agreement=%.4f",
-                probes.size(), true_hits, delayed_hits, simulated_misses, true_misses,
+                probes.size(), exposed_hits, delayed_hits, simulated_misses, true_misses,
                 unknown, agreement_rate());
   out << summary;
   if (with_faults) {

@@ -19,9 +19,11 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "core/policy.hpp"
 #include "telemetry/detectors.hpp"
 #include "util/sim_time.hpp"
 #include "util/tracing.hpp"
@@ -70,16 +72,6 @@ void write_trace_file(const util::Tracer& tracer, const std::string& path);
 // ---------------------------------------------------------------------------
 // Attack forensics.
 
-enum class ProbeVerdict : std::uint8_t {
-  kTrueHit,        // cached, policy exposed the hit
-  kDelayedHit,     // cached, policy served it behind an artificial delay
-  kSimulatedMiss,  // cached, policy mimicked a miss
-  kTrueMiss,       // not cached (or only a stale copy)
-  kUnknown,        // no cache lookup found inside the probe's RTT window
-};
-
-[[nodiscard]] std::string_view to_string(ProbeVerdict verdict) noexcept;
-
 /// One attack_probe event joined against the cache's ground truth.
 struct ProbeForensics {
   util::SimTime probe_time = 0;  // completion time of the probe
@@ -87,14 +79,17 @@ struct ProbeForensics {
   std::string truth;             // the probe's own "truth=..." annotation
   std::int64_t rtt = 0;          // measured RTT in ns (attack_probe's `a`)
   std::int64_t round = 0;        // probe round (attack_probe's `b`)
-  ProbeVerdict verdict = ProbeVerdict::kUnknown;
+  /// What the first-hop router answered: a kTrueMiss when the lookup
+  /// found nothing (or only a stale copy), otherwise the policy's action.
+  /// Empty ("Unknown") when no cache lookup lies inside the RTT window.
+  std::optional<core::LookupOutcome> verdict;
   std::string decided_by;        // node whose cs_lookup decided the verdict
   /// Whether the verdict's cached/uncached view matches the probe's truth
-  /// annotation (kUnknown never agrees).
+  /// annotation (an unknown verdict never agrees).
   bool agrees = false;
   /// fault_inject events inside the probe's RTT window: link faults on this
   /// probe's name plus node faults (CS wipe / PIT squeeze, which hit every
-  /// name). A disagreement or Unknown verdict with faults != 0 is
+  /// name). A disagreement or unknown verdict with faults != 0 is
   /// attributable to injected chaos rather than a forensics/tracer bug.
   std::int64_t faults = 0;
   std::string fault_causes;      // comma-joined distinct causes, "" when clean
@@ -102,7 +97,7 @@ struct ProbeForensics {
 
 struct ForensicsReport {
   std::vector<ProbeForensics> probes;
-  std::size_t true_hits = 0;
+  std::size_t exposed_hits = 0;
   std::size_t delayed_hits = 0;
   std::size_t simulated_misses = 0;
   std::size_t true_misses = 0;

@@ -24,7 +24,10 @@ DetectorBank::DetectorBank(std::size_t buckets, const DetectorTuning& tuning,
     state.cusum.drift = tuning_.cusum_drift;
     state.cusum.threshold = tuning_.cusum_threshold;
     state.cusum.reference_alpha = tuning_.cusum_reference_alpha;
-    state.cusum.two_sided = tuning_.cusum_two_sided;
+    // Downward-only: cache warm-up legitimately drifts hit rates *up*, so
+    // only a collapse below the warm-up baseline (the cache-pollution
+    // signature) alarms.
+    state.cusum.two_sided = false;
   }
 }
 
@@ -35,8 +38,8 @@ bool DetectorBank::cooled_down(BucketState& state, DetectorKind kind,
          now - state.last_alarm[k] >= tuning_.alarm_cooldown;
 }
 
-std::size_t DetectorBank::observe(std::uint64_t key, LookupOutcome outcome, util::SimTime now,
-                                  AlarmEvent out[kDetectorKinds]) {
+std::size_t DetectorBank::observe(std::uint64_t key, core::LookupOutcome outcome,
+                                  util::SimTime now, AlarmEvent out[kDetectorKinds]) {
   BucketState& state = buckets_[bucket_of(key)];
   ++observations_;
   std::size_t fired = 0;
@@ -50,7 +53,7 @@ std::size_t DetectorBank::observe(std::uint64_t key, LookupOutcome outcome, util
 
   // Hit-rate shift: warm-up seeds the CUSUM reference from the bucket's
   // own early mean, then every exposed-hit indicator feeds the detector.
-  const double hit = outcome == LookupOutcome::kExposedHit ? 1.0 : 0.0;
+  const double hit = outcome == core::LookupOutcome::kExposedHit ? 1.0 : 0.0;
   state.hit_rate.observe(hit);
   if (state.hit_rate.count <= tuning_.warmup_samples) {
     state.warmup_sum += hit;
@@ -68,9 +71,10 @@ std::size_t DetectorBank::observe(std::uint64_t key, LookupOutcome outcome, util
 
   // Delayed share of cache-served traffic (the random-delay countermeasure
   // absorbing a probe stream shows up here).
-  if (outcome == LookupOutcome::kExposedHit || outcome == LookupOutcome::kDelayedHit) {
+  if (outcome == core::LookupOutcome::kExposedHit ||
+      outcome == core::LookupOutcome::kDelayedHit) {
     ++state.served;
-    state.delayed_ratio.observe(outcome == LookupOutcome::kDelayedHit ? 1.0 : 0.0);
+    state.delayed_ratio.observe(outcome == core::LookupOutcome::kDelayedHit ? 1.0 : 0.0);
     if (state.served >= tuning_.min_served_samples &&
         state.delayed_ratio.value > tuning_.delayed_ratio_max)
       raise(DetectorKind::kDelayedHitRatio, state.delayed_ratio.value);

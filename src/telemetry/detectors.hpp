@@ -30,6 +30,7 @@
 #include <string_view>
 #include <vector>
 
+#include "core/policy.hpp"
 #include "telemetry/estimators.hpp"
 #include "util/sim_time.hpp"
 
@@ -50,15 +51,6 @@ inline constexpr std::uint8_t kAllDetectors = 0b111;
 
 [[nodiscard]] std::string_view to_string(DetectorKind kind) noexcept;
 
-/// Lookup outcome as seen by the detectors (mirrors
-/// core::RequestOutcome::Kind / the forwarder's disposition).
-enum class LookupOutcome : std::uint8_t {
-  kExposedHit,
-  kDelayedHit,
-  kSimulatedMiss,
-  kTrueMiss,
-};
-
 /// Detector knobs (docs/OBSERVABILITY.md documents each one).
 struct DetectorTuning {
   /// EWMA smoothing for hit-rate / delayed-ratio estimators.
@@ -77,10 +69,6 @@ struct DetectorTuning {
   /// ~300-sample time constant). Absorbs honest long-horizon hit-rate
   /// drift — cache saturation — while abrupt collapses still accumulate.
   double cusum_reference_alpha = 0.003;
-  /// false (default) = downward-only CUSUM: cache warm-up legitimately
-  /// drifts hit rates *up*, so only a collapse below the warm-up baseline
-  /// (the cache-pollution signature) alarms. true restores both sides.
-  bool cusum_two_sided = false;
   /// Gaps needed before the regularity detector judges a bucket.
   std::uint64_t min_gap_samples = 24;
   /// Fire arrival_regularity while gap CV stays below this (Poisson ~0.74).
@@ -115,7 +103,7 @@ class DetectorBank {
 
   /// Fold one lookup outcome into bucket `key % buckets()`. Fired alarms
   /// (at most one per detector) are written to `out`; returns how many.
-  std::size_t observe(std::uint64_t key, LookupOutcome outcome, util::SimTime now,
+  std::size_t observe(std::uint64_t key, core::LookupOutcome outcome, util::SimTime now,
                       AlarmEvent out[kDetectorKinds]);
 
   [[nodiscard]] std::size_t buckets() const noexcept { return buckets_.size(); }

@@ -7,13 +7,6 @@
 
 namespace ndnp::telemetry {
 
-namespace {
-
-constexpr const char* kOutcomeCounterNames[4] = {"exposed_hits", "delayed_hits",
-                                                 "simulated_misses", "true_misses"};
-
-}  // namespace
-
 TelemetryHub::TelemetryHub(const TelemetryOptions& options, std::string node_label)
     : options_(options),
       node_label_(std::move(node_label)),
@@ -24,8 +17,7 @@ TelemetryHub::TelemetryHub(const TelemetryOptions& options, std::string node_lab
   // Built-in detector time series; owners layer their gauges (CS/PIT
   // occupancy, scheduler depth, ...) on top via add_probe before the first
   // sample freezes the column set.
-  recorder_.add_probe("telemetry.lookups",
-                      [this] { return static_cast<double>(lookups_); });
+  recorder_.add_probe("telemetry.lookups", [this] { return static_cast<double>(lookups()); });
   recorder_.add_probe("telemetry.hit_rate_ewma", [this] { return global_hit_rate_.value; });
   for (std::size_t k = 0; k < kDetectorKinds; ++k) {
     const auto kind = static_cast<DetectorKind>(k);
@@ -43,10 +35,10 @@ void TelemetryHub::add_probe(std::string name, TimeSeriesRecorder::Probe probe) 
 }
 
 void TelemetryHub::on_lookup(std::uint64_t face_key, std::uint64_t prefix_hash,
-                             LookupOutcome outcome, util::SimTime now) {
-  ++lookups_;
-  ++outcome_counts_[static_cast<std::size_t>(outcome)];
-  global_hit_rate_.observe(outcome == LookupOutcome::kExposedHit ? 1.0 : 0.0);
+                             core::LookupOutcome outcome, util::SimTime now) {
+  ++outcomes_.requests;
+  ++outcomes_.count(outcome);
+  global_hit_rate_.observe(outcome == core::LookupOutcome::kExposedHit ? 1.0 : 0.0);
 
   AlarmEvent fired[kDetectorKinds];
   const auto emit = [&](const char* scope, const DetectorBank& bank, std::uint64_t key,
@@ -72,9 +64,8 @@ void TelemetryHub::on_lookup(std::uint64_t face_key, std::uint64_t prefix_hash,
 
 void TelemetryHub::export_metrics(util::MetricsRegistry& registry,
                                   const std::string& prefix) const {
-  registry.counter(prefix + ".lookups").inc(lookups_);
-  for (std::size_t i = 0; i < 4; ++i)
-    registry.counter(prefix + ".outcome." + kOutcomeCounterNames[i]).inc(outcome_counts_[i]);
+  registry.counter(prefix + ".lookups").inc(lookups());
+  outcomes_.export_outcomes(registry, prefix + ".outcome");
   for (std::size_t k = 0; k < kDetectorKinds; ++k) {
     const auto kind = static_cast<DetectorKind>(k);
     registry.counter(prefix + ".alarms." + std::string(to_string(kind))).inc(alarms(kind));

@@ -15,10 +15,10 @@
 // byte-identical for any --jobs because every run records into its own hub
 // (SweepTelemetryCapture mirrors runner::SweepTraceCapture).
 //
-// -DNDNP_TELEMETRY=0 compiles the hot-path hooks out of the forwarder and
-// replayer entirely (arming becomes a no-op); the types here stay
-// available so tools and tests still build — same convention as
-// -DNDNP_TRACING=0.
+// The forwarder and the replayer feed a hub through note_lookup(), once per
+// decided lookup. -DNDNP_TELEMETRY=0 compiles that hook out (arming
+// becomes a no-op); the types here stay available so tools and tests still
+// build — same convention as -DNDNP_TRACING=0.
 #pragma once
 
 #include <cstdint>
@@ -26,6 +26,8 @@
 #include <string>
 #include <vector>
 
+#include "core/engine.hpp"
+#include "ndn/name.hpp"
 #include "telemetry/detectors.hpp"
 #include "telemetry/timeseries.hpp"
 #include "util/sim_time.hpp"
@@ -72,8 +74,8 @@ class TelemetryHub {
   /// lazily sample the time series. Fired alarms become telemetry_alarm
   /// trace events on the currently bound tracer (detail carries detector,
   /// scope, bucket and the decision statistic).
-  void on_lookup(std::uint64_t face_key, std::uint64_t prefix_hash, LookupOutcome outcome,
-                 util::SimTime now);
+  void on_lookup(std::uint64_t face_key, std::uint64_t prefix_hash,
+                 core::LookupOutcome outcome, util::SimTime now);
 
   /// Sample the time series if a cadence boundary has passed (also called
   /// by on_lookup; expose it for callers with quiet phases).
@@ -90,7 +92,7 @@ class TelemetryHub {
   [[nodiscard]] const TelemetryOptions& options() const noexcept { return options_; }
   [[nodiscard]] const std::string& node_label() const noexcept { return node_label_; }
 
-  [[nodiscard]] std::uint64_t lookups() const noexcept { return lookups_; }
+  [[nodiscard]] std::uint64_t lookups() const noexcept { return outcomes_.requests; }
   [[nodiscard]] std::uint64_t alarms_total() const noexcept {
     return face_bank_.alarms_total() + prefix_bank_.alarms_total();
   }
@@ -109,9 +111,36 @@ class TelemetryHub {
   DetectorBank face_bank_;
   DetectorBank prefix_bank_;
   EwmaEstimator global_hit_rate_;
-  std::uint64_t lookups_ = 0;
-  std::uint64_t outcome_counts_[4] = {0, 0, 0, 0};
+  /// Lookups and their outcomes, counted like the engine counts them.
+  core::EngineStats outcomes_;
 };
+
+/// The hot-path hook: feed one decided lookup of `name` into `hub` (no-op
+/// when null). The face scope is `face_key` (arrival face or trace user);
+/// the prefix scope is the hash of the name's depth-2 prefix, or of the
+/// whole name when it is shorter. Compiles to nothing under
+/// -DNDNP_TELEMETRY=0.
+inline void note_lookup(TelemetryHub* hub, std::uint64_t face_key, const ndn::Name& name,
+                        core::LookupOutcome outcome, util::SimTime now) {
+#if NDNP_TELEMETRY
+  if (hub == nullptr) return;
+  std::uint64_t depth2 = 0;
+  std::uint64_t last = 0;
+  std::size_t depth = 0;
+  name.visit_prefix_hashes([&](std::uint64_t h) {
+    if (depth == 2) depth2 = h;
+    last = h;
+    ++depth;
+  });
+  hub->on_lookup(face_key, depth > 2 ? depth2 : last, outcome, now);
+#else
+  (void)hub;
+  (void)face_key;
+  (void)name;
+  (void)outcome;
+  (void)now;
+#endif
+}
 
 /// Per-run telemetry capture for a sweep (--telemetry-out plumbing); the
 /// telemetry twin of runner::SweepTraceCapture. Each run samples into its

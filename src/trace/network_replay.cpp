@@ -107,8 +107,9 @@ struct DeploymentTree {
   /// Drain the event queue and collect the tier accounting.
   [[nodiscard]] NetworkReplayResult finish() {
     sched_.run();
-    for (const Edge& edge : edges_) result_.edge_hits += edge.router->stats().exposed_hits;
-    result_.core_hits = core_->stats().exposed_hits;
+    for (const Edge& edge : edges_)
+      result_.edge_hits += edge.router->engine().stats().exposed_hits;
+    result_.core_hits = core_->engine().stats().exposed_hits;
     result_.producer_fetches = producer_->interests_served();
     return std::move(result_);
   }

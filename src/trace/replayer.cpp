@@ -65,37 +65,9 @@ void ReplaySession::feed(const TraceRecord& record) {
 
   const auto now = static_cast<util::SimTime>(record.timestamp_s * 1e9);
   const core::RequestOutcome outcome = engine_.handle(interest, now, fetch_);
-#if NDNP_TELEMETRY
-  if (config_.telemetry != nullptr) {
-    // Face scope = trace user, prefix scope = depth-2 name prefix (trace
-    // names are /web/dom<d>/obj<j>, so depth 2 is the domain).
-    std::uint64_t prefix_hash = 0;
-    std::uint64_t last = 0;
-    std::size_t depth = 0;
-    record.name.visit_prefix_hashes([&](std::uint64_t h) {
-      if (depth == 2) prefix_hash = h;
-      last = h;
-      ++depth;
-    });
-    if (depth <= 2) prefix_hash = last;
-    telemetry::LookupOutcome lookup = telemetry::LookupOutcome::kTrueMiss;
-    switch (outcome.kind) {
-      case core::RequestOutcome::Kind::kExposedHit:
-        lookup = telemetry::LookupOutcome::kExposedHit;
-        break;
-      case core::RequestOutcome::Kind::kDelayedHit:
-        lookup = telemetry::LookupOutcome::kDelayedHit;
-        break;
-      case core::RequestOutcome::Kind::kSimulatedMiss:
-        lookup = telemetry::LookupOutcome::kSimulatedMiss;
-        break;
-      case core::RequestOutcome::Kind::kTrueMiss:
-        lookup = telemetry::LookupOutcome::kTrueMiss;
-        break;
-    }
-    config_.telemetry->on_lookup(record.user_id, prefix_hash, lookup, now);
-  }
-#endif
+  // Face scope = trace user; trace names are /web/dom<d>/obj<j>, so the
+  // depth-2 prefix scope is the domain.
+  telemetry::note_lookup(config_.telemetry, record.user_id, record.name, outcome.kind, now);
   NDNP_TRACE_EVENT(util::TraceEventType::kReplayRequest, "replayer", now,
                    record.name.to_uri(),
                    std::string("outcome=") + std::string(to_string(outcome.kind)) +

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "core/policies.hpp"
+#include "util/invariant.hpp"
 
 namespace ndnp::core {
 namespace {
@@ -28,9 +31,9 @@ TEST(Engine, FirstRequestIsTrueMiss) {
   CachePrivacyEngine engine(10, cache::EvictionPolicy::kLru,
                             std::make_unique<NoPrivacyPolicy>());
   const RequestOutcome outcome = engine.handle(interest_for("/a"), 0, make_fetch());
-  EXPECT_EQ(outcome.kind, RequestOutcome::Kind::kTrueMiss);
+  EXPECT_EQ(outcome.kind, LookupOutcome::kTrueMiss);
   EXPECT_EQ(outcome.response_delay, kFetchDelay);
-  EXPECT_FALSE(outcome.served_from_cache);
+  EXPECT_FALSE(outcome.served_from_cache());
   EXPECT_EQ(engine.stats().true_misses, 1u);
   EXPECT_TRUE(engine.store().contains(ndn::Name("/a")));
 }
@@ -40,9 +43,9 @@ TEST(Engine, SecondRequestIsExposedHitUnderNoPrivacy) {
                             std::make_unique<NoPrivacyPolicy>());
   (void)engine.handle(interest_for("/a"), 0, make_fetch());
   const RequestOutcome outcome = engine.handle(interest_for("/a"), 1, make_fetch());
-  EXPECT_EQ(outcome.kind, RequestOutcome::Kind::kExposedHit);
+  EXPECT_EQ(outcome.kind, LookupOutcome::kExposedHit);
   EXPECT_EQ(outcome.response_delay, 0);
-  EXPECT_TRUE(outcome.served_from_cache);
+  EXPECT_TRUE(outcome.served_from_cache());
   EXPECT_EQ(engine.stats().exposed_hits, 1u);
   EXPECT_DOUBLE_EQ(engine.stats().hit_rate(), 0.5);
 }
@@ -63,9 +66,9 @@ TEST(Engine, AlwaysDelayHidesPrivateHits) {
       std::make_unique<AlwaysDelayPolicy>(AlwaysDelayPolicy::content_specific()));
   (void)engine.handle(interest_for("/a", true), 0, make_fetch());
   const RequestOutcome outcome = engine.handle(interest_for("/a", true), 1, make_fetch());
-  EXPECT_EQ(outcome.kind, RequestOutcome::Kind::kDelayedHit);
+  EXPECT_EQ(outcome.kind, LookupOutcome::kDelayedHit);
   EXPECT_EQ(outcome.response_delay, kFetchDelay);  // gamma_C == original fetch delay
-  EXPECT_TRUE(outcome.served_from_cache);          // bandwidth still saved
+  EXPECT_TRUE(outcome.served_from_cache());          // bandwidth still saved
   EXPECT_EQ(engine.stats().delayed_hits, 1u);
   EXPECT_DOUBLE_EQ(engine.stats().hit_rate(), 0.0);           // hidden from the hit metric
   EXPECT_DOUBLE_EQ(engine.stats().cache_served_rate(), 0.5);  // but served from cache
@@ -97,9 +100,9 @@ TEST(Engine, SimulatedMissLooksLikeOriginalFetch) {
                             std::make_unique<NaiveThresholdPolicy>(1));
   (void)engine.handle(interest_for("/a", true), 0, make_fetch());
   const RequestOutcome outcome = engine.handle(interest_for("/a", true), 1, make_fetch());
-  EXPECT_EQ(outcome.kind, RequestOutcome::Kind::kSimulatedMiss);
+  EXPECT_EQ(outcome.kind, LookupOutcome::kSimulatedMiss);
   EXPECT_EQ(outcome.response_delay, kFetchDelay);
-  EXPECT_FALSE(outcome.served_from_cache);
+  EXPECT_FALSE(outcome.served_from_cache());
   EXPECT_EQ(engine.stats().simulated_misses, 1u);
 }
 
@@ -123,7 +126,7 @@ TEST(Engine, ProducerPrivateHonoredWithoutConsumerBit) {
       std::make_unique<AlwaysDelayPolicy>(AlwaysDelayPolicy::content_specific()));
   (void)engine.handle(interest_for("/a"), 0, make_fetch(/*producer_private=*/true));
   const RequestOutcome outcome = engine.handle(interest_for("/a"), 1, make_fetch(true));
-  EXPECT_EQ(outcome.kind, RequestOutcome::Kind::kDelayedHit);
+  EXPECT_EQ(outcome.kind, LookupOutcome::kDelayedHit);
 }
 
 TEST(Engine, TriggerRuleDeprivatizesThroughEngine) {
@@ -133,7 +136,7 @@ TEST(Engine, TriggerRuleDeprivatizesThroughEngine) {
   (void)engine.handle(interest_for("/a", true), 0, make_fetch());
   (void)engine.handle(interest_for("/a", false), 1, make_fetch());  // trigger
   const RequestOutcome outcome = engine.handle(interest_for("/a", true), 2, make_fetch());
-  EXPECT_EQ(outcome.kind, RequestOutcome::Kind::kExposedHit);
+  EXPECT_EQ(outcome.kind, LookupOutcome::kExposedHit);
 }
 
 TEST(Engine, RandomCacheEventuallyExposesHits) {
@@ -143,12 +146,12 @@ TEST(Engine, RandomCacheEventuallyExposesHits) {
   RequestOutcome outcome{};
   for (int i = 1; i <= 6; ++i) {
     outcome = engine.handle(interest_for("/a", true), i, make_fetch());
-    if (outcome.kind == RequestOutcome::Kind::kExposedHit) break;
+    if (outcome.kind == LookupOutcome::kExposedHit) break;
   }
-  EXPECT_EQ(outcome.kind, RequestOutcome::Kind::kExposedHit);
+  EXPECT_EQ(outcome.kind, LookupOutcome::kExposedHit);
   // Once open, the oracle stays open.
   EXPECT_EQ(engine.handle(interest_for("/a", true), 10, make_fetch()).kind,
-            RequestOutcome::Kind::kExposedHit);
+            LookupOutcome::kExposedHit);
 }
 
 TEST(Engine, StatsAccumulateAcrossKinds) {
@@ -174,10 +177,88 @@ TEST(Engine, NullPolicyRejected) {
 }
 
 TEST(Engine, OutcomeKindNames) {
-  EXPECT_EQ(to_string(RequestOutcome::Kind::kTrueMiss), "TrueMiss");
-  EXPECT_EQ(to_string(RequestOutcome::Kind::kExposedHit), "ExposedHit");
-  EXPECT_EQ(to_string(RequestOutcome::Kind::kDelayedHit), "DelayedHit");
-  EXPECT_EQ(to_string(RequestOutcome::Kind::kSimulatedMiss), "SimulatedMiss");
+  // Every outcome has its own EngineStats counter and a distinct name.
+  EngineStats stats;
+  std::uint64_t n = 0;
+  for (const LookupOutcome outcome : kLookupOutcomes) {
+    stats.count(outcome) = ++n;
+    EXPECT_EQ(std::as_const(stats).count(outcome), n) << to_string(outcome);
+  }
+  EXPECT_EQ(stats.exposed_hits, 1u);
+  EXPECT_EQ(stats.delayed_hits, 2u);
+  EXPECT_EQ(stats.simulated_misses, 3u);
+  EXPECT_EQ(stats.true_misses, 4u);
+  EXPECT_EQ(to_string(LookupOutcome::kTrueMiss), "TrueMiss");
+  EXPECT_EQ(to_string(LookupOutcome::kExposedHit), "ExposedHit");
+}
+
+TEST(Engine, MustBeFreshSkipsStaleEntry) {
+  CachePrivacyEngine engine(10, cache::EvictionPolicy::kLru,
+                            std::make_unique<NoPrivacyPolicy>());
+  const auto fetch = [](const ndn::Interest& interest) {
+    ndn::Data data = ndn::make_data(interest.name, "x", "p", "k");
+    data.freshness_period = util::millis(10);
+    return std::pair{data, kFetchDelay};
+  };
+  ndn::Interest interest = interest_for("/a");
+  interest.must_be_fresh = true;
+  EXPECT_EQ(engine.handle(interest, 0, fetch).kind, LookupOutcome::kTrueMiss);
+  EXPECT_EQ(engine.handle(interest, util::millis(5), fetch).kind, LookupOutcome::kExposedHit);
+  // Past its freshness period the cached copy is invisible to MustBeFresh.
+  const RequestOutcome stale = engine.handle(interest, util::seconds(1), fetch);
+  EXPECT_EQ(stale.kind, LookupOutcome::kTrueMiss);
+  EXPECT_EQ(stale.response_delay, kFetchDelay);
+  // The refetched Data refreshed the cached entry in place.
+  EXPECT_EQ(engine.store().size(), 1u);
+  EXPECT_EQ(engine.store().stats().inserts, 1u);
+  // Without MustBeFresh the stale copy still answers.
+  interest.must_be_fresh = false;
+  EXPECT_EQ(engine.handle(interest, util::seconds(2), fetch).kind, LookupOutcome::kExposedHit);
+}
+
+TEST(Engine, AdmitRefreshKeepsPolicyState) {
+  // A Data answering a simulated miss must not re-seed the policy: the
+  // naive threshold keeps counting toward k instead of restarting.
+  CachePrivacyEngine engine(10, cache::EvictionPolicy::kLru,
+                            std::make_unique<NaiveThresholdPolicy>(2));
+  const ndn::Interest interest = interest_for("/a", true);
+  util::Rng coin(1);
+  EXPECT_EQ(engine.lookup(interest, 0).outcome, LookupOutcome::kTrueMiss);
+  EXPECT_TRUE(engine.admit(ndn::make_data(interest.name, "v1", "p", "k"), interest, kFetchDelay,
+                           0, coin));
+  const LookupResult hidden = engine.lookup(interest, 1);
+  EXPECT_EQ(hidden.outcome, LookupOutcome::kSimulatedMiss);
+  ASSERT_NE(hidden.entry, nullptr);
+  EXPECT_TRUE(engine.admit(ndn::make_data(interest.name, "v2", "p", "k"), interest, kFetchDelay,
+                           2, coin));
+  EXPECT_EQ(engine.store().find_exact(interest.name)->data.payload, "v2");
+  EXPECT_EQ(engine.store().find_exact(interest.name)->meta.request_count, 1u);
+  EXPECT_EQ(engine.lookup(interest, 3).outcome, LookupOutcome::kSimulatedMiss);
+  EXPECT_EQ(engine.lookup(interest, 4).outcome, LookupOutcome::kExposedHit);
+  EXPECT_EQ(engine.store().stats().inserts, 1u);
+}
+
+TEST(Engine, PolicyCannotHideTrueMisses) {
+#if !NDNP_INVARIANT
+  GTEST_SKIP() << "invariant checks compiled out (-DNDNP_INVARIANT=0)";
+#endif
+  // A policy may hide hits but never misses: answering a cached lookup
+  // with kTrueMiss is a bug the engine refuses.
+  class TrueMissPolicy final : public CachePrivacyPolicy {
+   public:
+    void on_insert(cache::Entry&, const ndn::Interest&, util::SimTime) override {}
+    [[nodiscard]] LookupDecision on_cached_lookup(cache::Entry&, const ndn::Interest&, bool,
+                                                  util::SimTime) override {
+      return {.action = LookupOutcome::kTrueMiss, .artificial_delay = 0};
+    }
+    [[nodiscard]] std::string_view name() const noexcept override { return "TrueMiss"; }
+    [[nodiscard]] std::unique_ptr<CachePrivacyPolicy> clone() const override {
+      return std::make_unique<TrueMissPolicy>();
+    }
+  };
+  CachePrivacyEngine engine(10, cache::EvictionPolicy::kLru, std::make_unique<TrueMissPolicy>());
+  (void)engine.handle(interest_for("/a"), 0, make_fetch());
+  EXPECT_THROW((void)engine.lookup(interest_for("/a"), 1), util::InvariantViolation);
 }
 
 TEST(Engine, EvictionReachesCapacity) {
@@ -215,7 +296,7 @@ TEST(EngineAdmission, ZeroProbabilityNeverCaches) {
           return interest;
         }(),
         i, fetch);
-    EXPECT_EQ(outcome.kind, RequestOutcome::Kind::kTrueMiss);
+    EXPECT_EQ(outcome.kind, LookupOutcome::kTrueMiss);
   }
   EXPECT_EQ(engine.store().size(), 0u);
   EXPECT_EQ(engine.stats().true_misses, 5u);

@@ -74,7 +74,7 @@ TEST(Forwarder, FetchThroughRouterReachesProducer) {
   EXPECT_GE(rtt, util::millis(6));
   EXPECT_LE(rtt, util::millis(7));
   EXPECT_EQ(net.producer->interests_served(), 1u);
-  EXPECT_EQ(net.router->stats().true_misses, 1u);
+  EXPECT_EQ(net.router->engine().stats().true_misses, 1u);
 }
 
 TEST(Forwarder, CachesAndServesSecondFetchFaster) {
@@ -84,7 +84,7 @@ TEST(Forwarder, CachesAndServesSecondFetchFaster) {
   const util::SimDuration second = fetch(*net.consumer, net.sched, ndn::Name("/p/file/1"));
   EXPECT_LT(second, first);
   EXPECT_LE(second, util::millis(3));  // 2 * 1 ms + processing
-  EXPECT_EQ(net.router->stats().exposed_hits, 1u);
+  EXPECT_EQ(net.router->engine().stats().exposed_hits, 1u);
   EXPECT_EQ(net.producer->interests_served(), 1u);  // producer not asked again
   EXPECT_TRUE(net.router->cs().contains(ndn::Name("/p/file/1")));
 }
@@ -275,7 +275,7 @@ TEST(Forwarder, AlwaysDelayPolicyEqualizesHitAndMissRtt) {
   const ndn::Name name("/p/secret");
   const util::SimDuration miss = fetch(*net.consumer, net.sched, name, /*private=*/true);
   const util::SimDuration hit = fetch(*net.consumer, net.sched, name, /*private=*/true);
-  EXPECT_EQ(net.router->stats().delayed_hits, 1u);
+  EXPECT_EQ(net.router->engine().stats().delayed_hits, 1u);
   // gamma_C equals the measured upstream delay: the two RTTs agree to
   // within the (deterministic-link) processing noise.
   EXPECT_NEAR(util::to_millis(hit), util::to_millis(miss), 0.2);
@@ -288,13 +288,13 @@ TEST(Forwarder, SimulatedMissForwardsUpstream) {
   (void)fetch(*net.consumer, net.sched, name, /*private=*/true);
   EXPECT_EQ(net.producer->interests_served(), 1u);
   (void)fetch(*net.consumer, net.sched, name, /*private=*/true);  // simulated miss
-  EXPECT_EQ(net.router->stats().simulated_misses, 1u);
+  EXPECT_EQ(net.router->engine().stats().simulated_misses, 1u);
   EXPECT_EQ(net.producer->interests_served(), 2u);  // interest went all the way
   // Content stays cached; policy state survived the refresh.
   EXPECT_TRUE(net.router->cs().contains(name));
   (void)fetch(*net.consumer, net.sched, name, /*private=*/true);  // second simulated miss
   const util::SimDuration exposed = fetch(*net.consumer, net.sched, name, /*private=*/true);
-  EXPECT_EQ(net.router->stats().exposed_hits, 1u);
+  EXPECT_EQ(net.router->engine().stats().exposed_hits, 1u);
   EXPECT_LE(exposed, util::millis(3));
 }
 
@@ -339,8 +339,8 @@ TEST(Forwarder, StatsCountersConsistent) {
   (void)fetch(*net.consumer, net.sched, ndn::Name("/p/b"));
   const ForwarderStats& stats = net.router->stats();
   EXPECT_EQ(stats.interests_received, 3u);
-  EXPECT_EQ(stats.true_misses, 2u);
-  EXPECT_EQ(stats.exposed_hits, 1u);
+  EXPECT_EQ(net.router->engine().stats().true_misses, 2u);
+  EXPECT_EQ(net.router->engine().stats().exposed_hits, 1u);
   EXPECT_EQ(stats.forwarded_interests, 2u);
   EXPECT_EQ(stats.data_received, 2u);
   EXPECT_EQ(stats.data_forwarded, 2u);

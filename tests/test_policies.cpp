@@ -75,7 +75,7 @@ TEST(NoPrivacy, AlwaysExposesHits) {
   cache::Entry entry = make_entry("/a", true);
   const LookupDecision decision =
       policy.on_cached_lookup(entry, interest_for("/a", true), true, 0);
-  EXPECT_EQ(decision.action, LookupAction::kExposeHit);
+  EXPECT_EQ(decision.action, LookupOutcome::kExposedHit);
   EXPECT_EQ(policy.miss_response_delay(util::millis(5), true), util::millis(5));
   EXPECT_EQ(policy.name(), "NoPrivacy");
 }
@@ -87,7 +87,7 @@ TEST(AlwaysDelay, ConstantModeDelaysPrivateHits) {
   AlwaysDelayPolicy policy = AlwaysDelayPolicy::constant(util::millis(40));
   cache::Entry entry = make_entry("/a", true);
   const LookupDecision decision = policy.on_cached_lookup(entry, interest_for("/a"), true, 0);
-  EXPECT_EQ(decision.action, LookupAction::kDelayedHit);
+  EXPECT_EQ(decision.action, LookupOutcome::kDelayedHit);
   EXPECT_EQ(decision.artificial_delay, util::millis(40));
 }
 
@@ -95,7 +95,7 @@ TEST(AlwaysDelay, NonPrivateContentNotDelayed) {
   AlwaysDelayPolicy policy = AlwaysDelayPolicy::constant(util::millis(40));
   cache::Entry entry = make_entry("/a");
   const LookupDecision decision = policy.on_cached_lookup(entry, interest_for("/a"), false, 0);
-  EXPECT_EQ(decision.action, LookupAction::kExposeHit);
+  EXPECT_EQ(decision.action, LookupOutcome::kExposedHit);
 }
 
 TEST(AlwaysDelay, ConstantModePadsFastMisses) {
@@ -120,7 +120,7 @@ TEST(AlwaysDelay, ContentSpecificUsesStoredFetchDelay) {
   cache::Entry entry = make_entry("/a", true);
   entry.meta.fetch_delay = util::millis(77);
   const LookupDecision decision = policy.on_cached_lookup(entry, interest_for("/a"), true, 0);
-  EXPECT_EQ(decision.action, LookupAction::kDelayedHit);
+  EXPECT_EQ(decision.action, LookupOutcome::kDelayedHit);
   EXPECT_EQ(decision.artificial_delay, util::millis(77));
   // Misses are genuine: no padding in this mode.
   EXPECT_EQ(policy.miss_response_delay(util::millis(12), true), util::millis(12));
@@ -134,7 +134,7 @@ TEST(AlwaysDelay, DynamicDecaysTowardFloor) {
   util::SimDuration prev = util::millis(81);
   for (int i = 0; i < 10; ++i) {
     const LookupDecision decision = policy.on_cached_lookup(entry, interest_for("/a"), true, 0);
-    EXPECT_EQ(decision.action, LookupAction::kDelayedHit);
+    EXPECT_EQ(decision.action, LookupOutcome::kDelayedHit);
     EXPECT_LE(decision.artificial_delay, prev);
     EXPECT_GE(decision.artificial_delay, util::millis(5));  // never below the floor
     prev = decision.artificial_delay;
@@ -167,11 +167,11 @@ TEST(NaiveThreshold, FirstKRequestsMiss) {
   policy.on_insert(entry, interest_for("/a", true), 0);
   for (int i = 0; i < 3; ++i) {
     EXPECT_EQ(policy.on_cached_lookup(entry, interest_for("/a"), true, 0).action,
-              LookupAction::kSimulatedMiss)
+              LookupOutcome::kSimulatedMiss)
         << "request " << i;
   }
   EXPECT_EQ(policy.on_cached_lookup(entry, interest_for("/a"), true, 0).action,
-            LookupAction::kExposeHit);
+            LookupOutcome::kExposedHit);
 }
 
 TEST(NaiveThreshold, NonPrivateBypassesCounter) {
@@ -179,7 +179,7 @@ TEST(NaiveThreshold, NonPrivateBypassesCounter) {
   cache::Entry entry = make_entry("/a");
   policy.on_insert(entry, interest_for("/a"), 0);
   EXPECT_EQ(policy.on_cached_lookup(entry, interest_for("/a"), false, 0).action,
-            LookupAction::kExposeHit);
+            LookupOutcome::kExposedHit);
   EXPECT_EQ(entry.meta.request_count, 0u);
 }
 
@@ -188,7 +188,7 @@ TEST(NaiveThreshold, KZeroNeverSimulates) {
   cache::Entry entry = make_entry("/a", true);
   policy.on_insert(entry, interest_for("/a", true), 0);
   EXPECT_EQ(policy.on_cached_lookup(entry, interest_for("/a"), true, 0).action,
-            LookupAction::kExposeHit);
+            LookupOutcome::kExposedHit);
 }
 
 TEST(NaiveThreshold, RejectsNegativeK) {
@@ -207,13 +207,13 @@ TEST(RandomCache, FollowsAlgorithmOneWithDegenerateK) {
   EXPECT_EQ(entry.meta.k_threshold, 2);
   EXPECT_EQ(entry.meta.request_count, 0u);
   EXPECT_EQ(policy.on_cached_lookup(entry, interest_for("/a"), true, 0).action,
-            LookupAction::kSimulatedMiss);
+            LookupOutcome::kSimulatedMiss);
   EXPECT_EQ(policy.on_cached_lookup(entry, interest_for("/a"), true, 0).action,
-            LookupAction::kSimulatedMiss);
+            LookupOutcome::kSimulatedMiss);
   EXPECT_EQ(policy.on_cached_lookup(entry, interest_for("/a"), true, 0).action,
-            LookupAction::kExposeHit);
+            LookupOutcome::kExposedHit);
   EXPECT_EQ(policy.on_cached_lookup(entry, interest_for("/a"), true, 0).action,
-            LookupAction::kExposeHit);
+            LookupOutcome::kExposedHit);
 }
 
 TEST(RandomCache, ThresholdSampledWithinDomain) {
@@ -232,7 +232,7 @@ TEST(RandomCache, NonPrivateAlwaysExposed) {
   policy.on_insert(entry, interest_for("/a"), 0);
   for (int i = 0; i < 10; ++i) {
     EXPECT_EQ(policy.on_cached_lookup(entry, interest_for("/a"), false, 0).action,
-              LookupAction::kExposeHit);
+              LookupOutcome::kExposedHit);
   }
 }
 
@@ -247,14 +247,14 @@ TEST(RandomCache, GroupedModeSharesCounterAcrossMembers) {
   policy.on_insert(frag0, interest_for("/alice/video/0", true), 0);
   policy.on_insert(frag1, interest_for("/alice/video/1", true), 0);
   EXPECT_EQ(policy.on_cached_lookup(frag0, interest_for("/alice/video/0"), true, 0).action,
-            LookupAction::kSimulatedMiss);
+            LookupOutcome::kSimulatedMiss);
   EXPECT_EQ(policy.on_cached_lookup(frag1, interest_for("/alice/video/1"), true, 0).action,
-            LookupAction::kSimulatedMiss);
+            LookupOutcome::kSimulatedMiss);
   // Shared counter now exhausted (c = 2 = k): next access to EITHER member hits.
   EXPECT_EQ(policy.on_cached_lookup(frag0, interest_for("/alice/video/0"), true, 0).action,
-            LookupAction::kExposeHit);
+            LookupOutcome::kExposedHit);
   EXPECT_EQ(policy.on_cached_lookup(frag1, interest_for("/alice/video/1"), true, 0).action,
-            LookupAction::kExposeHit);
+            LookupOutcome::kExposedHit);
 }
 
 TEST(RandomCache, GroupedByGroupIdUsesProducerAssignment) {
@@ -266,9 +266,9 @@ TEST(RandomCache, GroupedByGroupIdUsesProducerAssignment) {
   policy.on_insert(a, interest_for("/x/1", true), 0);
   policy.on_insert(b, interest_for("/y/2", true), 0);
   EXPECT_EQ(policy.on_cached_lookup(a, interest_for("/x/1"), true, 0).action,
-            LookupAction::kSimulatedMiss);
+            LookupOutcome::kSimulatedMiss);
   EXPECT_EQ(policy.on_cached_lookup(b, interest_for("/y/2"), true, 0).action,
-            LookupAction::kExposeHit);  // group counter already at k
+            LookupOutcome::kExposedHit);  // group counter already at k
 }
 
 TEST(RandomCache, EmptyGroupIdFallsBackToOwnName) {
@@ -279,9 +279,9 @@ TEST(RandomCache, EmptyGroupIdFallsBackToOwnName) {
   policy.on_insert(b, interest_for("/x/2", true), 0);
   // Independent counters: both first probes simulate misses.
   EXPECT_EQ(policy.on_cached_lookup(a, interest_for("/x/1"), true, 0).action,
-            LookupAction::kSimulatedMiss);
+            LookupOutcome::kSimulatedMiss);
   EXPECT_EQ(policy.on_cached_lookup(b, interest_for("/x/2"), true, 0).action,
-            LookupAction::kSimulatedMiss);
+            LookupOutcome::kSimulatedMiss);
 }
 
 TEST(RandomCache, GroupStateSurvivesReinsertion) {
@@ -292,12 +292,12 @@ TEST(RandomCache, GroupStateSurvivesReinsertion) {
   cache::Entry entry = make_entry("/vid/0", true);
   policy.on_insert(entry, interest_for("/vid/0", true), 0);
   EXPECT_EQ(policy.on_cached_lookup(entry, interest_for("/vid/0"), true, 0).action,
-            LookupAction::kSimulatedMiss);
+            LookupOutcome::kSimulatedMiss);
   // Simulate eviction + reinsertion of the same group.
   cache::Entry again = make_entry("/vid/0", true);
   policy.on_insert(again, interest_for("/vid/0", true), 0);
   EXPECT_EQ(policy.on_cached_lookup(again, interest_for("/vid/0"), true, 0).action,
-            LookupAction::kExposeHit);  // counter continued at c=1, k=1
+            LookupOutcome::kExposedHit);  // counter continued at c=1, k=1
 }
 
 TEST(RandomCache, RejectsBadConstruction) {
@@ -322,13 +322,18 @@ TEST(RandomCache, CloneCopiesGroupState) {
   const auto copy = policy.clone();
   cache::Entry entry2 = make_entry("/vid/1", true);
   EXPECT_EQ(copy->on_cached_lookup(entry2, interest_for("/vid/1"), true, 0).action,
-            LookupAction::kExposeHit);  // group counter carried over
+            LookupOutcome::kExposedHit);  // group counter carried over
 }
 
-TEST(LookupActionToString, AllValuesNamed) {
-  EXPECT_EQ(to_string(LookupAction::kExposeHit), "ExposeHit");
-  EXPECT_EQ(to_string(LookupAction::kDelayedHit), "DelayedHit");
-  EXPECT_EQ(to_string(LookupAction::kSimulatedMiss), "SimulatedMiss");
+TEST(LookupOutcomeToString, AllValuesNamed) {
+  EXPECT_EQ(to_string(LookupOutcome::kExposedHit), "ExposedHit");
+  EXPECT_EQ(to_string(LookupOutcome::kDelayedHit), "DelayedHit");
+  EXPECT_EQ(to_string(LookupOutcome::kSimulatedMiss), "SimulatedMiss");
+  EXPECT_EQ(to_string(LookupOutcome::kTrueMiss), "TrueMiss");
+  EXPECT_EQ(counter_name(LookupOutcome::kExposedHit), "exposed_hits");
+  EXPECT_EQ(counter_name(LookupOutcome::kDelayedHit), "delayed_hits");
+  EXPECT_EQ(counter_name(LookupOutcome::kSimulatedMiss), "simulated_misses");
+  EXPECT_EQ(counter_name(LookupOutcome::kTrueMiss), "true_misses");
   EXPECT_EQ(to_string(DelayMode::kConstant), "constant");
   EXPECT_EQ(to_string(Grouping::kByNamespace), "namespace");
 }

@@ -99,7 +99,7 @@ TEST_P(RandomCacheProperty, EngineUtilityMatchesClosedForm) {
     (void)engine.handle(interest, now, fetch);  // insertion
     for (std::int64_t i = 0; i < kRequests; ++i) {
       now += 1000;
-      if (engine.handle(interest, now, fetch).kind == RequestOutcome::Kind::kExposedHit)
+      if (engine.handle(interest, now, fetch).kind == LookupOutcome::kExposedHit)
         ++exposed;
     }
   }
@@ -126,9 +126,9 @@ TEST_P(RandomCacheProperty, MissRunIsAlwaysAPrefix) {
     for (int i = 0; i < 50; ++i) {
       const RequestOutcome outcome = engine.handle(interest, now, fetch);
       now += 1000;
-      if (outcome.kind == RequestOutcome::Kind::kExposedHit) seen_hit = true;
+      if (outcome.kind == LookupOutcome::kExposedHit) seen_hit = true;
       if (seen_hit) {
-        EXPECT_EQ(outcome.kind, RequestOutcome::Kind::kExposedHit)
+        EXPECT_EQ(outcome.kind, LookupOutcome::kExposedHit)
             << GetParam().label() << " round " << round << " i " << i;
       }
     }
@@ -170,15 +170,15 @@ TEST_P(TriggerRuleProperty, MatchesReferenceModel) {
       now += 1000;
 
       if (!cached) {
-        EXPECT_EQ(outcome.kind, RequestOutcome::Kind::kTrueMiss);
+        EXPECT_EQ(outcome.kind, LookupOutcome::kTrueMiss);
         cached = true;
         if (!interest.private_req) deprivatized = true;
         continue;
       }
       if (!interest.private_req) deprivatized = true;
       const bool expect_private = interest.private_req && !deprivatized;
-      EXPECT_EQ(outcome.kind, expect_private ? RequestOutcome::Kind::kDelayedHit
-                                             : RequestOutcome::Kind::kExposedHit)
+      EXPECT_EQ(outcome.kind, expect_private ? LookupOutcome::kDelayedHit
+                                             : LookupOutcome::kExposedHit)
           << "round " << round << " step " << i;
     }
   }

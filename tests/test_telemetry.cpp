@@ -10,17 +10,22 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <functional>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "attack/telemetry_scenario.hpp"
+#include "core/policies.hpp"
 #include "runner/experiments.hpp"
+#include "sim/topology.hpp"
 #include "sim/trace_sinks.hpp"
 #include "telemetry/detectors.hpp"
 #include "telemetry/estimators.hpp"
+#include "trace/replayer.hpp"
 #include "util/metrics.hpp"
 #include "util/rng.hpp"
 #include "util/tracing.hpp"
@@ -62,7 +67,7 @@ telemetry::CusumDetector tuned_cusum() {
   cusum.drift = tuning.cusum_drift;
   cusum.threshold = tuning.cusum_threshold;
   cusum.reference_alpha = tuning.cusum_reference_alpha;
-  cusum.two_sided = tuning.cusum_two_sided;
+  cusum.two_sided = false;
   return cusum;
 }
 
@@ -201,9 +206,9 @@ TEST(DetectorBank, MergeSumsObservationsAndAlarms) {
   util::SimTime now = 0;
   // Machine-paced stream on one bucket of each bank: regularity fires.
   for (std::size_t i = 0; i < 200; ++i)
-    a.observe(3, telemetry::LookupOutcome::kExposedHit, now += 1'000'000, out);
+    a.observe(3, core::LookupOutcome::kExposedHit, now += 1'000'000, out);
   for (std::size_t i = 0; i < 100; ++i)
-    b.observe(3, telemetry::LookupOutcome::kTrueMiss, now += 1'000'000, out);
+    b.observe(3, core::LookupOutcome::kTrueMiss, now += 1'000'000, out);
   const std::uint64_t alarms_a = a.alarms_total();
   const std::uint64_t alarms_b = b.alarms_total();
   EXPECT_GT(alarms_a, 0u) << "machine-paced stream must trip arrival_regularity";
@@ -220,7 +225,7 @@ TEST(DetectorBank, EnableMaskSuppressesAlarmsButKeepsEstimators) {
   telemetry::AlarmEvent out[telemetry::kDetectorKinds];
   util::SimTime now = 0;
   for (std::size_t i = 0; i < 500; ++i)
-    muted.observe(1, telemetry::LookupOutcome::kDelayedHit, now += 1'000'000, out);
+    muted.observe(1, core::LookupOutcome::kDelayedHit, now += 1'000'000, out);
   EXPECT_EQ(muted.alarms_total(), 0u);
   EXPECT_EQ(muted.observations(), 500u);
   EXPECT_GT(muted.bucket_hit_rate(1) + 1.0, 0.0);  // estimators still updated
@@ -297,8 +302,8 @@ TEST(MetricsExport, EmptyRegistrySnapshotJson) {
 
 TEST(MetricsExport, HubPublishesLookupAndAlarmCounters) {
   telemetry::TelemetryHub hub;
-  telemetry::LookupOutcome outcomes[] = {telemetry::LookupOutcome::kExposedHit,
-                                         telemetry::LookupOutcome::kTrueMiss};
+  core::LookupOutcome outcomes[] = {core::LookupOutcome::kExposedHit,
+                                         core::LookupOutcome::kTrueMiss};
   for (std::size_t i = 0; i < 10; ++i)
     hub.on_lookup(i % 2, i % 3, outcomes[i % 2], static_cast<util::SimTime>(i) * 1'000'000);
   util::MetricsRegistry registry;
@@ -323,7 +328,7 @@ TEST(TelemetryHub, AlarmsBecomeTraceEvents) {
     // One face, machine-regular cadence: arrival_regularity must fire on
     // both banks (face mask and prefix mask include it).
     for (std::size_t i = 0; i < 200; ++i)
-      hub.on_lookup(7, 13, telemetry::LookupOutcome::kExposedHit, now += 500'000);
+      hub.on_lookup(7, 13, core::LookupOutcome::kExposedHit, now += 500'000);
   }
   ASSERT_GT(hub.alarms(telemetry::DetectorKind::kArrivalRegularity), 0u);
 
@@ -420,6 +425,90 @@ TEST(TelemetryEndToEnd, DetectorSeriesByteIdenticalAcrossJobs) {
   EXPECT_EQ(jobs1, run(4));
   EXPECT_EQ(jobs1, run(8));
   EXPECT_NE(jobs1.find("t_ns,"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// The engine's counters and the hub's detector inputs are two views of the
+// same lookup outcomes; they must agree outcome by outcome. Always-Delay
+// contributes delayed hits, the naive threshold simulated misses.
+
+std::vector<std::function<std::unique_ptr<core::CachePrivacyPolicy>()>> view_policies() {
+  return {[] {
+            return std::make_unique<core::AlwaysDelayPolicy>(
+                core::AlwaysDelayPolicy::content_specific());
+          },
+          [] { return std::make_unique<core::NaiveThresholdPolicy>(2); }};
+}
+
+TEST(TelemetryViews, ReplayHubCountsMatchEngineCounters) {
+#if !NDNP_TELEMETRY
+  GTEST_SKIP() << "replayer telemetry hooks compiled out (-DNDNP_TELEMETRY=0)";
+#endif
+  trace::TraceGenConfig gen;
+  gen.num_requests = 3'000;
+  gen.num_objects = 300;
+  gen.duration_s = 60.0;
+  const trace::Trace trace = trace::generate_trace(gen);
+  std::uint64_t seen[core::kLookupOutcomes.size()] = {};
+  for (const auto& policy : view_policies()) {
+    util::MetricsRegistry registry;
+    telemetry::TelemetryHub hub;
+    trace::ReplayConfig config;
+    config.cache_capacity = 100;
+    config.private_fraction = 0.5;
+    config.policy_factory = policy;
+    config.metrics = &registry;
+    config.telemetry = &hub;
+    (void)trace::replay(trace, config);
+    const util::MetricsSnapshot snap = registry.snapshot();
+    for (const core::LookupOutcome outcome : core::kLookupOutcomes) {
+      const std::string name(core::counter_name(outcome));
+      EXPECT_EQ(snap.counters.at("telemetry.outcome." + name),
+                snap.counters.at("engine." + name))
+          << name;
+      seen[static_cast<std::size_t>(outcome)] += snap.counters.at("engine." + name);
+    }
+    EXPECT_EQ(snap.counters.at("telemetry.lookups"), snap.counters.at("engine.requests"));
+  }
+  for (const std::uint64_t count : seen) EXPECT_GT(count, 0u);
+}
+
+TEST(TelemetryViews, ForwarderHubCountsMatchForwarderCounters) {
+#if !NDNP_TELEMETRY
+  GTEST_SKIP() << "forwarder telemetry hooks compiled out (-DNDNP_TELEMETRY=0)";
+#endif
+  std::uint64_t seen[core::kLookupOutcomes.size()] = {};
+  for (const auto& policy : view_policies()) {
+    sim::ScenarioParams params = sim::lan_scenario_params(3);
+    params.router_policy = policy;
+    const std::unique_ptr<sim::ProbeScenario> scenario = sim::make_probe_scenario(params);
+    telemetry::TelemetryHub hub;
+    scenario->router->arm_telemetry(&hub);
+    sim::Consumer& user = *scenario->user;
+    for (std::uint64_t i = 0; i < 64; ++i) {
+      // Objects 0-3 are requested privately, 4-7 publicly.
+      ndn::Interest interest;
+      interest.name = ndn::Name("/producer/obj").append_number(i % 8);
+      interest.private_req = i % 8 < 4;
+      scenario->topology.scheduler().schedule_at(
+          static_cast<util::SimTime>(i) * util::millis(20), [&user, interest]() mutable {
+            interest.nonce = user.make_nonce();
+            user.express_interest(interest, [](const ndn::Data&, util::SimDuration) {});
+          });
+    }
+    scenario->topology.scheduler().run();
+    util::MetricsRegistry registry;
+    scenario->router->export_metrics(registry, "R");
+    const util::MetricsSnapshot snap = registry.snapshot();
+    for (const core::LookupOutcome outcome : core::kLookupOutcomes) {
+      const std::string name(core::counter_name(outcome));
+      EXPECT_EQ(snap.counters.at("R.telemetry.outcome." + name), snap.counters.at("R." + name))
+          << name;
+      seen[static_cast<std::size_t>(outcome)] += snap.counters.at("R." + name);
+    }
+    EXPECT_EQ(hub.lookups(), scenario->router->engine().stats().requests);
+  }
+  for (const std::uint64_t count : seen) EXPECT_GT(count, 0u);
 }
 
 // ---------------------------------------------------------------------------

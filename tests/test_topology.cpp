@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <ostream>
 
 #include "core/policies.hpp"
 
@@ -38,12 +39,19 @@ TEST(Topology, ScenarioRequiresAtLeastOneHop) {
   EXPECT_THROW((void)make_probe_scenario(params), std::invalid_argument);
 }
 
-class ScenarioSweep
-    : public ::testing::TestWithParam<std::pair<const char*, ScenarioParams (*)(std::uint64_t)>> {
+struct CannedScenario {
+  const char* name;
+  ScenarioParams (*make)(std::uint64_t);
+
+  // gtest prints GetParam() into the test name; the default printer would
+  // show the (address-randomized) pointers and make the name differ per build.
+  friend void PrintTo(const CannedScenario& s, std::ostream* os) { *os << s.name; }
 };
 
+class ScenarioSweep : public ::testing::TestWithParam<CannedScenario> {};
+
 TEST_P(ScenarioSweep, UserAndAdversaryCanBothFetch) {
-  const auto scenario = make_probe_scenario(GetParam().second(7));
+  const auto scenario = make_probe_scenario(GetParam().make(7));
   Scheduler& sched = scenario->topology.scheduler();
   const ndn::Name name = scenario->producer->prefix().append("content");
   const util::SimDuration user_rtt = fetch(*scenario->user, sched, name);
@@ -56,18 +64,19 @@ TEST_P(ScenarioSweep, UserAndAdversaryCanBothFetch) {
 }
 
 TEST_P(ScenarioSweep, CoreChainLengthMatchesParams) {
-  const ScenarioParams params = GetParam().second(11);
+  const ScenarioParams params = GetParam().make(11);
   const auto scenario = make_probe_scenario(params);
   EXPECT_EQ(scenario->core.size(), params.core_hops - 1);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Canned, ScenarioSweep,
-    ::testing::Values(std::pair{"lan", &lan_scenario_params},
-                      std::pair{"wan", &wan_scenario_params},
-                      std::pair{"producer", &producer_adjacent_scenario_params},
-                      std::pair{"localhost", &local_host_scenario_params}),
-    [](const auto& info) { return std::string(info.param.first); });
+INSTANTIATE_TEST_SUITE_P(Canned, ScenarioSweep,
+                         ::testing::Values(CannedScenario{"lan", &lan_scenario_params},
+                                           CannedScenario{"wan", &wan_scenario_params},
+                                           CannedScenario{"producer",
+                                                          &producer_adjacent_scenario_params},
+                                           CannedScenario{"localhost",
+                                                          &local_host_scenario_params}),
+                         [](const auto& info) { return std::string(info.param.name); });
 
 TEST(Topology, PolicyFactoryInstallsAtRouter) {
   ScenarioParams params = lan_scenario_params(3);

@@ -232,10 +232,10 @@ sim::FlatEvent make_event(util::SimTime t, std::string type, std::string node, s
 
 TEST(TraceSinks, ForensicsDistinguishesAllVerdictClasses) {
   std::vector<sim::FlatEvent> events;
-  // Probe 0: true hit — lookup hit, policy exposes it.
+  // Probe 0: exposed hit — lookup hit, policy exposes it.
   events.push_back(make_event(100, "cs_lookup", "R", "/p/0", "result=hit depth=1"));
-  events.push_back(
-      make_event(100, "policy_decision", "R", "/p/0", "policy=none action=ExposeHit private=0"));
+  events.push_back(make_event(100, "policy_decision", "R", "/p/0",
+                              "policy=none action=ExposedHit private=0"));
   events.push_back(make_event(150, "attack_probe", "Adv", "/p/0", "truth=hit", 100, 0));
   // Probe 1: delayed hit — cached, policy added artificial delay.
   events.push_back(make_event(200, "cs_lookup", "R", "/p/1", "result=hit depth=1"));
@@ -255,12 +255,12 @@ TEST(TraceSinks, ForensicsDistinguishesAllVerdictClasses) {
 
   const sim::ForensicsReport report = sim::probe_forensics(events);
   ASSERT_EQ(report.probes.size(), 5u);
-  EXPECT_EQ(report.probes[0].verdict, sim::ProbeVerdict::kTrueHit);
-  EXPECT_EQ(report.probes[1].verdict, sim::ProbeVerdict::kDelayedHit);
-  EXPECT_EQ(report.probes[2].verdict, sim::ProbeVerdict::kSimulatedMiss);
-  EXPECT_EQ(report.probes[3].verdict, sim::ProbeVerdict::kTrueMiss);
-  EXPECT_EQ(report.probes[4].verdict, sim::ProbeVerdict::kUnknown);
-  EXPECT_EQ(report.true_hits, 1u);
+  EXPECT_EQ(report.probes[0].verdict, core::LookupOutcome::kExposedHit);
+  EXPECT_EQ(report.probes[1].verdict, core::LookupOutcome::kDelayedHit);
+  EXPECT_EQ(report.probes[2].verdict, core::LookupOutcome::kSimulatedMiss);
+  EXPECT_EQ(report.probes[3].verdict, core::LookupOutcome::kTrueMiss);
+  EXPECT_FALSE(report.probes[4].verdict.has_value());
+  EXPECT_EQ(report.exposed_hits, 1u);
   EXPECT_EQ(report.delayed_hits, 1u);
   EXPECT_EQ(report.simulated_misses, 1u);
   EXPECT_EQ(report.true_misses, 1u);
@@ -270,7 +270,8 @@ TEST(TraceSinks, ForensicsDistinguishesAllVerdictClasses) {
   EXPECT_EQ(report.probes[0].decided_by, "R");
   // The table renders one row per probe plus header and summary.
   const std::string table = report.format_table();
-  EXPECT_NE(table.find("TrueHit"), std::string::npos);
+  EXPECT_NE(table.find("ExposedHit"), std::string::npos);
+  EXPECT_NE(table.find("Unknown"), std::string::npos);
   EXPECT_NE(table.find("probes=5"), std::string::npos);
   // No fault_inject events in the capture: the faults column and summary
   // fields stay out, keeping clean-run output byte-identical.
@@ -293,8 +294,8 @@ TEST(TraceSinks, ForensicsAttributesFaultsInsideProbeWindows) {
   events.push_back(make_event(300, "attack_probe", "Adv", "/p/1", "truth=miss", 150, 1));
   // Probe 2 (window [850, 900]): both faults are long past — clean.
   events.push_back(make_event(880, "cs_lookup", "R", "/p/2", "result=hit depth=1"));
-  events.push_back(
-      make_event(880, "policy_decision", "R", "/p/2", "policy=none action=ExposeHit private=0"));
+  events.push_back(make_event(880, "policy_decision", "R", "/p/2",
+                              "policy=none action=ExposedHit private=0"));
   events.push_back(make_event(900, "attack_probe", "Adv", "/p/2", "truth=hit", 50, 2));
 
   const sim::ForensicsReport report = sim::probe_forensics(events);
@@ -321,8 +322,8 @@ TEST(TraceSinks, ForensicsAttributesFaultsInsideProbeWindows) {
 // End-to-end cross-check: capture a real (small) Figure-3 timing attack and
 // verify the forensics join agrees with the attack's own accounting — same
 // probe count, same hit/miss split, perfect truth agreement (the LAN
-// scenario runs without a privacy policy, so every verdict is TrueHit or
-// TrueMiss).
+// scenario runs without a privacy policy, so every verdict is ExposedHit
+// or TrueMiss).
 
 TEST(TraceSinks, ForensicsAgreesWithTimingAttackCounters) {
   attack::TimingAttackConfig config;
@@ -342,7 +343,7 @@ TEST(TraceSinks, ForensicsAgreesWithTimingAttackCounters) {
   const std::size_t hits = result.hit_rtts_ms.size();
   const std::size_t misses = result.miss_rtts_ms.size();
   ASSERT_EQ(report.probes.size(), hits + misses);
-  EXPECT_EQ(report.true_hits, hits);
+  EXPECT_EQ(report.exposed_hits, hits);
   EXPECT_EQ(report.true_misses, misses);
   EXPECT_EQ(report.delayed_hits, 0u);
   EXPECT_EQ(report.simulated_misses, 0u);
