@@ -27,6 +27,7 @@
 #include "sim/forwarder.hpp"
 #include "sim/scheduler.hpp"
 #include "trace/replayer.hpp"
+#include "trace/stream.hpp"
 #include "util/metrics.hpp"
 #include "util/rng.hpp"
 
@@ -318,6 +319,35 @@ void BM_SchedulerHeapTicker(benchmark::State& state) {
   scheduler_ticker_bench<sim::HeapScheduler>(state);
 }
 BENCHMARK(BM_SchedulerHeapTicker)->Arg(1024)->Arg(131072);
+
+// Trace source layer at the bench/e2e shape: one Zipf draw over the 1M-object
+// catalogue, and one whole synthetic record (arrival, user and object
+// draws, domain assignment, name building).
+void BM_ZipfSample(benchmark::State& state) {
+  const util::ZipfSampler zipf(1'000'000, 0.8);
+  util::Rng rng(5);
+  for (auto _ : state) benchmark::DoNotOptimize(zipf.sample(rng));
+}
+BENCHMARK(BM_ZipfSample);
+
+void BM_SyntheticSourceRecord(benchmark::State& state) {
+  trace::TraceGenConfig gen;
+  gen.num_users = 100'000;
+  gen.num_objects = 1'000'000;
+  gen.num_domains = 2'000;
+  gen.num_requests = std::size_t{1} << 40;  // never exhausted
+  gen.seed = 2013;
+  const trace::SyntheticWorkload workload(gen);
+  const auto source = workload.open();
+  constexpr std::size_t kChunk = 1'024;
+  std::vector<trace::TraceRecord> chunk;
+  for (auto _ : state) {
+    source->next_chunk(chunk, kChunk);
+    benchmark::DoNotOptimize(chunk.data());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kChunk));
+}
+BENCHMARK(BM_SyntheticSourceRecord);
 
 void BM_TraceReplayThroughput(benchmark::State& state) {
   trace::TraceGenConfig gen;

@@ -56,6 +56,7 @@ bool CachePrivacyEngine::admit(ndn::Data data, const ndn::Interest& cause,
                                util::Rng& coin) {
   if (cache::Entry* existing = store_.find_exact(data.name)) {
     existing->data = std::move(data);
+    existing->meta.inserted_at = now;  // restarts the freshness period
     store_.touch(*existing, now);
     return true;
   }

@@ -106,9 +106,11 @@ class CachePrivacyEngine {
   [[nodiscard]] LookupResult lookup(const ndn::Interest& interest, util::SimTime now);
 
   /// Step 2: offer Data fetched upstream for `cause` to the cache. If the
-  /// exact name is already cached (the Data answers a simulated miss), the
-  /// payload is refreshed in place and the policy state kept: re-seeding
-  /// would resample Random-Cache thresholds and leak. Otherwise the
+  /// exact name is already cached (the Data answers a simulated miss or a
+  /// MustBeFresh interest the stale copy could not satisfy), the payload
+  /// and its insertion time are refreshed in place, so the freshness period
+  /// restarts, and the policy state kept: re-seeding would resample
+  /// Random-Cache thresholds and leak. Otherwise the
   /// admission coin is flipped on `coin`, and an admitted entry is marked
   /// and seeded in the policy. Returns false when the coin refused the Data.
   bool admit(ndn::Data data, const ndn::Interest& cause, util::SimDuration fetch_delay,

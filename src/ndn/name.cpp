@@ -74,6 +74,13 @@ Name::Name(std::vector<std::string> components) : components_(std::move(componen
   for (const auto& c : components_) validate_component(c);
 }
 
+void Name::assign(std::initializer_list<std::string_view> components) {
+  for (const std::string_view c : components) validate_component(c);
+  components_.resize(components.size());
+  auto slot = components_.begin();
+  for (const std::string_view c : components) (slot++)->assign(c);
+}
+
 Name Name::append(std::string_view component) const {
   validate_component(component);
   Name out = *this;

@@ -32,6 +32,11 @@ class Name {
   Name(std::initializer_list<std::string> components);
   explicit Name(std::vector<std::string> components);
 
+  /// Replace every component, reusing this name's storage: no allocation
+  /// when the new components fit the old ones' capacity. Throws like the
+  /// constructors on an invalid component, leaving the name unchanged.
+  void assign(std::initializer_list<std::string_view> components);
+
   [[nodiscard]] std::size_t size() const noexcept { return components_.size(); }
   [[nodiscard]] bool empty() const noexcept { return components_.empty(); }
 

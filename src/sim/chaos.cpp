@@ -412,7 +412,10 @@ class ReferenceForwarder {
     }
     auto exact = cs_.find(data.name);
     if (exact != cs_.end()) {
-      exact->second.data = data;  // refresh payload, keep inserted_at
+      // Refresh payload and restart freshness: a refetched stale entry is
+      // fresh again, as in CachePrivacyEngine::admit.
+      exact->second.data = data;
+      exact->second.inserted_at = t;
       touch(data.name);
     } else {
       if (cs_capacity_ != 0 && cs_.size() >= cs_capacity_) {

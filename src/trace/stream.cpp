@@ -1,5 +1,6 @@
 #include "trace/stream.hpp"
 
+#include <array>
 #include <bit>
 #include <charconv>
 #include <cstring>
@@ -58,6 +59,14 @@ template <typename T>
 bool parse_number(std::string_view token, T& out) {
   const auto [ptr, ec] = std::from_chars(token.data(), token.data() + token.size(), out);
   return ec == std::errc{} && ptr == token.data() + token.size();
+}
+
+/// `prefix` followed by the decimal digits of `n` ("dom", 42 -> "dom42"),
+/// formatted into `buf` without allocating.
+std::string_view numbered(std::array<char, 24>& buf, std::string_view prefix, std::uint64_t n) {
+  std::memcpy(buf.data(), prefix.data(), prefix.size());
+  const char* end = std::to_chars(buf.data() + prefix.size(), buf.data() + buf.size(), n).ptr;
+  return {buf.data(), static_cast<std::size_t>(end - buf.data())};
 }
 
 }  // namespace
@@ -342,27 +351,31 @@ SyntheticTraceSource::SyntheticTraceSource(const SyntheticWorkload& workload)
 
 bool SyntheticTraceSource::next_chunk(std::vector<TraceRecord>& out,
                                       std::size_t max_records) {
-  out.clear();
   const TraceGenConfig& config = workload_->config();
   const double rate = static_cast<double>(config.num_requests) / config.duration_s;
-  while (emitted_ < config.num_requests && out.size() < max_records) {
+  // The caller's previous chunk is overwritten in place, so each name
+  // reuses its component storage instead of allocating.
+  std::array<char, 24> domain{};
+  std::array<char, 24> object_id{};
+  std::size_t filled = 0;
+  while (emitted_ < config.num_requests && filled < max_records) {
     clock_s_ += rng_.exponential(rate);
     const auto user = static_cast<std::uint32_t>(workload_->user_activity_.sample(rng_) - 1);
     const std::size_t object = workload_->object_popularity_.sample(rng_) - 1;
 
-    TraceRecord record;
+    if (filled == out.size()) out.emplace_back();
+    TraceRecord& record = out[filled++];
     record.timestamp_s = clock_s_;
     record.user_id = user;
-    record.name =
-        ndn::Name{"web", "dom" + std::to_string(workload_->domain_of(object)),
-                  "obj" + std::to_string(object)};
+    record.name.assign({"web", numbered(domain, "dom", workload_->domain_of(object)),
+                        numbered(object_id, "obj", object)});
     record.size_bytes = config.object_size;
-    out.push_back(std::move(record));
     ++emitted_;
     ++stats_.lines;
     ++stats_.records;
   }
-  return !out.empty();
+  out.resize(filled);
+  return filled > 0;
 }
 
 void SyntheticTraceSource::rewind() {

@@ -89,9 +89,10 @@ class TraceSource {
  public:
   virtual ~TraceSource() = default;
 
-  /// Clear `out` and refill it with up to `max_records` records, in trace
-  /// order. Returns false — with `out` empty — when the stream is
-  /// exhausted. Throws TraceParseError per ParseOptions.
+  /// Replace the contents of `out` with up to `max_records` records, in
+  /// trace order (a source may reuse the old records' storage). Returns
+  /// false — with `out` empty — when the stream is exhausted. Throws
+  /// TraceParseError per ParseOptions.
   virtual bool next_chunk(std::vector<TraceRecord>& out, std::size_t max_records) = 0;
 
   /// Restart the pass from the first record (resets stats()).

@@ -1,8 +1,10 @@
 #include "util/rng.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
+#include <limits>
 #include <numbers>
 #include <stdexcept>
 
@@ -119,6 +121,8 @@ std::uint64_t Rng::geometric(double alpha) noexcept {
 
 ZipfSampler::ZipfSampler(std::size_t n, double s) : s_(s) {
   if (n == 0) throw std::invalid_argument("ZipfSampler: n must be positive");
+  if (n > std::numeric_limits<std::uint32_t>::max())
+    throw std::invalid_argument("ZipfSampler: n must fit in 32 bits");
   if (s < 0.0) throw std::invalid_argument("ZipfSampler: exponent must be non-negative");
   cdf_.resize(n);
   double acc = 0.0;
@@ -129,12 +133,33 @@ ZipfSampler::ZipfSampler(std::size_t n, double s) : s_(s) {
   const double total = acc;
   for (double& v : cdf_) v /= total;
   cdf_.back() = 1.0;  // guard against rounding leaving the last bin short
+
+  // guide_[j] = first index with cdf_[i] >= j/m. The edges j/m are exact
+  // doubles because m is a power of two, and cdf_.back() == 1 >= j/m ends
+  // every scan.
+  const std::size_t m = std::bit_floor(std::max<std::size_t>(n / 8, 1));
+  const double edge_step = 1.0 / static_cast<double>(m);
+  guide_.resize(m + 1);
+  std::size_t i = 0;
+  for (std::size_t j = 0; j <= m; ++j) {
+    const double edge = static_cast<double>(j) * edge_step;
+    while (cdf_[i] < edge) ++i;
+    guide_[j] = static_cast<std::uint32_t>(i);
+  }
 }
 
-std::size_t ZipfSampler::sample(Rng& rng) const noexcept {
-  const double u = rng.uniform01();
-  const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  return static_cast<std::size_t>(it - cdf_.begin()) + 1;
+std::size_t ZipfSampler::rank_at(double u) const noexcept {
+  assert(u >= 0.0 && u < 1.0);
+  // u * m is exact (m is a power of two), so u lies in [j/m, (j+1)/m) and
+  // its rank index in [guide_[j], guide_[j+1]]: every entry before
+  // guide_[j] is < j/m <= u, and cdf_[guide_[j+1]] >= (j+1)/m > u.
+  // A bucket holds n/m (8 to 16) entries on average, so a linear scan beats a
+  // binary search's mispredicted branches.
+  const auto j = static_cast<std::size_t>(u * static_cast<double>(guide_.size() - 1));
+  std::size_t i = guide_[j];
+  const std::size_t last = guide_[j + 1];
+  while (i < last && cdf_[i] < u) ++i;
+  return i + 1;
 }
 
 double ZipfSampler::pmf(std::size_t rank) const {

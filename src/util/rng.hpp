@@ -112,15 +112,22 @@ class Rng {
 };
 
 /// Zipf(s) sampler over ranks {1, ..., n}: Pr[X=r] proportional to r^-s.
-/// Precomputes the CDF once (O(n) memory) and samples by binary search in
-/// O(log n). Used by the synthetic trace generator; web-proxy object
-/// popularity is classically Zipf with s in [0.6, 1.0].
+/// Precomputes the CDF once (O(n) memory) and samples by inversion. A guide
+/// table (the cutpoint method of Chen & Asau, 1974) narrows each inversion
+/// to one of m = 2^k ~ n/8 equal-probability buckets, so a draw searches a
+/// few CDF entries instead of all n, and returns exactly the rank a full
+/// binary search would. Used by the synthetic trace generator; web-proxy
+/// object popularity is classically Zipf with s in [0.6, 1.0].
 class ZipfSampler {
  public:
   ZipfSampler(std::size_t n, double s);
 
-  /// Rank in [1, n]; rank 1 is the most popular.
-  [[nodiscard]] std::size_t sample(Rng& rng) const noexcept;
+  /// Rank in [1, n]; rank 1 is the most popular. Equals
+  /// rank_at(rng.uniform01()).
+  [[nodiscard]] std::size_t sample(Rng& rng) const noexcept { return rank_at(rng.uniform01()); }
+
+  /// Inverse CDF: the smallest rank r with cdf()[r-1] >= u, for u in [0, 1).
+  [[nodiscard]] std::size_t rank_at(double u) const noexcept;
 
   [[nodiscard]] std::size_t size() const noexcept { return cdf_.size(); }
   [[nodiscard]] double exponent() const noexcept { return s_; }
@@ -128,8 +135,16 @@ class ZipfSampler {
   /// Probability mass of a given rank (1-based).
   [[nodiscard]] double pmf(std::size_t rank) const;
 
+  /// The normalised CDF (cdf()[r-1] = Pr[X <= r]; the last entry is 1).
+  [[nodiscard]] const std::vector<double>& cdf() const noexcept { return cdf_; }
+
+  /// Number of guide-table buckets m, a power of two.
+  [[nodiscard]] std::size_t guide_buckets() const noexcept { return guide_.size() - 1; }
+
  private:
   std::vector<double> cdf_;
+  /// guide_[j] = index of the first CDF entry >= j/m, for j in [0, m].
+  std::vector<std::uint32_t> guide_;
   double s_;
 };
 

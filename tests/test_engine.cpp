@@ -216,6 +216,27 @@ TEST(Engine, MustBeFreshSkipsStaleEntry) {
   EXPECT_EQ(engine.handle(interest, util::seconds(2), fetch).kind, LookupOutcome::kExposedHit);
 }
 
+TEST(Engine, RefetchedStaleEntryIsFreshAgain) {
+  CachePrivacyEngine engine(10, cache::EvictionPolicy::kLru,
+                            std::make_unique<NoPrivacyPolicy>());
+  const auto fetch = [](const ndn::Interest& interest) {
+    ndn::Data data = ndn::make_data(interest.name, "x", "p", "k");
+    data.freshness_period = util::millis(10);
+    return std::pair{data, kFetchDelay};
+  };
+  ndn::Interest interest = interest_for("/a");
+  interest.must_be_fresh = true;
+  EXPECT_EQ(engine.handle(interest, 0, fetch).kind, LookupOutcome::kTrueMiss);
+  EXPECT_EQ(engine.handle(interest, util::seconds(1), fetch).kind, LookupOutcome::kTrueMiss);
+  // The refetch restarted the freshness period: the refreshed copy now
+  // answers MustBeFresh until it goes stale again.
+  EXPECT_EQ(engine.store().find_exact(interest.name)->meta.inserted_at, util::seconds(1));
+  EXPECT_EQ(engine.handle(interest, util::seconds(1) + util::millis(5), fetch).kind,
+            LookupOutcome::kExposedHit);
+  EXPECT_EQ(engine.handle(interest, util::seconds(2), fetch).kind, LookupOutcome::kTrueMiss);
+  EXPECT_EQ(engine.store().stats().inserts, 1u);
+}
+
 TEST(Engine, AdmitRefreshKeepsPolicyState) {
   // A Data answering a simulated miss must not re-seed the policy: the
   // naive threshold keeps counting toward k instead of restarting.

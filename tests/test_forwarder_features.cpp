@@ -68,6 +68,25 @@ TEST(Freshness, StaleEntryInvisibleToMustBeFresh) {
   EXPECT_EQ(net.producer->interests_served(), 2u);
 }
 
+TEST(Freshness, RefetchedStaleEntryIsFreshAgain) {
+  Line net;
+  ndn::Data short_lived = ndn::make_data(ndn::Name("/p/frame"), "v1", "P", "key");
+  short_lived.freshness_period = util::millis(10);
+  net.producer->publish(short_lived);
+
+  (void)fetch(*net.consumer, net.sched, plain("/p/frame"));  // cache at R
+  net.sched.run_until(net.sched.now() + util::millis(50));   // let it go stale
+
+  ndn::Interest fresh_only = plain("/p/frame");
+  fresh_only.must_be_fresh = true;
+  (void)fetch(*net.consumer, net.sched, fresh_only);  // refetch refreshes R's copy
+  EXPECT_EQ(net.producer->interests_served(), 2u);
+  // Within the new freshness period R answers MustBeFresh itself.
+  const util::SimDuration rtt = fetch(*net.consumer, net.sched, fresh_only);
+  EXPECT_LE(rtt, util::millis(3));
+  EXPECT_EQ(net.producer->interests_served(), 2u);
+}
+
 TEST(Freshness, StaleEntryStillServesPlainInterests) {
   Line net;
   ndn::Data short_lived = ndn::make_data(ndn::Name("/p/frame"), "v1", "P", "key");

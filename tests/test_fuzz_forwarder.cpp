@@ -25,6 +25,15 @@ TEST(FuzzForwarder, DifferentialEpisodesMatchReference) {
   }
 }
 
+// This episode refetches a stale entry and then sends a MustBeFresh
+// interest inside the new freshness period. The forwarder and the
+// reference agree only if both restart freshness on the refetch.
+TEST(FuzzForwarder, DifferentialEpisodeWithStaleRefetchMatchesReference) {
+  const DifferentialResult result = run_differential_episode(8097875853865443356ULL);
+  EXPECT_EQ(result.ops, 1500u);
+  EXPECT_TRUE(result.ok()) << result.first_divergence;
+}
+
 TEST(FuzzForwarder, ChaosEpisodesHoldInvariants) {
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
     ChaosEpisodeOptions options;

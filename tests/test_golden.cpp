@@ -11,17 +11,21 @@
 // regenerated vectors only when the behavior change is intended.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "attack/timing_attack.hpp"
 #include "core/policies.hpp"
 #include "runner/experiments.hpp"
 #include "runner/sharded_replay.hpp"
 #include "sim/topology.hpp"
+#include "trace/stream.hpp"
 #include "util/fault_model.hpp"
 
 namespace {
@@ -270,6 +274,55 @@ TEST(Golden, TheoryValidationUnchangedWithTracingEnabled) {
   const runner::TheoryValidationResult result = runner::run_theory_validation(config);
   expect_matches_golden("theory_seed0",
                         result.format_utility_table() + "\n" + result.format_privacy_table());
+}
+
+// --- Trace source: generated record streams --------------------------------
+
+/// FNV-1a over (timestamp bits, user id, URI) of the first `limit` records
+/// of `source`: a fingerprint of the exact stream, chunking aside.
+std::uint64_t record_stream_digest(trace::TraceSource& source, std::size_t limit) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t value, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      h ^= (value >> (8 * i)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  std::vector<trace::TraceRecord> chunk;
+  std::size_t seen = 0;
+  while (seen < limit && source.next_chunk(chunk, 64 * 1024)) {
+    for (const trace::TraceRecord& record : chunk) {
+      if (seen == limit) break;
+      ++seen;
+      mix(std::bit_cast<std::uint64_t>(record.timestamp_s), 8);
+      mix(record.user_id, 4);
+      for (const char c : record.name.to_uri()) mix(static_cast<unsigned char>(c), 1);
+      mix(0, 1);  // URI terminator
+    }
+  }
+  EXPECT_EQ(seen, limit);
+  return h;
+}
+
+// The generated record streams are pinned bit for bit, so a faster sampler
+// or name builder cannot change a single record. One trace has the bench/e2e shape (100k users, 1M objects, 2,000
+// domains); the other is generate_trace's default configuration.
+TEST(TraceStreamGolden, GeneratedRecordStreamsArePinned) {
+  constexpr std::size_t kRecords = 200'000;
+  trace::TraceGenConfig bench_shape;
+  bench_shape.num_users = 100'000;
+  bench_shape.num_objects = 1'000'000;
+  bench_shape.num_domains = 2'000;
+  bench_shape.num_requests = 1'000'000;
+  bench_shape.zipf_exponent = 0.8;
+  bench_shape.seed = 2013;
+  const trace::SyntheticWorkload workload(bench_shape);
+  const auto streamed = workload.open();
+  EXPECT_EQ(record_stream_digest(*streamed, kRecords), 0x83c4ae468f69be25ULL);
+
+  const trace::Trace generated = trace::generate_trace(trace::TraceGenConfig{});
+  trace::VectorTraceSource in_memory(generated);
+  EXPECT_EQ(record_stream_digest(in_memory, kRecords), 0x9e33c400342d656cULL);
 }
 
 // --- Theory validation: closed forms vs Monte-Carlo simulation ------------

@@ -57,6 +57,18 @@ TEST(Name, ConstructionValidatesComponents) {
   EXPECT_THROW(Name(std::vector<std::string>{""}), std::invalid_argument);
 }
 
+TEST(Name, AssignReplacesComponentsAndValidates) {
+  Name name{"a", "b", "c"};
+  name.assign({"web", "dom7", "obj42"});
+  EXPECT_EQ(name, Name("/web/dom7/obj42"));
+  name.assign({"x"});
+  EXPECT_EQ(name, Name("/x"));
+  // A bad component leaves the name as it was.
+  EXPECT_THROW(name.assign({"ok", "with/slash"}), std::invalid_argument);
+  EXPECT_THROW(name.assign({""}), std::invalid_argument);
+  EXPECT_EQ(name, Name("/x"));
+}
+
 TEST(Name, AppendReturnsNewName) {
   const Name base("/a");
   const Name extended = base.append("b");

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <map>
+#include <string>
 #include <vector>
 
 namespace ndnp::util {
@@ -233,6 +235,48 @@ TEST(ZipfSampler, SampleStaysInRange) {
     const std::size_t r = zipf.sample(rng);
     EXPECT_GE(r, 1u);
     EXPECT_LE(r, 7u);
+  }
+}
+
+TEST(ZipfSampler, GuideTableMatchesLowerBound) {
+  // The guide table only narrows the search; every draw must land on the
+  // rank a full lower_bound over the CDF returns. Exercised on seeded
+  // uniforms and on every bucket edge j/m with its neighbouring doubles,
+  // where an off-by-one in the table would show.
+  for (const std::size_t n : {1u, 2u, 7u, 8u, 9u, 1'000u, 100'000u, 1'000'000u}) {
+    for (const double s : {0.0, 0.5, 0.8, 1.2}) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " s=" + std::to_string(s));
+      const ZipfSampler zipf(n, s);
+      const std::vector<double>& cdf = zipf.cdf();
+      ASSERT_EQ(cdf.size(), n);
+      const auto reference = [&cdf](double u) {
+        return static_cast<std::size_t>(std::lower_bound(cdf.begin(), cdf.end(), u) -
+                                        cdf.begin()) +
+               1;
+      };
+      std::vector<double> probes;
+      Rng rng(7);
+      for (int i = 0; i < 100'000; ++i) probes.push_back(rng.uniform01());
+      const std::size_t m = zipf.guide_buckets();
+      ASSERT_GE(m, 1u);
+      ASSERT_EQ(m & (m - 1), 0u) << "bucket count must be a power of two";
+      for (std::size_t j = 0; j <= m; ++j) {
+        const double edge = static_cast<double>(j) / static_cast<double>(m);
+        if (j < m) probes.push_back(edge);
+        if (j > 0) probes.push_back(std::nextafter(edge, 0.0));
+        if (j < m) probes.push_back(std::nextafter(edge, 1.0));
+      }
+      std::size_t mismatches = 0;
+      for (const double u : probes)
+        if (zipf.rank_at(u) != reference(u) && ++mismatches <= 5)
+          ADD_FAILURE() << "u=" << u << " rank_at=" << zipf.rank_at(u)
+                        << " lower_bound=" << reference(u);
+      EXPECT_EQ(mismatches, 0u);
+      // sample() is rank_at() of the next uniform draw.
+      Rng a(11);
+      Rng b(11);
+      for (int i = 0; i < 1'000; ++i) ASSERT_EQ(zipf.sample(a), reference(b.uniform01()));
+    }
   }
 }
 
