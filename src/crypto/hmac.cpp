@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <charconv>
 
 namespace ndnp::crypto {
 
@@ -13,8 +14,7 @@ namespace {
 
 }  // namespace
 
-Sha256Digest hmac_sha256(std::span<const std::uint8_t> key,
-                         std::span<const std::uint8_t> data) noexcept {
+HmacSha256::HmacSha256(std::span<const std::uint8_t> key) noexcept {
   std::array<std::uint8_t, kSha256BlockSize> block_key{};
   if (key.size() > kSha256BlockSize) {
     const Sha256Digest hashed = Sha256::hash(key);
@@ -23,22 +23,27 @@ Sha256Digest hmac_sha256(std::span<const std::uint8_t> key,
     std::copy(key.begin(), key.end(), block_key.begin());
   }
 
-  std::array<std::uint8_t, kSha256BlockSize> ipad{};
-  std::array<std::uint8_t, kSha256BlockSize> opad{};
-  for (std::size_t i = 0; i < kSha256BlockSize; ++i) {
-    ipad[i] = static_cast<std::uint8_t>(block_key[i] ^ 0x36);
-    opad[i] = static_cast<std::uint8_t>(block_key[i] ^ 0x5c);
-  }
+  std::array<std::uint8_t, kSha256BlockSize> pad{};
+  for (std::size_t i = 0; i < kSha256BlockSize; ++i)
+    pad[i] = static_cast<std::uint8_t>(block_key[i] ^ 0x36);
+  inner_.update(pad);
+  for (std::size_t i = 0; i < kSha256BlockSize; ++i)
+    pad[i] = static_cast<std::uint8_t>(block_key[i] ^ 0x5c);
+  outer_.update(pad);
+}
 
-  Sha256 inner;
-  inner.update(ipad);
-  inner.update(data);
-  const Sha256Digest inner_digest = inner.finish();
+HmacSha256::HmacSha256(std::string_view key) noexcept : HmacSha256(as_bytes(key)) {}
 
-  Sha256 outer;
-  outer.update(opad);
-  outer.update(inner_digest);
-  return outer.finish();
+Sha256Digest HmacSha256::finish() noexcept {
+  outer_.update(inner_.finish());
+  return outer_.finish();
+}
+
+Sha256Digest hmac_sha256(std::span<const std::uint8_t> key,
+                         std::span<const std::uint8_t> data) noexcept {
+  HmacSha256 mac(key);
+  mac.update(data);
+  return mac.finish();
 }
 
 Sha256Digest hmac_sha256(std::string_view key, std::string_view data) noexcept {
@@ -46,13 +51,14 @@ Sha256Digest hmac_sha256(std::string_view key, std::string_view data) noexcept {
 }
 
 Sha256Digest Prf::derive(std::string_view label, std::uint64_t counter) const noexcept {
-  std::vector<std::uint8_t> message;
-  message.reserve(label.size() + 1 + 8);
-  message.insert(message.end(), label.begin(), label.end());
-  message.push_back(0x00);  // domain separator: labels cannot collide with counters
-  for (int i = 7; i >= 0; --i)
-    message.push_back(static_cast<std::uint8_t>(counter >> (8 * i)));
-  return hmac_sha256(std::span<const std::uint8_t>(key_), std::span<const std::uint8_t>(message));
+  // 0x00 domain separator: labels cannot collide with counters.
+  std::array<std::uint8_t, 9> suffix{};
+  for (std::size_t i = 0; i < 8; ++i)
+    suffix[1 + i] = static_cast<std::uint8_t>(counter >> (56 - 8 * i));
+  HmacSha256 mac = keyed_;
+  mac.update(label);
+  mac.update(suffix);
+  return mac.finish();
 }
 
 std::string Prf::derive_token(std::string_view label, std::uint64_t counter,
@@ -62,14 +68,15 @@ std::string Prf::derive_token(std::string_view label, std::uint64_t counter,
 
 Sha256Digest sign_content(std::string_view producer_key, std::string_view name,
                           std::string_view payload) noexcept {
-  // name_len prefix gives an injective encoding of (name, payload).
-  std::string message;
-  message.reserve(name.size() + payload.size() + 16);
-  message += std::to_string(name.size());
-  message.push_back(':');
-  message += name;
-  message += payload;
-  return hmac_sha256(producer_key, message);
+  // "<name_len>:" prefix gives an injective encoding of (name, payload).
+  std::array<char, 24> prefix{};
+  char* end = std::to_chars(prefix.data(), prefix.data() + prefix.size() - 1, name.size()).ptr;
+  *end++ = ':';
+  HmacSha256 mac(producer_key);
+  mac.update(std::string_view(prefix.data(), static_cast<std::size_t>(end - prefix.data())));
+  mac.update(name);
+  mac.update(payload);
+  return mac.finish();
 }
 
 bool verify_content(std::string_view producer_key, std::string_view name, std::string_view payload,

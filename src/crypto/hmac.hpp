@@ -12,14 +12,32 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "crypto/sha256.hpp"
 
 namespace ndnp::crypto {
 
-/// One-shot HMAC-SHA-256 over `data` with `key` (any key length; keys
-/// longer than the block size are hashed first, per the spec).
+/// Incremental HMAC-SHA-256 (any key length; keys longer than the block
+/// size are hashed first, per the spec). Typical use:
+///   HmacSha256 mac(key); mac.update(a); mac.update(b); auto tag = mac.finish();
+/// A keyed object may be copied to MAC several messages under one key
+/// without re-deriving the pads. finish() may be called once per object.
+class HmacSha256 {
+ public:
+  explicit HmacSha256(std::span<const std::uint8_t> key) noexcept;
+  explicit HmacSha256(std::string_view key) noexcept;
+
+  void update(std::span<const std::uint8_t> data) noexcept { inner_.update(data); }
+  void update(std::string_view data) noexcept { inner_.update(data); }
+
+  [[nodiscard]] Sha256Digest finish() noexcept;
+
+ private:
+  Sha256 inner_;  // has absorbed key ^ ipad
+  Sha256 outer_;  // has absorbed key ^ opad
+};
+
+/// One-shot HMAC-SHA-256 over `data` with `key`.
 [[nodiscard]] Sha256Digest hmac_sha256(std::span<const std::uint8_t> key,
                                        std::span<const std::uint8_t> data) noexcept;
 
@@ -31,8 +49,8 @@ namespace ndnp::crypto {
 /// a VoIP session).
 class Prf {
  public:
-  explicit Prf(std::string_view key) : key_(key.begin(), key.end()) {}
-  explicit Prf(std::span<const std::uint8_t> key) : key_(key.begin(), key.end()) {}
+  explicit Prf(std::string_view key) noexcept : keyed_(key) {}
+  explicit Prf(std::span<const std::uint8_t> key) noexcept : keyed_(key) {}
 
   [[nodiscard]] Sha256Digest derive(std::string_view label, std::uint64_t counter) const noexcept;
 
@@ -42,7 +60,7 @@ class Prf {
                                          std::size_t hex_chars = 32) const;
 
  private:
-  std::vector<std::uint8_t> key_;
+  HmacSha256 keyed_;  // copied per derive(), never finished itself
 };
 
 /// Simulated producer signature: HMAC tag binding producer identity, name

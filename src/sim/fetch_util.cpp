@@ -89,14 +89,16 @@ void segment_fetch(Consumer& consumer, const ndn::Name& prefix, std::size_t coun
   state->started_at = consumer.now();
 
   // Window pump: issuing a segment registers a completion callback that
-  // issues the next one, keeping `window` segments in flight.
+  // issues the next one, keeping `window` segments in flight. The pump
+  // holds itself only weakly; the in-flight completion callbacks own it,
+  // so it, the state and `on_done` are freed once the last one has run.
   auto issue = std::make_shared<std::function<void()>>();
-  *issue = [state, issue] {
+  *issue = [state, weak_issue = std::weak_ptr<std::function<void()>>(issue)] {
     if (state->failed || state->next_to_issue >= state->count) return;
     const std::size_t segment = state->next_to_issue++;
     reliable_fetch(
         *state->consumer, state->prefix.append_number(segment),
-        [state, issue](const ReliableFetchResult& result) {
+        [state, issue = weak_issue.lock()](const ReliableFetchResult& result) {
           state->retransmissions += result.attempts - (result.succeeded ? 1 : 0);
           if (!result.succeeded) {
             if (!state->failed) {

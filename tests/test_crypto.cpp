@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
 #include "crypto/hmac.hpp"
 #include "crypto/sha256.hpp"
+#include "crypto/sha256_compress.hpp"
+#include "ndn/packet.hpp"
+#include "util/rng.hpp"
 
 namespace ndnp::crypto {
 namespace {
@@ -157,6 +161,183 @@ TEST(ContentSignature, RejectsWrongKey) {
 TEST(ContentSignature, NameLengthPrefixPreventsSplicing) {
   // (name="/a", payload="b/c") must not collide with (name="/a/b", "/c").
   EXPECT_NE(sign_content("k", "/a", "b/c"), sign_content("k", "/a/b", "/c"));
+}
+
+TEST(ContentSignature, PinnedSignatures) {
+  // Signature bytes of make_data, pinned: the signing path's output must
+  // not move with its implementation.
+  const auto sig = [](std::size_t payload_size) {
+    return to_hex(ndn::make_data(ndn::Name("/web/dom1/obj1"), std::string(payload_size, 'x'),
+                                 "dom1", "origin-key")
+                      .signature);
+  };
+  EXPECT_EQ(sig(0), "eca1e2e09bba5b6f3b29b52722cd3d6a4248ece56dcbb3a6c909c8eb80c51341");
+  EXPECT_EQ(sig(64), "8ac8197694dc8e8273663cfac1a374387f0a752cd3e9ef7058b23274f828097a");
+  EXPECT_EQ(sig(8192), "b075fe7c8ffe0e24c8dd0b2096f9ea401d0859dd2108b62ea80be422973a7c0a");
+}
+
+TEST(HmacSha256, StreamedMatchesOneShot) {
+  const std::string key = "producer-key";
+  const std::string msg(300, 'm');
+  for (const std::size_t split : {0, 1, 55, 64, 65, 128, 299, 300}) {
+    HmacSha256 mac(key);
+    mac.update(std::string_view(msg).substr(0, split));
+    mac.update(std::string_view(msg).substr(split));
+    EXPECT_EQ(mac.finish(), hmac_sha256(key, msg)) << "split at " << split;
+  }
+}
+
+TEST(HmacSha256, KeyedCopyIsReusable) {
+  const HmacSha256 keyed("Jefe");
+  for (int i = 0; i < 2; ++i) {
+    HmacSha256 mac = keyed;
+    mac.update("what do ya want for nothing?");
+    EXPECT_EQ(hex(mac.finish()),
+              "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843");
+  }
+}
+
+// --- Each compression function, explicitly --------------------------------
+// The dispatched compression exercises only one of them on a given host, so
+// the vectors run through each by name. The SHA-NI cases skip on CPUs (or
+// architectures) without the SHA extensions.
+
+class Sha256Compression : public ::testing::TestWithParam<std::string> {
+ protected:
+  void SetUp() override {
+    if (GetParam() != "shani") return;
+#if defined(__x86_64__)
+    if (!cpu_has_sha_extensions()) GTEST_SKIP() << "CPU lacks the SHA extensions";
+    compress_ = compress_shani;
+#else
+    GTEST_SKIP() << "the SHA extensions are x86-64 only";
+#endif
+  }
+
+  [[nodiscard]] std::string hash(std::string_view msg) const {
+    Sha256 h(compress_);
+    h.update(msg);
+    return hex(h.finish());
+  }
+
+  /// HMAC written out from its definition over this compression.
+  [[nodiscard]] std::string hmac(std::string_view key, std::string_view msg) const {
+    std::string block_key(kSha256BlockSize, '\0');
+    if (key.size() > kSha256BlockSize) {
+      Sha256 h(compress_);
+      h.update(key);
+      const Sha256Digest d = h.finish();
+      std::copy(d.begin(), d.end(), block_key.begin());
+    } else {
+      std::copy(key.begin(), key.end(), block_key.begin());
+    }
+    std::string ipad = block_key;
+    std::string opad = block_key;
+    for (std::size_t i = 0; i < kSha256BlockSize; ++i) {
+      ipad[i] = static_cast<char>(ipad[i] ^ 0x36);
+      opad[i] = static_cast<char>(opad[i] ^ 0x5c);
+    }
+    Sha256 inner(compress_);
+    inner.update(ipad);
+    inner.update(msg);
+    const Sha256Digest inner_digest = inner.finish();
+    Sha256 outer(compress_);
+    outer.update(opad);
+    outer.update(inner_digest);
+    return hex(outer.finish());
+  }
+
+  Sha256Compress compress_ = compress_portable;
+};
+
+TEST_P(Sha256Compression, NistVectors) {
+  EXPECT_EQ(hash(""), "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+  EXPECT_EQ(hash("abc"), "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+  EXPECT_EQ(hash("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+  EXPECT_EQ(hash("abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmno"
+                 "ijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu"),
+            "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1");
+  EXPECT_EQ(hash(std::string(55, 'a')),
+            "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318");
+  EXPECT_EQ(hash(std::string(56, 'a')),
+            "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a");
+  EXPECT_EQ(hash(std::string(64, 'a')),
+            "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb");
+  EXPECT_EQ(hash(std::string(1000000, 'a')),
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+}
+
+TEST_P(Sha256Compression, Rfc4231Vectors) {
+  EXPECT_EQ(hmac(std::string(20, '\x0b'), "Hi There"),
+            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7");
+  EXPECT_EQ(hmac("Jefe", "what do ya want for nothing?"),
+            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843");
+  EXPECT_EQ(hmac(std::string(20, '\xaa'), std::string(50, '\xdd')),
+            "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe");
+  std::string key4;
+  for (char c = 0x01; c <= 0x19; ++c) key4.push_back(c);
+  EXPECT_EQ(hmac(key4, std::string(50, '\xcd')),
+            "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b");
+  EXPECT_EQ(hmac(std::string(131, '\xaa'), "Test Using Larger Than Block-Size Key - Hash Key First"),
+            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
+  EXPECT_EQ(hmac(std::string(131, '\xaa'),
+                 "This is a test using a larger than block-size key and a larger than "
+                 "block-size data. The key needs to be hashed before being used by the HMAC "
+                 "algorithm."),
+            "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2");
+}
+
+TEST_P(Sha256Compression, MatchesLibraryHmac) {
+  // The library's HmacSha256 runs over the dispatched compression.
+  for (const std::size_t n : {0, 1, 63, 64, 65, 1000}) {
+    const std::string msg(n, 'q');
+    EXPECT_EQ(hmac("origin-key", msg), hex(hmac_sha256("origin-key", msg))) << n << " bytes";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Implementations, Sha256Compression,
+                         ::testing::Values("portable", "shani"),
+                         [](const ::testing::TestParamInfo<std::string>& param_info) {
+                           return param_info.param;
+                         });
+
+TEST(Sha256Dispatch, PicksShaniExactlyWhenTheCpuHasIt) {
+#if defined(__x86_64__)
+  EXPECT_EQ(dispatched_compress() == &compress_shani, cpu_has_sha_extensions());
+#endif
+  EXPECT_EQ(dispatched_compress() == &compress_portable, !cpu_has_sha_extensions());
+}
+
+TEST(Sha256Dispatch, PortableAndShaniAgreeOnRandomSplits) {
+#if defined(__x86_64__)
+  if (!cpu_has_sha_extensions()) GTEST_SKIP() << "CPU lacks the SHA extensions";
+  // Every length 0..1100 (all padding positions, up to 17 blocks) plus
+  // 8 KiB, each fed to both in the same random chunks.
+  util::Rng rng(1804);
+  std::vector<std::size_t> lengths(1101);
+  for (std::size_t n = 0; n < lengths.size(); ++n) lengths[n] = n;
+  lengths.push_back(8192);
+  for (const std::size_t n : lengths) {
+    std::vector<std::uint8_t> msg(n);
+    for (auto& b : msg) b = static_cast<std::uint8_t>(rng.next_u64());
+    Sha256 portable(compress_portable);
+    Sha256 shani(compress_shani);
+    for (std::size_t at = 0; at < n;) {
+      const std::size_t take =
+          std::min<std::size_t>(n - at, 1 + rng.uniform_u64(rng.bernoulli(0.5) ? 8 : 300));
+      const std::span<const std::uint8_t> chunk(msg.data() + at, take);
+      portable.update(chunk);
+      shani.update(chunk);
+      at += take;
+    }
+    const Sha256Digest expected = portable.finish();
+    ASSERT_EQ(hex(shani.finish()), hex(expected)) << n << " bytes";
+    ASSERT_EQ(hex(Sha256::hash(msg)), hex(expected)) << n << " bytes, one shot";
+  }
+#else
+  GTEST_SKIP() << "the SHA extensions are x86-64 only";
+#endif
 }
 
 }  // namespace

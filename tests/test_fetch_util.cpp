@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <optional>
 
 #include "sim/forwarder.hpp"
@@ -208,6 +209,29 @@ TEST(SegmentFetch, ValidatesArguments) {
       segment_fetch(*net.consumer, ndn::Name("/p/f"), 3, [](const SegmentFetchResult&) {},
                     options),
       std::invalid_argument);
+}
+
+TEST(SegmentFetch, ReleasesStateWhenDone) {
+  // Once the scheduler drains, nothing may still own the caller's on_done:
+  // a reference cycle through the window pump would keep the sentinel it
+  // captures alive, on success and on failure alike.
+  for (const bool routed : {true, false}) {
+    Net net(0.0, routed);
+    const auto sentinel = std::make_shared<int>(0);
+    std::optional<SegmentFetchResult> result;
+    SegmentFetchOptions options;
+    options.window = 3;
+    options.per_segment.timeout = util::millis(10);
+    options.per_segment.max_attempts = 2;
+    segment_fetch(
+        *net.consumer, ndn::Name("/p/file"), 8,
+        [sentinel, &result](const SegmentFetchResult& r) { result = r; }, options);
+    EXPECT_GT(sentinel.use_count(), 1);
+    net.sched.run();
+    ASSERT_TRUE(result.has_value());
+    EXPECT_EQ(result->succeeded, routed);
+    EXPECT_EQ(sentinel.use_count(), 1) << (routed ? "success path" : "failure path");
+  }
 }
 
 }  // namespace
