@@ -521,9 +521,9 @@ void write_hot_path_report(const char* path) {
                 base.insert_evict_mops, insert / base.insert_evict_mops);
   }
   // Scheduler section: wheel vs the in-tree reference heap, measured live
-  // in the same run (no frozen baseline constants — the reference is always
-  // available behind -DNDNP_SCHEDULER_REFERENCE=1, so the speedup gauge
-  // stays honest on any machine). The primary acceptance row is the deep
+  // in the same run (no frozen baseline constants — HeapScheduler is always
+  // compiled as the reference, so the speedup gauge stays honest on any
+  // machine). The primary acceptance row is the deep
   // queue (128k outstanding, the sharded-replay regime) where the heap's
   // log-depth sift chains dominate: speedup >= 2 with zero heap-fallback
   // events in the ticker's steady state. The shallow row (1024) is locked
@@ -622,7 +622,6 @@ void write_telemetry_report(const char* path) {
   snap.gauges["telemetry.roundtrip.off.mops"] = off_mops;
   snap.gauges["telemetry.roundtrip.armed.mops"] = on_mops;
   snap.gauges["telemetry.roundtrip.overhead_pct"] = overhead_pct;
-  snap.gauges["telemetry.compiled_in"] = NDNP_TELEMETRY ? 1.0 : 0.0;
   std::printf("Forwarder round trip, telemetry off vs armed (also written to %s):\n", path);
   std::printf("  off %7.3f Mrt/s   armed %7.3f Mrt/s   overhead %.2f%%  (budget < 5%%)\n",
               off_mops, on_mops, overhead_pct);

@@ -169,8 +169,7 @@ class ContentStore {
   /// Structural invariants: size within capacity, and every inserted entry
   /// accounted for (inserts == overwrites + size + evictions + erases +
   /// wiped), matches never exceeding lookups. Throws
-  /// util::InvariantViolation on breach; compiled to a no-op with
-  /// -DNDNP_INVARIANT=0.
+  /// util::InvariantViolation on breach.
   void check_integrity() const;
 
   /// Iterate over all entries (test/diagnostic use). Order is insertion

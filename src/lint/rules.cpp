@@ -409,8 +409,9 @@ class MacroSideEffectRule final : public Rule {
       if (bad != std::string_view::npos)
         add_finding(file, out, id(), joined.line_of(open + 1 + bad),
                     std::string(token) + " argument contains " + what +
-                        " — the macro compiles out under -DNDNP_INVARIANT=0 / "
-                        "-DNDNP_TRACING=0, so side effects change behavior between builds");
+                        " — trace arguments run only while a tracer is bound and "
+                        "invariant messages only on failure, so side effects there "
+                        "make runs differ or hide inside an assertion");
     });
   }
 };

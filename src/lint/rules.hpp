@@ -15,9 +15,11 @@
 //  - alloc-naked-new: naked new/delete/malloc on simulation paths bypasses
 //    the Slab/ObjectPool substrates that keep the event core allocation-free
 //    (docs/PERFORMANCE.md).
-//  - macro-side-effect: NDNP_INVARIANT_CHECK / NDNP_TRACE_EVENT compile out
-//    under -DNDNP_INVARIANT=0 / -DNDNP_TRACING=0; a side effect in their
-//    argument lists makes behavior differ between builds.
+//  - macro-side-effect: NDNP_TRACE_EVENT arguments are evaluated only while
+//    a tracer is bound, so a side effect there makes traced and untraced
+//    runs differ; NDNP_INVARIANT_CHECK format arguments are evaluated only
+//    on failure, and a mutation inside its condition hides a side effect
+//    inside an assertion.
 //  - header-pragma-once: every header carries `#pragma once`.
 //  - header-using-namespace: `using namespace` in a header pollutes every
 //    includer.

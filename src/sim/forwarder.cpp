@@ -417,9 +417,8 @@ void Forwarder::check_invariants() const {
                        static_cast<unsigned long long>(stats_.pit_nack_erased), pit_.size());
   // Interest disposition: at quiescence every received interest was
   // resolved through exactly one of the handler's exit paths.
-  // (Unused when -DNDNP_INVARIANT=0 compiles the check out.)
   const core::EngineStats& outcomes = engine_.stats();
-  [[maybe_unused]] const std::uint64_t dispositions =
+  const std::uint64_t dispositions =
       stats_.nonce_drops + outcomes.exposed_hits + outcomes.delayed_hits +
       stats_.collapsed_interests + stats_.scope_drops + stats_.no_route_drops +
       stats_.pit_overflows + stats_.pit_inserts;

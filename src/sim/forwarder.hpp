@@ -132,8 +132,7 @@ class Forwarder final : public Node {
   /// Structural invariants of this forwarder: the PIT entry-conservation
   /// ledger, interest-disposition accounting, CS integrity and per-face
   /// packet conservation. Only meaningful at quiescence (drained
-  /// scheduler); throws util::InvariantViolation on breach, no-op with
-  /// -DNDNP_INVARIANT=0.
+  /// scheduler); throws util::InvariantViolation on breach.
   void check_invariants() const;
 
   /// Publish forwarder, content-store and policy counters into `registry`
@@ -145,9 +144,7 @@ class Forwarder final : public Node {
   /// Registers this forwarder's CS/PIT occupancy gauges as time-series
   /// probes and, while armed, feeds every lookup outcome into the hub's
   /// detectors (telemetry::note_lookup). The hub only observes —
-  /// arming never changes forwarding behavior or event order. The hot-path
-  /// hook compiles out entirely under -DNDNP_TELEMETRY=0 (arming still
-  /// registers the probes so recorders keep a stable column set).
+  /// arming never changes forwarding behavior or event order.
   void arm_telemetry(telemetry::TelemetryHub* hub);
   [[nodiscard]] telemetry::TelemetryHub* telemetry() const noexcept { return telemetry_; }
 

@@ -73,7 +73,6 @@ void Node::transmit(FaceId face, std::size_t wire_bytes, EventFn deliver,
   NDNP_TRACE_EVENT(util::TraceEventType::kLinkEnqueue, name_, scheduler_.now(), name_uri,
                    std::string("kind=") + kind, static_cast<std::int64_t>(face), delay,
                    static_cast<std::int64_t>(wire_bytes));
-#if NDNP_TRACING
   // Wrap the delivery so the far end's arrival shows up as link_dequeue.
   // The wrapper is built only while a tracer is live: with tracing off the
   // callback is passed through untouched, and either way exactly one event
@@ -88,7 +87,6 @@ void Node::transmit(FaceId face, std::size_t wire_bytes, EventFn deliver,
       inner();
     };
   }
-#endif
   // Close the conservation ledger at delivery time — only where fault
   // injection is active (the wrapper costs an allocation per packet, which
   // benign hot paths do not pay; face indices are stable, so capturing the
@@ -251,7 +249,7 @@ void Node::check_face_conservation() const {
   for (FaceId face = 0; face < faces_.size(); ++face) {
     const FaceEnd& end = faces_[face];
     if (end.fault_state == nullptr) continue;  // deliveries not tracked
-    [[maybe_unused]] const FaceAccounting& acct = end.accounting;  // check-only
+    const FaceAccounting& acct = end.accounting;
     NDNP_INVARIANT_CHECK("link", acct.packets_out == acct.losses + acct.deliveries,
                          "%s face %zu: packets_out=%llu != losses=%llu + deliveries=%llu",
                          name_.c_str(), face,

@@ -11,10 +11,9 @@
 //    binary heap, which is what preserves the exact dispatch contract.
 //
 //  - `HeapScheduler` (the reference): the original binary-heap
-//    implementation, kept as the obviously-correct baseline. Build with
-//    -DNDNP_SCHEDULER_REFERENCE=1 to make it the simulation-wide
-//    `Scheduler`; tests/test_scheduler_differential.cpp proves the two
-//    dispatch identically over seeded random workloads.
+//    implementation, kept as the obviously-correct baseline that tests and
+//    benchmarks compare against; tests/test_scheduler_differential.cpp
+//    proves the two dispatch identically over seeded random workloads.
 //
 // The shared contract, which makes runs byte-identical across --jobs:
 // events dispatch in strict (time, sequence) order — time never runs
@@ -298,13 +297,7 @@ class HeapScheduler {
   std::size_t live_ = 0;
 };
 
-/// The simulation-wide scheduler. -DNDNP_SCHEDULER_REFERENCE=1 swaps in the
-/// binary-heap reference implementation (a full-suite CI job pins golden
-/// byte-identity under it).
-#if defined(NDNP_SCHEDULER_REFERENCE) && NDNP_SCHEDULER_REFERENCE
-using Scheduler = HeapScheduler;
-#else
+/// The simulation-wide scheduler.
 using Scheduler = WheelScheduler;
-#endif
 
 }  // namespace ndnp::sim

@@ -16,9 +16,7 @@
 // (SweepTelemetryCapture mirrors runner::SweepTraceCapture).
 //
 // The forwarder and the replayer feed a hub through note_lookup(), once per
-// decided lookup. -DNDNP_TELEMETRY=0 compiles that hook out (arming
-// becomes a no-op); the types here stay available so tools and tests still
-// build — same convention as -DNDNP_TRACING=0.
+// decided lookup; with no hub armed the hook is one null check.
 #pragma once
 
 #include <cstdint>
@@ -32,9 +30,7 @@
 #include "telemetry/timeseries.hpp"
 #include "util/sim_time.hpp"
 
-#ifndef NDNP_TELEMETRY
-#define NDNP_TELEMETRY 1
-#endif
+#define NDNP_TELEMETRY 1  // read only by the bench/e2e host record
 
 namespace ndnp::util {
 class MetricsRegistry;
@@ -118,11 +114,9 @@ class TelemetryHub {
 /// The hot-path hook: feed one decided lookup of `name` into `hub` (no-op
 /// when null). The face scope is `face_key` (arrival face or trace user);
 /// the prefix scope is the hash of the name's depth-2 prefix, or of the
-/// whole name when it is shorter. Compiles to nothing under
-/// -DNDNP_TELEMETRY=0.
+/// whole name when it is shorter.
 inline void note_lookup(TelemetryHub* hub, std::uint64_t face_key, const ndn::Name& name,
                         core::LookupOutcome outcome, util::SimTime now) {
-#if NDNP_TELEMETRY
   if (hub == nullptr) return;
   std::uint64_t depth2 = 0;
   std::uint64_t last = 0;
@@ -133,13 +127,6 @@ inline void note_lookup(TelemetryHub* hub, std::uint64_t face_key, const ndn::Na
     ++depth;
   });
   hub->on_lookup(face_key, depth > 2 ? depth2 : last, outcome, now);
-#else
-  (void)hub;
-  (void)face_key;
-  (void)name;
-  (void)outcome;
-  (void)now;
-#endif
 }
 
 /// Per-run telemetry capture for a sweep (--telemetry-out plumbing); the

@@ -57,8 +57,7 @@ struct ReplayConfig {
   /// name prefix (prefix scope) — and paces the hub's time series; finish()
   /// exports the hub's counters under "telemetry" when `metrics` is also
   /// set. The hub only observes: cache state, stats and golden vectors are
-  /// identical with telemetry on, off, or compiled out (-DNDNP_TELEMETRY=0
-  /// makes the hook vanish).
+  /// identical with telemetry on or off.
   telemetry::TelemetryHub* telemetry = nullptr;
 };
 

@@ -79,7 +79,8 @@ bool parse_trace_line(const std::string& line, TraceRecord& out) {
   const std::string_view size = next_token(line, pos);
   if (size.empty()) return false;  // fewer than four fields
 
-  if (!parse_number(ts, out.timestamp_s) || out.timestamp_s < 0.0) return false;
+  if (!parse_number(ts, out.timestamp_s)) return false;
+  if (!replayable_timestamp(out.timestamp_s)) return false;
   if (!parse_number(user, out.user_id)) return false;
   std::uint64_t size_bytes = 0;
   if (!parse_number(size, size_bytes)) return false;
@@ -182,6 +183,10 @@ bool BinaryTraceSource::next_chunk(std::vector<TraceRecord>& out, std::size_t ma
 
     TraceRecord record;
     record.timestamp_s = get_f64(prefix);
+    if (!replayable_timestamp(record.timestamp_s))
+      throw TraceParseError(path_ + ": record " + std::to_string(stats_.records + 1) +
+                                " has a negative, non-finite or out-of-range timestamp",
+                            stats_);
     record.user_id = get_u32(prefix + 8);
     record.size_bytes = get_u32(prefix + 12);
     try {

@@ -22,7 +22,9 @@
 //   chunk* : u32 record_count, then per record
 //            f64 timestamp_s  u32 user_id  u32 size_bytes
 //            u16 uri_len      uri bytes (canonical Name URI)
-// The stream ends at EOF; a truncated chunk raises an error. Convert a
+// The stream ends at EOF; a truncated chunk raises an error. In either
+// format a record whose timestamp fails replayable_timestamp (trace.hpp) is
+// malformed: a counted bad line in text, an error in binary. Convert a
 // text trace once with `convert_trace` (or `trace_gen --convert`) and
 // replays parse ~10x faster.
 #pragma once

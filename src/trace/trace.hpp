@@ -25,6 +25,15 @@ struct TraceRecord {
   std::size_t size_bytes = 0;
 };
 
+/// True when a record stamped `timestamp_s` can be replayed: the time is
+/// finite, non-negative and its nanosecond count fits util::SimTime
+/// (< 2^63 ns, about 292 years). Replay casts it to SimTime, which is
+/// undefined outside that range, so both trace readers reject such records.
+[[nodiscard]] inline bool replayable_timestamp(double timestamp_s) noexcept {
+  // NaN fails both comparisons and +inf the second.
+  return timestamp_s >= 0.0 && timestamp_s * 1e9 < 0x1p63;
+}
+
 struct Trace {
   std::vector<TraceRecord> records;
   /// Catalogue size the generator drew from (0 when parsed from a file).

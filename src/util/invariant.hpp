@@ -12,17 +12,13 @@
 // A violated invariant throws util::InvariantViolation carrying the
 // component, source location and a formatted message; the chaos harness
 // (sim/chaos.hpp) catches it per episode and reports the seed that
-// reproduces it. Compiling with -DNDNP_INVARIANT=0 removes every check —
-// the macro expands to `(void)0`, condition and message arguments are never
-// evaluated — which CI uses to prove the layer is zero-cost when disabled.
+// reproduces it.
 #pragma once
 
 #include <stdexcept>
 #include <string>
 
-#ifndef NDNP_INVARIANT
-#define NDNP_INVARIANT 1
-#endif
+#define NDNP_INVARIANT 1  // read only by the bench/e2e host record
 
 namespace ndnp::util {
 
@@ -66,8 +62,6 @@ class InvariantViolation : public std::logic_error {
 
 }  // namespace ndnp::util
 
-#if NDNP_INVARIANT
-
 /// NDNP_INVARIANT_CHECK(component, condition, fmt, ...) — throws
 /// util::InvariantViolation when `condition` is false. `component` and
 /// `fmt` must be string literals; format arguments are evaluated only on
@@ -77,9 +71,3 @@ class InvariantViolation : public std::logic_error {
     if (!(condition))                                                                    \
       ::ndnp::util::invariant_failed((component), __FILE__, __LINE__, __VA_ARGS__);      \
   } while (0)
-
-#else  // NDNP_INVARIANT == 0: compiled out, guaranteed zero cost.
-
-#define NDNP_INVARIANT_CHECK(...) ((void)0)
-
-#endif

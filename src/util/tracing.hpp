@@ -19,14 +19,11 @@
 //    the disabled path is one thread-local load and a branch — no
 //    allocation, no name formatting (tests/test_tracing.cpp asserts the
 //    no-allocation property with a counting operator new).
-//  - Compiling with -DNDNP_TRACING=0 removes the instrumentation entirely
-//    (macros expand to `(void)0`); the Tracer type itself stays available
-//    so sinks and tools still build.
 //
 // The tracer only observes: it never draws from util::Rng, never schedules
 // events and never feeds results back into the simulation, so golden
-// vectors are byte-identical with tracing disabled, enabled, or compiled
-// out (tests/test_golden.cpp and CI enforce this).
+// vectors are byte-identical with tracing disabled or enabled
+// (tests/test_golden.cpp enforces this).
 //
 // Exporters (JSONL, Chrome trace-event JSON for Perfetto, the attack
 // forensics join) live in sim/trace_sinks.hpp; the CLI is
@@ -41,9 +38,7 @@
 
 #include "util/sim_time.hpp"
 
-#ifndef NDNP_TRACING
-#define NDNP_TRACING 1
-#endif
+#define NDNP_TRACING 1  // read only by the bench/e2e host record
 
 namespace ndnp::util {
 
@@ -220,8 +215,6 @@ class ScopedTraceSpan {
 // bound and enabled, so call sites may freely pass `name.to_uri()` and
 // formatted detail strings without taxing the common path.
 
-#if NDNP_TRACING
-
 /// NDNP_TRACE_EVENT(type, node, time, name, detail, face, a, b) — trailing
 /// arguments optional per Tracer::record's defaults.
 #define NDNP_TRACE_EVENT(type, node, /*time,*/...)                            \
@@ -238,10 +231,3 @@ class ScopedTraceSpan {
 #define NDNP_TRACE_SCOPE(node, comp, label)                                   \
   ::ndnp::util::ScopedTraceSpan NDNP_TRACE_CONCAT(ndnp_trace_scope_,          \
                                                   __LINE__){(node), (comp), (label)}
-
-#else  // NDNP_TRACING == 0: compiled out, guaranteed zero cost.
-
-#define NDNP_TRACE_EVENT(...) ((void)0)
-#define NDNP_TRACE_SCOPE(...) static_cast<void>(0)
-
-#endif

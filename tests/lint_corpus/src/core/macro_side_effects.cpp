@@ -1,6 +1,6 @@
-// Corpus: macro-side-effect positives (mutations inside macros that
-// compile out under -DNDNP_INVARIANT=0 / -DNDNP_TRACING=0) and the
-// comparison negatives.
+// Corpus: macro-side-effect positives (mutations inside macro arguments
+// that run only while a tracer is bound, only on failure, or hidden inside
+// an assertion) and the comparison negatives.
 // Expected findings: macro-side-effect at the two marked lines.
 
 // The corpus is scanned, never compiled, so stub the macro shapes.

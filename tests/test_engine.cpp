@@ -260,9 +260,6 @@ TEST(Engine, AdmitRefreshKeepsPolicyState) {
 }
 
 TEST(Engine, PolicyCannotHideTrueMisses) {
-#if !NDNP_INVARIANT
-  GTEST_SKIP() << "invariant checks compiled out (-DNDNP_INVARIANT=0)";
-#endif
   // A policy may hide hits but never misses: answering a cached lookup
   // with kTrueMiss is a bug the engine refuses.
   class TrueMissPolicy final : public CachePrivacyPolicy {

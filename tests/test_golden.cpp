@@ -239,8 +239,7 @@ TEST(Golden, ShardedReplayByteIdenticalAcrossJobsSweep) {
 // --- Flight recorder must not perturb golden outputs -----------------------
 // The tracer only observes: it never draws RNG, never schedules events.
 // Re-running the experiments with per-run tracers bound (in-memory capture)
-// must reproduce the exact same golden bytes. The compiled-out variant
-// (-DNDNP_TRACING=0) is pinned by a separate CI job against the same files.
+// must reproduce the exact same golden bytes.
 
 TEST(Golden, Fig5aUnchangedWithTracingEnabled) {
   runner::SweepTraceCapture capture;
@@ -249,13 +248,8 @@ TEST(Golden, Fig5aUnchangedWithTracingEnabled) {
   const runner::Fig5aResult result = runner::run_fig5a(config);
   expect_matches_golden("fig5a_seed99", result.format_table());
   ASSERT_FALSE(capture.runs.empty());
-#if NDNP_TRACING
   // The capture is real: every replay cell recorded engine activity.
-  // (With -DNDNP_TRACING=0 the instrumentation is compiled out and the
-  // tracers legitimately stay empty — the golden comparison above is the
-  // point of running this test in that configuration.)
   for (const auto& tracer : capture.runs) EXPECT_GT(tracer->total_recorded(), 0u);
-#endif
 }
 
 TEST(Golden, Fig4aUnchangedWithTracingEnabled) {

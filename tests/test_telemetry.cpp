@@ -356,9 +356,6 @@ TEST(TelemetryHub, AlarmsBecomeTraceEvents) {
 // test budgets).
 
 TEST(TelemetryEndToEnd, SequentialProbingRecallFloor) {
-#if !NDNP_TELEMETRY
-  GTEST_SKIP() << "forwarder telemetry hooks compiled out (-DNDNP_TELEMETRY=0)";
-#endif
   const attack::TelemetryScenarioConfig config;  // paper defaults, seed 7
   telemetry::TelemetryHub hub({}, "router");
   util::Tracer tracer;
@@ -382,9 +379,6 @@ TEST(TelemetryEndToEnd, SequentialProbingRecallFloor) {
 }
 
 TEST(TelemetryEndToEnd, CleanFig5aReplayRaisesNoAlarms) {
-#if !NDNP_TELEMETRY
-  GTEST_SKIP() << "replayer telemetry hooks compiled out (-DNDNP_TELEMETRY=0)";
-#endif
   runner::Fig5aConfig config;
   config.trace_requests = 60'000;
   config.trace_objects = 60'000;
@@ -441,9 +435,6 @@ std::vector<std::function<std::unique_ptr<core::CachePrivacyPolicy>()>> view_pol
 }
 
 TEST(TelemetryViews, ReplayHubCountsMatchEngineCounters) {
-#if !NDNP_TELEMETRY
-  GTEST_SKIP() << "replayer telemetry hooks compiled out (-DNDNP_TELEMETRY=0)";
-#endif
   trace::TraceGenConfig gen;
   gen.num_requests = 3'000;
   gen.num_objects = 300;
@@ -474,9 +465,6 @@ TEST(TelemetryViews, ReplayHubCountsMatchEngineCounters) {
 }
 
 TEST(TelemetryViews, ForwarderHubCountsMatchForwarderCounters) {
-#if !NDNP_TELEMETRY
-  GTEST_SKIP() << "forwarder telemetry hooks compiled out (-DNDNP_TELEMETRY=0)";
-#endif
   std::uint64_t seen[core::kLookupOutcomes.size()] = {};
   for (const auto& policy : view_policies()) {
     sim::ScenarioParams params = sim::lan_scenario_params(3);
@@ -529,9 +517,6 @@ std::string read_file(const std::filesystem::path& path) {
 }
 
 TEST(TelemetryGolden, AttackScenarioSeriesMatchesGolden) {
-#if !NDNP_TELEMETRY
-  GTEST_SKIP() << "forwarder telemetry hooks compiled out (-DNDNP_TELEMETRY=0)";
-#endif
   attack::TelemetryScenarioConfig config;
   config.duration = util::seconds(5);
   config.attack_start = util::seconds(2);

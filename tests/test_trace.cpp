@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <map>
 #include <sstream>
+#include <string>
 
 #include "core/policies.hpp"
 #include "trace/replayer.hpp"
@@ -149,6 +150,12 @@ TEST(TraceIo, ParserRejectsMalformedLines) {
   // ParseOptions should govern either uniformly.
   std::stringstream bad_uri("1.5 3 no-slash 100\n");
   EXPECT_THROW((void)parse_trace(bad_uri), TraceParseError);
+  // from_chars accepts these, but replay could not cast them to SimTime.
+  for (const char* timestamp : {"nan", "inf", "1e300", "-0.5"}) {
+    SCOPED_TRACE(timestamp);
+    std::stringstream bad_time(std::string(timestamp) + " 3 /web/x 100\n");
+    EXPECT_THROW((void)parse_trace(bad_time), TraceParseError);
+  }
 }
 
 TEST(TraceIo, ParserToleratesMalformedLinesUpToThreshold) {

@@ -6,9 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstddef>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <limits>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -198,20 +203,113 @@ TEST(TraceStream, MalformedLinesPastTheThresholdFailFast) {
   }
 }
 
-TEST(TraceStream, TruncatedBinaryTraceRaisesParseError) {
-  const Trace tr = small_trace();
-  ScratchFile file("truncated.trace");
-  {
-    BinaryTraceWriter writer(file.path(), tr.catalogue_size);
-    for (const TraceRecord& record : tr.records) writer.append(record);
-    writer.close();
+// --- NDNPTRB1 robustness corpus ---------------------------------------------
+// The binary reader's counterpart of the TLV corpus: every truncation and
+// seeded bit flips of a small file. Each damaged file must either read
+// cleanly into replayable records or raise TraceParseError — never crash,
+// and never hand replay a timestamp it cannot cast to SimTime.
+
+void write_binary(const std::string& path, const std::vector<TraceRecord>& records) {
+  BinaryTraceWriter writer(path, /*catalogue_size=*/500, /*chunk_records=*/4);
+  for (const TraceRecord& record : records) writer.append(record);
+  writer.close();
+}
+
+std::string read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+struct BinaryReadOutcome {
+  std::vector<TraceRecord> records;  // handed out before any error
+  bool threw = false;
+};
+
+/// Read `bytes` as a binary trace file one record at a time.
+BinaryReadOutcome read_binary_bytes(const std::string& path, const std::string& bytes) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+  BinaryReadOutcome outcome;
+  try {
+    BinaryTraceSource source(path);
+    std::vector<TraceRecord> chunk;
+    while (source.next_chunk(chunk, 1)) outcome.records.push_back(chunk.front());
+  } catch (const TraceParseError&) {
+    outcome.threw = true;
   }
-  const auto full_size = std::filesystem::file_size(file.path());
-  std::filesystem::resize_file(file.path(), full_size - 7);
-  BinaryTraceSource source(file.path());
-  std::vector<TraceRecord> chunk;
-  EXPECT_THROW(
-      while (source.next_chunk(chunk, 1'000)) {}, TraceParseError);
+  return outcome;
+}
+
+std::vector<TraceRecord> prefix_of(const std::vector<TraceRecord>& records, std::size_t n) {
+  return {records.begin(), records.begin() + static_cast<std::ptrdiff_t>(n)};
+}
+
+std::vector<TraceRecord> corpus_records() {
+  return prefix_of(small_trace().records, 22);  // 5 full chunks + 2
+}
+
+TEST(TraceStream, TruncatedBinaryTraceRaisesParseError) {
+  const std::vector<TraceRecord> records = corpus_records();
+  ScratchFile file("truncated.trace");
+  // Clean EOFs: the file lengths at which a chunk (or the header) ends,
+  // found by writing each whole-chunk prefix of the records.
+  std::map<std::size_t, std::size_t> boundary_records;
+  for (std::size_t n = 0; n <= records.size(); n += 4) {
+    write_binary(file.path(), prefix_of(records, n));
+    boundary_records[std::filesystem::file_size(file.path())] = n;
+  }
+  write_binary(file.path(), records);
+  const std::string full = read_bytes(file.path());
+  boundary_records[full.size()] = records.size();
+
+  for (std::size_t cut = 0; cut <= full.size(); ++cut) {
+    SCOPED_TRACE("cut at " + std::to_string(cut) + " of " + std::to_string(full.size()));
+    const BinaryReadOutcome outcome = read_binary_bytes(file.path(), full.substr(0, cut));
+    const auto boundary = boundary_records.find(cut);
+    if (boundary == boundary_records.end()) {
+      EXPECT_TRUE(outcome.threw);
+      ASSERT_LE(outcome.records.size(), records.size());
+    } else {
+      EXPECT_FALSE(outcome.threw);
+      ASSERT_EQ(outcome.records.size(), boundary->second);
+    }
+    expect_records_equal(outcome.records, prefix_of(records, outcome.records.size()), 0.0);
+  }
+}
+
+TEST(TraceStream, BinaryTraceBitFlipsReadValidRecordsOrThrow) {
+  ScratchFile file("bitflip.trace");
+  write_binary(file.path(), corpus_records());
+  const std::string pristine = read_bytes(file.path());
+  util::Rng rng(0x7b1f11b5ULL);  // fixed seed: the corpus is deterministic
+  for (int i = 0; i < 2'000; ++i) {
+    std::string mutated = pristine;
+    const std::size_t byte = rng.uniform_u64(mutated.size());
+    const int bit = static_cast<int>(rng.uniform_u64(8));
+    mutated[byte] = static_cast<char>(mutated[byte] ^ (1 << bit));
+    SCOPED_TRACE("flip byte " + std::to_string(byte) + " bit " + std::to_string(bit));
+    const BinaryReadOutcome outcome = read_binary_bytes(file.path(), mutated);
+    for (const TraceRecord& record : outcome.records) {
+      const double t = record.timestamp_s;
+      ASSERT_TRUE(std::isfinite(t) && t >= 0.0 && t * 1e9 < 0x1p63)
+          << "unreplayable timestamp " << t;
+      ASSERT_EQ(ndn::Name(record.name.to_uri()), record.name);
+    }
+  }
+}
+
+TEST(TraceStream, BinaryReaderRejectsUnreplayableTimestamps) {
+  ScratchFile file("bad_timestamp.trace");
+  for (const double timestamp : {std::numeric_limits<double>::quiet_NaN(),
+                                 std::numeric_limits<double>::infinity(), 1e300, -1.0}) {
+    SCOPED_TRACE(timestamp);
+    std::vector<TraceRecord> records = corpus_records();
+    records[5].timestamp_s = timestamp;
+    write_binary(file.path(), records);
+    BinaryTraceSource source(file.path());
+    std::vector<TraceRecord> chunk;
+    EXPECT_THROW(
+        while (source.next_chunk(chunk, 1'000)) {}, TraceParseError);
+  }
 }
 
 // --- Synthetic workload at scale -------------------------------------------

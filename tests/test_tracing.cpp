@@ -92,7 +92,6 @@ TEST(Tracing, FilterKeepsMatchingNamesAndUnnamedEvents) {
   EXPECT_EQ(tracer.filtered(), 1u);
 }
 
-#if NDNP_TRACING
 TEST(Tracing, UnboundPathEvaluatesNothingAndNeverAllocates) {
   ASSERT_EQ(util::Tracer::current(), nullptr);
   std::size_t evaluations = 0;
@@ -156,7 +155,6 @@ TEST(Tracing, ScopeRecordsSpanAndFeedsProfileHistogram) {
   const util::MetricsSnapshot snap = registry.snapshot();
   EXPECT_EQ(snap.histograms.at("profile.forwarder.handle_interest_us").total(), 1u);
 }
-#endif  // NDNP_TRACING
 
 // ---------------------------------------------------------------------------
 // Exporters.
@@ -317,7 +315,6 @@ TEST(TraceSinks, ForensicsAttributesFaultsInsideProbeWindows) {
   EXPECT_NE(table.find("fault_events=2 faulted_probes=2"), std::string::npos);
 }
 
-#if NDNP_TRACING
 // ---------------------------------------------------------------------------
 // End-to-end cross-check: capture a real (small) Figure-3 timing attack and
 // verify the forensics join agrees with the attack's own accounting — same
@@ -352,6 +349,5 @@ TEST(TraceSinks, ForensicsAgreesWithTimingAttackCounters) {
   // Every verdict was decided by the shared first-hop router.
   for (const sim::ProbeForensics& probe : report.probes) EXPECT_EQ(probe.decided_by, "R");
 }
-#endif  // NDNP_TRACING
 
 }  // namespace

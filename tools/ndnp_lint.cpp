@@ -2,7 +2,7 @@
 //
 // Scans .cpp/.hpp sources with the repository rule pack (src/lint): the
 // determinism contract over the simulation tree, allocation hygiene
-// outside the allocator layer, compile-out macro hygiene, and header
+// outside the allocator layer, trace/invariant macro hygiene, and header
 // hygiene. Findings are silenced per line with
 // `// NDNP-LINT-ALLOW(rule): reason` or grandfathered in a baseline file.
 //
