@@ -15,7 +15,9 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cache/content_store.hpp"
@@ -221,6 +223,71 @@ void BM_EngineRequest(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EngineRequest);
+
+// --- Engine true miss --------------------------------------------------------
+
+/// The i-th replay-shaped 3-component name (/web/dom<d>/obj<j>).
+ndn::Name true_miss_name(std::size_t i) {
+  return ndn::Name("/web/dom" + std::to_string(i % 97) + "/obj" + std::to_string(i));
+}
+
+// The replay's most common request (~79 % of bench/e2e's replay_unsharded):
+// a lookup that misses, then an admit that evicts, on a full 8000-entry LRU
+// CS of 3-component names. The Data carries only its name and producer, as
+// the replay's upstream stub builds it. The admit hashes the name once and
+// probes the exact index once (ContentStore::prepare, then insert with the
+// hint). The names cycle through four times the capacity, so a name comes
+// round again only after it was evicted and every lookup misses.
+void BM_EngineTrueMiss(benchmark::State& state) {
+  constexpr std::size_t kCapacity = 8'000;
+  std::vector<ndn::Interest> interests(4 * kCapacity);
+  for (std::size_t i = 0; i < interests.size(); ++i)
+    interests[i].name = true_miss_name(i);
+  core::CachePrivacyEngine engine(kCapacity, cache::EvictionPolicy::kLru,
+                                  std::make_unique<core::NoPrivacyPolicy>(), 1);
+  util::Rng coin(1);
+  std::size_t i = 0;
+  util::SimTime now = 0;
+  const auto true_miss = [&] {
+    const ndn::Interest& interest = interests[i];
+    i = i + 1 == interests.size() ? 0 : i + 1;
+    benchmark::DoNotOptimize(engine.lookup(interest, now));
+    ndn::Data data;
+    data.name = interest.name;
+    data.producer = "origin";
+    benchmark::DoNotOptimize(
+        engine.admit(std::move(data), interest, util::millis(40), now, coin));
+    now += 1000;
+  };
+  for (std::size_t k = 0; k < kCapacity; ++k) true_miss();
+  const std::uint64_t misses_before = engine.stats().true_misses;
+  for (auto _ : state) true_miss();
+  const auto timed = static_cast<std::uint64_t>(state.iterations());
+  if (engine.stats().true_misses - misses_before != timed)
+    state.SkipWithError("a lookup hit: the name cycle is too short");
+}
+BENCHMARK(BM_EngineTrueMiss);
+
+// touch() on resident entries of the same full 8000-entry LRU CS: an LRU
+// move-to-front reached from the Entry without an index probe.
+void BM_ContentStoreTouch8000(benchmark::State& state) {
+  constexpr std::size_t kCapacity = 8'000;
+  cache::ContentStore cs(kCapacity, cache::EvictionPolicy::kLru, 1);
+  std::vector<cache::Entry*> entries;
+  for (std::size_t i = 0; i < kCapacity; ++i) {
+    ndn::Data data;
+    data.name = true_miss_name(i);
+    entries.push_back(&cs.insert(std::move(data), {}));
+  }
+  std::vector<std::uint32_t> order(1 << 16);
+  util::Rng rng(5);
+  for (std::uint32_t& index : order)
+    index = static_cast<std::uint32_t>(rng.uniform_u64(kCapacity));
+  std::size_t i = 0;
+  util::SimTime now = 0;
+  for (auto _ : state) cs.touch(*entries[order[i++ & 0xFFFF]], ++now);
+}
+BENCHMARK(BM_ContentStoreTouch8000);
 
 void BM_ForwarderRoundTrip(benchmark::State& state) {
   sim::Scheduler sched;

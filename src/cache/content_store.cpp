@@ -42,40 +42,61 @@ ContentStore::~ContentStore() { lfu_free_all(); }
 ContentStore::Node* ContentStore::exact_find(std::uint64_t hash,
                                              const ndn::Name& name) const noexcept {
   const std::unique_ptr<Node>* slot = entries_.find(
-      hash, [&name](const std::unique_ptr<Node>& node) { return node->entry.data.name == name; });
+      hash, [&name](const std::unique_ptr<Node>& node) { return node->data.name == name; });
   return slot ? slot->get() : nullptr;
 }
 
-Entry& ContentStore::insert(ndn::Data data, EntryMeta meta) {
-  ++stats_.inserts;
-  scratch_prefixes_.clear();
-  data.name.visit_prefix_hashes(
-      [this](std::uint64_t h) { scratch_prefixes_.push_back({.hash = h}); });
-  const std::uint64_t name_hash = scratch_prefixes_.back().hash;
+InsertHint ContentStore::prepare(const ndn::Name& name) {
+  InsertHint hint;
+  hint.count_ = name.size() + 1;
+  std::uint64_t* out = hint.inline_.data();
+  if (hint.count_ > InsertHint::kInlineHashes) {
+    hint.spill_.resize(hint.count_);
+    out = hint.spill_.data();
+  }
+  name.visit_prefix_hashes([&out](std::uint64_t h) { *out++ = h; });
+  const auto probe = entries_.probe(hint.name_hash(), [&name](const std::unique_ptr<Node>& node) {
+    return node->data.name == name;
+  });
+  hint.existing_ = probe.found ? probe.found->get() : nullptr;
+  hint.slot_ = probe.slot;
+  return hint;
+}
 
-  if (Node* existing = exact_find(name_hash, data.name)) {
+Entry& ContentStore::insert(ndn::Data data, EntryMeta meta) {
+  const InsertHint hint = prepare(data.name);
+  return insert(std::move(data), meta, hint);
+}
+
+Entry& ContentStore::insert(ndn::Data data, EntryMeta meta, const InsertHint& hint) {
+  assert(hint.count_ == data.name.size() + 1);
+  ++stats_.inserts;
+  if (Entry* existing = hint.existing_) {
     // Overwrite in place; keep eviction position (refresh handled by
     // touch() from the caller if desired).
     ++stats_.overwrites;
-    existing->entry.data = std::move(data);
-    existing->entry.meta = meta;
-    return existing->entry;
+    existing->data = std::move(data);
+    existing->meta = meta;
+    return *existing;
   }
 
   if (!unbounded() && size() >= capacity_) {
     Node* victim = pick_victim();
     NDNP_TRACE_EVENT(util::TraceEventType::kCsEvict, trace_label_, meta.inserted_at,
-                     victim->entry.data.name.to_uri(), "reason=capacity");
-    remove_node(victim);
+                     victim->data.name.to_uri(), "reason=capacity");
+    remove_node(victim);  // leaves a tombstone: hint.slot_ stays valid
     ++stats_.evictions;
   }
 
   std::unique_ptr<Node> node = acquire_node();
   Node* raw = node.get();
-  raw->entry.data = std::move(data);
-  raw->entry.meta = meta;
-  raw->entry.name_hash = name_hash;
-  raw->prefixes = scratch_prefixes_;  // copy-assign reuses a recycled node's capacity
+  raw->data = std::move(data);
+  raw->meta = meta;
+  raw->name_hash = hint.name_hash();
+  // resize() reuses a recycled node's capacity.
+  raw->prefixes.resize(hint.count_);
+  for (std::size_t d = 0; d < hint.count_; ++d)
+    raw->prefixes[d] = {.hash = hint.prefix_hash(d)};
 
   index_insert(raw);
 
@@ -98,16 +119,11 @@ Entry& ContentStore::insert(ndn::Data data, EntryMeta meta) {
     bucket->push_back(raw);
   }
 
-  const auto [slot, inserted] = entries_.emplace(
-      name_hash, std::move(node),
-      [raw](const std::unique_ptr<Node>& n) { return n->entry.data.name == raw->entry.data.name; });
-  assert(inserted);
-  (void)slot;
-  (void)inserted;
+  entries_.emplace_at(hint.slot_, raw->name_hash, std::move(node));
   NDNP_TRACE_EVENT(util::TraceEventType::kCsInsert, trace_label_, meta.inserted_at,
-                   raw->entry.data.name.to_uri(),
+                   raw->data.name.to_uri(),
                    "size=" + std::to_string(size()) + " cap=" + std::to_string(capacity_));
-  return raw->entry;
+  return *raw;
 }
 
 Entry* ContentStore::find(const ndn::Interest& interest, util::SimTime now) {
@@ -129,9 +145,9 @@ Entry* ContentStore::find_impl(const ndn::Interest& interest, util::SimTime now,
   // (prefix trivially, exact-only by equality) and — having the empty
   // suffix — is the lexicographically smallest possible match.
   if (Node* node = exact_find(hash, interest.name)) {
-    if (!check_freshness || node->entry.fresh_at(now)) {
+    if (!check_freshness || node->fresh_at(now)) {
       ++stats_.matches;
-      return &node->entry;
+      return node;
     }
     saw_stale = true;
   }
@@ -154,16 +170,16 @@ Entry* ContentStore::find_impl(const ndn::Interest& interest, util::SimTime now,
   for (Node* node : *bucket) {
     // satisfies() re-checks the prefix relation, which also screens out
     // hash-collision strangers sharing this bucket.
-    if (!node->entry.data.satisfies(interest)) continue;
-    if (check_freshness && !node->entry.fresh_at(now)) {
+    if (!node->data.satisfies(interest)) continue;
+    if (check_freshness && !node->fresh_at(now)) {
       saw_stale = true;
       continue;
     }
-    if (!best || node->entry.data.name < best->entry.data.name) best = node;
+    if (!best || node->data.name < best->data.name) best = node;
   }
   if (!best) return nullptr;
   ++stats_.matches;
-  return &best->entry;
+  return best;
 }
 
 const Entry* ContentStore::find(const ndn::Interest& interest, util::SimTime now) const {
@@ -171,8 +187,7 @@ const Entry* ContentStore::find(const ndn::Interest& interest, util::SimTime now
 }
 
 Entry* ContentStore::find_exact(const ndn::Name& name) {
-  Node* node = exact_find(name.hash64(), name);
-  return node ? &node->entry : nullptr;
+  return exact_find(name.hash64(), name);
 }
 
 const Entry* ContentStore::find_exact(const ndn::Name& name) const {
@@ -181,8 +196,9 @@ const Entry* ContentStore::find_exact(const ndn::Name& name) const {
 
 void ContentStore::touch(Entry& entry, util::SimTime now) {
   entry.meta.last_access = now;
-  Node* node = exact_find(entry.name_hash, entry.data.name);
-  assert(node != nullptr && &node->entry == &entry);
+  Node* node = static_cast<Node*>(&entry);
+  assert(node->prefixes[0].pos < all_entries_.size() &&
+         all_entries_[node->prefixes[0].pos] == node);
   index_access(node);
 }
 
@@ -190,10 +206,10 @@ bool ContentStore::erase(const ndn::Name& name) {
   Node* node = exact_find(name.hash64(), name);
   if (!node) return false;
   NDNP_TRACE_EVENT(util::TraceEventType::kCsEvict, trace_label_,
-                   node->entry.meta.last_access != util::kTimeUnset
-                       ? node->entry.meta.last_access
-                       : node->entry.meta.inserted_at,
-                   node->entry.data.name.to_uri(), "reason=erase");
+                   node->meta.last_access != util::kTimeUnset
+                       ? node->meta.last_access
+                       : node->meta.inserted_at,
+                   node->data.name.to_uri(), "reason=erase");
   remove_node(node);
   ++stats_.erases;
   return true;
@@ -230,7 +246,7 @@ void ContentStore::remove_node(Node* node) {
 
   bool erased = false;
   std::unique_ptr<Node> owned = entries_.extract(
-      node->entry.name_hash,
+      node->name_hash,
       [node](const std::unique_ptr<Node>& n) { return n.get() == node; }, &erased);
   assert(erased && owned.get() == node);
   (void)erased;

@@ -33,6 +33,7 @@
 // naive reference model over randomized op streams.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -77,11 +78,13 @@ struct EntryMeta {
   bool deprivatized = false;
 };
 
+/// A cached Data and its metadata. The store hands out references to its
+/// own entries only; touch() relies on that.
 struct Entry {
   ndn::Data data;
   EntryMeta meta;
   /// Cached Name::hash64(data.name); set by ContentStore::insert and never
-  /// recomputed on the lookup/touch path. Treat as read-only.
+  /// recomputed on the lookup path. Treat as read-only.
   std::uint64_t name_hash = 0;
 
   /// Whether the cached copy is still fresh at `now` (fresh forever when
@@ -106,6 +109,37 @@ struct CacheStats {
   std::uint64_t wiped = 0;       // entries dropped by clear()
 };
 
+/// What ContentStore::prepare() learned about one name, handed back to the
+/// insert() that may follow so that the name is hashed and the exact index
+/// probed only once. A plain value: the store keeps nothing between the two
+/// calls. It stays valid until the next call that changes the store.
+class InsertHint {
+ public:
+  /// The entry cached under exactly this name, or nullptr.
+  [[nodiscard]] Entry* existing() const noexcept { return existing_; }
+
+ private:
+  friend class ContentStore;
+
+  /// Names of up to kInlineHashes - 1 components keep their prefix hashes
+  /// inline; deeper names spill them to the heap.
+  static constexpr std::size_t kInlineHashes = 8;
+
+  /// Hash of the depth-d prefix, d in [0, name depth].
+  [[nodiscard]] std::uint64_t prefix_hash(std::size_t d) const noexcept {
+    return count_ <= kInlineHashes ? inline_[d] : spill_[d];
+  }
+  [[nodiscard]] std::uint64_t name_hash() const noexcept { return prefix_hash(count_ - 1); }
+
+  Entry* existing_ = nullptr;
+  /// Exact-index slot a new entry for this name takes.
+  std::size_t slot_ = 0;
+  /// Number of prefix hashes: name depth + 1.
+  std::size_t count_ = 0;
+  std::array<std::uint64_t, kInlineHashes> inline_{};
+  std::vector<std::uint64_t> spill_;
+};
+
 class ContentStore {
  public:
   /// capacity == 0 means unlimited (the paper's "Inf" baseline).
@@ -118,9 +152,19 @@ class ContentStore {
 
   ~ContentStore();
 
-  /// Insert (or overwrite) content. Evicts per policy if at capacity.
+  /// Probe for `name` before caching Data under it: one pass over the
+  /// name's prefix hashes and one exact-index probe. The hint names the
+  /// entry already cached under exactly `name`, if any, and otherwise
+  /// carries what insert() needs. Not a lookup: no stats change.
+  [[nodiscard]] InsertHint prepare(const ndn::Name& name);
+
+  /// Insert (or overwrite) content, given the hint prepare(data.name)
+  /// returned with no store change since. Evicts per policy if at capacity.
   /// Returns the stored entry. `meta.inserted_at`/`last_access` should be
   /// set by the caller (the router knows the simulation clock).
+  Entry& insert(ndn::Data data, EntryMeta meta, const InsertHint& hint);
+
+  /// insert() with its own prepare().
   Entry& insert(ndn::Data data, EntryMeta meta);
 
   /// Find a match for `interest` (prefix semantics, exact-only honored).
@@ -147,7 +191,8 @@ class ContentStore {
   [[nodiscard]] const Entry* find_exact(const ndn::Name& name) const;
 
   /// Record an access for eviction ordering (LRU move-to-front, LFU count
-  /// bump) and update meta.last_access.
+  /// bump) and update meta.last_access. `entry` must be one of this
+  /// store's entries; no index is probed.
   void touch(Entry& entry, util::SimTime now);
 
   /// Remove by exact name; returns true if something was erased.
@@ -177,7 +222,7 @@ class ContentStore {
   /// op sequence, but not sorted by name.
   template <typename Fn>
   void for_each(Fn&& fn) const {
-    for (const Node* node : all_entries_) fn(node->entry);
+    for (const Node* node : all_entries_) fn(static_cast<const Entry&>(*node));
   }
 
  private:
@@ -192,10 +237,12 @@ class ContentStore {
     std::uint32_t pos = 0;
   };
 
-  struct Node {
-    Entry entry;
+  /// An entry plus its index bookkeeping. Every Entry the store hands out
+  /// is the base of a Node, so touch() gets from one to the other with a
+  /// static_cast.
+  struct Node : Entry {
     /// prefixes[d] for d in [0, depth]; prefixes.back().hash duplicates
-    /// entry.name_hash.
+    /// name_hash.
     std::vector<PrefixRef> prefixes;
     // Intrusive LRU/FIFO list (head = MRU / newest insertion).
     Node* order_prev = nullptr;
@@ -249,9 +296,6 @@ class ContentStore {
   /// including its PrefixRef vector capacity — instead of hitting the
   /// allocator every cycle.
   std::vector<std::unique_ptr<Node>> free_nodes_;
-  /// Scratch for insert(): prefix hashes of the incoming name, filled by
-  /// one visit_prefix_hashes pass without allocating per call.
-  std::vector<PrefixRef> scratch_prefixes_;
   /// prefix_index_[d] (d >= 1): hash-of-depth-d-prefix -> bucket of nodes
   /// whose name has that *strict* prefix (entries of depth exactly d are
   /// only in entries_; the exact fast path finds them). Hash collisions

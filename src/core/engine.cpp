@@ -54,7 +54,8 @@ LookupResult CachePrivacyEngine::lookup(const ndn::Interest& interest, util::Sim
 bool CachePrivacyEngine::admit(ndn::Data data, const ndn::Interest& cause,
                                util::SimDuration fetch_delay, util::SimTime now,
                                util::Rng& coin) {
-  if (cache::Entry* existing = store_.find_exact(data.name)) {
+  const cache::InsertHint hint = store_.prepare(data.name);
+  if (cache::Entry* existing = hint.existing()) {
     existing->data = std::move(data);
     existing->meta.inserted_at = now;  // restarts the freshness period
     store_.touch(*existing, now);
@@ -65,7 +66,7 @@ bool CachePrivacyEngine::admit(ndn::Data data, const ndn::Interest& cause,
   meta.inserted_at = now;
   meta.last_access = now;
   meta.fetch_delay = fetch_delay;
-  cache::Entry& entry = store_.insert(std::move(data), meta);
+  cache::Entry& entry = store_.insert(std::move(data), meta, hint);
   init_privacy_marking(entry, cause);
   policy_->on_insert(entry, cause, now);
   return true;

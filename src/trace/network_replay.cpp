@@ -1,6 +1,7 @@
 #include "trace/network_replay.hpp"
 
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/policies.hpp"
@@ -78,13 +79,20 @@ struct DeploymentTree {
     }
   }
 
-  /// Compressed simulation timestamp of a record.
+  /// Compressed simulation timestamp of a record. Throws TraceParseError,
+  /// as the readers do, when the compressed time does not fit SimTime.
   [[nodiscard]] util::SimTime at(const TraceRecord& record) const {
+    if (!replayable_timestamp(record.timestamp_s, config_.time_compression))
+      throw TraceParseError(
+          "replay_over_network: record " + std::to_string(result_.requests + 1) +
+              " has a negative, non-finite or out-of-range timestamp after time compression",
+          ParseStats{.lines = result_.requests, .records = result_.requests});
     return static_cast<util::SimTime>(record.timestamp_s * 1e9 / config_.time_compression);
   }
 
   /// Schedule one request at its compressed timestamp.
   void issue(const TraceRecord& record) {
+    const util::SimTime when = at(record);
     ++result_.requests;
     Edge& edge = edges_[record.user_id % config_.edge_routers];
     sim::Consumer* consumer = edge.consumer.get();
@@ -92,7 +100,7 @@ struct DeploymentTree {
         is_private_content(record.name, config_.private_fraction, config_.seed);
     const ndn::Name name = record.name;
     NetworkReplayResult* result = &result_;
-    sched_.schedule_at(at(record), [consumer, name, is_private, result] {
+    sched_.schedule_at(when, [consumer, name, is_private, result] {
       ndn::Interest interest;
       interest.name = name;
       interest.private_req = is_private;

@@ -1,7 +1,9 @@
 #include "trace/replayer.hpp"
 
 #include <stdexcept>
+#include <string>
 
+#include "trace/stream.hpp"
 #include "util/rng.hpp"
 #include "util/tracing.hpp"
 
@@ -49,12 +51,22 @@ ReplaySession::ReplaySession(const ReplayConfig& config)
         delay += penalty;
       }
     }
-    return std::pair{
-        ndn::make_data(interest.name, std::string(64, 'x'), "origin", "origin-key"), delay};
+    // Nothing on the replay path reads a payload or verifies a signature,
+    // so the upstream answer carries only its name and producer.
+    ndn::Data data;
+    data.name = interest.name;
+    data.producer = "origin";
+    return std::pair{std::move(data), delay};
   };
 }
 
 void ReplaySession::feed(const TraceRecord& record) {
+  // The readers' check, for records that never went through a reader (an
+  // in-memory Trace or a VectorTraceSource).
+  if (!replayable_timestamp(record.timestamp_s))
+    throw TraceParseError("replay: record " + std::to_string(fed_ + 1) +
+                              " has a negative, non-finite or out-of-range timestamp",
+                          ParseStats{.lines = fed_, .records = fed_});
   ndn::Interest interest;
   interest.name = record.name;
   interest.nonce = rng_.next_u64();

@@ -25,13 +25,17 @@ struct TraceRecord {
   std::size_t size_bytes = 0;
 };
 
-/// True when a record stamped `timestamp_s` can be replayed: the time is
-/// finite, non-negative and its nanosecond count fits util::SimTime
-/// (< 2^63 ns, about 292 years). Replay casts it to SimTime, which is
-/// undefined outside that range, so both trace readers reject such records.
-[[nodiscard]] inline bool replayable_timestamp(double timestamp_s) noexcept {
+/// True when a record stamped `timestamp_s` can be replayed with its times
+/// divided by `time_compression` (> 0): the simulated nanosecond count
+/// timestamp_s * 1e9 / time_compression is finite, non-negative and fits
+/// util::SimTime (< 2^63 ns, about 292 years). Replay casts that value to
+/// SimTime, which is undefined outside that range, so both trace readers,
+/// ReplaySession::feed and replay_over_network reject such records.
+[[nodiscard]] inline bool replayable_timestamp(double timestamp_s,
+                                               double time_compression = 1.0) noexcept {
+  const double ns = timestamp_s * 1e9 / time_compression;
   // NaN fails both comparisons and +inf the second.
-  return timestamp_s >= 0.0 && timestamp_s * 1e9 < 0x1p63;
+  return ns >= 0.0 && ns < 0x1p63;
 }
 
 struct Trace {

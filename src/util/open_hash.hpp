@@ -59,33 +59,60 @@ class OpenHashTable {
     return const_cast<OpenHashTable*>(this)->find(hash, std::forward<Eq>(eq));
   }
 
+  static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
+
+  /// Where (hash, eq) lives, or where an insert of it would go.
+  struct Probe {
+    /// The stored value, or nullptr when absent.
+    T* found = nullptr;
+    /// When absent: the slot an insert takes (the first tombstone on the
+    /// probe path, else the empty slot that ends it); kNoSlot while the
+    /// table has no slots yet.
+    std::size_t slot = kNoSlot;
+  };
+
+  /// One probe run for (hash, eq): the value if present, else its insert
+  /// position for emplace_at(). Never modifies the table.
+  template <typename Eq>
+  [[nodiscard]] Probe probe(std::uint64_t hash, Eq&& eq) noexcept {
+    if (slots_.empty()) return {};
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t insert_at = kNoSlot;
+    for (std::size_t i = index_of(hash);; i = (i + 1) & mask) {
+      Slot& slot = slots_[i];
+      if (slot.state == State::kEmpty) return {.slot = insert_at == kNoSlot ? i : insert_at};
+      if (slot.state == State::kTombstone) {
+        if (insert_at == kNoSlot) insert_at = i;
+      } else if (slot.hash == hash && eq(slot.value)) {
+        return {.found = &slot.value};
+      }
+    }
+  }
+
   /// Insert `value` under `hash` if no existing slot matches (hash, eq);
   /// returns {slot, true} on insertion, {existing slot, false} otherwise.
-  /// May rehash (growth or tombstone purge) — pointers into the table
-  /// obtained earlier are invalidated on return.first != nullptr... always
-  /// assume invalidation after any emplace.
+  /// May rehash (growth or tombstone purge), so assume every pointer into
+  /// the table obtained earlier is invalidated.
   template <typename Eq>
   std::pair<T*, bool> emplace(std::uint64_t hash, T value, Eq&& eq) {
     reserve_one();
-    const std::size_t mask = slots_.size() - 1;
-    std::size_t insert_at = slots_.size();  // first tombstone on the probe path
-    for (std::size_t i = index_of(hash);; i = (i + 1) & mask) {
-      Slot& slot = slots_[i];
-      if (slot.state == State::kEmpty) {
-        Slot& target = slots_[insert_at == slots_.size() ? i : insert_at];
-        if (target.state == State::kTombstone) --tombstones_;
-        target.state = State::kFull;
-        target.hash = hash;
-        target.value = std::move(value);
-        ++size_;
-        return {&target.value, true};
-      }
-      if (slot.state == State::kTombstone) {
-        if (insert_at == slots_.size()) insert_at = i;
-      } else if (slot.hash == hash && eq(slot.value)) {
-        return {&slot.value, false};
-      }
+    const Probe found = probe(hash, std::forward<Eq>(eq));
+    if (found.found) return {found.found, false};
+    return {&place(found.slot, hash, std::move(value)), true};
+  }
+
+  /// Insert `value` under `hash` at the slot a probe() for the absent key
+  /// returned, without probing again. The slot stays valid while the table
+  /// sees only erase()/extract() calls in between: they never move a slot.
+  /// When the insert needs growth or a tombstone purge, the table rehashes
+  /// and finds the new slot itself (the invalidation rule of emplace()).
+  T& emplace_at(std::size_t slot, std::uint64_t hash, T value) {
+    if (!has_room_for_one()) {
+      reserve_one();
+      slot = probe(hash, [](const T&) { return false; }).slot;
     }
+    assert(slot < slots_.size() && slots_[slot].state != State::kFull);
+    return place(slot, hash, std::move(value));
   }
 
   /// Erase the value under (hash, eq). Tombstone deletion: no other slot
@@ -169,14 +196,20 @@ class OpenHashTable {
     return static_cast<std::size_t>(hash) & (slots_.size() - 1);
   }
 
-  /// Keep (full + tombstones) under 7/8 of capacity; grow ×2 when live
-  /// entries cross 1/2, otherwise rehash in place to purge tombstones.
+  /// Keep (full + tombstones) under 7/8 of capacity, so every probe run
+  /// ends at an empty slot.
+  [[nodiscard]] bool has_room_for_one() const noexcept {
+    return !slots_.empty() && (size_ + tombstones_ + 1) * 8 <= slots_.size() * 7;
+  }
+
+  /// Make room for one more value: grow ×2 when live entries cross 1/2,
+  /// otherwise rehash in place to purge tombstones.
   void reserve_one() {
+    if (has_room_for_one()) return;
     if (slots_.empty()) {
       slots_.resize(kInitialCapacity);
       return;
     }
-    if ((size_ + tombstones_ + 1) * 8 <= slots_.size() * 7) return;
     const std::size_t new_capacity =
         (size_ + 1) * 2 > slots_.size() ? slots_.size() * 2 : slots_.size();
     std::vector<Slot> old = std::move(slots_);
@@ -192,6 +225,17 @@ class OpenHashTable {
       slots_[i].hash = slot.hash;
       slots_[i].value = std::move(slot.value);
     }
+  }
+
+  /// Fill the empty or tombstone slot `index`.
+  T& place(std::size_t index, std::uint64_t hash, T value) {
+    Slot& target = slots_[index];
+    if (target.state == State::kTombstone) --tombstones_;
+    target.state = State::kFull;
+    target.hash = hash;
+    target.value = std::move(value);
+    ++size_;
+    return target.value;
   }
 
   static constexpr std::size_t kInitialCapacity = 16;

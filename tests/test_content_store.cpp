@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+
+#include "util/rng.hpp"
 
 namespace ndnp::cache {
 namespace {
@@ -228,6 +231,79 @@ TEST(ContentStore, PolicyToString) {
   EXPECT_EQ(to_string(EvictionPolicy::kRandom), "Random");
 }
 
+TEST(ContentStore, PrepareNamesTheExactEntryWithoutCountingALookup) {
+  ContentStore cs(4);
+  cs.insert(make_content("/a/b"), meta_at(1));
+  EXPECT_EQ(cs.prepare(ndn::Name("/a/b")).existing(), cs.find_exact(ndn::Name("/a/b")));
+  EXPECT_EQ(cs.prepare(ndn::Name("/a")).existing(), nullptr);  // a prefix is not a match
+  EXPECT_EQ(cs.prepare(ndn::Name("/a/c")).existing(), nullptr);
+  EXPECT_EQ(cs.stats().lookups, 0u);
+}
+
+TEST(ContentStore, InsertThroughAHintOverwritesAnExistingName) {
+  ContentStore cs(4);
+  cs.insert(make_content("/a"), meta_at(1));
+  ndn::Data fresh = make_content("/a");
+  fresh.payload = "new";
+  const InsertHint hint = cs.prepare(fresh.name);
+  ASSERT_NE(hint.existing(), nullptr);
+  Entry& entry = cs.insert(std::move(fresh), meta_at(2), hint);
+  EXPECT_EQ(&entry, hint.existing());
+  EXPECT_EQ(entry.data.payload, "new");
+  EXPECT_EQ(cs.stats().overwrites, 1u);
+  EXPECT_EQ(cs.size(), 1u);
+  cs.check_integrity();
+}
+
+TEST(ContentStore, DroppedHintLeavesNothingBehind) {
+  ContentStore cs(2);
+  cs.insert(make_content("/a"), meta_at(1));
+  cs.insert(make_content("/b"), meta_at(2));
+  (void)cs.prepare(ndn::Name("/x"));  // e.g. the admission coin refused it
+  cs.insert(make_content("/y"), meta_at(3));
+  EXPECT_FALSE(cs.contains(ndn::Name("/x")));
+  EXPECT_TRUE(cs.contains(ndn::Name("/y")));
+  EXPECT_FALSE(cs.contains(ndn::Name("/a")));  // LRU victim
+  EXPECT_EQ(cs.stats().inserts, 3u);
+  cs.check_integrity();
+}
+
+TEST(ContentStore, UnboundedInsertsThroughHintsSurviveTableGrowth) {
+  // Every hint is taken on a table about to grow or purge tombstones at
+  // some point in this loop; the insert must land where find() looks.
+  ContentStore cs(0);
+  for (int i = 0; i < 300; ++i) {
+    const ndn::Name name("/grow/" + std::to_string(i));
+    const InsertHint hint = cs.prepare(name);
+    ASSERT_EQ(hint.existing(), nullptr);
+    cs.insert(make_content(name.to_uri()), meta_at(i), hint);
+    if (i % 4 == 3) {
+      ASSERT_TRUE(cs.erase(ndn::Name("/grow/" + std::to_string(i - 2))));
+    }
+  }
+  for (int i = 0; i < 300; ++i) {
+    const bool erased = i % 4 == 1 && i + 2 < 300;
+    EXPECT_EQ(cs.contains(ndn::Name("/grow/" + std::to_string(i))), !erased) << i;
+  }
+  cs.check_integrity();
+}
+
+TEST(ContentStore, DeepNamesSpillTheirPrefixHashes) {
+  std::string uri;
+  for (int d = 0; d < 12; ++d) uri += "/c" + std::to_string(d);
+  ContentStore cs(2);
+  cs.insert(make_content(uri), meta_at(1));
+  cs.insert(make_content("/c0/other"), meta_at(2));
+  ASSERT_NE(cs.find_exact(ndn::Name(uri)), nullptr);
+  const Entry* via_prefix = cs.find(interest_for("/c0/c1/c2/c3/c4/c5"));
+  ASSERT_NE(via_prefix, nullptr);
+  EXPECT_EQ(via_prefix->data.name, ndn::Name(uri));
+  cs.insert(make_content("/z"), meta_at(3));  // evicts the deep name
+  EXPECT_FALSE(cs.contains(ndn::Name(uri)));
+  EXPECT_EQ(cs.find(interest_for("/c0/c1/c2/c3/c4/c5")), nullptr);
+  cs.check_integrity();
+}
+
 // Property sweep: every policy must respect capacity, keep find() coherent
 // with contains(), and evict exactly size-overflow entries.
 class EvictionPolicyTest : public ::testing::TestWithParam<EvictionPolicy> {};
@@ -262,6 +338,55 @@ TEST_P(EvictionPolicyTest, MostRecentInsertSurvivesEviction) {
     cs.insert(make_content(uri), meta_at(i));
     EXPECT_TRUE(cs.contains(ndn::Name(uri))) << "policy evicted the entry just inserted";
   }
+}
+
+TEST_P(EvictionPolicyTest, TouchAndHintedInsertsKeepIntegrity) {
+  // touch() reaches an entry's index node without probing. Entries come
+  // from every path that hands one out (insert, exact and prefix find,
+  // prepare), mixed with erases and evictions, and every step must leave
+  // the store consistent.
+  ContentStore cs(16, GetParam(), /*seed=*/19);
+  util::Rng rng(23);
+  for (int step = 0; step < 2'000; ++step) {
+    const std::string uri = "/d" + std::to_string(rng.uniform_u64(4)) + "/o" +
+                            std::to_string(rng.uniform_u64(40));
+    const util::SimTime now = step;
+    switch (rng.uniform_u64(4)) {
+      case 0: {
+        const InsertHint hint = cs.prepare(ndn::Name(uri));
+        if (hint.existing() != nullptr) {
+          cs.touch(*hint.existing(), now);
+        } else {
+          cs.touch(cs.insert(make_content(uri), meta_at(now), hint), now);
+        }
+        break;
+      }
+      case 1:
+        if (Entry* entry = cs.find(interest_for(uri))) cs.touch(*entry, now);
+        break;
+      case 2:
+        if (Entry* entry = cs.find(interest_for(uri.substr(0, 3)))) cs.touch(*entry, now);
+        break;
+      default:
+        if (Entry* entry = cs.find_exact(ndn::Name(uri))) {
+          if (rng.bernoulli(0.5)) {
+            EXPECT_TRUE(cs.erase(ndn::Name(uri)));
+          } else {
+            cs.touch(*entry, now);
+            EXPECT_EQ(entry->meta.last_access, now);
+          }
+        }
+        break;
+    }
+    ASSERT_NO_THROW(cs.check_integrity()) << "step " << step;
+    ASSERT_LE(cs.size(), 16u);
+  }
+  std::size_t seen = 0;
+  cs.for_each([&](const Entry& entry) {
+    ++seen;
+    EXPECT_EQ(cs.find_exact(entry.data.name), &entry);
+  });
+  EXPECT_EQ(seen, cs.size());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, EvictionPolicyTest,

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <utility>
 
 #include "core/policies.hpp"
@@ -351,6 +352,128 @@ TEST(EngineAdmission, MissResponseStillPaddedWhenNotAdmitted) {
   };
   const RequestOutcome outcome = engine.handle(interest, 0, fetch);
   EXPECT_EQ(outcome.response_delay, util::millis(100));
+}
+
+/// A coin whose first bernoulli(0.5) flip admits (or refuses).
+util::Rng coin_that(bool admits) {
+  for (std::uint64_t seed = 1;; ++seed) {
+    util::Rng probe(seed);
+    if (probe.bernoulli(0.5) == admits) return util::Rng(seed);
+  }
+}
+
+TEST(EngineAdmission, RefreshFlipsNoCoin) {
+  // Re-admitting a cached name refreshes it in place and never consults
+  // the admission coin.
+  CachePrivacyEngine engine(10, cache::EvictionPolicy::kLru,
+                            std::make_unique<NoPrivacyPolicy>(), /*seed=*/1,
+                            /*cache_admission_probability=*/0.5);
+  const ndn::Interest interest = interest_for("/a");
+  util::Rng coin(7);
+  util::Rng witness(7);
+  while (!engine.store().contains(interest.name)) {
+    (void)engine.admit(ndn::make_data(interest.name, "v1", "p", "k"), interest, kFetchDelay, 0,
+                       coin);
+    (void)witness.bernoulli(0.5);
+  }
+  EXPECT_TRUE(engine.admit(ndn::make_data(interest.name, "v2", "p", "k"), interest, kFetchDelay,
+                           1, coin));
+  EXPECT_EQ(coin.next_u64(), witness.next_u64());
+  EXPECT_EQ(engine.store().find_exact(interest.name)->data.payload, "v2");
+}
+
+TEST(EngineAdmission, RefreshHeavyOutcomeSequenceIsPinned) {
+  // MustBeFresh interests over 23 names that go stale after 10 ms: about a
+  // third of the true misses find their stale copy and refresh it, the
+  // rest flip the engine's coin. The sequence (E exposed, T true miss) and
+  // the counters are pinned, so any extra or missing coin flip shows.
+  CachePrivacyEngine engine(16, cache::EvictionPolicy::kLru,
+                            std::make_unique<NoPrivacyPolicy>(), /*seed=*/5,
+                            /*cache_admission_probability=*/0.5);
+  const auto fetch = [](const ndn::Interest& interest) {
+    ndn::Data data = ndn::make_data(interest.name, "x", "p", "k");
+    data.freshness_period = util::millis(10);
+    return std::pair{data, kFetchDelay};
+  };
+  std::string sequence;
+  for (int i = 0; i < 160; ++i) {
+    ndn::Interest interest = interest_for("/obj/" + std::to_string(i * 7 % 23));
+    interest.must_be_fresh = i % 3 != 0;
+    const RequestOutcome outcome = engine.handle(interest, util::millis(4) * i, fetch);
+    sequence += outcome.kind == LookupOutcome::kExposedHit ? 'E' : 'T';
+  }
+  EXPECT_EQ(sequence,
+            "TTTTTTTTTTTTTTTTTTTTTTTTTTTETTETTTTTETTETTTTTTTTETTTTTETTETTETTE"
+            "TTTTTTTTTTTETTETTTTTETTTTTTTTETTETTETTETTETTETTETTTTTTTTTTTTTTET"
+            "TETTETTETTETTETTETTTTTTTTTTTTTTE");
+  EXPECT_EQ(engine.store().stats().inserts, 43u);
+  EXPECT_EQ(engine.store().stats().evictions, 27u);
+  EXPECT_EQ(engine.store().stats().overwrites, 0u);
+  EXPECT_EQ(engine.stats().true_misses, 133u);
+  engine.store().check_integrity();
+}
+
+TEST(EngineAdmission, RefreshKeepsPolicyStateAndRestartsFreshness) {
+  CachePrivacyEngine engine(10, cache::EvictionPolicy::kLru,
+                            RandomCachePolicy::uniform(100, /*seed=*/9), /*seed=*/1,
+                            /*cache_admission_probability=*/0.5);
+  const ndn::Interest interest = interest_for("/a", /*private_req=*/true);
+  ndn::Data data = ndn::make_data(interest.name, "v1", "p", "k");
+  data.freshness_period = util::millis(10);
+  util::Rng admits = coin_that(true);
+  ASSERT_TRUE(engine.admit(data, interest, kFetchDelay, 0, admits));
+  for (int i = 1; i <= 3; ++i) (void)engine.lookup(interest, util::millis(i));
+  const cache::Entry before = *engine.store().find_exact(interest.name);
+  ASSERT_GE(before.meta.k_threshold, 0);
+  ASSERT_TRUE(before.meta.treated_private);
+  EXPECT_FALSE(before.fresh_at(util::millis(20)));
+
+  // The refresh arrives after the copy went stale, on a coin that would
+  // refuse a new name.
+  util::Rng refuses = coin_that(false);
+  data.payload = "v2";
+  EXPECT_TRUE(engine.admit(data, interest, util::millis(99), util::millis(15), refuses));
+  const cache::Entry& after = *engine.store().find_exact(interest.name);
+  EXPECT_EQ(after.data.payload, "v2");
+  EXPECT_EQ(after.meta.k_threshold, before.meta.k_threshold);
+  EXPECT_EQ(after.meta.request_count, before.meta.request_count);
+  EXPECT_EQ(after.meta.treated_private, before.meta.treated_private);
+  EXPECT_EQ(after.meta.deprivatized, before.meta.deprivatized);
+  EXPECT_EQ(after.meta.fetch_delay, before.meta.fetch_delay);
+  EXPECT_EQ(after.meta.inserted_at, util::millis(15));
+  EXPECT_EQ(after.meta.last_access, util::millis(15));
+  EXPECT_TRUE(after.fresh_at(util::millis(20)));
+  EXPECT_EQ(engine.store().stats().inserts, 1u);
+  EXPECT_EQ(engine.store().stats().overwrites, 0u);
+}
+
+TEST(EngineAdmission, CoinRefusalLeavesNothingBehind) {
+  CachePrivacyEngine engine(2, cache::EvictionPolicy::kLru,
+                            std::make_unique<NoPrivacyPolicy>(), /*seed=*/1,
+                            /*cache_admission_probability=*/0.5);
+  for (const char* uri : {"/a", "/b"}) {
+    util::Rng admits = coin_that(true);
+    ASSERT_TRUE(engine.admit(ndn::make_data(ndn::Name(uri), "x", "p", "k"), interest_for(uri),
+                             kFetchDelay, 0, admits));
+  }
+  util::Rng refuses = coin_that(false);
+  EXPECT_FALSE(engine.admit(ndn::make_data(ndn::Name("/c"), "x", "p", "k"), interest_for("/c"),
+                            kFetchDelay, 1, refuses));
+  EXPECT_EQ(engine.store().size(), 2u);
+  EXPECT_FALSE(engine.store().contains(ndn::Name("/c")));
+  EXPECT_EQ(engine.store().stats().inserts, 2u);
+  EXPECT_EQ(engine.store().stats().evictions, 0u);
+
+  // The next admission of another name evicts the LRU entry and lands
+  // where lookups find it.
+  util::Rng admits = coin_that(true);
+  EXPECT_TRUE(engine.admit(ndn::make_data(ndn::Name("/d"), "x", "p", "k"), interest_for("/d"),
+                           kFetchDelay, 2, admits));
+  EXPECT_FALSE(engine.store().contains(ndn::Name("/a")));
+  EXPECT_TRUE(engine.store().contains(ndn::Name("/b")));
+  EXPECT_EQ(engine.lookup(interest_for("/d"), 3).outcome, LookupOutcome::kExposedHit);
+  EXPECT_EQ(engine.lookup(interest_for("/c"), 3).outcome, LookupOutcome::kTrueMiss);
+  engine.store().check_integrity();
 }
 
 TEST(EngineAdmission, RejectsOutOfRangeProbability) {

@@ -235,5 +235,31 @@ TEST(NetworkReplay, StreamingSurfacesMalformedLineCount) {
   EXPECT_EQ(result.malformed_records, 1u);
 }
 
+TEST(NetworkReplay, RejectsATimestampThatCompressionPushesOutOfRange) {
+  // 1e9 s is 1e18 ns, which both readers accept; at time_compression 0.01
+  // it becomes 1e20 ns, past SimTime's 2^63 ns.
+  ASSERT_TRUE(replayable_timestamp(1e9));
+  Trace tr;
+  tr.records.push_back({0.5, 0, ndn::Name("/web/dom1/obj1"), 8'192});
+  tr.records.push_back({1e9, 1, ndn::Name("/web/dom1/obj2"), 8'192});
+  NetworkReplayConfig config = base_config();
+  config.time_compression = 0.01;
+  EXPECT_THROW((void)replay_over_network(tr, config), TraceParseError);
+  VectorTraceSource source(tr);
+  EXPECT_THROW((void)replay_over_network(source, config, 64), TraceParseError);
+
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "ndnp_netreplay_compressed.trace").string();
+  std::ofstream(path) << "0.5 0 /web/dom1/obj1 8192\n"
+                      << "1e9 1 /web/dom1/obj2 8192\n";
+  TextTraceSource text(path);
+  EXPECT_THROW((void)replay_over_network(text, config, 64), TraceParseError);
+  std::remove(path.c_str());
+
+  // Compressed into range, the same records replay.
+  config.time_compression = 1e9;
+  EXPECT_EQ(replay_over_network(tr, config).completed, 2u);
+}
+
 }  // namespace
 }  // namespace ndnp::trace

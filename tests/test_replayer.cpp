@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "core/policies.hpp"
 #include "core/theory.hpp"
+#include "trace/stream.hpp"
 
 namespace ndnp::trace {
 namespace {
@@ -190,6 +194,34 @@ TEST(Replayer, DeterministicAcrossRuns) {
         .hit_rate_pct();
   };
   EXPECT_DOUBLE_EQ(run(), run());
+}
+
+TEST(Replayer, RejectsUnreplayableTimestampsLikeTheReaders) {
+  // The smallest timestamp whose nanosecond count reaches 2^63.
+  double too_late = 0x1p63 / 1e9;
+  while (too_late * 1e9 < 0x1p63) too_late = std::nextafter(too_late, HUGE_VAL);
+  const double last_ok = std::nextafter(too_late, 0.0);
+  const TraceRecord good{1.0, 0, ndn::Name("/web/dom1/obj1"), 100};
+  const ReplayConfig config =
+      with_policy([] { return std::make_unique<core::NoPrivacyPolicy>(); });
+  for (const double timestamp : {std::numeric_limits<double>::quiet_NaN(),
+                                 std::numeric_limits<double>::infinity(), -1.0, too_late,
+                                 1e300}) {
+    Trace trace;
+    trace.records = {good, {timestamp, 0, ndn::Name("/web/dom1/obj2"), 100}};
+    EXPECT_THROW((void)replay(trace, config), TraceParseError) << timestamp;
+
+    // The session rejects the record before it touches any state.
+    ReplaySession session(config);
+    session.feed(good);
+    EXPECT_THROW(session.feed(trace.records[1]), TraceParseError) << timestamp;
+    EXPECT_EQ(session.fed(), 1u);
+    session.feed(good);
+    EXPECT_EQ(session.finish().stats.requests, 2u);
+  }
+  Trace edge;
+  edge.records = {{last_ok, 0, ndn::Name("/web/dom1/obj1"), 100}};
+  EXPECT_EQ(replay(edge, config).stats.true_misses, 1u);
 }
 
 }  // namespace

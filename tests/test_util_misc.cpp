@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "util/logging.hpp"
+#include "util/open_hash.hpp"
 #include "util/sim_time.hpp"
 
 namespace ndnp::util {
@@ -65,6 +66,39 @@ TEST(Logging, EnabledLevelFormats) {
   log(LogLevel::kDebug, "d");
   log(LogLevel::kTrace, "t");
   set_log_level(original);
+}
+
+TEST(OpenHashTable, ProbeThenEmplaceAtSurvivesErasesAndGrowth) {
+  OpenHashTable<int> table;
+  const auto is = [](int want) { return [want](const int& value) { return value == want; }; };
+  // An empty table has no slot yet: emplace_at() grows and finds its own.
+  OpenHashTable<int>::Probe probe = table.probe(1, is(10));
+  EXPECT_EQ(probe.found, nullptr);
+  EXPECT_EQ(probe.slot, OpenHashTable<int>::kNoSlot);
+  table.emplace_at(probe.slot, 1, 10);
+  EXPECT_NE(table.find(1, is(10)), nullptr);
+
+  // An erase between probe() and emplace_at() leaves the slot valid.
+  for (int i = 2; i < 8; ++i) table.emplace(static_cast<std::uint64_t>(i), i * 10, is(i * 10));
+  probe = table.probe(100, is(1000));
+  ASSERT_EQ(probe.found, nullptr);
+  EXPECT_TRUE(table.erase(3, is(30)));
+  table.emplace_at(probe.slot, 100, 1000);
+  EXPECT_NE(table.find(100, is(1000)), nullptr);
+  EXPECT_EQ(table.find(3, is(30)), nullptr);
+  probe = table.probe(5, is(50));
+  ASSERT_NE(probe.found, nullptr);
+  EXPECT_EQ(*probe.found, 50);
+
+  // Inserts that cross the growth threshold rehash and re-probe.
+  for (int i = 200; i < 260; ++i) {
+    probe = table.probe(static_cast<std::uint64_t>(i), is(i));
+    ASSERT_EQ(probe.found, nullptr);
+    table.emplace_at(probe.slot, static_cast<std::uint64_t>(i), i);
+  }
+  for (int i = 200; i < 260; ++i)
+    EXPECT_NE(table.find(static_cast<std::uint64_t>(i), is(i)), nullptr);
+  EXPECT_EQ(table.size(), 67u);
 }
 
 }  // namespace

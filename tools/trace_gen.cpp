@@ -11,11 +11,11 @@
 // locality/affinity model). --stream switches to the bounded-memory
 // generator (trace/stream.hpp): records go straight to the sink chunk by
 // chunk, so millions of users and a ~10M-name catalogue fit in a fixed
-// footprint — the scale mode used by bench_replay_scale and the CI scale
-// smoke. --format binary writes the "NDNPTRB1" chunked format, which
-// replays parse ~10x faster than text. --convert streams an existing trace
-// (either format, sniffed by magic) into --out under --format, counting —
-// and bounding, per --max-malformed — malformed input lines.
+// footprint — the scale mode used by the CI scale smoke. --format binary
+// writes the "NDNPTRB1" chunked format, which replays parse ~10x faster
+// than text. --convert streams an existing trace (either format, sniffed
+// by magic) into --out under --format, counting — and bounding, per
+// --max-malformed — malformed input lines.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
