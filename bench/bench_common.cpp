@@ -25,6 +25,7 @@ void bench_usage(std::FILE* out, const char* argv0) {
                "usage: %s [--jobs N] [--trace-out PATH] [--trace-filter PREFIX]\n"
                "          [--log-level error|warn|info|debug|trace]\n"
                "          [--net-loss RATE] [--net-burst LEN] [--net-retry-ms MS]\n"
+               "          [--telemetry-out PATH] [--sample-every MS]\n"
                "\n"
                "  --jobs N              sweep worker threads (0 = all hardware threads;\n"
                "                        env NDNP_JOBS supplies the default)\n"
@@ -52,7 +53,6 @@ runner::SweepTraceCapture* BenchOptions::configure(runner::SweepTraceCapture& ca
   if (!tracing_requested()) return nullptr;
   capture.out_path = trace_out;
   capture.filter = trace_filter;
-  capture.ring_capacity = trace_capacity;
   return &capture;
 }
 
@@ -138,8 +138,6 @@ BenchOptions parse_bench_options(int argc, char** argv) {
   return options;
 }
 
-std::size_t parse_jobs(int argc, char** argv) { return parse_bench_options(argc, argv).jobs; }
-
 void report_jobs(std::size_t jobs, double wall_seconds) {
   std::fprintf(stderr, "[sweep] jobs=%zu wall=%.3fs\n", jobs, wall_seconds);
 }
@@ -163,7 +161,7 @@ void run_and_print_timing_figure(const std::string& figure, const std::string& d
   // When tracing is requested the attack runs under a bound flight
   // recorder; the tracer only observes, so the printed tables are
   // byte-identical either way (golden tests pin this).
-  util::Tracer tracer(options.trace_capacity);
+  util::Tracer tracer(runner::SweepTraceCapture::kRingCapacity);
   tracer.set_filter(options.trace_filter);
   attack::TimingAttackResult result;
   {

@@ -40,12 +40,11 @@ namespace ndnp::bench {
 ///   --sample-every MS     telemetry sampling cadence in sim-time ms
 ///                         (default 10)
 /// Capturing never changes bench output — golden vectors stay byte-
-/// identical with tracing on, off, or compiled out.
+/// identical with tracing on or off.
 struct BenchOptions {
   std::size_t jobs = 1;
   std::string trace_out;
   std::string trace_filter;
-  std::size_t trace_capacity = 1u << 20;
   double net_loss = 0.0;
   double net_burst = 4.0;
   double net_retry_ms = 80.0;
@@ -78,9 +77,6 @@ struct BenchOptions {
 /// Parse the shared flags above; exits with usage on unknown arguments
 /// (--help prints it to stdout and exits 0).
 [[nodiscard]] BenchOptions parse_bench_options(int argc, char** argv);
-
-/// Back-compat shim: parse the shared flags and return just the jobs count.
-[[nodiscard]] std::size_t parse_jobs(int argc, char** argv);
 
 /// Report sweep parallelism/wall-clock on stderr (stdout stays canonical).
 void report_jobs(std::size_t jobs, double wall_seconds);

@@ -34,67 +34,38 @@ double elapsed_seconds(std::chrono::steady_clock::time_point start) {
 
 }  // namespace
 
-util::MetricsSnapshot replay_with_metrics(const trace::Trace& trace,
-                                          const trace::ReplayConfig& config) {
-  util::MetricsRegistry registry;
-  trace::ReplayConfig cfg = config;
-  cfg.metrics = &registry;
-  const trace::ReplayResult result = trace::replay(trace, cfg);
-  util::MetricsSnapshot snap = registry.snapshot();
-  snap.counters["replay.private_requests"] = result.private_requests;
-  if (config.upstream_loss.enabled()) {
-    snap.counters["replay.upstream_losses"] = result.upstream_losses;
-    snap.counters["replay.degraded_fetches"] = result.degraded_fetches;
-  }
-  snap.gauges["replay.hit_rate_pct"] = result.hit_rate_pct();
-  snap.gauges["replay.cache_served_pct"] = result.cache_served_pct();
-  snap.gauges["replay.mean_response_ms"] = result.mean_response_ms;
-  return snap;
+// ---------------------------------------------------------------------------
+// Figure 5(a) and 5(b): one trace replayed over a (row, cache size) grid
+
+namespace {
+
+core::ExpoParams solve_fig5_expo(std::int64_t k, double epsilon, double delta,
+                                 const char* caller) {
+  const auto expo = core::solve_expo_params(k, epsilon, delta);
+  if (!expo)
+    throw std::runtime_error(std::string(caller) +
+                             ": unsolvable exponential parameterization");
+  return *expo;
 }
 
-// ---------------------------------------------------------------------------
-// Figure 5(a)
+struct Fig5Grid {
+  /// cells[row][size]: the replay's metrics snapshot.
+  std::vector<std::vector<util::MetricsSnapshot>> cells;
+  std::size_t trace_size = 0;
+  std::size_t trace_distinct = 0;
+};
 
-Fig5aResult run_fig5a(const Fig5aConfig& config) {
-  // NDNP-LINT-ALLOW(determinism-wallclock): wall_seconds reporting gauge, excluded from golden output
-  const auto start = std::chrono::steady_clock::now();
-
+/// Generate the configured trace and replay it once per (row, cache size)
+/// cell, row-major, as one runner sweep. `rows[r]` is row r's replay
+/// template; the driver sets its cache capacity, the fixed replay seed and
+/// the cell's telemetry hub. `Config` is Fig5aConfig or Fig5bConfig.
+template <class Config>
+Fig5Grid run_fig5_grid(const Config& config, const std::vector<trace::ReplayConfig>& rows) {
   trace::TraceGenConfig gen;
   gen.num_requests = config.trace_requests;
   gen.num_objects = config.trace_objects;
   gen.seed = config.trace_seed;
   const trace::Trace tr = trace::generate_trace(gen);
-
-  Fig5aResult result;
-  result.trace_size = tr.size();
-  result.trace_distinct = tr.distinct_names();
-  result.cache_sizes = config.cache_sizes;
-  result.uniform_domain = core::uniform_domain_for_delta(config.anonymity_k, config.delta);
-  const auto expo = core::solve_expo_params(config.anonymity_k, config.epsilon, config.delta);
-  if (!expo)
-    throw std::runtime_error("run_fig5a: unsolvable exponential parameterization");
-  result.expo = *expo;
-
-  struct Scheme {
-    const char* name;
-    std::function<std::unique_ptr<core::CachePrivacyPolicy>()> factory;
-  };
-  // Policy seeds match the original serial bench (5 for the Random-Cache
-  // schemes) so the golden vectors carry over unchanged.
-  const std::int64_t uniform_domain = result.uniform_domain;
-  const std::vector<Scheme> schemes = {
-      {"No Privacy", [] { return std::make_unique<core::NoPrivacyPolicy>(); }},
-      {"Exponential-Random-Cache",
-       [expo] { return core::RandomCachePolicy::exponential(expo->alpha, expo->domain, 5); }},
-      {"Uniform-Random-Cache",
-       [uniform_domain] { return core::RandomCachePolicy::uniform(uniform_domain, 5); }},
-      {"Always Delay Private",
-       [] {
-         return std::make_unique<core::AlwaysDelayPolicy>(
-             core::AlwaysDelayPolicy::content_specific());
-       }},
-  };
-  for (const Scheme& scheme : schemes) result.scheme_names.emplace_back(scheme.name);
 
   const std::size_t num_sizes = config.cache_sizes.size();
   SweepOptions options;
@@ -102,27 +73,80 @@ Fig5aResult run_fig5a(const Fig5aConfig& config) {
   options.capture = config.capture;
   options.telemetry = config.telemetry;
   options.master_seed = config.replay_seed;
-  const std::vector<util::MetricsSnapshot> cells =
-      run_sweep<util::MetricsSnapshot>(schemes.size() * num_sizes, options,
-                                       [&](const RunContext& ctx) {
-        const std::size_t scheme = ctx.run_index / num_sizes;
-        const std::size_t size = ctx.run_index % num_sizes;
-        trace::ReplayConfig replay_config;
-        replay_config.cache_capacity = config.cache_sizes[size];
-        replay_config.private_fraction = config.private_fraction;
-        replay_config.policy_factory = schemes[scheme].factory;
-        replay_config.upstream_loss = config.upstream_loss;
-        replay_config.upstream_retry_penalty = config.upstream_retry_penalty;
+  const std::vector<util::MetricsSnapshot> cells = run_sweep<util::MetricsSnapshot>(
+      rows.size() * num_sizes, options, [&](const RunContext& ctx) {
+        trace::ReplayConfig replay_config = rows[ctx.run_index / num_sizes];
+        replay_config.cache_capacity = config.cache_sizes[ctx.run_index % num_sizes];
         replay_config.seed = config.replay_seed;
         if (config.telemetry != nullptr)
           replay_config.telemetry = config.telemetry->run_hub(ctx.run_index);
-        return replay_with_metrics(tr, replay_config);
+        return trace::replay(tr, replay_config).metrics;
       });
 
-  result.cells.resize(schemes.size());
-  for (std::size_t s = 0; s < schemes.size(); ++s)
-    result.cells[s].assign(cells.begin() + static_cast<std::ptrdiff_t>(s * num_sizes),
-                           cells.begin() + static_cast<std::ptrdiff_t>((s + 1) * num_sizes));
+  Fig5Grid grid;
+  grid.trace_size = tr.size();
+  grid.trace_distinct = tr.distinct_names();
+  for (std::size_t r = 0; r < rows.size(); ++r)
+    grid.cells.emplace_back(cells.begin() + static_cast<std::ptrdiff_t>(r * num_sizes),
+                            cells.begin() + static_cast<std::ptrdiff_t>((r + 1) * num_sizes));
+  return grid;
+}
+
+/// Canonical merged JSON of a grid's cells, row-major.
+std::string merged_cells_json(const std::vector<std::vector<util::MetricsSnapshot>>& cells) {
+  SweepResult sweep;
+  for (const auto& row : cells) sweep.runs.insert(sweep.runs.end(), row.begin(), row.end());
+  return sweep.merged_json();
+}
+
+/// A table's header line: `label`, then one column per cache size.
+std::string cache_size_header(std::string label, const std::vector<std::size_t>& cache_sizes) {
+  for (const std::size_t size : cache_sizes)
+    label += size == 0 ? sprintf_line("%10s", "Inf") : sprintf_line("%10zu", size);
+  return label + '\n';
+}
+
+}  // namespace
+
+Fig5aResult run_fig5a(const Fig5aConfig& config) {
+  // NDNP-LINT-ALLOW(determinism-wallclock): wall_seconds reporting gauge, excluded from golden output
+  const auto start = std::chrono::steady_clock::now();
+
+  Fig5aResult result;
+  result.cache_sizes = config.cache_sizes;
+  result.uniform_domain = core::uniform_domain_for_delta(config.anonymity_k, config.delta);
+  const core::ExpoParams expo = result.expo =
+      solve_fig5_expo(config.anonymity_k, config.epsilon, config.delta, "run_fig5a");
+
+  // Policy seeds match the original serial bench (5 for the Random-Cache
+  // schemes) so the golden vectors carry over unchanged.
+  const std::int64_t uniform_domain = result.uniform_domain;
+  std::vector<trace::ReplayConfig> rows;
+  const auto add_scheme =
+      [&](const char* name,
+          std::function<std::unique_ptr<core::CachePrivacyPolicy>()> factory) {
+        result.scheme_names.emplace_back(name);
+        trace::ReplayConfig& row = rows.emplace_back();
+        row.private_fraction = config.private_fraction;
+        row.policy_factory = std::move(factory);
+        row.upstream_loss = config.upstream_loss;
+        row.upstream_retry_penalty = config.upstream_retry_penalty;
+      };
+  add_scheme("No Privacy", [] { return std::make_unique<core::NoPrivacyPolicy>(); });
+  add_scheme("Exponential-Random-Cache", [expo] {
+    return core::RandomCachePolicy::exponential(expo.alpha, expo.domain, 5);
+  });
+  add_scheme("Uniform-Random-Cache",
+             [uniform_domain] { return core::RandomCachePolicy::uniform(uniform_domain, 5); });
+  add_scheme("Always Delay Private", [] {
+    return std::make_unique<core::AlwaysDelayPolicy>(
+        core::AlwaysDelayPolicy::content_specific());
+  });
+
+  Fig5Grid grid = run_fig5_grid(config, rows);
+  result.cells = std::move(grid.cells);
+  result.trace_size = grid.trace_size;
+  result.trace_distinct = grid.trace_distinct;
   result.wall_seconds = elapsed_seconds(start);
   return result;
 }
@@ -132,10 +156,7 @@ double Fig5aResult::hit_rate_pct(std::size_t scheme, std::size_t size) const {
 }
 
 std::string Fig5aResult::format_table() const {
-  std::string out = sprintf_line("%-26s", "cache size:");
-  for (const std::size_t size : cache_sizes)
-    out += size == 0 ? sprintf_line("%10s", "Inf") : sprintf_line("%10zu", size);
-  out += '\n';
+  std::string out = cache_size_header(sprintf_line("%-26s", "cache size:"), cache_sizes);
   for (std::size_t s = 0; s < scheme_names.size(); ++s) {
     out += sprintf_line("%-26s", scheme_names[s].c_str());
     for (std::size_t z = 0; z < cache_sizes.size(); ++z)
@@ -146,10 +167,8 @@ std::string Fig5aResult::format_table() const {
 }
 
 std::string Fig5aResult::format_delay_table() const {
-  std::string out = sprintf_line("%-26s", "mean response (ms):");
-  for (const std::size_t size : cache_sizes)
-    out += size == 0 ? sprintf_line("%10s", "Inf") : sprintf_line("%10zu", size);
-  out += '\n';
+  std::string out =
+      cache_size_header(sprintf_line("%-26s", "mean response (ms):"), cache_sizes);
   for (std::size_t s = 0; s < scheme_names.size(); ++s) {
     out += sprintf_line("%-26s", scheme_names[s].c_str());
     for (std::size_t z = 0; z < cache_sizes.size(); ++z)
@@ -159,64 +178,30 @@ std::string Fig5aResult::format_delay_table() const {
   return out;
 }
 
-std::string Fig5aResult::merged_json() const {
-  SweepResult sweep;
-  for (const auto& row : cells)
-    sweep.runs.insert(sweep.runs.end(), row.begin(), row.end());
-  return sweep.merged_json();
-}
-
-// ---------------------------------------------------------------------------
-// Figure 5(b)
+std::string Fig5aResult::merged_json() const { return merged_cells_json(cells); }
 
 Fig5bResult run_fig5b(const Fig5bConfig& config) {
   // NDNP-LINT-ALLOW(determinism-wallclock): wall_seconds reporting gauge, excluded from golden output
   const auto start = std::chrono::steady_clock::now();
 
-  trace::TraceGenConfig gen;
-  gen.num_requests = config.trace_requests;
-  gen.num_objects = config.trace_objects;
-  gen.seed = config.trace_seed;
-  const trace::Trace tr = trace::generate_trace(gen);
-
   Fig5bResult result;
-  result.trace_size = tr.size();
   result.private_fractions = config.private_fractions;
   result.cache_sizes = config.cache_sizes;
-  const auto expo = core::solve_expo_params(config.anonymity_k, config.epsilon, config.delta);
-  if (!expo)
-    throw std::runtime_error("run_fig5b: unsolvable exponential parameterization");
-  result.expo = *expo;
+  const core::ExpoParams expo = result.expo =
+      solve_fig5_expo(config.anonymity_k, config.epsilon, config.delta, "run_fig5b");
 
-  const std::size_t num_sizes = config.cache_sizes.size();
-  SweepOptions options;
-  options.jobs = config.jobs;
-  options.capture = config.capture;
-  options.telemetry = config.telemetry;
-  options.master_seed = config.replay_seed;
-  const core::ExpoParams params = *expo;
-  const std::vector<util::MetricsSnapshot> cells =
-      run_sweep<util::MetricsSnapshot>(config.private_fractions.size() * num_sizes, options,
-                                       [&](const RunContext& ctx) {
-        const std::size_t fraction = ctx.run_index / num_sizes;
-        const std::size_t size = ctx.run_index % num_sizes;
-        trace::ReplayConfig replay_config;
-        replay_config.cache_capacity = config.cache_sizes[size];
-        replay_config.private_fraction = config.private_fractions[fraction];
-        // Policy seed 5 matches the original serial bench.
-        replay_config.policy_factory = [params] {
-          return core::RandomCachePolicy::exponential(params.alpha, params.domain, 5);
-        };
-        replay_config.seed = config.replay_seed;
-        if (config.telemetry != nullptr)
-          replay_config.telemetry = config.telemetry->run_hub(ctx.run_index);
-        return replay_with_metrics(tr, replay_config);
-      });
+  std::vector<trace::ReplayConfig> rows(config.private_fractions.size());
+  for (std::size_t f = 0; f < rows.size(); ++f) {
+    rows[f].private_fraction = config.private_fractions[f];
+    // Policy seed 5 matches the original serial bench.
+    rows[f].policy_factory = [expo] {
+      return core::RandomCachePolicy::exponential(expo.alpha, expo.domain, 5);
+    };
+  }
 
-  result.cells.resize(config.private_fractions.size());
-  for (std::size_t f = 0; f < config.private_fractions.size(); ++f)
-    result.cells[f].assign(cells.begin() + static_cast<std::ptrdiff_t>(f * num_sizes),
-                           cells.begin() + static_cast<std::ptrdiff_t>((f + 1) * num_sizes));
+  Fig5Grid grid = run_fig5_grid(config, rows);
+  result.cells = std::move(grid.cells);
+  result.trace_size = grid.trace_size;
   result.wall_seconds = elapsed_seconds(start);
   return result;
 }
@@ -226,10 +211,7 @@ double Fig5bResult::hit_rate_pct(std::size_t fraction, std::size_t size) const {
 }
 
 std::string Fig5bResult::format_table() const {
-  std::string out = sprintf_line("%-14s", "private share");
-  for (const std::size_t size : cache_sizes)
-    out += size == 0 ? sprintf_line("%10s", "Inf") : sprintf_line("%10zu", size);
-  out += '\n';
+  std::string out = cache_size_header(sprintf_line("%-14s", "private share"), cache_sizes);
   for (std::size_t f = 0; f < private_fractions.size(); ++f) {
     out += sprintf_line("%12.0f%% ", private_fractions[f] * 100.0);
     for (std::size_t z = 0; z < cache_sizes.size(); ++z)
@@ -239,12 +221,7 @@ std::string Fig5bResult::format_table() const {
   return out;
 }
 
-std::string Fig5bResult::merged_json() const {
-  SweepResult sweep;
-  for (const auto& row : cells)
-    sweep.runs.insert(sweep.runs.end(), row.begin(), row.end());
-  return sweep.merged_json();
-}
+std::string Fig5bResult::merged_json() const { return merged_cells_json(cells); }
 
 // ---------------------------------------------------------------------------
 // Figure 4(a)

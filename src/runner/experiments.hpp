@@ -25,11 +25,6 @@
 
 namespace ndnp::runner {
 
-/// Replay `trace` under `config` and return the full metrics snapshot:
-/// engine/cs/policy counters plus the derived replay gauges.
-[[nodiscard]] util::MetricsSnapshot replay_with_metrics(const trace::Trace& trace,
-                                                        const trace::ReplayConfig& config);
-
 // ---------------------------------------------------------------------------
 // Figure 5(a): hit rate by scheme and cache size (trace replay grid).
 

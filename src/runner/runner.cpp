@@ -4,6 +4,7 @@
 #include <mutex>
 
 #include "sim/trace_sinks.hpp"
+#include "util/run_path.hpp"
 
 namespace ndnp::runner {
 
@@ -19,15 +20,7 @@ void SweepTraceCapture::prepare(std::size_t num_runs) {
 }
 
 std::string SweepTraceCapture::run_path(std::size_t run_index) const {
-  if (runs.size() <= 1) return out_path;
-  // Splice ".runN" in front of the extension so the format sniffing in
-  // write_trace_file still sees it: trace.jsonl -> trace.run3.jsonl.
-  const std::size_t slash = out_path.find_last_of('/');
-  const std::size_t dot = out_path.find_last_of('.');
-  const std::string tag = ".run" + std::to_string(run_index);
-  if (dot == std::string::npos || (slash != std::string::npos && dot < slash))
-    return out_path + tag;
-  return out_path.substr(0, dot) + tag + out_path.substr(dot);
+  return util::run_path(out_path, run_index, runs.size());
 }
 
 void SweepTraceCapture::write_files() const {

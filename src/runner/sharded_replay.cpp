@@ -7,27 +7,6 @@
 
 namespace ndnp::runner {
 
-namespace {
-
-/// Recompute the non-additive gauges from a snapshot's own counters (used
-/// for per-shard snapshots and again for the merged one, so both are
-/// internally consistent).
-void set_rate_gauges(util::MetricsSnapshot& snap, double mean_response_ms) {
-  const auto counter = [&](const char* name) -> double {
-    const auto it = snap.counters.find(name);
-    return it == snap.counters.end() ? 0.0 : static_cast<double>(it->second);
-  };
-  const double requests = counter("engine.requests");
-  const double exposed = counter("engine.exposed_hits");
-  const double delayed = counter("engine.delayed_hits");
-  snap.gauges["replay.hit_rate_pct"] = requests == 0.0 ? 0.0 : 100.0 * exposed / requests;
-  snap.gauges["replay.cache_served_pct"] =
-      requests == 0.0 ? 0.0 : 100.0 * (exposed + delayed) / requests;
-  snap.gauges["replay.mean_response_ms"] = mean_response_ms;
-}
-
-}  // namespace
-
 ShardedReplayResult replay_sharded(const TraceSourceFactory& open_source,
                                    const ShardedReplayConfig& config) {
   if (config.shards == 0)
@@ -54,8 +33,6 @@ ShardedReplayResult replay_sharded(const TraceSourceFactory& open_source,
     trace::ReplayConfig shard_cfg = config.replay;
     shard_cfg.seed = run_seed(config.master_seed, i);
     shard_cfg.private_class_seed = class_seed;
-    util::MetricsRegistry registry;
-    shard_cfg.metrics = &registry;
 
     trace::ReplaySession session(shard_cfg);
     std::vector<trace::TraceRecord> chunk;
@@ -68,12 +45,6 @@ ShardedReplayResult replay_sharded(const TraceSourceFactory& open_source,
     ShardReplayResult& shard = out.shards[i];
     shard.records = session.fed();
     shard.result = session.finish();
-    shard.metrics = registry.snapshot();
-    shard.metrics.counters["replay.records"] = shard.records;
-    shard.metrics.counters["replay.private_requests"] = shard.result.private_requests;
-    shard.metrics.counters["replay.upstream_losses"] = shard.result.upstream_losses;
-    shard.metrics.counters["replay.degraded_fetches"] = shard.result.degraded_fetches;
-    set_rate_gauges(shard.metrics, shard.result.mean_response_ms);
     malformed[i] = source->stats().malformed;
   });
   out.wall_seconds =
@@ -86,15 +57,15 @@ ShardedReplayResult replay_sharded(const TraceSourceFactory& open_source,
   parts.reserve(out.shards.size());
   double response_ms_weighted = 0.0;
   for (const ShardReplayResult& shard : out.shards) {
-    parts.push_back(shard.metrics);
+    parts.push_back(shard.result.metrics);
     out.records += shard.records;
     response_ms_weighted +=
         shard.result.mean_response_ms * static_cast<double>(shard.records);
   }
   out.merged = util::merge_snapshots(parts);
-  set_rate_gauges(out.merged, out.records == 0
-                                  ? 0.0
-                                  : response_ms_weighted / static_cast<double>(out.records));
+  trace::set_rate_gauges(out.merged, out.records == 0 ? 0.0
+                                                     : response_ms_weighted /
+                                                           static_cast<double>(out.records));
   // Each shard scanned the whole trace, so the counts agree — report one,
   // not the sum.
   out.malformed_records = malformed.empty() ? 0 : malformed.front();
@@ -111,7 +82,7 @@ std::string ShardedReplayResult::merged_json() const {
   std::string json = "{\"shards\":[";
   for (std::size_t i = 0; i < shards.size(); ++i) {
     if (i) json += ',';
-    json += shards[i].metrics.to_json();
+    json += shards[i].result.metrics.to_json();
   }
   json += "],\"merged\":" + merged.to_json();
   json += ",\"records\":" + std::to_string(records);

@@ -50,17 +50,16 @@ struct ShardedReplayConfig {
   /// Shard i replays with seed run_seed(master_seed, i).
   std::uint64_t master_seed = 1;
   /// Per-shard replay template. `seed` and `private_class_seed` are
-  /// overwritten (per-shard stream / shared class seed); `metrics` is
-  /// ignored — each shard gets its own registry. `policy_factory` is
-  /// invoked once per shard, possibly concurrently: it must be thread-safe
+  /// overwritten (per-shard stream / shared class seed). `policy_factory`
+  /// is invoked once per shard, possibly concurrently: it must be thread-safe
   /// (the stateless make-a-policy lambdas used everywhere are).
   trace::ReplayConfig replay;
 };
 
 /// One shard's outcome, in shard-index order inside ShardedReplayResult.
 struct ShardReplayResult {
+  /// This shard's replay; `result.metrics` is its snapshot in merged_json.
   trace::ReplayResult result;
-  util::MetricsSnapshot metrics;
   /// Records this shard fed (its users only).
   std::uint64_t records = 0;
 };

@@ -3,6 +3,7 @@
 #include <cstdio>
 
 #include "util/metrics.hpp"
+#include "util/run_path.hpp"
 #include "util/tracing.hpp"
 
 namespace ndnp::telemetry {
@@ -83,15 +84,7 @@ void SweepTelemetryCapture::prepare(std::size_t num_runs) {
 }
 
 std::string SweepTelemetryCapture::run_path(std::size_t run_index) const {
-  if (runs.size() <= 1) return out_path;
-  // Same ".runN" splice as SweepTraceCapture so the ".prom" suffix
-  // dispatch in write_file still works: t.csv -> t.run3.csv.
-  const std::size_t slash = out_path.find_last_of('/');
-  const std::size_t dot = out_path.find_last_of('.');
-  const std::string tag = ".run" + std::to_string(run_index);
-  if (dot == std::string::npos || (slash != std::string::npos && dot < slash))
-    return out_path + tag;
-  return out_path.substr(0, dot) + tag + out_path.substr(dot);
+  return util::run_path(out_path, run_index, runs.size());
 }
 
 void SweepTelemetryCapture::write_files() const {

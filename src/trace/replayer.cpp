@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "trace/stream.hpp"
 #include "util/rng.hpp"
@@ -18,6 +19,20 @@ bool is_private_content(const ndn::Name& name, double private_fraction, std::uin
   const double u =
       static_cast<double>(mix.next() >> 11) * 0x1.0p-53;  // uniform in [0,1)
   return u < private_fraction;
+}
+
+void set_rate_gauges(util::MetricsSnapshot& snap, double mean_response_ms) {
+  const auto counter = [&](const char* name) -> double {
+    const auto it = snap.counters.find(name);
+    return it == snap.counters.end() ? 0.0 : static_cast<double>(it->second);
+  };
+  const double requests = counter("engine.requests");
+  const double exposed = counter("engine.exposed_hits");
+  const double delayed = counter("engine.delayed_hits");
+  snap.gauges["replay.hit_rate_pct"] = requests == 0.0 ? 0.0 : 100.0 * exposed / requests;
+  snap.gauges["replay.cache_served_pct"] =
+      requests == 0.0 ? 0.0 : 100.0 * (exposed + delayed) / requests;
+  snap.gauges["replay.mean_response_ms"] = mean_response_ms;
 }
 
 ReplaySession::ReplaySession(const ReplayConfig& config)
@@ -93,12 +108,16 @@ ReplayResult ReplaySession::finish() {
   result_.stats = engine_.stats();
   result_.mean_response_ms =
       fed_ == 0 ? 0.0 : total_response_ms_ / static_cast<double>(fed_);
-  if (config_.metrics) {
-    engine_.export_metrics(*config_.metrics, "engine");
-    if (config_.telemetry != nullptr)
-      config_.telemetry->export_metrics(*config_.metrics, "telemetry");
-  }
-  return result_;
+  util::MetricsRegistry registry;
+  engine_.export_metrics(registry, "engine");
+  if (config_.telemetry != nullptr) config_.telemetry->export_metrics(registry, "telemetry");
+  util::MetricsSnapshot& snap = result_.metrics = registry.snapshot();
+  snap.counters["replay.records"] = fed_;
+  snap.counters["replay.private_requests"] = result_.private_requests;
+  snap.counters["replay.upstream_losses"] = result_.upstream_losses;
+  snap.counters["replay.degraded_fetches"] = result_.degraded_fetches;
+  set_rate_gauges(snap, result_.mean_response_ms);
+  return std::move(result_);
 }
 
 ReplayResult replay(const Trace& trace, const ReplayConfig& config) {

@@ -49,14 +49,11 @@ struct ReplayConfig {
   /// its own `seed` stream but one shared private_class_seed, so all
   /// shards agree on which content is private.
   std::uint64_t private_class_seed = 0;
-  /// Optional: when set, the engine/cs/policy counters are exported into
-  /// this registry (prefix "engine") after the replay completes.
-  util::MetricsRegistry* metrics = nullptr;
   /// Optional online telemetry hub (not owned). Every fed request lands in
   /// the hub's detectors — keyed by trace user_id (face scope) and depth-2
   /// name prefix (prefix scope) — and paces the hub's time series; finish()
-  /// exports the hub's counters under "telemetry" when `metrics` is also
-  /// set. The hub only observes: cache state, stats and golden vectors are
+  /// adds the hub's counters to ReplayResult::metrics under "telemetry".
+  /// The hub only observes: cache state, stats and golden vectors are
   /// identical with telemetry on or off.
   telemetry::TelemetryHub* telemetry = nullptr;
 };
@@ -78,7 +75,17 @@ struct ReplayResult {
   }
   /// Mean response delay per request, ms.
   double mean_response_ms = 0.0;
+  /// The run's metrics: the engine/cs/policy counters ("engine.*"), the
+  /// hub's counters ("telemetry.*", when one is armed), the replay.*
+  /// counters above plus "replay.records", and the set_rate_gauges gauges.
+  util::MetricsSnapshot metrics;
 };
+
+/// Set the replay.* rate gauges ("replay.hit_rate_pct",
+/// "replay.cache_served_pct", "replay.mean_response_ms") from the snapshot's
+/// own engine.* counters, so a merged snapshot of several replays gets rates
+/// over its summed counters.
+void set_rate_gauges(util::MetricsSnapshot& snap, double mean_response_ms);
 
 /// Decide whether a name is in the private class for a given fraction —
 /// deterministic (hash-based), so all requests for one content agree.
@@ -100,7 +107,7 @@ class ReplaySession {
   [[nodiscard]] std::uint64_t fed() const noexcept { return fed_; }
 
   /// Finalize: snapshot engine stats, compute the mean response delay and
-  /// export metrics (when config.metrics is set). Call once.
+  /// build the run's metrics snapshot. Call once.
   [[nodiscard]] ReplayResult finish();
 
  private:

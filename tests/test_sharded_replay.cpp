@@ -19,7 +19,9 @@
 #include <vector>
 
 #include "core/policies.hpp"
+#include "runner/runner.hpp"
 #include "trace/stream.hpp"
+#include "util/fault_model.hpp"
 #include "util/stats.hpp"
 
 namespace ndnp::runner {
@@ -113,6 +115,60 @@ TEST(ShardedReplay, SharedPrivateClassMatchesUnshardedExactly) {
   for (const ShardReplayResult& shard : sharded.shards)
     private_requests += shard.result.private_requests;
   EXPECT_EQ(private_requests, reference.private_requests);
+}
+
+// --- One snapshot spelling ---------------------------------------------------
+
+std::vector<std::string> counter_names(const util::MetricsSnapshot& snap) {
+  std::vector<std::string> names;
+  for (const auto& entry : snap.counters) names.push_back(entry.first);
+  return names;
+}
+
+std::vector<std::string> gauge_names(const util::MetricsSnapshot& snap) {
+  std::vector<std::string> names;
+  for (const auto& entry : snap.gauges) names.push_back(entry.first);
+  return names;
+}
+
+TEST(ShardedReplay, ReplaySnapshotHasTheShardKeysAndAgreesWithItsResult) {
+  const trace::Trace tr = small_trace();
+  ShardedReplayConfig config = base_config();
+  config.replay.upstream_loss = util::GilbertElliottConfig::from_loss_and_burst(0.05, 4.0);
+  const ShardedReplayResult sharded = replay_sharded(tr, config);
+  const trace::ReplayResult result = trace::replay(tr, config.replay);
+  const util::MetricsSnapshot& snap = result.metrics;
+
+  for (const ShardReplayResult& shard : sharded.shards) {
+    EXPECT_EQ(counter_names(snap), counter_names(shard.result.metrics));
+    EXPECT_EQ(gauge_names(snap), gauge_names(shard.result.metrics));
+  }
+  EXPECT_EQ(snap.counters.at("replay.records"), tr.size());
+  EXPECT_EQ(snap.counters.at("replay.private_requests"), result.private_requests);
+  EXPECT_EQ(snap.counters.at("replay.upstream_losses"), result.upstream_losses);
+  EXPECT_EQ(snap.counters.at("replay.degraded_fetches"), result.degraded_fetches);
+  EXPECT_GT(result.upstream_losses, 0u);
+  EXPECT_EQ(snap.counters.at("engine.requests"), result.stats.requests);
+  EXPECT_EQ(snap.counters.at("engine.exposed_hits"), result.stats.exposed_hits);
+  EXPECT_DOUBLE_EQ(snap.gauges.at("replay.hit_rate_pct"), result.hit_rate_pct());
+  EXPECT_DOUBLE_EQ(snap.gauges.at("replay.cache_served_pct"), result.cache_served_pct());
+  EXPECT_EQ(snap.gauges.at("replay.mean_response_ms"), result.mean_response_ms);
+}
+
+TEST(ShardedReplay, OneShardReportsItsReplaySnapshot) {
+  const trace::Trace tr = small_trace();
+  ShardedReplayConfig config = base_config();
+  config.shards = 1;
+  const ShardedReplayResult sharded = replay_sharded(tr, config);
+  ASSERT_EQ(sharded.shards.size(), 1u);
+  const std::string shard_json = sharded.shards[0].result.metrics.to_json();
+  EXPECT_EQ(sharded.merged_json().rfind("{\"shards\":[" + shard_json + "],", 0), 0u);
+
+  // The one shard is a plain replay with the shard's seeds.
+  trace::ReplayConfig plain = config.replay;
+  plain.seed = run_seed(config.master_seed, 0);
+  plain.private_class_seed = run_seed(config.master_seed, 1);
+  EXPECT_EQ(trace::replay(tr, plain).metrics.to_json(), shard_json);
 }
 
 // --- Edge cases -------------------------------------------------------------

@@ -442,16 +442,13 @@ TEST(TelemetryViews, ReplayHubCountsMatchEngineCounters) {
   const trace::Trace trace = trace::generate_trace(gen);
   std::uint64_t seen[core::kLookupOutcomes.size()] = {};
   for (const auto& policy : view_policies()) {
-    util::MetricsRegistry registry;
     telemetry::TelemetryHub hub;
     trace::ReplayConfig config;
     config.cache_capacity = 100;
     config.private_fraction = 0.5;
     config.policy_factory = policy;
-    config.metrics = &registry;
     config.telemetry = &hub;
-    (void)trace::replay(trace, config);
-    const util::MetricsSnapshot snap = registry.snapshot();
+    const util::MetricsSnapshot snap = trace::replay(trace, config).metrics;
     for (const core::LookupOutcome outcome : core::kLookupOutcomes) {
       const std::string name(core::counter_name(outcome));
       EXPECT_EQ(snap.counters.at("telemetry.outcome." + name),

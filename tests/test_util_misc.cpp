@@ -2,6 +2,7 @@
 
 #include "util/logging.hpp"
 #include "util/open_hash.hpp"
+#include "util/run_path.hpp"
 #include "util/sim_time.hpp"
 
 namespace ndnp::util {
@@ -66,6 +67,23 @@ TEST(Logging, EnabledLevelFormats) {
   log(LogLevel::kDebug, "d");
   log(LogLevel::kTrace, "t");
   set_log_level(original);
+}
+
+TEST(RunPath, SplicesTheRunTagBeforeTheFileNamesExtension) {
+  EXPECT_EQ(run_path("a.jsonl", 3, 4), "a.run3.jsonl");
+  EXPECT_EQ(run_path("out/t.prom", 0, 2), "out/t.run0.prom");
+  // A dot in a directory name is not an extension.
+  EXPECT_EQ(run_path("dir.d/trace", 1, 2), "dir.d/trace.run1");
+  EXPECT_EQ(run_path("./trace", 0, 2), "./trace.run0");
+  EXPECT_EQ(run_path("./metrics.json", 1, 2), "./metrics.run1.json");
+  EXPECT_EQ(run_path("trace", 7, 8), "trace.run7");
+}
+
+TEST(RunPath, SingleRunKeepsThePath) {
+  for (const char* path : {"a.jsonl", "dir.d/trace", "./trace", "trace"}) {
+    EXPECT_EQ(run_path(path, 0, 1), path);
+    EXPECT_EQ(run_path(path, 0, 0), path);
+  }
 }
 
 TEST(OpenHashTable, ProbeThenEmplaceAtSurvivesErasesAndGrowth) {

@@ -30,10 +30,12 @@
 // Chrome trace-event JSON loadable in Perfetto); --trace-filter restricts
 // the capture to content names with the given prefix. Capturing never
 // changes replay results (see docs/OBSERVABILITY.md).
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -45,6 +47,7 @@
 #include "trace/replayer.hpp"
 #include "trace/stream.hpp"
 #include "util/logging.hpp"
+#include "util/run_path.hpp"
 
 namespace {
 
@@ -85,6 +88,39 @@ void usage(const char* argv0) {
       argv0);
 }
 
+/// The whole of `value` as an integer in [0, max]; exits 2 naming `flag`
+/// otherwise (no sign, no trailing characters).
+std::uint64_t parse_count(const char* argv0, const char* flag, const char* value,
+                          std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
+  const char* end = value + std::strlen(value);
+  std::uint64_t parsed = 0;
+  const auto [ptr, ec] = std::from_chars(value, end, parsed);
+  if (ec != std::errc() || ptr != end || parsed > max) {
+    std::fprintf(stderr, "%s: %s expects a non-negative integer, got '%s'\n", argv0, flag,
+                 value);
+    std::exit(2);
+  }
+  return parsed;
+}
+
+/// The whole of `value` as a finite number in [0, max]; exits 2 naming
+/// `flag` otherwise.
+double parse_real(const char* argv0, const char* flag, const char* value,
+                  double max = std::numeric_limits<double>::max()) {
+  char* end = nullptr;
+  const double parsed = std::strtod(value, &end);
+  if (end == value || *end != '\0' || !(parsed >= 0.0 && parsed <= max)) {
+    if (max < std::numeric_limits<double>::max())
+      std::fprintf(stderr, "%s: %s expects a number in [0, %g], got '%s'\n", argv0, flag, max,
+                   value);
+    else
+      std::fprintf(stderr, "%s: %s expects a non-negative number, got '%s'\n", argv0, flag,
+                   value);
+    std::exit(2);
+  }
+  return parsed;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -117,28 +153,20 @@ int main(int argc, char** argv) {
     };
     if (arg == "--trace")
       trace_paths.emplace_back(next());
-    else if (arg == "--jobs") {
-      const char* value = next();
-      char* end = nullptr;
-      const unsigned long long parsed = std::strtoull(value, &end, 10);
-      if (end == value || *end != '\0') {
-        std::fprintf(stderr, "%s: --jobs expects a number, got '%s'\n", argv[0], value);
-        return 2;
-      }
-      jobs = runner::resolve_jobs(static_cast<std::size_t>(parsed));
-    }
+    else if (arg == "--jobs")
+      jobs = runner::resolve_jobs(parse_count(argv[0], arg.c_str(), next()));
     else if (arg == "--json")
       emit_json = true;
     else if (arg == "--shards")
-      shards = static_cast<std::size_t>(std::atoll(next()));
+      shards = parse_count(argv[0], arg.c_str(), next());
     else if (arg == "--chunk")
-      chunk_records = static_cast<std::size_t>(std::atoll(next()));
+      chunk_records = parse_count(argv[0], arg.c_str(), next());
     else if (arg == "--max-malformed")
-      max_malformed = static_cast<std::uint64_t>(std::atoll(next()));
+      max_malformed = parse_count(argv[0], arg.c_str(), next());
     else if (arg == "--policy")
       policy_name = next();
     else if (arg == "--cache")
-      config.cache_capacity = static_cast<std::size_t>(std::atoll(next()));
+      config.cache_capacity = parse_count(argv[0], arg.c_str(), next());
     else if (arg == "--eviction") {
       const std::string ev = next();
       if (ev == "lru")
@@ -154,17 +182,18 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--private-fraction")
-      config.private_fraction = std::atof(next());
+      config.private_fraction = parse_real(argv[0], arg.c_str(), next(), 1.0);
     else if (arg == "--k")
-      k = std::atoll(next());
+      k = static_cast<std::int64_t>(
+          parse_count(argv[0], arg.c_str(), next(), std::numeric_limits<std::int64_t>::max()));
     else if (arg == "--epsilon")
-      epsilon = std::atof(next());
+      epsilon = parse_real(argv[0], arg.c_str(), next());
     else if (arg == "--delta")
-      delta = std::atof(next());
+      delta = parse_real(argv[0], arg.c_str(), next(), 1.0);
     else if (arg == "--admission")
-      config.cache_admission_probability = std::atof(next());
+      config.cache_admission_probability = parse_real(argv[0], arg.c_str(), next(), 1.0);
     else if (arg == "--seed")
-      config.seed = static_cast<std::uint64_t>(std::atoll(next()));
+      config.seed = parse_count(argv[0], arg.c_str(), next());
     else if (arg == "--trace-out")
       capture.out_path = next();
     else if (arg == "--trace-filter")
@@ -172,7 +201,7 @@ int main(int argc, char** argv) {
     else if (arg == "--telemetry-out")
       telemetry_capture.out_path = next();
     else if (arg == "--sample-every")
-      sample_every_ms = std::atof(next());
+      sample_every_ms = parse_real(argv[0], arg.c_str(), next());
     else if (arg == "--metrics-out")
       metrics_out = next();
     else if (arg == "--log-level") {
@@ -285,14 +314,7 @@ int main(int argc, char** argv) {
       }
       if (!metrics_out.empty()) {
         // One file per trace (".runN" spliced in when replaying several).
-        std::string out_path = metrics_out;
-        if (trace_paths.size() > 1) {
-          const std::size_t dot = out_path.find_last_of('.');
-          const std::string tag = ".run" + std::to_string(t);
-          out_path = dot == std::string::npos ? out_path + tag
-                                              : out_path.substr(0, dot) + tag +
-                                                    out_path.substr(dot);
-        }
+        const std::string out_path = util::run_path(metrics_out, t, trace_paths.size());
         std::ofstream out(out_path);
         out << result.merged_json() << '\n';
         if (!out) {
@@ -333,10 +355,6 @@ int main(int argc, char** argv) {
 
   // One run per trace, fanned across --jobs threads; each run gets a fresh
   // engine via the policy factory, so traces never share mutable state.
-  struct TraceRunResult {
-    trace::ReplayResult replay;
-    util::MetricsSnapshot metrics;
-  };
   runner::SweepOptions options;
   options.jobs = jobs;
   options.master_seed = config.seed;
@@ -350,26 +368,18 @@ int main(int argc, char** argv) {
         static_cast<util::SimDuration>(sample_every_ms * 1e6);
     options.telemetry = &telemetry_capture;
   }
-  const std::vector<TraceRunResult> results = runner::run_sweep<TraceRunResult>(
+  const std::vector<trace::ReplayResult> results = runner::run_sweep<trace::ReplayResult>(
       traces.size(), options, [&](const runner::RunContext& ctx) {
-        util::MetricsRegistry registry;
         trace::ReplayConfig run_config = config;
-        run_config.metrics = &registry;
         if (options.telemetry != nullptr)
           run_config.telemetry = options.telemetry->run_hub(ctx.run_index);
-        TraceRunResult out;
-        out.replay = trace::replay(traces[ctx.run_index], run_config);
-        out.metrics = registry.snapshot();
-        out.metrics.counters["replay.private_requests"] = out.replay.private_requests;
+        trace::ReplayResult out = trace::replay(traces[ctx.run_index], run_config);
         out.metrics.counters["replay.malformed_records"] = trace_malformed[ctx.run_index];
-        out.metrics.gauges["replay.hit_rate_pct"] = out.replay.hit_rate_pct();
-        out.metrics.gauges["replay.cache_served_pct"] = out.replay.cache_served_pct();
-        out.metrics.gauges["replay.mean_response_ms"] = out.replay.mean_response_ms;
         return out;
       });
 
   runner::SweepResult sweep;
-  for (const TraceRunResult& r : results) sweep.runs.push_back(r.metrics);
+  for (const trace::ReplayResult& r : results) sweep.runs.push_back(r.metrics);
   if (!metrics_out.empty()) {
     std::ofstream out(metrics_out);
     out << sweep.merged_json() << '\n';
@@ -385,7 +395,7 @@ int main(int argc, char** argv) {
   }
 
   for (std::size_t t = 0; t < results.size(); ++t) {
-    const trace::ReplayResult& result = results[t].replay;
+    const trace::ReplayResult& result = results[t];
     if (results.size() > 1) std::printf("=== trace %s ===\n", trace_paths[t].c_str());
     std::printf("policy=%s cache=%zu eviction=%s private=%.0f%% admission=%.2f\n",
                 policy_name.c_str(), config.cache_capacity,
