@@ -566,11 +566,10 @@ void write_hot_path_report(const char* path) {
   constexpr std::uint64_t kLookupOps = 1'310'720;   // 20 x 65536
   constexpr std::uint64_t kInsertOps = 400'000;
   constexpr std::uint64_t kSchedulerOps = 2'000'000;
-  util::MetricsRegistry registry;
-  registry.counter("cs64k.exact_lookup.ops").inc(kLookupOps);
-  registry.counter("cs64k.insert_evict.ops").inc(kInsertOps);
-  registry.counter("sched.ticker.ops").inc(kSchedulerOps);
-  util::MetricsSnapshot snap = registry.snapshot();
+  util::MetricsSnapshot snap;
+  snap.counters["cs64k.exact_lookup.ops"] = kLookupOps;
+  snap.counters["cs64k.insert_evict.ops"] = kInsertOps;
+  snap.counters["sched.ticker.ops"] = kSchedulerOps;
   std::printf("CS hot paths at 64k entries (also written to %s):\n", path);
   for (const HotPathBaseline& base : kBaselines) {
     const std::string policy(cache::to_string(base.policy));
@@ -682,10 +681,9 @@ void write_telemetry_report(const char* path) {
   }
   const double overhead_pct = 100.0 * (off_mops - on_mops) / off_mops;
 
-  util::MetricsRegistry registry;
-  registry.counter("telemetry.roundtrip.ops").inc(kOps);
-  registry.counter("telemetry.roundtrip.lookups_per_run").inc(lookups);
-  util::MetricsSnapshot snap = registry.snapshot();
+  util::MetricsSnapshot snap;
+  snap.counters["telemetry.roundtrip.ops"] = kOps;
+  snap.counters["telemetry.roundtrip.lookups_per_run"] = lookups;
   snap.gauges["telemetry.roundtrip.off.mops"] = off_mops;
   snap.gauges["telemetry.roundtrip.armed.mops"] = on_mops;
   snap.gauges["telemetry.roundtrip.overhead_pct"] = overhead_pct;

@@ -422,16 +422,16 @@ ContentStore::Node* ContentStore::pick_victim() {
   throw std::logic_error("ContentStore: unknown policy");
 }
 
-void ContentStore::export_metrics(util::MetricsRegistry& registry,
+void ContentStore::export_metrics(util::MetricsSnapshot& snap,
                                   const std::string& prefix) const {
-  registry.counter(prefix + ".lookups").inc(stats_.lookups);
-  registry.counter(prefix + ".matches").inc(stats_.matches);
-  registry.counter(prefix + ".inserts").inc(stats_.inserts);
-  registry.counter(prefix + ".evictions").inc(stats_.evictions);
-  registry.counter(prefix + ".overwrites").inc(stats_.overwrites);
-  registry.counter(prefix + ".erases").inc(stats_.erases);
-  registry.counter(prefix + ".wiped").inc(stats_.wiped);
-  registry.counter(prefix + ".size").inc(size());
+  snap.counters[prefix + ".lookups"] += stats_.lookups;
+  snap.counters[prefix + ".matches"] += stats_.matches;
+  snap.counters[prefix + ".inserts"] += stats_.inserts;
+  snap.counters[prefix + ".evictions"] += stats_.evictions;
+  snap.counters[prefix + ".overwrites"] += stats_.overwrites;
+  snap.counters[prefix + ".erases"] += stats_.erases;
+  snap.counters[prefix + ".wiped"] += stats_.wiped;
+  snap.counters[prefix + ".size"] += size();
 }
 
 void ContentStore::check_integrity() const {

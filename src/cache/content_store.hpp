@@ -207,9 +207,9 @@ class ContentStore {
   [[nodiscard]] EvictionPolicy policy() const noexcept { return policy_; }
   [[nodiscard]] const CacheStats& stats() const noexcept { return stats_; }
 
-  /// Publish the cache counters into `registry` under `prefix` (e.g.
+  /// Publish the cache counters into `snap` under `prefix` (e.g.
   /// "cs.lookups"). Adds the current totals; call once per snapshot.
-  void export_metrics(util::MetricsRegistry& registry, const std::string& prefix) const;
+  void export_metrics(util::MetricsSnapshot& snap, const std::string& prefix) const;
 
   /// Structural invariants: size within capacity, and every inserted entry
   /// accounted for (inserts == overwrites + size + evictions + erases +

@@ -96,18 +96,18 @@ RequestOutcome CachePrivacyEngine::handle(const ndn::Interest& interest, util::S
           .response_delay = policy_->miss_response_delay(fetch_delay, treated_private)};
 }
 
-void EngineStats::export_outcomes(util::MetricsRegistry& registry,
+void EngineStats::export_outcomes(util::MetricsSnapshot& snap,
                                   const std::string& prefix) const {
   for (const LookupOutcome outcome : kLookupOutcomes)
-    registry.counter(prefix + "." + std::string(counter_name(outcome))).inc(count(outcome));
+    snap.counters[prefix + "." + std::string(counter_name(outcome))] += count(outcome);
 }
 
-void CachePrivacyEngine::export_metrics(util::MetricsRegistry& registry,
+void CachePrivacyEngine::export_metrics(util::MetricsSnapshot& snap,
                                         const std::string& prefix) const {
-  registry.counter(prefix + ".requests").inc(stats_.requests);
-  stats_.export_outcomes(registry, prefix);
-  store_.export_metrics(registry, prefix + ".cs");
-  policy_->export_metrics(registry, prefix + ".policy");
+  snap.counters[prefix + ".requests"] += stats_.requests;
+  stats_.export_outcomes(snap, prefix);
+  store_.export_metrics(snap, prefix + ".cs");
+  policy_->export_metrics(snap, prefix + ".policy");
 }
 
 }  // namespace ndnp::core

@@ -70,7 +70,7 @@ struct EngineStats {
     return const_cast<EngineStats&>(*this).count(outcome);
   }
   /// Publish the four outcome counters as "<prefix>.<counter_name>".
-  void export_outcomes(util::MetricsRegistry& registry, const std::string& prefix) const;
+  void export_outcomes(util::MetricsSnapshot& snap, const std::string& prefix) const;
 
   [[nodiscard]] double hit_rate() const noexcept {
     return requests == 0 ? 0.0
@@ -129,10 +129,10 @@ class CachePrivacyEngine {
   /// Node label on the CS and policy trace events (default "engine").
   void set_trace_label(const std::string& label);
 
-  /// Publish engine, content-store and policy counters into `registry`
+  /// Publish engine, content-store and policy counters into `snap`
   /// under `prefix` ("<prefix>.requests", "<prefix>.cs.*",
   /// "<prefix>.policy.*"). Adds current totals; call once per snapshot.
-  void export_metrics(util::MetricsRegistry& registry, const std::string& prefix) const;
+  void export_metrics(util::MetricsSnapshot& snap, const std::string& prefix) const;
 
   void reset_stats() noexcept { stats_ = {}; }
 

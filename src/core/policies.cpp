@@ -230,15 +230,15 @@ std::unique_ptr<CachePrivacyPolicy> RandomCachePolicy::clone() const {
   return copy;
 }
 
-void RandomCachePolicy::export_metrics(util::MetricsRegistry& registry,
+void RandomCachePolicy::export_metrics(util::MetricsSnapshot& snap,
                                        const std::string& prefix) const {
-  registry.counter(prefix + ".groups").inc(groups_.size());
+  snap.counters[prefix + ".groups"] += groups_.size();
   std::uint64_t pending = 0;
   for (const auto& [key, state] : groups_) {
     (void)key;
     if (state.count <= state.threshold) ++pending;
   }
-  registry.counter(prefix + ".pending").inc(pending);
+  snap.counters[prefix + ".pending"] += pending;
 }
 
 }  // namespace ndnp::core

@@ -150,7 +150,7 @@ class RandomCachePolicy final : public CachePrivacyPolicy {
   [[nodiscard]] std::unique_ptr<CachePrivacyPolicy> clone() const override;
   /// Exports "<prefix>.groups" (distinct (c_C, k_C) states tracked) and
   /// "<prefix>.pending" (groups still inside their k_C window).
-  void export_metrics(util::MetricsRegistry& registry, const std::string& prefix) const override;
+  void export_metrics(util::MetricsSnapshot& snap, const std::string& prefix) const override;
 
  private:
   struct GroupState {

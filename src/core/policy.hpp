@@ -78,12 +78,12 @@ class CachePrivacyPolicy {
   [[nodiscard]] virtual std::string_view name() const noexcept = 0;
   [[nodiscard]] virtual std::unique_ptr<CachePrivacyPolicy> clone() const = 0;
 
-  /// Publish policy-internal counters into `registry` under `prefix`
+  /// Publish policy-internal counters into `snap` under `prefix`
   /// (adds current totals; call once per snapshot). Default: nothing —
   /// stateless policies have no counters of their own (decision counts are
   /// kept by the engine/forwarder driving the policy).
-  virtual void export_metrics(util::MetricsRegistry& registry, const std::string& prefix) const {
-    (void)registry;
+  virtual void export_metrics(util::MetricsSnapshot& snap, const std::string& prefix) const {
+    (void)snap;
     (void)prefix;
   }
 

@@ -48,16 +48,16 @@ LinkFaultCounters& LinkFaultCounters::operator+=(const LinkFaultCounters& other)
   return *this;
 }
 
-void LinkFaultCounters::export_metrics(util::MetricsRegistry& registry,
+void LinkFaultCounters::export_metrics(util::MetricsSnapshot& snap,
                                        const std::string& prefix) const {
-  registry.counter(prefix + ".packets").inc(packets);
-  registry.counter(prefix + ".burst_drops").inc(burst_drops);
-  registry.counter(prefix + ".flap_drops").inc(flap_drops);
-  registry.counter(prefix + ".duplicates").inc(duplicates);
-  registry.counter(prefix + ".corrupted").inc(corrupted);
-  registry.counter(prefix + ".corrupt_drops").inc(corrupt_drops);
-  registry.counter(prefix + ".reorders").inc(reorders);
-  registry.counter(prefix + ".spikes").inc(spikes);
+  snap.counters[prefix + ".packets"] += packets;
+  snap.counters[prefix + ".burst_drops"] += burst_drops;
+  snap.counters[prefix + ".flap_drops"] += flap_drops;
+  snap.counters[prefix + ".duplicates"] += duplicates;
+  snap.counters[prefix + ".corrupted"] += corrupted;
+  snap.counters[prefix + ".corrupt_drops"] += corrupt_drops;
+  snap.counters[prefix + ".reorders"] += reorders;
+  snap.counters[prefix + ".spikes"] += spikes;
 }
 
 LinkFaultState::LinkFaultState(const LinkFaultConfig& config, int direction)
@@ -197,11 +197,11 @@ std::string_view to_string(NodeFaultKind kind) noexcept {
   return "unknown";
 }
 
-void NodeFaultCounters::export_metrics(util::MetricsRegistry& registry,
+void NodeFaultCounters::export_metrics(util::MetricsSnapshot& snap,
                                        const std::string& prefix) const {
-  registry.counter(prefix + ".cs_wipes").inc(cs_wipes);
-  registry.counter(prefix + ".cs_entries_wiped").inc(cs_entries_wiped);
-  registry.counter(prefix + ".pit_squeezes").inc(pit_squeezes);
+  snap.counters[prefix + ".cs_wipes"] += cs_wipes;
+  snap.counters[prefix + ".cs_entries_wiped"] += cs_entries_wiped;
+  snap.counters[prefix + ".pit_squeezes"] += pit_squeezes;
 }
 
 void schedule_node_faults(Forwarder& forwarder, const std::vector<NodeFaultEvent>& events,

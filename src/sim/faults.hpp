@@ -21,7 +21,7 @@
 //    CS wipe/restart (the cache loses all state mid-run) and PIT-capacity
 //    squeezes (the table shrinks under the feet of in-flight interests).
 //
-// Every injected fault bumps a counter (surfaced through util::MetricsRegistry)
+// Every injected fault bumps a counter (exported into util::MetricsSnapshot)
 // and records a kFaultInject trace event, so probe_forensics and the chaos
 // harness can attribute anomalous verdicts to the faults that caused them.
 #pragma once
@@ -37,7 +37,7 @@
 #include "util/sim_time.hpp"
 
 namespace ndnp::util {
-class MetricsRegistry;
+struct MetricsSnapshot;
 }
 
 namespace ndnp::sim {
@@ -96,7 +96,7 @@ struct LinkFaultCounters {
 
   /// Publish as "<prefix>.packets", "<prefix>.burst_drops", ... (adds
   /// current totals; call once per snapshot).
-  void export_metrics(util::MetricsRegistry& registry, const std::string& prefix) const;
+  void export_metrics(util::MetricsSnapshot& snap, const std::string& prefix) const;
 };
 
 /// What the fault engine decided for one packet transmission.
@@ -172,7 +172,7 @@ struct NodeFaultCounters {
   std::uint64_t cs_entries_wiped = 0;
   std::uint64_t pit_squeezes = 0;
 
-  void export_metrics(util::MetricsRegistry& registry, const std::string& prefix) const;
+  void export_metrics(util::MetricsSnapshot& snap, const std::string& prefix) const;
 };
 
 /// Schedule `events` against `forwarder` on its own scheduler. Counters (if

@@ -376,31 +376,30 @@ void Forwarder::schedule_pit_timeout(const ndn::Name& name, std::uint64_t name_h
   });
 }
 
-void Forwarder::export_metrics(util::MetricsRegistry& registry,
-                               const std::string& prefix) const {
-  registry.counter(prefix + ".interests_received").inc(stats_.interests_received);
-  registry.counter(prefix + ".data_received").inc(stats_.data_received);
-  engine_.stats().export_outcomes(registry, prefix);
-  registry.counter(prefix + ".forwarded_interests").inc(stats_.forwarded_interests);
-  registry.counter(prefix + ".collapsed_interests").inc(stats_.collapsed_interests);
-  registry.counter(prefix + ".nonce_drops").inc(stats_.nonce_drops);
-  registry.counter(prefix + ".scope_drops").inc(stats_.scope_drops);
-  registry.counter(prefix + ".no_route_drops").inc(stats_.no_route_drops);
-  registry.counter(prefix + ".pit_overflows").inc(stats_.pit_overflows);
-  registry.counter(prefix + ".admission_skips").inc(stats_.admission_skips);
-  registry.counter(prefix + ".nacks_sent").inc(stats_.nacks_sent);
-  registry.counter(prefix + ".nacks_received").inc(stats_.nacks_received);
-  registry.counter(prefix + ".unsolicited_data").inc(stats_.unsolicited_data);
-  registry.counter(prefix + ".pit_expirations").inc(stats_.pit_expirations);
-  registry.counter(prefix + ".data_forwarded").inc(stats_.data_forwarded);
-  registry.counter(prefix + ".pit_size").inc(pit_.size());
-  registry.counter(prefix + ".pit_inserts").inc(stats_.pit_inserts);
-  registry.counter(prefix + ".pit_satisfied").inc(stats_.pit_satisfied);
-  registry.counter(prefix + ".pit_nack_erased").inc(stats_.pit_nack_erased);
-  cs().export_metrics(registry, prefix + ".cs");
-  policy().export_metrics(registry, prefix + ".policy");
-  export_fault_metrics(registry, prefix);
-  if (telemetry_ != nullptr) telemetry_->export_metrics(registry, prefix + ".telemetry");
+void Forwarder::export_metrics(util::MetricsSnapshot& snap, const std::string& prefix) const {
+  snap.counters[prefix + ".interests_received"] += stats_.interests_received;
+  snap.counters[prefix + ".data_received"] += stats_.data_received;
+  engine_.stats().export_outcomes(snap, prefix);
+  snap.counters[prefix + ".forwarded_interests"] += stats_.forwarded_interests;
+  snap.counters[prefix + ".collapsed_interests"] += stats_.collapsed_interests;
+  snap.counters[prefix + ".nonce_drops"] += stats_.nonce_drops;
+  snap.counters[prefix + ".scope_drops"] += stats_.scope_drops;
+  snap.counters[prefix + ".no_route_drops"] += stats_.no_route_drops;
+  snap.counters[prefix + ".pit_overflows"] += stats_.pit_overflows;
+  snap.counters[prefix + ".admission_skips"] += stats_.admission_skips;
+  snap.counters[prefix + ".nacks_sent"] += stats_.nacks_sent;
+  snap.counters[prefix + ".nacks_received"] += stats_.nacks_received;
+  snap.counters[prefix + ".unsolicited_data"] += stats_.unsolicited_data;
+  snap.counters[prefix + ".pit_expirations"] += stats_.pit_expirations;
+  snap.counters[prefix + ".data_forwarded"] += stats_.data_forwarded;
+  snap.counters[prefix + ".pit_size"] += pit_.size();
+  snap.counters[prefix + ".pit_inserts"] += stats_.pit_inserts;
+  snap.counters[prefix + ".pit_satisfied"] += stats_.pit_satisfied;
+  snap.counters[prefix + ".pit_nack_erased"] += stats_.pit_nack_erased;
+  cs().export_metrics(snap, prefix + ".cs");
+  policy().export_metrics(snap, prefix + ".policy");
+  export_fault_metrics(snap, prefix);
+  if (telemetry_ != nullptr) telemetry_->export_metrics(snap, prefix + ".telemetry");
 }
 
 void Forwarder::check_invariants() const {

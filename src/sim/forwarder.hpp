@@ -135,10 +135,10 @@ class Forwarder final : public Node {
   /// scheduler); throws util::InvariantViolation on breach.
   void check_invariants() const;
 
-  /// Publish forwarder, content-store and policy counters into `registry`
+  /// Publish forwarder, content-store and policy counters into `snap`
   /// under `prefix` ("<prefix>.interests_received", "<prefix>.cs.*", ...).
   /// Adds current totals; call once per snapshot.
-  void export_metrics(util::MetricsRegistry& registry, const std::string& prefix) const;
+  void export_metrics(util::MetricsSnapshot& snap, const std::string& prefix) const;
 
   /// Attach an online telemetry hub (not owned; pass nullptr to detach).
   /// Registers this forwarder's CS/PIT occupancy gauges as time-series

@@ -259,8 +259,7 @@ void Node::check_face_conservation() const {
   }
 }
 
-void Node::export_fault_metrics(util::MetricsRegistry& registry,
-                                const std::string& prefix) const {
+void Node::export_fault_metrics(util::MetricsSnapshot& snap, const std::string& prefix) const {
   LinkFaultCounters faults;
   FaceAccounting acct;
   for (const FaceEnd& end : faces_) {
@@ -269,10 +268,10 @@ void Node::export_fault_metrics(util::MetricsRegistry& registry,
     acct.losses += end.accounting.losses;
     acct.deliveries += end.accounting.deliveries;
   }
-  faults.export_metrics(registry, prefix + ".faults");
-  registry.counter(prefix + ".link.packets_out").inc(acct.packets_out);
-  registry.counter(prefix + ".link.losses").inc(acct.losses);
-  registry.counter(prefix + ".link.deliveries").inc(acct.deliveries);
+  faults.export_metrics(snap, prefix + ".faults");
+  snap.counters[prefix + ".link.packets_out"] += acct.packets_out;
+  snap.counters[prefix + ".link.losses"] += acct.losses;
+  snap.counters[prefix + ".link.deliveries"] += acct.deliveries;
 }
 
 }  // namespace ndnp::sim

@@ -22,7 +22,7 @@
 #include "util/slab.hpp"
 
 namespace ndnp::util {
-class MetricsRegistry;
+struct MetricsSnapshot;
 }
 
 namespace ndnp::sim {
@@ -91,7 +91,7 @@ class Node {
 
   /// Publish per-face fault counters summed over this node's faces as
   /// "<prefix>.faults.*" plus the conservation ledger totals.
-  void export_fault_metrics(util::MetricsRegistry& registry, const std::string& prefix) const;
+  void export_fault_metrics(util::MetricsSnapshot& snap, const std::string& prefix) const;
 
  protected:
   [[nodiscard]] util::Rng& rng() noexcept { return rng_; }

@@ -63,16 +63,16 @@ void TelemetryHub::on_lookup(std::uint64_t face_key, std::uint64_t prefix_hash,
   recorder_.maybe_sample(now);
 }
 
-void TelemetryHub::export_metrics(util::MetricsRegistry& registry,
+void TelemetryHub::export_metrics(util::MetricsSnapshot& snap,
                                   const std::string& prefix) const {
-  registry.counter(prefix + ".lookups").inc(lookups());
-  outcomes_.export_outcomes(registry, prefix + ".outcome");
+  snap.counters[prefix + ".lookups"] += lookups();
+  outcomes_.export_outcomes(snap, prefix + ".outcome");
   for (std::size_t k = 0; k < kDetectorKinds; ++k) {
     const auto kind = static_cast<DetectorKind>(k);
-    registry.counter(prefix + ".alarms." + std::string(to_string(kind))).inc(alarms(kind));
+    snap.counters[prefix + ".alarms." + std::string(to_string(kind))] += alarms(kind);
   }
-  registry.counter(prefix + ".samples").inc(recorder_.rows());
-  registry.counter(prefix + ".missed_boundaries").inc(recorder_.missed_boundaries());
+  snap.counters[prefix + ".samples"] += recorder_.rows();
+  snap.counters[prefix + ".missed_boundaries"] += recorder_.missed_boundaries();
 }
 
 void SweepTelemetryCapture::prepare(std::size_t num_runs) {

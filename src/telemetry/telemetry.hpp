@@ -33,7 +33,7 @@
 #define NDNP_TELEMETRY 1  // read only by the bench/e2e host record
 
 namespace ndnp::util {
-class MetricsRegistry;
+struct MetricsSnapshot;
 }
 
 namespace ndnp::telemetry {
@@ -96,9 +96,9 @@ class TelemetryHub {
     return face_bank_.alarms(kind) + prefix_bank_.alarms(kind);
   }
 
-  /// Publish lookup/alarm counters into `registry` under `prefix`
+  /// Publish lookup/alarm counters into `snap` under `prefix`
   /// ("<prefix>.lookups", "<prefix>.alarms.<detector>", ...).
-  void export_metrics(util::MetricsRegistry& registry, const std::string& prefix) const;
+  void export_metrics(util::MetricsSnapshot& snap, const std::string& prefix) const;
 
  private:
   TelemetryOptions options_;

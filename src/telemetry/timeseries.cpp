@@ -1,19 +1,13 @@
 #include "telemetry/timeseries.hpp"
 
-#include <cstdio>
 #include <fstream>
 #include <stdexcept>
+
+#include "util/metrics.hpp"
 
 namespace ndnp::telemetry {
 
 namespace {
-
-/// Same canonical double formatting as util::MetricsSnapshot::to_json.
-std::string format_double(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", value);
-  return buf;
-}
 
 /// Prometheus metric names allow [a-zA-Z0-9_:]; everything else maps to '_'.
 std::string sanitize_prometheus(const std::string& name) {
@@ -98,7 +92,8 @@ std::string TimeSeriesRecorder::to_csv() const {
   for (std::size_t r = 0; r < n; ++r) {
     const std::size_t i = full_ ? (start + r) % max_rows_ : r;
     out += std::to_string(times_[i]);
-    for (std::size_t c = 0; c < stride; ++c) out += ',' + format_double(values_[i * stride + c]);
+    for (std::size_t c = 0; c < stride; ++c)
+      out += ',' + util::format_double(values_[i * stride + c]);
     out += '\n';
   }
   return out;
@@ -115,7 +110,7 @@ std::string TimeSeriesRecorder::to_prometheus() const {
     const std::string metric = "ndnp_" + sanitize_prometheus(names_[c]);
     out += "# HELP " + metric + " sampled gauge " + names_[c] + "\n";
     out += "# TYPE " + metric + " gauge\n";
-    out += metric + ' ' + format_double(values_[last * stride + c]) + ' ' +
+    out += metric + ' ' + util::format_double(values_[last * stride + c]) + ' ' +
            std::to_string(stamp_ms) + '\n';
   }
   return out;

@@ -15,7 +15,7 @@
 //    style); dropped_rows() counts overwrites.
 //
 // All output is canonical: times are integer nanoseconds, values print
-// with "%.17g" (same convention as util::MetricsSnapshot::to_json), rows
+// with util::format_double (as util::MetricsSnapshot::to_json does), rows
 // in time order — byte-identical across --jobs by construction since every
 // run records into its own recorder.
 #pragma once

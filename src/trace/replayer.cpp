@@ -108,10 +108,9 @@ ReplayResult ReplaySession::finish() {
   result_.stats = engine_.stats();
   result_.mean_response_ms =
       fed_ == 0 ? 0.0 : total_response_ms_ / static_cast<double>(fed_);
-  util::MetricsRegistry registry;
-  engine_.export_metrics(registry, "engine");
-  if (config_.telemetry != nullptr) config_.telemetry->export_metrics(registry, "telemetry");
-  util::MetricsSnapshot& snap = result_.metrics = registry.snapshot();
+  util::MetricsSnapshot& snap = result_.metrics;
+  engine_.export_metrics(snap, "engine");
+  if (config_.telemetry != nullptr) config_.telemetry->export_metrics(snap, "telemetry");
   snap.counters["replay.records"] = fed_;
   snap.counters["replay.private_requests"] = result_.private_requests;
   snap.counters["replay.upstream_losses"] = result_.upstream_losses;

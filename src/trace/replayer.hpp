@@ -67,11 +67,13 @@ struct ReplayResult {
   /// Fetches that needed at least one retry.
   std::uint64_t degraded_fetches = 0;
 
-  /// The paper's Figure 5 metric, in percent.
-  [[nodiscard]] double hit_rate_pct() const noexcept { return 100.0 * stats.hit_rate(); }
-  /// Bandwidth view (exposed + delayed hits), in percent.
-  [[nodiscard]] double cache_served_pct() const noexcept {
-    return 100.0 * stats.cache_served_rate();
+  /// The paper's Figure 5 metric, in percent: the "replay.hit_rate_pct"
+  /// gauge that set_rate_gauges wrote into `metrics`.
+  [[nodiscard]] double hit_rate_pct() const { return metrics.gauges.at("replay.hit_rate_pct"); }
+  /// Bandwidth view (exposed + delayed hits), in percent: the
+  /// "replay.cache_served_pct" gauge.
+  [[nodiscard]] double cache_served_pct() const {
+    return metrics.gauges.at("replay.cache_served_pct");
   }
   /// Mean response delay per request, ms.
   double mean_response_ms = 0.0;

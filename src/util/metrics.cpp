@@ -1,20 +1,17 @@
 #include "util/metrics.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <set>
-#include <stdexcept>
 
 namespace ndnp::util {
 
-namespace {
-
-/// Round-trip-exact double formatting, locale-independent.
 std::string format_double(double x) {
   char buf[40];
   std::snprintf(buf, sizeof buf, "%.17g", x);
   return buf;
 }
+
+namespace {
 
 /// JSON string escaping for metric names (which are plain dotted
 /// identifiers in practice; this keeps the exporter safe anyway). Quotes
@@ -39,75 +36,33 @@ std::string escape(const std::string& s) {
   return out;
 }
 
-void append_histogram_json(std::string& out, const HistogramData& hist) {
-  out += "{\"lo\":" + format_double(hist.lo) + ",\"hi\":" + format_double(hist.hi) +
+void append_histogram_json(std::string& out, const Histogram& hist) {
+  out += "{\"lo\":" + format_double(hist.lo()) + ",\"hi\":" + format_double(hist.hi()) +
          ",\"counts\":[";
-  for (std::size_t i = 0; i < hist.counts.size(); ++i) {
+  for (std::size_t i = 0; i < hist.bins(); ++i) {
     if (i) out += ',';
-    out += std::to_string(hist.counts[i]);
+    out += std::to_string(hist.count(i));
   }
   out += "]}";
 }
 
-}  // namespace
-
-HistogramMetric::HistogramMetric(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins) {
-  if (!(lo < hi) || bins == 0)
-    throw std::invalid_argument("HistogramMetric: need lo < hi and bins > 0");
-}
-
-void HistogramMetric::add(double x) noexcept {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  std::size_t bin = 0;
-  if (x >= hi_) {
-    bin = counts_.size() - 1;
-  } else if (x > lo_) {
-    bin = std::min(static_cast<std::size_t>((x - lo_) / width), counts_.size() - 1);
+/// Same-named histograms merge bin-wise; a name new to `into` is copied.
+void merge_histograms(std::map<std::string, Histogram>& into,
+                      const std::map<std::string, Histogram>& from) {
+  for (const auto& [name, hist] : from) {
+    const auto [it, fresh] = into.try_emplace(name, hist);
+    if (!fresh) it->second.merge(hist);
   }
-  counts_[bin].fetch_add(1, std::memory_order_relaxed);
 }
 
-std::uint64_t HistogramData::total() const noexcept {
-  std::uint64_t sum = 0;
-  for (const std::uint64_t c : counts) sum += c;
-  return sum;
-}
-
-bool HistogramData::same_shape(const HistogramData& other) const noexcept {
-  return lo == other.lo && hi == other.hi && counts.size() == other.counts.size();
-}
-
-double HistogramData::approx_mean() const noexcept {
-  const std::uint64_t n = total();
-  if (n == 0 || counts.empty()) return 0.0;
-  const double width = (hi - lo) / static_cast<double>(counts.size());
-  double sum = 0.0;
-  for (std::size_t i = 0; i < counts.size(); ++i)
-    sum += static_cast<double>(counts[i]) * (lo + (static_cast<double>(i) + 0.5) * width);
-  return sum / static_cast<double>(n);
-}
-
-HistogramData merge(const HistogramData& a, const HistogramData& b) {
-  if (!a.same_shape(b))
-    throw std::invalid_argument("merge: histogram shapes differ");
-  HistogramData out = a;
-  for (std::size_t i = 0; i < out.counts.size(); ++i) out.counts[i] += b.counts[i];
-  return out;
-}
+}  // namespace
 
 MetricsSnapshot merge_snapshots(const std::vector<MetricsSnapshot>& parts) {
   MetricsSnapshot out;
   for (const MetricsSnapshot& part : parts) {
     for (const auto& [name, value] : part.counters) out.counters[name] += value;
     for (const auto& [name, value] : part.gauges) out.gauges[name] += value;
-    for (const auto& [name, hist] : part.histograms) {
-      const auto it = out.histograms.find(name);
-      if (it == out.histograms.end())
-        out.histograms[name] = hist;
-      else
-        it->second = merge(it->second, hist);
-    }
+    merge_histograms(out.histograms, part.histograms);
   }
   return out;
 }
@@ -139,53 +94,6 @@ std::string MetricsSnapshot::to_json() const {
   return out;
 }
 
-bool MetricsSnapshot::operator==(const MetricsSnapshot& other) const {
-  if (counters != other.counters || gauges != other.gauges) return false;
-  if (histograms.size() != other.histograms.size()) return false;
-  for (auto it = histograms.begin(), jt = other.histograms.begin(); it != histograms.end();
-       ++it, ++jt) {
-    if (it->first != jt->first || !it->second.same_shape(jt->second) ||
-        it->second.counts != jt->second.counts)
-      return false;
-  }
-  return true;
-}
-
-Counter& MetricsRegistry::counter(const std::string& name) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  auto& slot = counters_[name];
-  if (!slot) slot = std::make_unique<Counter>();
-  return *slot;
-}
-
-HistogramMetric& MetricsRegistry::histogram(const std::string& name, double lo, double hi,
-                                            std::size_t bins) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  auto& slot = histograms_[name];
-  if (!slot) {
-    slot = std::make_unique<HistogramMetric>(lo, hi, bins);
-  } else if (slot->lo() != lo || slot->hi() != hi || slot->bins() != bins) {
-    throw std::invalid_argument("MetricsRegistry: histogram '" + name +
-                                "' re-registered with a different shape");
-  }
-  return *slot;
-}
-
-MetricsSnapshot MetricsRegistry::snapshot() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  MetricsSnapshot snap;
-  for (const auto& [name, counter] : counters_) snap.counters[name] = counter->value();
-  for (const auto& [name, hist] : histograms_) {
-    HistogramData data;
-    data.lo = hist->lo();
-    data.hi = hist->hi();
-    data.counts.resize(hist->bins());
-    for (std::size_t i = 0; i < hist->bins(); ++i) data.counts[i] = hist->count(i);
-    snap.histograms[name] = std::move(data);
-  }
-  return snap;
-}
-
 void MetricAggregate::add(double x) {
   stats.add(x);
   samples.add(x);
@@ -194,7 +102,7 @@ void MetricAggregate::add(double x) {
 SweepAggregate SweepAggregate::from_runs(const std::vector<MetricsSnapshot>& runs) {
   SweepAggregate agg;
   agg.runs = runs.size();
-  // Counter names missing from some runs count as 0 there, so the mean is
+  // Counters missing from some runs count as 0 there, so the mean is
   // over all runs; gauges (derived ratios) are only meaningful where
   // computed and skip absent runs.
   std::set<std::string> counter_names;
@@ -212,13 +120,7 @@ SweepAggregate SweepAggregate::from_runs(const std::vector<MetricsSnapshot>& run
   }
   for (const MetricsSnapshot& run : runs) {
     for (const auto& [name, value] : run.gauges) agg.gauges[name].add(value);
-    for (const auto& [name, hist] : run.histograms) {
-      const auto it = agg.histograms.find(name);
-      if (it == agg.histograms.end())
-        agg.histograms[name] = hist;
-      else
-        it->second = merge(it->second, hist);
-    }
+    merge_histograms(agg.histograms, run.histograms);
   }
   return agg;
 }

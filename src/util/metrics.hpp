@@ -1,28 +1,21 @@
-// Metrics registry: named monotonic counters and fixed-bin histograms.
+// Metrics snapshot: named counters, gauges and fixed-bin histograms.
 //
 // Components (ContentStore, Forwarder, the CM policies, the replay engine)
-// publish their counters into a per-run `MetricsRegistry` under a dotted
-// naming scheme (`<component>.<counter>`, e.g. "cs.evictions",
-// "engine.exposed_hits"; see docs/RUNNER.md). A registry is snapshotted at
-// the end of a run into a plain-data `MetricsSnapshot`; snapshots from a
-// seed/parameter sweep are aggregated across runs (mean/stddev/min/max via
-// Welford, exact percentiles via SampleSet) and exported as JSON for the
-// bench harness.
+// export their counters straight into a per-run `MetricsSnapshot` under a
+// dotted naming scheme (`<component>.<counter>`, e.g. "cs.evictions",
+// "engine.exposed_hits"; see docs/RUNNER.md). Every export hook adds
+// (`snap.counters[name] += value`), so two exports under one prefix sum.
+// Snapshots from a seed/parameter sweep are aggregated across runs
+// (mean/stddev/min/max via Welford, exact percentiles via SampleSet) and
+// exported as JSON for the bench harness.
 //
-// Thread-safety contract: a registry may be shared by several threads —
-// counter increments and histogram adds are lock-free atomics, and
-// name->metric resolution takes a mutex — but the common usage is one
-// registry per run (the runner gives every run its own). Snapshots and
-// aggregates are plain values with no synchronization; take them after the
-// writers are done (or accept a momentary torn view across *different*
-// metrics — individual counters are always internally consistent).
+// A snapshot is a plain value with no synchronization: each run fills its
+// own, and per-worker snapshots are combined with merge_snapshots after the
+// writers are done.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -30,65 +23,28 @@
 
 namespace ndnp::util {
 
-/// Monotonic counter. Increments from any number of threads sum exactly
-/// (fetch_add; relaxed ordering suffices — counters carry no dependencies).
-class Counter {
- public:
-  void inc(std::uint64_t delta = 1) noexcept {
-    value_.fetch_add(delta, std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t value() const noexcept {
-    return value_.load(std::memory_order_relaxed);
-  }
+/// Round-trip-exact (17 significant digits), locale-independent double
+/// formatting: the one number format of the canonical exports (the JSON
+/// here and the telemetry time-series CSV/Prometheus text).
+[[nodiscard]] std::string format_double(double x);
 
- private:
-  std::atomic<std::uint64_t> value_{0};
+/// One run's metrics, plus free-form derived gauges (doubles like hit rates
+/// that runs compute from counters). All maps are ordered so serialization
+/// is canonical: equal snapshots produce byte-identical JSON.
+struct MetricsSnapshot {
+  std::map<std::string, std::uint64_t> counters;
+  std::map<std::string, double> gauges;
+  std::map<std::string, Histogram> histograms;
+
+  /// Canonical JSON. Doubles go through format_double, keys in
+  /// lexicographic order — deterministic byte-for-byte.
+  [[nodiscard]] std::string to_json() const;
+
+  [[nodiscard]] bool operator==(const MetricsSnapshot& other) const = default;
 };
 
-/// Fixed-width-bin histogram over [lo, hi) with atomic per-bin counts.
-/// Out-of-range samples clamp to the edge bins (same convention as
-/// util::Histogram). Shape (lo, hi, bins) is fixed at creation; two
-/// histogram snapshots merge iff their shapes match.
-class HistogramMetric {
- public:
-  HistogramMetric(double lo, double hi, std::size_t bins);
-
-  void add(double x) noexcept;
-
-  [[nodiscard]] double lo() const noexcept { return lo_; }
-  [[nodiscard]] double hi() const noexcept { return hi_; }
-  [[nodiscard]] std::size_t bins() const noexcept { return counts_.size(); }
-  [[nodiscard]] std::uint64_t count(std::size_t bin) const noexcept {
-    return counts_[bin].load(std::memory_order_relaxed);
-  }
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::atomic<std::uint64_t>> counts_;
-};
-
-/// Plain-data histogram snapshot; the mergeable/serializable counterpart of
-/// HistogramMetric.
-struct HistogramData {
-  double lo = 0.0;
-  double hi = 1.0;
-  std::vector<std::uint64_t> counts;
-
-  [[nodiscard]] std::uint64_t total() const noexcept;
-  [[nodiscard]] bool same_shape(const HistogramData& other) const noexcept;
-
-  /// Mean estimated from bin centers (diagnostic; exact stats should use a
-  /// counter pair or a gauge).
-  [[nodiscard]] double approx_mean() const noexcept;
-};
-
-/// Bin-wise sum of two same-shaped histograms. Associative and commutative
-/// (unsigned addition per bin). Throws std::invalid_argument on shape
-/// mismatch.
-[[nodiscard]] HistogramData merge(const HistogramData& a, const HistogramData& b);
-
-struct MetricsSnapshot;
+/// Old name, kept only because bench/e2e/bench_e2e.cpp's TimedPolicy still spells it.
+using MetricsRegistry = MetricsSnapshot;
 
 /// Element-wise union of per-shard snapshots (the sharded replayer's merge
 /// step): counters are summed, same-named histograms merged bin-wise, and
@@ -96,45 +52,9 @@ struct MetricsSnapshot;
 /// from the merged counters by the caller — summing them is only the right
 /// default for additive totals. Parts are folded in vector order over
 /// ordered maps, so the result is deterministic and independent of how the
-/// parts were produced.
+/// parts were produced. Throws std::invalid_argument when two same-named
+/// histograms differ in shape.
 [[nodiscard]] MetricsSnapshot merge_snapshots(const std::vector<MetricsSnapshot>& parts);
-
-/// Point-in-time copy of a registry, plus free-form derived gauges (doubles
-/// like hit rates that runs compute from counters). All maps are ordered so
-/// serialization is canonical: equal snapshots produce byte-identical JSON.
-struct MetricsSnapshot {
-  std::map<std::string, std::uint64_t> counters;
-  std::map<std::string, double> gauges;
-  std::map<std::string, HistogramData> histograms;
-
-  /// Canonical JSON. Doubles are printed with "%.17g" (round-trip exact),
-  /// keys in lexicographic order — deterministic byte-for-byte.
-  [[nodiscard]] std::string to_json() const;
-
-  [[nodiscard]] bool operator==(const MetricsSnapshot& other) const;
-};
-
-class MetricsRegistry {
- public:
-  MetricsRegistry() = default;
-  MetricsRegistry(const MetricsRegistry&) = delete;
-  MetricsRegistry& operator=(const MetricsRegistry&) = delete;
-
-  /// Create-or-get by name. Returned references stay valid for the
-  /// registry's lifetime (metrics are never removed).
-  [[nodiscard]] Counter& counter(const std::string& name);
-  /// Create-or-get; on re-lookup the (lo, hi, bins) arguments must match
-  /// the existing shape (throws std::invalid_argument otherwise).
-  [[nodiscard]] HistogramMetric& histogram(const std::string& name, double lo, double hi,
-                                           std::size_t bins);
-
-  [[nodiscard]] MetricsSnapshot snapshot() const;
-
- private:
-  mutable std::mutex mutex_;
-  std::map<std::string, std::unique_ptr<Counter>> counters_;
-  std::map<std::string, std::unique_ptr<HistogramMetric>> histograms_;
-};
 
 /// Cross-run aggregate of one metric: count/mean/stddev/min/max (Welford)
 /// plus exact percentiles (SampleSet keeps every per-run value; sweeps are
@@ -155,7 +75,7 @@ struct SweepAggregate {
   std::size_t runs = 0;
   std::map<std::string, MetricAggregate> counters;
   std::map<std::string, MetricAggregate> gauges;
-  std::map<std::string, HistogramData> histograms;
+  std::map<std::string, Histogram> histograms;
 
   [[nodiscard]] static SweepAggregate from_runs(const std::vector<MetricsSnapshot>& runs);
 

@@ -50,6 +50,13 @@ void Histogram::add(double x) noexcept {
   ++total_;
 }
 
+void Histogram::merge(const Histogram& other) {
+  if (lo_ != other.lo_ || hi_ != other.hi_ || bins() != other.bins())
+    throw std::invalid_argument("Histogram::merge: shapes differ");
+  for (std::size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
+  total_ += other.total_;
+}
+
 std::uint64_t Histogram::count(std::size_t bin) const { return counts_.at(bin); }
 
 double Histogram::bin_width() const noexcept {
@@ -69,7 +76,7 @@ double Histogram::pmf(std::size_t bin) const {
 double Histogram::density(std::size_t bin) const { return pmf(bin) / bin_width(); }
 
 std::size_t Histogram::bin_of(double x) const noexcept {
-  if (x <= lo_) return 0;
+  if (!(x > lo_)) return 0;
   if (x >= hi_) return counts_.size() - 1;
   const auto bin = static_cast<std::size_t>((x - lo_) / bin_width());
   return std::min(bin, counts_.size() - 1);

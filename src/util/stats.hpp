@@ -40,12 +40,18 @@ class Welford {
 
 /// Fixed-width-bin histogram over [lo, hi). Out-of-range samples clamp to
 /// the first/last bin so no probability mass is silently dropped (matters
-/// for heavy-tailed WAN jitter).
+/// for heavy-tailed WAN jitter); a NaN sample lands in the first bin.
+/// Shape (lo, hi, bins) is fixed at construction.
 class Histogram {
  public:
   Histogram(double lo, double hi, std::size_t bins);
 
   void add(double x) noexcept;
+  /// Bin-wise sum. Associative and commutative (unsigned addition per
+  /// bin). Throws std::invalid_argument unless the shapes match.
+  void merge(const Histogram& other);
+
+  [[nodiscard]] bool operator==(const Histogram& other) const = default;
 
   [[nodiscard]] std::size_t bins() const noexcept { return counts_.size(); }
   [[nodiscard]] std::uint64_t count(std::size_t bin) const;

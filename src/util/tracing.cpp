@@ -155,8 +155,15 @@ void Tracer::record_span(std::string_view node, std::string_view comp, std::stri
     metric += '.';
     metric += label;
     metric += "_us";
-    profile_->histogram(metric, 0.0, 10'000.0, 100)
-        .add(static_cast<double>(wall_ns) / 1'000.0);
+    constexpr double kHiUs = 10'000.0;
+    constexpr std::size_t kBins = 100;
+    const auto [it, fresh] =
+        profile_->histograms.try_emplace(std::move(metric), 0.0, kHiUs, kBins);
+    Histogram& hist = it->second;
+    if (!fresh && (hist.lo() != 0.0 || hist.hi() != kHiUs || hist.bins() != kBins))
+      throw std::invalid_argument("Tracer: histogram '" + it->first +
+                                  "' re-registered with a different shape");
+    hist.add(static_cast<double>(wall_ns) / 1'000.0);
   }
 }
 

@@ -4,7 +4,7 @@
 // cache state purely from Interest/Data timing — and the countermeasures
 // trade that signal away. Debugging either side needs event-level truth:
 // why a probe hit or missed, which entry was evicted, what the policy
-// decided and with which k_C. The MetricsRegistry (util/metrics.hpp) gives
+// decided and with which k_C. The MetricsSnapshot (util/metrics.hpp) gives
 // end-of-run aggregates; this module records the *sequence*.
 //
 // Model:
@@ -42,7 +42,7 @@
 
 namespace ndnp::util {
 
-class MetricsRegistry;
+struct MetricsSnapshot;
 
 enum class TraceEventType : std::uint8_t {
   kInterestTx,   // packet handed to a face for transmission
@@ -111,10 +111,13 @@ class Tracer {
   [[nodiscard]] const std::string& filter() const noexcept { return filter_; }
 
   /// When set, profiling spans additionally feed wall-clock histograms
-  /// ("profile.<comp>.<label>_us") into this registry. Wall-clock values
-  /// are observability-only and must never reach deterministic outputs.
-  void set_profile_registry(MetricsRegistry* registry) noexcept { profile_ = registry; }
-  [[nodiscard]] MetricsRegistry* profile_registry() const noexcept { return profile_; }
+  /// ("profile.<comp>.<label>_us", 0–10 000 µs in 100 bins) into this
+  /// snapshot, creating each on first use; a span throws
+  /// std::invalid_argument if that name already holds another shape.
+  /// Wall-clock values are observability-only and must never reach
+  /// deterministic outputs.
+  void set_profile_registry(MetricsSnapshot* snap) noexcept { profile_ = snap; }
+  [[nodiscard]] MetricsSnapshot* profile_registry() const noexcept { return profile_; }
 
   /// Intern a node/component label; stable id for this tracer's lifetime.
   [[nodiscard]] std::uint32_t intern(std::string_view label);
@@ -163,7 +166,7 @@ class Tracer {
   std::size_t filtered_ = 0;
   util::SimTime last_time_ = kTimeZero;
   std::string filter_;
-  MetricsRegistry* profile_ = nullptr;
+  MetricsSnapshot* profile_ = nullptr;
   std::vector<TraceEvent> ring_;
   std::vector<std::string> labels_;
   std::map<std::string, std::uint32_t, std::less<>> label_ids_;
@@ -190,7 +193,7 @@ class TracerBinding {
 
 /// Implementation of NDNP_TRACE_SCOPE: measures the enclosing scope's
 /// wall-clock duration and records a kSpan event (plus a histogram sample
-/// when the bound tracer has a profile registry). All three labels must
+/// when the bound tracer has a profile snapshot). All three labels must
 /// outlive the scope (string literals at the macro call sites).
 class ScopedTraceSpan {
  public:

@@ -7,6 +7,8 @@
 #                   write <dir.d>/metrics.run0 and <dir.d>/metrics.run1.
 # CASE bad_count:   malformed numeric flags (--cache 12abc, --cache -5,
 #                   --shards -1, ...) exit 2 with a message naming the flag.
+# CASE trace_out_with_shards: --trace-out/--trace-filter with --shards exit
+#                   0 and warn on stderr that the capture is ignored.
 
 file(REMOVE_RECURSE "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}/out.d")
@@ -53,6 +55,17 @@ elseif(CASE STREQUAL "bad_count")
       message(FATAL_ERROR "the message does not name ${flag}: ${err}")
     endif()
   endforeach()
+elseif(CASE STREQUAL "trace_out_with_shards")
+  execute_process(
+    COMMAND "${REPLAY_TOOL}" --trace "${WORK_DIR}/t1.txt" --shards 2
+            --trace-out "${WORK_DIR}/cap.jsonl" --trace-filter /web
+    RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "replay_tool exited ${rc}: ${err}")
+  endif()
+  if(NOT err MATCHES "warning: --trace-out and --trace-filter are ignored with --shards")
+    message(FATAL_ERROR "no warning that the capture is ignored: ${err}")
+  endif()
 else()
   message(FATAL_ERROR "unknown CASE '${CASE}'")
 endif()

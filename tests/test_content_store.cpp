@@ -214,9 +214,8 @@ TEST(ContentStore, StatsRegressionScriptedSequence) {
   EXPECT_EQ(cs.stats().evictions, 1u);
 
   // export_metrics publishes the same counters (plus size) untouched.
-  util::MetricsRegistry registry;
-  cs.export_metrics(registry, "cs");
-  const util::MetricsSnapshot snap = registry.snapshot();
+  util::MetricsSnapshot snap;
+  cs.export_metrics(snap, "cs");
   EXPECT_EQ(snap.counters.at("cs.lookups"), 5u);
   EXPECT_EQ(snap.counters.at("cs.matches"), 4u);
   EXPECT_EQ(snap.counters.at("cs.inserts"), 5u);

@@ -1,5 +1,6 @@
-// Metrics registry: exactness under concurrency, merge algebra, canonical
-// serialization, cross-run aggregation, and the component export hooks.
+// Metrics snapshots: exact per-thread merges, histogram merge algebra,
+// canonical serialization, cross-run aggregation, and the component export
+// hooks.
 #include "util/metrics.hpp"
 
 #include <gtest/gtest.h>
@@ -11,105 +12,122 @@
 #include "cache/content_store.hpp"
 #include "core/engine.hpp"
 #include "core/policies.hpp"
+#include "sim/apps.hpp"
 #include "sim/forwarder.hpp"
 #include "sim/scheduler.hpp"
 #include "util/rng.hpp"
+#include "util/tracing.hpp"
 
 namespace {
 
 using namespace ndnp;
 
 TEST(Metrics, CounterConcurrentIncrementsSumExactly) {
-  util::MetricsRegistry registry;
+  // The runner's model: every thread fills its own snapshot, and
+  // merge_snapshots sums them afterwards.
   constexpr std::size_t kThreads = 8;
   constexpr std::uint64_t kPerThread = 100'000;
+  std::vector<util::MetricsSnapshot> parts(kThreads);
   std::vector<std::thread> threads;
   for (std::size_t t = 0; t < kThreads; ++t)
-    threads.emplace_back([&registry, t] {
-      // Exercise both the shared counter and create-or-get racing on a
-      // second name from every thread.
-      util::Counter& shared = registry.counter("shared");
+    threads.emplace_back([&part = parts[t], t] {
       for (std::uint64_t i = 0; i < kPerThread; ++i) {
-        shared.inc();
-        registry.counter("contended").inc(t + 1);
+        ++part.counters["shared"];
+        part.counters["weighted"] += t + 1;
       }
     });
   for (std::thread& t : threads) t.join();
-  EXPECT_EQ(registry.counter("shared").value(), kThreads * kPerThread);
+  const util::MetricsSnapshot merged = util::merge_snapshots(parts);
+  EXPECT_EQ(merged.counters.at("shared"), kThreads * kPerThread);
   // sum over t of kPerThread * (t+1) = kPerThread * kThreads*(kThreads+1)/2
-  EXPECT_EQ(registry.counter("contended").value(),
-            kPerThread * kThreads * (kThreads + 1) / 2);
+  EXPECT_EQ(merged.counters.at("weighted"), kPerThread * kThreads * (kThreads + 1) / 2);
 }
 
 TEST(Metrics, HistogramConcurrentAddsLoseNothing) {
-  util::MetricsRegistry registry;
   constexpr std::size_t kThreads = 8;
   constexpr std::size_t kPerThread = 50'000;
+  std::vector<util::MetricsSnapshot> parts(kThreads);
   std::vector<std::thread> threads;
   for (std::size_t t = 0; t < kThreads; ++t)
-    threads.emplace_back([&registry, t] {
+    threads.emplace_back([&part = parts[t], t] {
       util::Rng rng(1000 + t);
-      util::HistogramMetric& hist = registry.histogram("h", 0.0, 1.0, 32);
+      util::Histogram& hist = part.histograms.try_emplace("h", 0.0, 1.0, 32).first->second;
       for (std::size_t i = 0; i < kPerThread; ++i) hist.add(rng.uniform01());
     });
   for (std::thread& t : threads) t.join();
-  EXPECT_EQ(registry.snapshot().histograms.at("h").total(), kThreads * kPerThread);
+  const util::MetricsSnapshot snap = util::merge_snapshots(parts);
+  const util::Histogram& hist = snap.histograms.at("h");
+  EXPECT_EQ(hist.total(), kThreads * kPerThread);
+  for (std::size_t bin = 0; bin < hist.bins(); ++bin) {
+    std::uint64_t sum = 0;
+    for (const util::MetricsSnapshot& part : parts) sum += part.histograms.at("h").count(bin);
+    EXPECT_EQ(hist.count(bin), sum) << "bin " << bin;
+  }
 }
 
-util::HistogramData random_histogram(util::Rng& rng, std::size_t bins) {
-  util::HistogramData h;
-  h.lo = 0.0;
-  h.hi = 10.0;
-  h.counts.resize(bins);
-  for (auto& c : h.counts) c = rng.uniform_u64(1'000'000);
+util::Histogram random_histogram(util::Rng& rng, std::size_t bins) {
+  util::Histogram h(0.0, 10.0, bins);
+  const std::uint64_t n = rng.uniform_u64(2'000);
+  for (std::uint64_t i = 0; i < n; ++i) h.add(10.0 * rng.uniform01());
   return h;
+}
+
+util::Histogram merged(util::Histogram a, const util::Histogram& b) {
+  a.merge(b);
+  return a;
 }
 
 TEST(Metrics, HistogramMergeIsCommutativeAndAssociative) {
   util::Rng rng(42);
   for (int trial = 0; trial < 50; ++trial) {
     const std::size_t bins = 1 + rng.uniform_u64(64);
-    const util::HistogramData a = random_histogram(rng, bins);
-    const util::HistogramData b = random_histogram(rng, bins);
-    const util::HistogramData c = random_histogram(rng, bins);
-    EXPECT_EQ(merge(a, b).counts, merge(b, a).counts);
-    EXPECT_EQ(merge(merge(a, b), c).counts, merge(a, merge(b, c)).counts);
-    EXPECT_EQ(merge(a, b).total(), a.total() + b.total());
+    const util::Histogram a = random_histogram(rng, bins);
+    const util::Histogram b = random_histogram(rng, bins);
+    const util::Histogram c = random_histogram(rng, bins);
+    EXPECT_EQ(merged(a, b), merged(b, a));
+    EXPECT_EQ(merged(merged(a, b), c), merged(a, merged(b, c)));
+    EXPECT_EQ(merged(a, b).total(), a.total() + b.total());
   }
 }
 
 TEST(Metrics, HistogramMergeRejectsShapeMismatch) {
   util::Rng rng(7);
-  const util::HistogramData a = random_histogram(rng, 8);
-  util::HistogramData b = random_histogram(rng, 9);
-  EXPECT_THROW((void)merge(a, b), std::invalid_argument);
-  b = random_histogram(rng, 8);
-  b.hi = 20.0;
-  EXPECT_THROW((void)merge(a, b), std::invalid_argument);
+  util::Histogram a = random_histogram(rng, 8);
+  EXPECT_THROW(a.merge(random_histogram(rng, 9)), std::invalid_argument);
+  EXPECT_THROW(a.merge(util::Histogram(0.0, 20.0, 8)), std::invalid_argument);
+  EXPECT_THROW(a.merge(util::Histogram(-1.0, 10.0, 8)), std::invalid_argument);
 }
 
 TEST(Metrics, HistogramReRegisterShapeMismatchThrows) {
-  util::MetricsRegistry registry;
-  (void)registry.histogram("h", 0.0, 1.0, 8);
-  EXPECT_NO_THROW((void)registry.histogram("h", 0.0, 1.0, 8));
-  EXPECT_THROW((void)registry.histogram("h", 0.0, 2.0, 8), std::invalid_argument);
-  EXPECT_THROW((void)registry.histogram("h", 0.0, 1.0, 16), std::invalid_argument);
+  // The tracer's span profile creates "profile.<comp>.<label>_us" on first
+  // use and adds to it afterwards; a same-named histogram of another shape
+  // throws.
+  util::Tracer tracer;
+  util::MetricsSnapshot snap;
+  tracer.set_profile_registry(&snap);
+  tracer.record_span("R", "cs", "insert", 1'000);
+  EXPECT_NO_THROW(tracer.record_span("R", "cs", "insert", 2'000));
+  EXPECT_EQ(snap.histograms.at("profile.cs.insert_us").total(), 2u);
+  snap.histograms.insert_or_assign("profile.cs.lookup_us", util::Histogram(0.0, 2.0, 100));
+  EXPECT_THROW(tracer.record_span("R", "cs", "lookup", 1'000), std::invalid_argument);
+  snap.histograms.insert_or_assign("profile.cs.lookup_us", util::Histogram(0.0, 10'000.0, 16));
+  EXPECT_THROW(tracer.record_span("R", "cs", "lookup", 1'000), std::invalid_argument);
 }
 
 TEST(Metrics, SnapshotJsonIsCanonical) {
-  util::MetricsRegistry registry;
-  registry.counter("z.last").inc(3);
-  registry.counter("a.first").inc(1);
-  registry.histogram("lat", 0.0, 100.0, 4).add(12.0);
-  util::MetricsSnapshot snap = registry.snapshot();
+  util::MetricsSnapshot snap;
+  snap.counters["z.last"] += 3;
+  snap.counters["a.first"] += 1;
+  snap.histograms.try_emplace("lat", 0.0, 100.0, 4).first->second.add(12.0);
   snap.gauges["rate"] = 0.1 + 0.2;  // non-trivial double must round-trip
   const std::string json = snap.to_json();
   // Keys serialize in lexicographic order regardless of insertion order.
   EXPECT_LT(json.find("a.first"), json.find("z.last"));
   EXPECT_EQ(json, snap.to_json()) << "serialization must be deterministic";
-  const util::MetricsSnapshot again = registry.snapshot();
-  EXPECT_EQ(again.counters, snap.counters);
   EXPECT_NE(json.find("\"rate\":0.30000000000000004"), std::string::npos) << json;
+  EXPECT_EQ(json,
+            R"({"counters":{"a.first":1,"z.last":3},"gauges":{"rate":0.30000000000000004},)"
+            R"("histograms":{"lat":{"lo":0,"hi":100,"counts":[1,0,0,0]}}})");
 }
 
 TEST(Metrics, SweepAggregateStats) {
@@ -135,14 +153,14 @@ TEST(Metrics, SweepAggregateStats) {
 TEST(Metrics, SweepAggregateMergesHistograms) {
   std::vector<util::MetricsSnapshot> runs(3);
   for (std::size_t i = 0; i < 3; ++i) {
-    util::HistogramData h;
-    h.lo = 0.0;
-    h.hi = 4.0;
-    h.counts = {i + 1, 2 * (i + 1)};
-    runs[i].histograms["h"] = h;
+    util::Histogram& h = runs[i].histograms.try_emplace("h", 0.0, 4.0, 2).first->second;
+    for (std::size_t n = 0; n < i + 1; ++n) h.add(1.0);
+    for (std::size_t n = 0; n < 2 * (i + 1); ++n) h.add(3.0);
   }
   const util::SweepAggregate agg = util::SweepAggregate::from_runs(runs);
-  EXPECT_EQ(agg.histograms.at("h").counts, (std::vector<std::uint64_t>{6, 12}));
+  const util::Histogram& h = agg.histograms.at("h");
+  EXPECT_EQ(h.count(0), 6u);
+  EXPECT_EQ(h.count(1), 12u);
 }
 
 TEST(Metrics, ContentStoreExport) {
@@ -152,9 +170,8 @@ TEST(Metrics, ContentStoreExport) {
     (void)store.insert(ndn::make_data(ndn::Name{"m", "obj" + std::to_string(i)}, "x", "p", "k"),
                        meta);
   }
-  util::MetricsRegistry registry;
-  store.export_metrics(registry, "cs");
-  const util::MetricsSnapshot snap = registry.snapshot();
+  util::MetricsSnapshot snap;
+  store.export_metrics(snap, "cs");
   EXPECT_EQ(snap.counters.at("cs.inserts"), 6u);
   EXPECT_EQ(snap.counters.at("cs.evictions"), 2u);
   EXPECT_EQ(snap.counters.at("cs.size"), 4u);
@@ -173,9 +190,8 @@ TEST(Metrics, EngineExportIncludesPolicyAndStore) {
   interest.name = ndn::Name{"m", "obj"};
   for (int i = 0; i < 5; ++i)
     (void)engine.handle(interest, util::millis(i), fetch);
-  util::MetricsRegistry registry;
-  engine.export_metrics(registry, "engine");
-  const util::MetricsSnapshot snap = registry.snapshot();
+  util::MetricsSnapshot snap;
+  engine.export_metrics(snap, "engine");
   EXPECT_EQ(snap.counters.at("engine.requests"), 5u);
   EXPECT_EQ(snap.counters.at("engine.cs.inserts"), 1u);
   EXPECT_EQ(snap.counters.at("engine.policy.groups"), 1u);
@@ -204,56 +220,74 @@ TEST(MetricsJson, EscapesMetricNames) {
 }
 
 TEST(MetricsJson, HistogramEdgeBinsClampOutOfRangeSamples) {
-  util::MetricsRegistry registry;
-  util::HistogramMetric& hist = registry.histogram("h", 0.0, 1.0, 4);
+  util::MetricsSnapshot snap;
+  util::Histogram& hist = snap.histograms.try_emplace("h", 0.0, 1.0, 4).first->second;
   hist.add(-1e9);   // below lo -> first bin
   hist.add(-0.001);
   hist.add(0.999);  // in range -> last bin
   hist.add(1.0);    // hi is exclusive -> clamps to last bin
   hist.add(1e9);
-  const util::HistogramData data = registry.snapshot().histograms.at("h");
-  ASSERT_EQ(data.counts.size(), 4u);
-  EXPECT_EQ(data.counts[0], 2u);
-  EXPECT_EQ(data.counts[1], 0u);
-  EXPECT_EQ(data.counts[2], 0u);
-  EXPECT_EQ(data.counts[3], 3u);
-  EXPECT_EQ(data.total(), 5u);
+  ASSERT_EQ(hist.bins(), 4u);
+  EXPECT_EQ(hist.count(0), 2u);
+  EXPECT_EQ(hist.count(1), 0u);
+  EXPECT_EQ(hist.count(2), 0u);
+  EXPECT_EQ(hist.count(3), 3u);
+  EXPECT_EQ(hist.total(), 5u);
   // The clamped shape serializes with every bin, zeros included.
-  EXPECT_NE(registry.snapshot().to_json().find("\"counts\":[2,0,0,3]"), std::string::npos);
+  EXPECT_NE(snap.to_json().find("\"counts\":[2,0,0,3]"), std::string::npos);
 }
 
 TEST(MetricsJson, EqualSnapshotsSerializeByteIdentically) {
-  // Populate two registries in different orders with the same final state;
-  // the ordered maps must erase insertion order entirely.
-  util::MetricsRegistry a;
-  a.counter("z.last").inc(7);
-  a.counter("a.first").inc(3);
-  a.histogram("h", 0.0, 2.0, 3).add(1.0);
-  util::MetricsRegistry b;
-  b.histogram("h", 0.0, 2.0, 3).add(1.0);
-  b.counter("a.first").inc(1);
-  b.counter("a.first").inc(2);
-  b.counter("z.last").inc(7);
-  util::MetricsSnapshot sa = a.snapshot();
-  util::MetricsSnapshot sb = b.snapshot();
+  // Fill two snapshots in different orders with the same final state; the
+  // ordered maps must erase insertion order entirely.
+  util::MetricsSnapshot sa;
+  sa.counters["z.last"] += 7;
+  sa.counters["a.first"] += 3;
+  sa.histograms.try_emplace("h", 0.0, 2.0, 3).first->second.add(1.0);
+  util::MetricsSnapshot sb;
+  sb.histograms.try_emplace("h", 0.0, 2.0, 3).first->second.add(1.0);
+  sb.counters["a.first"] += 1;
+  sb.counters["a.first"] += 2;
+  sb.counters["z.last"] += 7;
   sa.gauges["rate"] = 0.1 + 0.2;  // same double expression on both sides
   sb.gauges["rate"] = 0.1 + 0.2;
   EXPECT_TRUE(sa == sb);
   EXPECT_EQ(sa.to_json(), sb.to_json());
   // %.17g round-trips doubles exactly, so the gauge survives re-parsing.
   EXPECT_NE(sa.to_json().find("\"rate\":"), std::string::npos);
+  sb.histograms.at("h").add(0.0);
+  EXPECT_FALSE(sa == sb);
 }
 
 TEST(Metrics, ForwarderExport) {
   sim::Scheduler scheduler;
   sim::ForwarderConfig config;
   sim::Forwarder forwarder(scheduler, "r1", config);
-  util::MetricsRegistry registry;
-  forwarder.export_metrics(registry, "fwd");
-  const util::MetricsSnapshot snap = registry.snapshot();
+  util::MetricsSnapshot snap;
+  forwarder.export_metrics(snap, "fwd");
   EXPECT_EQ(snap.counters.at("fwd.interests_received"), 0u);
   EXPECT_EQ(snap.counters.at("fwd.cs.lookups"), 0u);
   EXPECT_EQ(snap.counters.at("fwd.pit_size"), 0u);
+}
+
+TEST(Metrics, ForwarderExportsUnderOnePrefixSum) {
+  // Export hooks add: exporting one forwarder twice under one prefix
+  // doubles every counter, zeros included.
+  sim::Scheduler scheduler;
+  sim::Consumer consumer(scheduler, "C", 1);
+  sim::Forwarder forwarder(scheduler, "r1", sim::ForwarderConfig{});
+  (void)sim::connect(consumer, forwarder, sim::LinkConfig{});
+  consumer.fetch(ndn::Name{"m", "obj"}, [](const ndn::Data&, util::SimDuration) {});
+  scheduler.run();
+  util::MetricsSnapshot once;
+  forwarder.export_metrics(once, "fwd");
+  util::MetricsSnapshot twice;
+  forwarder.export_metrics(twice, "fwd");
+  forwarder.export_metrics(twice, "fwd");
+  ASSERT_EQ(once.counters.at("fwd.interests_received"), 1u);
+  ASSERT_EQ(twice.counters.size(), once.counters.size());
+  for (const auto& [name, value] : once.counters)
+    EXPECT_EQ(twice.counters.at(name), 2 * value) << name;
 }
 
 }  // namespace

@@ -121,6 +121,27 @@ TEST(Replayer, PolicyOrderingMatchesFigure5) {
   EXPECT_GT(none, delay_rate + 1.0);  // the spread is material, not noise
 }
 
+TEST(Replayer, RateAccessorsReturnTheGaugesBitForBit) {
+  // 110 exposed hits in 200 requests: 100 * (110 / 200.0) rounds to
+  // 55.000000000000007 but 100 * 110 / 200.0 is exactly 55, so an accessor
+  // with its own formula would disagree with the Figure 5 gauge.
+  TraceGenConfig gen;
+  gen.num_users = 5;
+  gen.num_objects = 200;
+  gen.num_requests = 200;
+  gen.num_domains = 10;
+  gen.seed = 7;
+  ReplayConfig config = with_policy([] { return std::make_unique<core::NoPrivacyPolicy>(); });
+  config.cache_capacity = 100;
+  const ReplayResult result = replay(generate_trace(gen), config);
+  const auto exposed = static_cast<double>(result.stats.exposed_hits);
+  const auto requests = static_cast<double>(result.stats.requests);
+  ASSERT_NE(100.0 * (exposed / requests), 100.0 * exposed / requests)
+      << "these counts no longer tell the two formulas apart";
+  EXPECT_EQ(result.hit_rate_pct(), result.metrics.gauges.at("replay.hit_rate_pct"));
+  EXPECT_EQ(result.cache_served_pct(), result.metrics.gauges.at("replay.cache_served_pct"));
+}
+
 TEST(Replayer, AlwaysDelayPreservesBandwidthView) {
   const Trace trace = small_trace();
   const ReplayResult none =

@@ -58,16 +58,14 @@ TEST(Runner, RunSeedStreamsNeverCollideAcross10kDraws) {
 /// from the per-run seed — any cross-thread leakage or ordering bug
 /// changes the merged output.
 util::MetricsSnapshot synthetic_run(const runner::RunContext& ctx) {
-  util::MetricsRegistry registry;
+  util::MetricsSnapshot snap;
   util::Rng rng(ctx.seed);
-  util::Counter& events = registry.counter("events");
-  util::HistogramMetric& hist = registry.histogram("values", 0.0, 1.0, 16);
+  util::Histogram& hist = snap.histograms.try_emplace("values", 0.0, 1.0, 16).first->second;
   const std::size_t n = 100 + rng.uniform_u64(100);
   for (std::size_t i = 0; i < n; ++i) {
-    events.inc();
+    ++snap.counters["events"];
     hist.add(rng.uniform01());
   }
-  util::MetricsSnapshot snap = registry.snapshot();
   snap.counters["run_index"] = ctx.run_index;
   snap.gauges["mean_draw"] = rng.uniform01();
   return snap;

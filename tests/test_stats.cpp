@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "util/rng.hpp"
 
@@ -100,6 +101,14 @@ TEST(Histogram, OutOfRangeClampsToEdgeBins) {
   h.add(10.0);  // hi boundary clamps into last bin
   EXPECT_EQ(h.count(0), 1u);
   EXPECT_EQ(h.count(4), 2u);
+}
+
+TEST(Histogram, NaNSampleLandsInFirstBin) {
+  Histogram h(0.0, 1.0, 4);
+  h.add(std::numeric_limits<double>::quiet_NaN());
+  EXPECT_EQ(h.bin_of(std::numeric_limits<double>::quiet_NaN()), 0u);
+  EXPECT_EQ(h.count(0), 1u);
+  EXPECT_EQ(h.total(), 1u);
 }
 
 TEST(Histogram, EmptyPmfIsZero) {

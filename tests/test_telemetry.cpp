@@ -292,12 +292,12 @@ TEST(TimeSeries, ProbeSetFreezesAtFirstSample) {
 }
 
 // ---------------------------------------------------------------------------
-// Metrics export: the empty-registry JSON shape is pinned because
+// Metrics export: the empty snapshot's JSON shape is pinned because
 // replay_tool/chaos_tool --metrics-out consumers key on it.
 
 TEST(MetricsExport, EmptyRegistrySnapshotJson) {
-  util::MetricsRegistry registry;
-  EXPECT_EQ(registry.snapshot().to_json(), R"({"counters":{},"gauges":{},"histograms":{}})");
+  const util::MetricsSnapshot snap;
+  EXPECT_EQ(snap.to_json(), R"({"counters":{},"gauges":{},"histograms":{}})");
 }
 
 TEST(MetricsExport, HubPublishesLookupAndAlarmCounters) {
@@ -306,9 +306,8 @@ TEST(MetricsExport, HubPublishesLookupAndAlarmCounters) {
                                          core::LookupOutcome::kTrueMiss};
   for (std::size_t i = 0; i < 10; ++i)
     hub.on_lookup(i % 2, i % 3, outcomes[i % 2], static_cast<util::SimTime>(i) * 1'000'000);
-  util::MetricsRegistry registry;
-  hub.export_metrics(registry, "telemetry");
-  const util::MetricsSnapshot snap = registry.snapshot();
+  util::MetricsSnapshot snap;
+  hub.export_metrics(snap, "telemetry");
   EXPECT_EQ(snap.counters.at("telemetry.lookups"), 10u);
   EXPECT_TRUE(snap.counters.count("telemetry.alarms.hit_rate_shift"));
   EXPECT_TRUE(snap.counters.count("telemetry.alarms.arrival_regularity"));
@@ -482,9 +481,8 @@ TEST(TelemetryViews, ForwarderHubCountsMatchForwarderCounters) {
           });
     }
     scenario->topology.scheduler().run();
-    util::MetricsRegistry registry;
-    scenario->router->export_metrics(registry, "R");
-    const util::MetricsSnapshot snap = registry.snapshot();
+    util::MetricsSnapshot snap;
+    scenario->router->export_metrics(snap, "R");
     for (const core::LookupOutcome outcome : core::kLookupOutcomes) {
       const std::string name(core::counter_name(outcome));
       EXPECT_EQ(snap.counters.at("R.telemetry.outcome." + name), snap.counters.at("R." + name))

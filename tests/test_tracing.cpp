@@ -143,8 +143,8 @@ TEST(Tracing, BindingRestoresPreviousTracer) {
 
 TEST(Tracing, ScopeRecordsSpanAndFeedsProfileHistogram) {
   util::Tracer tracer;
-  util::MetricsRegistry registry;
-  tracer.set_profile_registry(&registry);
+  util::MetricsSnapshot snap;
+  tracer.set_profile_registry(&snap);
   util::TracerBinding binding(&tracer);
   { NDNP_TRACE_SCOPE("R", "forwarder", "handle_interest"); }
   const std::vector<util::TraceEvent> events = tracer.events();
@@ -152,7 +152,6 @@ TEST(Tracing, ScopeRecordsSpanAndFeedsProfileHistogram) {
   EXPECT_EQ(events[0].type, util::TraceEventType::kSpan);
   EXPECT_EQ(tracer.label(events[0].comp), "forwarder");
   EXPECT_GE(events[0].a, 0);  // wall-clock duration in ns
-  const util::MetricsSnapshot snap = registry.snapshot();
   EXPECT_EQ(snap.histograms.at("profile.forwarder.handle_interest_us").total(), 1u);
 }
 

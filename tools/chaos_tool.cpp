@@ -90,7 +90,7 @@ int main(int argc, char** argv) {
   sweep.master_seed = master_seed;
 
   int failures = 0;
-  util::MetricsRegistry metrics;
+  util::MetricsSnapshot metrics;
 
   if (mode == "both" || mode == "chaos") {
     const std::vector<sim::ChaosEpisodeResult> results =
@@ -132,10 +132,10 @@ int main(int argc, char** argv) {
                 results.size(), static_cast<unsigned long long>(faults_total),
                 static_cast<unsigned long long>(violations),
                 static_cast<unsigned long long>(digest_chain));
-    metrics.counter("chaos.episodes").inc(results.size());
-    metrics.counter("chaos.faults_injected").inc(faults_total);
-    metrics.counter("chaos.invariant_violations").inc(violations);
-    metrics.counter("chaos.digest_chain").inc(digest_chain);
+    metrics.counters["chaos.episodes"] = results.size();
+    metrics.counters["chaos.faults_injected"] = faults_total;
+    metrics.counters["chaos.invariant_violations"] = violations;
+    metrics.counters["chaos.digest_chain"] = digest_chain;
   }
 
   if (mode == "both" || mode == "diff") {
@@ -157,18 +157,18 @@ int main(int argc, char** argv) {
     }
     std::printf("diff: %zu episodes, %zu ops, %s\n", results.size(), total_ops,
                 failures == 0 ? "no divergence" : "DIVERGED");
-    metrics.counter("diff.episodes").inc(results.size());
-    metrics.counter("diff.ops").inc(total_ops);
+    metrics.counters["diff.episodes"] = results.size();
+    metrics.counters["diff.ops"] = total_ops;
   }
 
   if (!metrics_out.empty()) {
-    metrics.counter("failures").inc(static_cast<std::uint64_t>(failures));
+    metrics.counters["failures"] = static_cast<std::uint64_t>(failures);
     std::ofstream out(metrics_out);
     if (!out) {
       std::fprintf(stderr, "error: cannot open %s\n", metrics_out.c_str());
       return 2;
     }
-    out << metrics.snapshot().to_json() << '\n';
+    out << metrics.to_json() << '\n';
   }
 
   return failures == 0 ? 0 : 1;

@@ -29,7 +29,9 @@
 // for the line-oriented dump readable by trace_inspect, anything else for
 // Chrome trace-event JSON loadable in Perfetto); --trace-filter restricts
 // the capture to content names with the given prefix. Capturing never
-// changes replay results (see docs/OBSERVABILITY.md).
+// changes replay results (see docs/OBSERVABILITY.md). --trace-out,
+// --trace-filter and --telemetry-out apply to the in-memory path only and
+// draw a warning with --shards.
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
@@ -72,9 +74,10 @@ void usage(const char* argv0) {
       "  --trace-out PATH      write a flight-recorder capture per replay; a\n"
       "                        .jsonl suffix selects the JSONL event dump\n"
       "                        (readable by trace_inspect), anything else the\n"
-      "                        Chrome trace-event JSON for Perfetto\n"
+      "                        Chrome trace-event JSON for Perfetto (ignored\n"
+      "                        with --shards)\n"
       "  --trace-filter PREFIX capture only events whose content name starts\n"
-      "                        with PREFIX\n"
+      "                        with PREFIX (ignored with --shards)\n"
       "  --telemetry-out PATH  sample the online telemetry time series per\n"
       "                        replay (detector statistics, occupancy gauges);\n"
       "                        a .prom suffix selects Prometheus text\n"
@@ -292,6 +295,9 @@ int main(int argc, char** argv) {
   if (shards > 0) {
     if (!telemetry_capture.out_path.empty())
       std::fprintf(stderr, "warning: --telemetry-out is ignored with --shards\n");
+    if (!capture.out_path.empty() || !capture.filter.empty())
+      std::fprintf(stderr,
+                   "warning: --trace-out and --trace-filter are ignored with --shards\n");
     // Streaming sharded replay, one trace at a time (each already fans its
     // shards across --jobs threads).
     runner::ShardedReplayConfig sharded;
