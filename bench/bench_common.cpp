@@ -5,17 +5,17 @@
 
 #include "runner/runner.hpp"
 #include "sim/trace_sinks.hpp"
+#include "util/cli.hpp"
 #include "util/logging.hpp"
 #include "util/tracing.hpp"
 
 namespace ndnp::bench {
 
 std::size_t scale_from_env(const char* var, std::size_t fallback) {
-  if (const char* value = std::getenv(var)) {
-    const long long parsed = std::atoll(value);
-    if (parsed > 0) return static_cast<std::size_t>(parsed);
-  }
-  return fallback;
+  const char* value = std::getenv(var);
+  if (value == nullptr || *value == '\0') return fallback;
+  const std::uint64_t parsed = util::parse_count("error", var, value);
+  return parsed > 0 ? static_cast<std::size_t>(parsed) : fallback;
 }
 
 namespace {
@@ -75,51 +75,32 @@ BenchOptions parse_bench_options(int argc, char** argv) {
       }
       return argv[++i];
     };
-    if (std::strcmp(argv[i], "--jobs") == 0) {
-      const char* value = next();
-      char* end = nullptr;
-      const unsigned long long parsed = std::strtoull(value, &end, 10);
-      if (end == value || *end != '\0') {
-        std::fprintf(stderr, "%s: --jobs expects a number, got '%s'\n", argv[0], value);
+    const char* flag = argv[i];
+    if (std::strcmp(flag, "--jobs") == 0) {
+      options.jobs = runner::resolve_jobs(util::parse_count(argv[0], flag, next()));
+    } else if (std::strcmp(flag, "--net-loss") == 0) {
+      options.net_loss = util::parse_real(argv[0], flag, next(), 1.0);
+      if (options.net_loss >= 1.0) {
+        std::fprintf(stderr, "%s: --net-loss expects a number below 1\n", argv[0]);
         std::exit(2);
       }
-      options.jobs = runner::resolve_jobs(static_cast<std::size_t>(parsed));
-    } else if (std::strcmp(argv[i], "--net-loss") == 0 ||
-               std::strcmp(argv[i], "--net-burst") == 0 ||
-               std::strcmp(argv[i], "--net-retry-ms") == 0) {
-      const char* flag = argv[i];
-      const char* value = next();
-      char* end = nullptr;
-      const double parsed = std::strtod(value, &end);
-      if (end == value || *end != '\0' || parsed < 0.0 ||
-          (std::strcmp(flag, "--net-loss") == 0 && parsed >= 1.0)) {
-        std::fprintf(stderr, "%s: %s expects a non-negative number%s, got '%s'\n", argv[0],
-                     flag, std::strcmp(flag, "--net-loss") == 0 ? " below 1" : "", value);
-        std::exit(2);
-      }
-      if (std::strcmp(flag, "--net-loss") == 0)
-        options.net_loss = parsed;
-      else if (std::strcmp(flag, "--net-burst") == 0)
-        options.net_burst = parsed;
-      else
-        options.net_retry_ms = parsed;
-    } else if (std::strcmp(argv[i], "--trace-out") == 0) {
+    } else if (std::strcmp(flag, "--net-burst") == 0) {
+      options.net_burst = util::parse_real(argv[0], flag, next());
+    } else if (std::strcmp(flag, "--net-retry-ms") == 0) {
+      options.net_retry_ms = util::parse_real(argv[0], flag, next());
+    } else if (std::strcmp(flag, "--trace-out") == 0) {
       options.trace_out = next();
-    } else if (std::strcmp(argv[i], "--trace-filter") == 0) {
+    } else if (std::strcmp(flag, "--trace-filter") == 0) {
       options.trace_filter = next();
-    } else if (std::strcmp(argv[i], "--telemetry-out") == 0) {
+    } else if (std::strcmp(flag, "--telemetry-out") == 0) {
       options.telemetry_out = next();
-    } else if (std::strcmp(argv[i], "--sample-every") == 0) {
-      const char* value = next();
-      char* end = nullptr;
-      const double parsed = std::strtod(value, &end);
-      if (end == value || *end != '\0' || parsed <= 0.0) {
-        std::fprintf(stderr, "%s: --sample-every expects a positive number, got '%s'\n",
-                     argv[0], value);
+    } else if (std::strcmp(flag, "--sample-every") == 0) {
+      options.sample_every_ms = util::parse_real(argv[0], flag, next());
+      if (options.sample_every_ms <= 0.0) {
+        std::fprintf(stderr, "%s: --sample-every expects a positive number\n", argv[0]);
         std::exit(2);
       }
-      options.sample_every_ms = parsed;
-    } else if (std::strcmp(argv[i], "--log-level") == 0) {
+    } else if (std::strcmp(flag, "--log-level") == 0) {
       const char* value = next();
       util::LogLevel level;
       if (!util::parse_log_level(value, level)) {
@@ -127,7 +108,7 @@ BenchOptions parse_bench_options(int argc, char** argv) {
         std::exit(2);
       }
       util::set_log_level(level);
-    } else if (std::strcmp(argv[i], "--help") == 0 || std::strcmp(argv[i], "-h") == 0) {
+    } else if (std::strcmp(flag, "--help") == 0 || std::strcmp(flag, "-h") == 0) {
       bench_usage(stdout, argv[0]);
       std::exit(0);
     } else {

@@ -17,7 +17,9 @@
 namespace ndnp::bench {
 
 /// Environment-variable override for experiment scale, e.g.
-/// scale_from_env("NDNP_TRACE_REQUESTS", 200'000).
+/// scale_from_env("NDNP_TRACE_REQUESTS", 200'000). Unset, empty or 0 keeps
+/// `fallback`; anything but a whole non-negative integer exits 2 naming
+/// the variable.
 [[nodiscard]] std::size_t scale_from_env(const char* var, std::size_t fallback);
 
 /// Shared bench command line:

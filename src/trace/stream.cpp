@@ -69,8 +69,9 @@ std::string_view numbered(std::array<char, 24>& buf, std::string_view prefix, st
   return {buf.data(), static_cast<std::size_t>(end - buf.data())};
 }
 
-}  // namespace
-
+/// Parse one line of the plain-text format into `out`. Returns false on a
+/// malformed line (out unspecified). Blank/comment lines are NOT handled
+/// here — callers skip them first.
 bool parse_trace_line(const std::string& line, TraceRecord& out) {
   std::size_t pos = 0;
   const std::string_view ts = next_token(line, pos);
@@ -78,6 +79,7 @@ bool parse_trace_line(const std::string& line, TraceRecord& out) {
   const std::string_view uri = next_token(line, pos);
   const std::string_view size = next_token(line, pos);
   if (size.empty()) return false;  // fewer than four fields
+  if (!next_token(line, pos).empty()) return false;  // more than four
 
   if (!parse_number(ts, out.timestamp_s)) return false;
   if (!replayable_timestamp(out.timestamp_s)) return false;
@@ -93,6 +95,8 @@ bool parse_trace_line(const std::string& line, TraceRecord& out) {
   }
   return true;
 }
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // TextTraceSource
@@ -249,21 +253,28 @@ std::unique_ptr<TraceSource> open_trace_source(const std::string& path,
 // ---------------------------------------------------------------------------
 // Writers
 
-TextTraceWriter::TextTraceWriter(const std::string& path) : out_(path) {
-  if (!out_) throw TraceParseError("cannot open trace file " + path + " for writing",
-                                   ParseStats{});
+TextTraceWriter::TextTraceWriter(const std::string& path) : file_(path), out_(&file_) {
+  if (!file_) throw TraceParseError("cannot open trace file " + path + " for writing",
+                                    ParseStats{});
 }
+
+TextTraceWriter::TextTraceWriter(std::ostream& out) : out_(&out) {}
 
 TextTraceWriter::~TextTraceWriter() { close(); }
 
 void TextTraceWriter::append(const TraceRecord& record) {
+  // %.6f: the default stream precision of 6 significant digits would
+  // truncate second-scale timestamps late in a 24 h trace.
   char line[64];
   std::snprintf(line, sizeof line, "%.6f %u ", record.timestamp_s, record.user_id);
-  out_ << line << record.name.to_uri() << ' ' << record.size_bytes << '\n';
+  *out_ << line << record.name.to_uri() << ' ' << record.size_bytes << '\n';
 }
 
 void TextTraceWriter::close() {
-  if (out_.is_open()) out_.close();
+  if (out_ != &file_)
+    out_->flush();
+  else if (file_.is_open())
+    file_.close();
 }
 
 BinaryTraceWriter::BinaryTraceWriter(const std::string& path, std::size_t catalogue_size,

@@ -7,7 +7,7 @@
 // TraceSource and pull fixed-size chunks": peak memory is bounded by the
 // chunk size — independent of trace length — for every source kind:
 //
-//   TextTraceSource       the plain-text format of trace.hpp, parsed with
+//   TextTraceSource       the plain-text format below, parsed with
 //                         malformed-line accounting (ParseStats) and a
 //                         configurable fail-fast threshold
 //   BinaryTraceSource     the chunked binary format below (fast re-runs)
@@ -16,6 +16,13 @@
 //   SyntheticTraceSource  bounded-memory synthetic workload generation
 //                         straight from a SyntheticWorkload — no disk at
 //                         all, arbitrarily many users/objects/requests
+//
+// Plain-text trace format, one request per line:
+//   <timestamp_s> <user_id> <name-uri> <size_bytes>
+// Fields are separated by spaces or tabs; a line with more or fewer than
+// four fields is malformed. Blank lines and lines starting with '#' are
+// skipped (counted as comments). Writers print timestamps with %.6f, so
+// microseconds survive the round trip.
 //
 // Binary trace format ("NDNPTRB1", little-endian):
 //   header : magic[8] u32 version u32 flags u64 catalogue_size
@@ -52,11 +59,6 @@ struct ParseStats {
   std::uint64_t comments = 0;
   /// Lines that failed to parse and were skipped.
   std::uint64_t malformed = 0;
-
-  [[nodiscard]] double malformed_fraction() const noexcept {
-    return lines == 0 ? 0.0
-                      : static_cast<double>(malformed) / static_cast<double>(lines);
-  }
 };
 
 struct ParseOptions {
@@ -75,11 +77,6 @@ class TraceParseError : public std::runtime_error {
       : std::runtime_error(what), stats(parse_stats) {}
   ParseStats stats;
 };
-
-/// Parse one line of the plain-text format into `out`. Returns false on a
-/// malformed line (out unspecified). Blank/comment lines are NOT handled
-/// here — callers skip them first.
-[[nodiscard]] bool parse_trace_line(const std::string& line, TraceRecord& out);
 
 // ---------------------------------------------------------------------------
 // Sources
@@ -173,7 +170,7 @@ class VectorTraceSource final : public TraceSource {
 // ---------------------------------------------------------------------------
 // Sinks
 
-/// Push-based record sink: the streaming counterpart of write_trace.
+/// Push-based record sink.
 class TraceWriter {
  public:
   virtual ~TraceWriter() = default;
@@ -182,17 +179,21 @@ class TraceWriter {
   virtual void close() = 0;
 };
 
-/// Plain-text file sink (same line format as write_trace).
+/// Plain-text sink (the line format above).
 class TextTraceWriter final : public TraceWriter {
  public:
+  /// Write to the file at `path`; close() closes it.
   explicit TextTraceWriter(const std::string& path);
+  /// Write to a caller-owned stream (e.g. std::cout); close() flushes it.
+  explicit TextTraceWriter(std::ostream& out);
   ~TextTraceWriter() override;
 
   void append(const TraceRecord& record) override;
   void close() override;
 
  private:
-  std::ofstream out_;
+  std::ofstream file_;
+  std::ostream* out_;
 };
 
 /// Chunked binary file sink.

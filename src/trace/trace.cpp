@@ -1,11 +1,8 @@
 #include "trace/trace.hpp"
 
 #include <algorithm>
-#include <istream>
-#include <ostream>
 #include <stdexcept>
 
-#include "trace/stream.hpp"
 #include "util/rng.hpp"
 
 namespace ndnp::trace {
@@ -98,50 +95,6 @@ Trace generate_trace(const TraceGenConfig& config) {
     record.size_bytes = config.object_size;
     trace.records.push_back(std::move(record));
   }
-  return trace;
-}
-
-void write_trace(const Trace& trace, std::ostream& out) {
-  // Microsecond timestamp precision survives the round trip (default
-  // stream precision of 6 significant digits would truncate second-scale
-  // timestamps late in a 24 h trace).
-  char line[64];
-  for (const TraceRecord& record : trace.records) {
-    std::snprintf(line, sizeof line, "%.6f %u ", record.timestamp_s, record.user_id);
-    out << line << record.name.to_uri() << ' ' << record.size_bytes << '\n';
-  }
-}
-
-Trace parse_trace(std::istream& in) { return parse_trace(in, 0, nullptr); }
-
-Trace parse_trace(std::istream& in, std::uint64_t max_malformed, ParseStats* stats) {
-  Trace trace;
-  ParseStats local;
-  std::string line;
-  while (std::getline(in, line)) {
-    ++local.lines;
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.empty() || line.front() == '#') {
-      ++local.comments;
-      continue;
-    }
-    TraceRecord record;
-    if (!parse_trace_line(line, record)) {
-      ++local.malformed;
-      if (local.malformed > max_malformed) {
-        if (stats) *stats = local;
-        throw TraceParseError(
-            "parse_trace: malformed line " + std::to_string(local.lines) + " (" +
-                std::to_string(local.malformed) + " malformed line(s) exceed threshold " +
-                std::to_string(max_malformed) + ")",
-            local);
-      }
-      continue;
-    }
-    ++local.records;
-    trace.records.push_back(std::move(record));
-  }
-  if (stats) *stats = local;
   return trace;
 }
 

@@ -4,12 +4,12 @@
 // ~3.2 M requests) that is no longer distributed. This module provides the
 // faithful substitute documented in DESIGN.md: a synthetic generator with
 // the same macro-characteristics (user count, Zipf object popularity,
-// session-structured arrivals over 24 h) plus a plain-text trace format
-// with parser/writer so real traces can be substituted when available.
+// session-structured arrivals over 24 h) plus plain-text and binary trace
+// formats (trace/stream.hpp) so real traces can be substituted when
+// available.
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -82,19 +82,5 @@ struct TraceGenConfig {
 
 /// Deterministically generate a synthetic proxy trace.
 [[nodiscard]] Trace generate_trace(const TraceGenConfig& config);
-
-/// Plain-text format, one request per line:
-///   <timestamp_s> <user_id> <name-uri> <size_bytes>
-void write_trace(const Trace& trace, std::ostream& out);
-[[nodiscard]] Trace parse_trace(std::istream& in);
-
-/// Accounting variant: malformed lines are skipped and counted into
-/// `stats` (never silently dropped), failing fast once their count
-/// exceeds `max_malformed` — see trace/stream.hpp (ParseOptions) for the
-/// streaming counterpart. `parse_trace(in)` above is the strict historical
-/// form: max_malformed 0, i.e. the first malformed line throws.
-struct ParseStats;
-[[nodiscard]] Trace parse_trace(std::istream& in, std::uint64_t max_malformed,
-                                ParseStats* stats);
 
 }  // namespace ndnp::trace

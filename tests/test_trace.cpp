@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/policies.hpp"
 #include "trace/replayer.hpp"
@@ -118,44 +121,71 @@ TEST(TraceGen, RejectsBadConfig) {
   EXPECT_THROW((void)generate_trace(config), std::invalid_argument);
 }
 
+/// Write `text` to a per-test scratch file and read it back through
+/// TextTraceSource at `max_malformed`, filling `stats` when given (tests
+/// run in parallel under ctest, so the file name embeds the test name).
+std::vector<TraceRecord> read_text(const std::string& text, std::uint64_t max_malformed = 0,
+                                   ParseStats* stats = nullptr) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("ndnp_traceio_" +
+        std::string(::testing::UnitTest::GetInstance()->current_test_info()->name())))
+          .string();
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << text;
+  const struct Remove {
+    const std::string& path;
+    ~Remove() { std::filesystem::remove(path); }
+  } remove{path};
+  TextTraceSource source(path, ParseOptions{.max_malformed = max_malformed});
+  std::vector<TraceRecord> records;
+  std::vector<TraceRecord> chunk;
+  while (source.next_chunk(chunk, 64))
+    records.insert(records.end(), chunk.begin(), chunk.end());
+  if (stats != nullptr) *stats = source.stats();
+  return records;
+}
+
 TEST(TraceIo, WriteParseRoundTrip) {
   TraceGenConfig config = small_config();
   config.num_requests = 500;
   const Trace original = generate_trace(config);
-  std::stringstream buffer;
-  write_trace(original, buffer);
-  const Trace parsed = parse_trace(buffer);
+  std::ostringstream buffer;
+  TextTraceWriter writer(buffer);
+  for (const TraceRecord& record : original.records) writer.append(record);
+  writer.close();
+  const std::vector<TraceRecord> parsed = read_text(buffer.str());
   ASSERT_EQ(parsed.size(), original.size());
   for (std::size_t i = 0; i < original.size(); ++i) {
-    EXPECT_EQ(parsed.records[i].name, original.records[i].name);
-    EXPECT_EQ(parsed.records[i].user_id, original.records[i].user_id);
-    EXPECT_EQ(parsed.records[i].size_bytes, original.records[i].size_bytes);
-    EXPECT_NEAR(parsed.records[i].timestamp_s, original.records[i].timestamp_s, 1e-4);
+    EXPECT_EQ(parsed[i].name, original.records[i].name);
+    EXPECT_EQ(parsed[i].user_id, original.records[i].user_id);
+    EXPECT_EQ(parsed[i].size_bytes, original.records[i].size_bytes);
+    EXPECT_NEAR(parsed[i].timestamp_s, original.records[i].timestamp_s, 1e-6);
   }
 }
 
 TEST(TraceIo, ParserSkipsCommentsAndBlankLines) {
-  std::stringstream input("# proxy trace\n\n1.5 3 /web/dom1/obj2 8192\n");
-  const Trace trace = parse_trace(input);
-  ASSERT_EQ(trace.size(), 1u);
-  EXPECT_EQ(trace.records[0].user_id, 3u);
-  EXPECT_EQ(trace.records[0].name.to_uri(), "/web/dom1/obj2");
+  const std::vector<TraceRecord> records =
+      read_text("# proxy trace\n\n1.5 3 /web/dom1/obj2 8192\n");
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].user_id, 3u);
+  EXPECT_EQ(records[0].name.to_uri(), "/web/dom1/obj2");
 }
 
 TEST(TraceIo, ParserRejectsMalformedLines) {
-  std::stringstream input("1.5 3 /web/x\n");  // missing size field
-  EXPECT_THROW((void)parse_trace(input), TraceParseError);
+  // Missing size field.
+  EXPECT_THROW((void)read_text("1.5 3 /web/x\n"), TraceParseError);
   // A non-URI name is a malformed line too (counted, not a distinct error
   // type): real proxy logs mix both corruption kinds and the threshold in
   // ParseOptions should govern either uniformly.
-  std::stringstream bad_uri("1.5 3 no-slash 100\n");
-  EXPECT_THROW((void)parse_trace(bad_uri), TraceParseError);
+  EXPECT_THROW((void)read_text("1.5 3 no-slash 100\n"), TraceParseError);
   // from_chars accepts these, but replay could not cast them to SimTime.
   for (const char* timestamp : {"nan", "inf", "1e300", "-0.5"}) {
     SCOPED_TRACE(timestamp);
-    std::stringstream bad_time(std::string(timestamp) + " 3 /web/x 100\n");
-    EXPECT_THROW((void)parse_trace(bad_time), TraceParseError);
+    EXPECT_THROW((void)read_text(std::string(timestamp) + " 3 /web/x 100\n"), TraceParseError);
   }
+  // Two records joined by a lost newline: extra fields are not dropped.
+  EXPECT_THROW((void)read_text("1.5 2 /web/dom0/obj1 100 2.5 3 /web/dom0/obj2 100\n"),
+               TraceParseError);
 }
 
 TEST(TraceIo, ParserToleratesMalformedLinesUpToThreshold) {
@@ -165,17 +195,14 @@ TEST(TraceIo, ParserToleratesMalformedLinesUpToThreshold) {
       "1.5 2 /web/dom0/obj1 100\n"
       "2.5 x /web/dom0/obj2 100\n"
       "3.5 3 /web/dom0/obj3 100\n";
-  std::stringstream ok(corpus);
   ParseStats stats;
-  const Trace trace = parse_trace(ok, /*max_malformed=*/2, &stats);
-  EXPECT_EQ(trace.size(), 3u);
+  const std::vector<TraceRecord> records = read_text(corpus, /*max_malformed=*/2, &stats);
+  EXPECT_EQ(records.size(), 3u);
   EXPECT_EQ(stats.records, 3u);
   EXPECT_EQ(stats.malformed, 2u);
   EXPECT_EQ(stats.lines, 5u);
 
-  std::stringstream too_many(corpus);
-  EXPECT_THROW((void)parse_trace(too_many, /*max_malformed=*/1, nullptr),
-               TraceParseError);
+  EXPECT_THROW((void)read_text(corpus, /*max_malformed=*/1), TraceParseError);
 }
 
 }  // namespace

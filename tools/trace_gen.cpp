@@ -11,20 +11,21 @@
 // locality/affinity model). --stream switches to the bounded-memory
 // generator (trace/stream.hpp): records go straight to the sink chunk by
 // chunk, so millions of users and a ~10M-name catalogue fit in a fixed
-// footprint — the scale mode used by the CI scale smoke. --format binary
-// writes the "NDNPTRB1" chunked format, which replays parse ~10x faster
-// than text. --convert streams an existing trace (either format, sniffed
-// by magic) into --out under --format, counting — and bounding, per
-// --max-malformed — malformed input lines.
+// footprint — the scale mode used by the CI scale smoke. Without --out the
+// text trace goes to stdout. --format binary (which needs --out) writes the
+// "NDNPTRB1" chunked format, which replays parse ~10x faster than text.
+// --convert streams an existing trace (either format, sniffed by magic)
+// into --out under --format, counting — and bounding, per --max-malformed —
+// malformed input lines.
 #include <cstdio>
-#include <cstring>
-#include <fstream>
+#include <cstdlib>
 #include <iostream>
 #include <memory>
 #include <string>
 
 #include "trace/stream.hpp"
 #include "trace/trace.hpp"
+#include "util/cli.hpp"
 
 namespace {
 
@@ -38,6 +39,8 @@ void usage(const char* argv0) {
                argv0, argv0);
 }
 
+/// The sink for `path` under `format`; text goes to stdout when `path` is
+/// empty.
 std::unique_ptr<ndnp::trace::TraceWriter> open_writer(const std::string& path,
                                                       const std::string& format,
                                                       std::size_t catalogue_size,
@@ -45,6 +48,7 @@ std::unique_ptr<ndnp::trace::TraceWriter> open_writer(const std::string& path,
   if (format == "binary")
     return std::make_unique<ndnp::trace::BinaryTraceWriter>(path, catalogue_size,
                                                             chunk_records);
+  if (path.empty()) return std::make_unique<ndnp::trace::TextTraceWriter>(std::cout);
   return std::make_unique<ndnp::trace::TextTraceWriter>(path);
 }
 
@@ -70,19 +74,19 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--requests")
-      config.num_requests = static_cast<std::size_t>(std::atoll(next()));
+      config.num_requests = util::parse_count(argv[0], arg.c_str(), next());
     else if (arg == "--objects")
-      config.num_objects = static_cast<std::size_t>(std::atoll(next()));
+      config.num_objects = util::parse_count(argv[0], arg.c_str(), next());
     else if (arg == "--users")
-      config.num_users = static_cast<std::size_t>(std::atoll(next()));
+      config.num_users = util::parse_count(argv[0], arg.c_str(), next());
     else if (arg == "--domains")
-      config.num_domains = static_cast<std::size_t>(std::atoll(next()));
+      config.num_domains = util::parse_count(argv[0], arg.c_str(), next());
     else if (arg == "--zipf")
-      config.zipf_exponent = std::atof(next());
+      config.zipf_exponent = util::parse_real(argv[0], arg.c_str(), next());
     else if (arg == "--duration")
-      config.duration_s = std::atof(next());
+      config.duration_s = util::parse_real(argv[0], arg.c_str(), next());
     else if (arg == "--seed")
-      config.seed = static_cast<std::uint64_t>(std::atoll(next()));
+      config.seed = util::parse_count(argv[0], arg.c_str(), next());
     else if (arg == "--out")
       out_path = next();
     else if (arg == "--convert")
@@ -96,9 +100,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--stream")
       stream = true;
     else if (arg == "--chunk")
-      chunk_records = static_cast<std::size_t>(std::atoll(next()));
+      chunk_records = util::parse_count(argv[0], arg.c_str(), next());
     else if (arg == "--max-malformed")
-      max_malformed = static_cast<std::uint64_t>(std::atoll(next()));
+      max_malformed = util::parse_count(argv[0], arg.c_str(), next());
     else {
       usage(argv[0]);
       return 2;
@@ -108,13 +112,14 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s: --chunk must be positive\n", argv[0]);
     return 2;
   }
+  if (out_path.empty() && (format == "binary" || !convert_path.empty())) {
+    std::fprintf(stderr, "%s: %s requires --out\n", argv[0],
+                 convert_path.empty() ? "--format binary" : "--convert");
+    return 2;
+  }
 
   try {
     if (!convert_path.empty()) {
-      if (out_path.empty()) {
-        std::fprintf(stderr, "%s: --convert requires --out\n", argv[0]);
-        return 2;
-      }
       trace::ParseOptions options;
       options.max_malformed = max_malformed;
       const auto source = trace::open_trace_source(convert_path, options);
@@ -131,41 +136,22 @@ int main(int argc, char** argv) {
 
     if (stream) {
       // Bounded-memory generation: no full trace ever exists in memory.
-      if (out_path.empty()) {
-        std::fprintf(stderr, "%s: --stream requires --out\n", argv[0]);
-        return 2;
-      }
       const trace::SyntheticWorkload workload(config);
       const auto source = workload.open();
       const auto sink = open_writer(out_path, format, config.num_objects, chunk_records);
       const trace::ParseStats stats = trace::convert_trace(*source, *sink, chunk_records);
       std::fprintf(stderr, "streamed %llu requests over %zu objects to %s (%s)\n",
                    static_cast<unsigned long long>(stats.records), config.num_objects,
-                   out_path.c_str(), format.c_str());
+                   out_path.empty() ? "stdout" : out_path.c_str(), format.c_str());
       return 0;
     }
 
     const trace::Trace tr = trace::generate_trace(config);
     std::fprintf(stderr, "generated %zu requests over %zu objects (%zu distinct requested)\n",
                  tr.size(), tr.catalogue_size, tr.distinct_names());
-    if (out_path.empty()) {
-      if (format == "binary") {
-        std::fprintf(stderr, "%s: --format binary requires --out\n", argv[0]);
-        return 2;
-      }
-      trace::write_trace(tr, std::cout);
-    } else if (format == "binary") {
-      trace::BinaryTraceWriter sink(out_path, tr.catalogue_size, chunk_records);
-      for (const trace::TraceRecord& record : tr.records) sink.append(record);
-      sink.close();
-    } else {
-      std::ofstream out(out_path);
-      if (!out) {
-        std::fprintf(stderr, "cannot open %s\n", out_path.c_str());
-        return 1;
-      }
-      trace::write_trace(tr, out);
-    }
+    const auto sink = open_writer(out_path, format, tr.catalogue_size, chunk_records);
+    for (const trace::TraceRecord& record : tr.records) sink->append(record);
+    sink->close();
   } catch (const std::exception& error) {
     std::fprintf(stderr, "%s: %s\n", argv[0], error.what());
     return 1;
