@@ -421,6 +421,9 @@ void BM_ZipfSample(benchmark::State& state) {
 }
 BENCHMARK(BM_ZipfSample);
 
+// Arg = shards: at 1 every record is built; at 8 the pass is hinted to
+// shard 0 of 8 and skips the other shards' records. Either way items are
+// trace records scanned (stats().records), so the two rates compare.
 void BM_SyntheticSourceRecord(benchmark::State& state) {
   trace::TraceGenConfig gen;
   gen.num_users = 100'000;
@@ -430,15 +433,16 @@ void BM_SyntheticSourceRecord(benchmark::State& state) {
   gen.seed = 2013;
   const trace::SyntheticWorkload workload(gen);
   const auto source = workload.open();
+  source->select_shard(0, static_cast<std::size_t>(state.range(0)));
   constexpr std::size_t kChunk = 1'024;
   std::vector<trace::TraceRecord> chunk;
   for (auto _ : state) {
     source->next_chunk(chunk, kChunk);
     benchmark::DoNotOptimize(chunk.data());
   }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kChunk));
+  state.SetItemsProcessed(static_cast<std::int64_t>(source->stats().records));
 }
-BENCHMARK(BM_SyntheticSourceRecord);
+BENCHMARK(BM_SyntheticSourceRecord)->Arg(1)->Arg(8);
 
 void BM_TraceReplayThroughput(benchmark::State& state) {
   trace::TraceGenConfig gen;

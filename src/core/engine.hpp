@@ -71,18 +71,6 @@ struct EngineStats {
   }
   /// Publish the four outcome counters as "<prefix>.<counter_name>".
   void export_outcomes(util::MetricsSnapshot& snap, const std::string& prefix) const;
-
-  [[nodiscard]] double hit_rate() const noexcept {
-    return requests == 0 ? 0.0
-                         : static_cast<double>(exposed_hits) / static_cast<double>(requests);
-  }
-  /// Fraction of requests served from the cache regardless of visibility —
-  /// the bandwidth-saving view under which Always-Delay is free.
-  [[nodiscard]] double cache_served_rate() const noexcept {
-    return requests == 0 ? 0.0
-                         : static_cast<double>(exposed_hits + delayed_hits) /
-                               static_cast<double>(requests);
-  }
 };
 
 class CachePrivacyEngine {

@@ -49,7 +49,7 @@ namespace detail {
 
 void parallel_for(std::size_t num_tasks, std::size_t jobs,
                   const std::function<void(std::size_t)>& body) {
-  jobs = resolve_jobs(jobs == 0 ? 0 : jobs);
+  jobs = resolve_jobs(jobs);
   if (jobs <= 1 || num_tasks <= 1) {
     for (std::size_t i = 0; i < num_tasks; ++i) body(i);
     return;

@@ -30,6 +30,7 @@ ShardedReplayResult replay_sharded(const TraceSourceFactory& open_source,
   const auto start = std::chrono::steady_clock::now();
   detail::parallel_for(config.shards, resolve_jobs(config.jobs), [&](std::size_t i) {
     const std::unique_ptr<trace::TraceSource> source = open_source();
+    source->select_shard(i, config.shards);
     trace::ReplayConfig shard_cfg = config.replay;
     shard_cfg.seed = run_seed(config.master_seed, i);
     shard_cfg.private_class_seed = class_seed;
@@ -38,6 +39,7 @@ ShardedReplayResult replay_sharded(const TraceSourceFactory& open_source,
     std::vector<trace::TraceRecord> chunk;
     chunk.reserve(config.chunk_records);
     while (source->next_chunk(chunk, config.chunk_records)) {
+      // A source may ignore the hint, so the filter stays.
       for (const trace::TraceRecord& record : chunk)
         if (trace::shard_of(record.user_id, config.shards) == i) session.feed(record);
     }
@@ -66,8 +68,8 @@ ShardedReplayResult replay_sharded(const TraceSourceFactory& open_source,
   trace::set_rate_gauges(out.merged, out.records == 0 ? 0.0
                                                      : response_ms_weighted /
                                                            static_cast<double>(out.records));
-  // Each shard scanned the whole trace, so the counts agree — report one,
-  // not the sum.
+  // Every shard's stats cover the whole trace (hinted or not), so the
+  // counts agree — report one, not the sum.
   out.malformed_records = malformed.empty() ? 0 : malformed.front();
   out.merged.counters["replay.malformed_records"] = out.malformed_records;
   return out;

@@ -8,10 +8,12 @@
 // RNG streams) seeded with run_seed(master_seed, shard_index), streams the
 // trace through its own TraceSource and feeds only its users' records, so
 // peak memory is one chunk buffer + cache state per shard regardless of
-// trace length. Shard snapshots are merged in shard-index order, making
-// the merged output byte-identical for any --jobs value (the same
-// determinism-by-construction argument as runner::run_sweep; pinned by
-// tests/test_sharded_replay.cpp).
+// trace length. Each shard hints its source with select_shard: a synthetic
+// or in-memory source then builds only that shard's records, while a file
+// source still reads every record. Shard snapshots are merged in
+// shard-index order, making the merged output byte-identical for any
+// --jobs value (the same determinism-by-construction argument as
+// runner::run_sweep; pinned by tests/test_sharded_replay.cpp).
 //
 // All shards share one private_class_seed, so they agree on which content
 // is private even though their engine/delay RNG streams differ. Sharding
@@ -34,9 +36,11 @@
 namespace ndnp::runner {
 
 /// Opens a fresh TraceSource over the same records. Each shard calls it
-/// once (S sources live concurrently); it must be callable from any worker
-/// thread. The chunked binary format makes re-reading cheap; for in-memory
-/// traces wrap a VectorTraceSource.
+/// once (S sources live concurrently) and then calls select_shard(i, S) on
+/// the result; it must be callable from any worker thread. A
+/// SyntheticWorkload's or VectorTraceSource's pass then skips the other
+/// shards' records; a file source re-reads the whole trace per shard, which
+/// the chunked binary format makes cheap.
 using TraceSourceFactory = std::function<std::unique_ptr<trace::TraceSource>()>;
 
 struct ShardedReplayConfig {
@@ -71,8 +75,9 @@ struct ShardedReplayResult {
   util::MetricsSnapshot merged;
   /// Total records fed across shards (== records in the trace).
   std::uint64_t records = 0;
-  /// Malformed input lines the trace format skipped. Every shard scans the
-  /// full trace, so the per-shard counts agree; this is shard 0's.
+  /// Malformed input lines the trace format skipped. Every shard's source
+  /// counts the whole trace (file sources ignore the shard hint and parse
+  /// every line), so the per-shard counts agree; this is shard 0's.
   std::uint64_t malformed_records = 0;
   /// Wall-clock of the parallel phase; reported out of band, never part of
   /// the deterministic merge.

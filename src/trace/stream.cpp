@@ -96,6 +96,20 @@ bool parse_trace_line(const std::string& line, TraceRecord& out) {
   return true;
 }
 
+/// The (shard, shards) a source honouring select_shard accepts.
+void check_shard_selection(std::size_t shard, std::size_t shards) {
+  if (shards == 0 || shard >= shards)
+    throw std::invalid_argument("select_shard: shard " + std::to_string(shard) +
+                                " is not one of " + std::to_string(shards) + " shards");
+}
+
+/// The positive chunk size every buffered writer and converter needs.
+std::size_t positive_chunk(std::size_t chunk_records, const char* who) {
+  if (chunk_records == 0)
+    throw std::invalid_argument(std::string(who) + ": chunk_records must be positive");
+  return chunk_records;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -218,13 +232,20 @@ void BinaryTraceSource::rewind() {
 // ---------------------------------------------------------------------------
 // VectorTraceSource
 
+void VectorTraceSource::select_shard(std::size_t shard, std::size_t shards) {
+  check_shard_selection(shard, shards);
+  shard_ = shard;
+  shards_ = shards;
+}
+
 bool VectorTraceSource::next_chunk(std::vector<TraceRecord>& out, std::size_t max_records) {
   out.clear();
   const auto& records = trace_->records;
   while (cursor_ < records.size() && out.size() < max_records) {
-    out.push_back(records[cursor_++]);
+    const TraceRecord& record = records[cursor_++];
     ++stats_.lines;
     ++stats_.records;
+    if (shards_ == 1 || shard_of(record.user_id, shards_) == shard_) out.push_back(record);
   }
   return !out.empty();
 }
@@ -279,7 +300,8 @@ void TextTraceWriter::close() {
 
 BinaryTraceWriter::BinaryTraceWriter(const std::string& path, std::size_t catalogue_size,
                                      std::size_t chunk_records)
-    : out_(path, std::ios::binary), chunk_records_(chunk_records ? chunk_records : 1) {
+    : chunk_records_(positive_chunk(chunk_records, "BinaryTraceWriter")),
+      out_(path, std::ios::binary) {
   if (!out_) throw TraceParseError("cannot open trace file " + path + " for writing",
                                    ParseStats{});
   std::vector<char> header;
@@ -322,7 +344,7 @@ void BinaryTraceWriter::close() {
 
 ParseStats convert_trace(TraceSource& source, TraceWriter& sink, std::size_t chunk_records) {
   std::vector<TraceRecord> chunk;
-  chunk.reserve(chunk_records);
+  chunk.reserve(positive_chunk(chunk_records, "convert_trace"));
   while (source.next_chunk(chunk, chunk_records))
     for (const TraceRecord& record : chunk) sink.append(record);
   sink.close();
@@ -365,6 +387,12 @@ std::unique_ptr<TraceSource> SyntheticWorkload::open() const {
 SyntheticTraceSource::SyntheticTraceSource(const SyntheticWorkload& workload)
     : workload_(&workload), rng_(workload.config().seed) {}
 
+void SyntheticTraceSource::select_shard(std::size_t shard, std::size_t shards) {
+  check_shard_selection(shard, shards);
+  shard_ = shard;
+  shards_ = shards;
+}
+
 bool SyntheticTraceSource::next_chunk(std::vector<TraceRecord>& out,
                                       std::size_t max_records) {
   const TraceGenConfig& config = workload_->config();
@@ -373,12 +401,19 @@ bool SyntheticTraceSource::next_chunk(std::vector<TraceRecord>& out,
   // reuses its component storage instead of allocating.
   std::array<char, 24> domain{};
   std::array<char, 24> object_id{};
+  const std::size_t shard = shard_;
+  const std::size_t shards = shards_;
   std::size_t filled = 0;
   while (emitted_ < config.num_requests && filled < max_records) {
     clock_s_ += rng_.exponential(rate);
     const auto user = static_cast<std::uint32_t>(workload_->user_activity_.sample(rng_) - 1);
-    const std::size_t object = workload_->object_popularity_.sample(rng_) - 1;
+    const double object_u = rng_.uniform01();  // object_popularity_.sample's one draw
+    ++emitted_;
+    ++stats_.lines;
+    ++stats_.records;
+    if (shards != 1 && shard_of(user, shards) != shard) continue;
 
+    const std::size_t object = workload_->object_popularity_.rank_at(object_u) - 1;
     if (filled == out.size()) out.emplace_back();
     TraceRecord& record = out[filled++];
     record.timestamp_s = clock_s_;
@@ -386,9 +421,6 @@ bool SyntheticTraceSource::next_chunk(std::vector<TraceRecord>& out,
     record.name.assign({"web", numbered(domain, "dom", workload_->domain_of(object)),
                         numbered(object_id, "obj", object)});
     record.size_bytes = config.object_size;
-    ++emitted_;
-    ++stats_.lines;
-    ++stats_.records;
   }
   out.resize(filled);
   return filled > 0;

@@ -82,14 +82,28 @@ class TraceParseError : public std::runtime_error {
 // Sources
 
 /// Pull-based record stream. One pass per open source; `rewind()` restarts
-/// the pass (sharded replay makes one pass per shard). Implementations are
-/// single-threaded; concurrent shards each open their own source.
+/// the pass. Implementations are single-threaded; concurrent shards each
+/// open their own source. Sharded replay makes one pass per shard and hints
+/// each source with select_shard, so the in-process sources (synthetic,
+/// vector) build only that shard's records; the file sources still read
+/// every record (docs/SCALE.md).
 class TraceSource {
  public:
   virtual ~TraceSource() = default;
 
+  /// Hint that the caller keeps only records with
+  /// shard_of(user_id, shards) == shard. A source may then leave the other
+  /// records out of its chunks; one that ignores the hint stays correct,
+  /// since the caller filters anyway. stats() still counts every record of
+  /// the trace, and rewind() keeps the selection. TextTraceSource and
+  /// BinaryTraceSource ignore it: they must parse and validate every line
+  /// anyway, so every shard's malformed count agrees. Sources that honour
+  /// it throw std::invalid_argument unless shard < shards.
+  virtual void select_shard(std::size_t /*shard*/, std::size_t /*shards*/) {}
+
   /// Replace the contents of `out` with up to `max_records` records, in
-  /// trace order (a source may reuse the old records' storage). Returns
+  /// trace order (a source may reuse the old records' storage); with a
+  /// shard selected, up to `max_records` of that shard's records. Returns
   /// false — with `out` empty — when the stream is exhausted. Throws
   /// TraceParseError per ParseOptions.
   virtual bool next_chunk(std::vector<TraceRecord>& out, std::size_t max_records) = 0;
@@ -149,6 +163,8 @@ class VectorTraceSource final : public TraceSource {
  public:
   explicit VectorTraceSource(const Trace& trace) : trace_(&trace) {}
 
+  /// Skips copying the other shards' records.
+  void select_shard(std::size_t shard, std::size_t shards) override;
   bool next_chunk(std::vector<TraceRecord>& out, std::size_t max_records) override;
   void rewind() override;
   [[nodiscard]] const ParseStats& stats() const noexcept override { return stats_; }
@@ -160,6 +176,8 @@ class VectorTraceSource final : public TraceSource {
   const Trace* trace_;
   std::size_t cursor_ = 0;
   ParseStats stats_;
+  std::size_t shard_ = 0;
+  std::size_t shards_ = 1;
 };
 
 /// Open `path` as a TraceSource, sniffing the binary magic ("NDNPTRB1")
@@ -200,7 +218,8 @@ class TextTraceWriter final : public TraceWriter {
 class BinaryTraceWriter final : public TraceWriter {
  public:
   /// `catalogue_size` lands in the header (0 = unknown); records are
-  /// flushed to disk every `chunk_records`.
+  /// flushed to disk every `chunk_records`, which must be positive
+  /// (std::invalid_argument otherwise).
   explicit BinaryTraceWriter(const std::string& path, std::size_t catalogue_size = 0,
                              std::size_t chunk_records = 64 * 1024);
   ~BinaryTraceWriter() override;
@@ -211,14 +230,15 @@ class BinaryTraceWriter final : public TraceWriter {
  private:
   void flush_chunk();
 
+  std::size_t chunk_records_;  // declared first: checked before out_ opens the file
   std::ofstream out_;
-  std::size_t chunk_records_;
   std::uint32_t buffered_ = 0;
   std::vector<char> buffer_;
 };
 
 /// Stream every record of `source` into `sink` (the text -> binary
-/// converter, but any direction works). Returns the source's final stats.
+/// converter, but any direction works), `chunk_records` at a time; throws
+/// std::invalid_argument if that is 0. Returns the source's final stats.
 ParseStats convert_trace(TraceSource& source, TraceWriter& sink,
                          std::size_t chunk_records = 64 * 1024);
 
@@ -264,6 +284,10 @@ class SyntheticTraceSource final : public TraceSource {
  public:
   explicit SyntheticTraceSource(const SyntheticWorkload& workload);
 
+  /// Other shards' records still draw their arrival gap, user and object
+  /// uniform, so every kept record is bit-identical to the unhinted pass,
+  /// but their object rank, domain and name are never built.
+  void select_shard(std::size_t shard, std::size_t shards) override;
   bool next_chunk(std::vector<TraceRecord>& out, std::size_t max_records) override;
   void rewind() override;
   [[nodiscard]] const ParseStats& stats() const noexcept override { return stats_; }
@@ -277,6 +301,8 @@ class SyntheticTraceSource final : public TraceSource {
   ParseStats stats_;
   std::uint64_t emitted_ = 0;
   double clock_s_ = 0.0;
+  std::size_t shard_ = 0;
+  std::size_t shards_ = 1;
 };
 
 // ---------------------------------------------------------------------------

@@ -48,7 +48,7 @@ TEST(Engine, SecondRequestIsExposedHitUnderNoPrivacy) {
   EXPECT_EQ(outcome.response_delay, 0);
   EXPECT_TRUE(outcome.served_from_cache());
   EXPECT_EQ(engine.stats().exposed_hits, 1u);
-  EXPECT_DOUBLE_EQ(engine.stats().hit_rate(), 0.5);
+  EXPECT_EQ(engine.stats().requests, 2u);  // one exposed hit in two requests
 }
 
 TEST(Engine, FetchDelayRecordedInMeta) {
@@ -70,9 +70,9 @@ TEST(Engine, AlwaysDelayHidesPrivateHits) {
   EXPECT_EQ(outcome.kind, LookupOutcome::kDelayedHit);
   EXPECT_EQ(outcome.response_delay, kFetchDelay);  // gamma_C == original fetch delay
   EXPECT_TRUE(outcome.served_from_cache());          // bandwidth still saved
-  EXPECT_EQ(engine.stats().delayed_hits, 1u);
-  EXPECT_DOUBLE_EQ(engine.stats().hit_rate(), 0.0);           // hidden from the hit metric
-  EXPECT_DOUBLE_EQ(engine.stats().cache_served_rate(), 0.5);  // but served from cache
+  EXPECT_EQ(engine.stats().delayed_hits, 1u);  // served from cache
+  EXPECT_EQ(engine.stats().exposed_hits, 0u);  // but hidden from the hit count
+  EXPECT_EQ(engine.stats().requests, 2u);
 }
 
 TEST(Engine, AlwaysDelayedHitIndistinguishableFromMissByDelay) {
@@ -290,8 +290,11 @@ TEST(Engine, EvictionReachesCapacity) {
 
 TEST(EngineStats, RatesOnEmptyStatsAreZero) {
   const EngineStats stats;
-  EXPECT_DOUBLE_EQ(stats.hit_rate(), 0.0);
-  EXPECT_DOUBLE_EQ(stats.cache_served_rate(), 0.0);
+  EXPECT_EQ(stats.requests, 0u);
+  for (const LookupOutcome outcome :
+       {LookupOutcome::kExposedHit, LookupOutcome::kDelayedHit, LookupOutcome::kSimulatedMiss,
+        LookupOutcome::kTrueMiss})
+    EXPECT_EQ(stats.count(outcome), 0u);
 }
 
 }  // namespace

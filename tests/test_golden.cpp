@@ -319,6 +319,47 @@ TEST(TraceStreamGolden, GeneratedRecordStreamsArePinned) {
   EXPECT_EQ(record_stream_digest(in_memory, kRecords), 0x9e33c400342d656cULL);
 }
 
+// --- Sharded replay of a generated source -----------------------------------
+// The bench/e2e replay_sharded shape at 50k requests, replayed straight from
+// a SyntheticWorkload: the path on which each shard's source skips the
+// other shards' users. The merged JSON is pinned by its FNV-1a digest.
+
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(Golden, ShardedSyntheticReplayDigestIsPinned) {
+  trace::TraceGenConfig gen;
+  gen.num_users = 100'000;
+  gen.num_objects = 1'000'000;
+  gen.num_domains = 2'000;
+  gen.num_requests = 50'000;
+  gen.zipf_exponent = 0.8;
+  gen.seed = 2013;
+  const trace::SyntheticWorkload workload(gen);
+  for (const std::size_t jobs : {1u, 2u}) {
+    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    runner::ShardedReplayConfig config;
+    config.shards = 8;
+    config.jobs = jobs;
+    config.master_seed = 99;
+    config.replay.cache_capacity = 8'000;
+    config.replay.private_fraction = 0.2;
+    config.replay.policy_factory = [] {
+      return core::RandomCachePolicy::exponential(0.999, 201, 5);
+    };
+    const runner::ShardedReplayResult result =
+        runner::replay_sharded([&workload] { return workload.open(); }, config);
+    EXPECT_EQ(result.records, gen.num_requests);
+    EXPECT_EQ(fnv1a(result.merged_json()), 0x2be47e8252d585b5ULL);
+  }
+}
+
 // --- Theory validation: closed forms vs Monte-Carlo simulation ------------
 // Three seed bases; the privacy half is exact (seed-independent) and must
 // be byte-identical across all three files.

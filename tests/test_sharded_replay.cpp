@@ -12,9 +12,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -169,6 +171,78 @@ TEST(ShardedReplay, OneShardReportsItsReplaySnapshot) {
   plain.seed = run_seed(config.master_seed, 0);
   plain.private_class_seed = run_seed(config.master_seed, 1);
   EXPECT_EQ(trace::replay(tr, plain).metrics.to_json(), shard_json);
+}
+
+// --- The source's shard hint ------------------------------------------------
+
+/// Forwards a source and counts the records it hands out. With
+/// `forward_hint` false it ignores select_shard, so each shard reads the
+/// whole trace and the runner's own filter does all the work.
+class CountingSource final : public trace::TraceSource {
+ public:
+  CountingSource(std::unique_ptr<trace::TraceSource> inner, bool forward_hint,
+                 std::atomic<std::uint64_t>& delivered)
+      : inner_(std::move(inner)), forward_hint_(forward_hint), delivered_(delivered) {}
+
+  void select_shard(std::size_t shard, std::size_t shards) override {
+    if (forward_hint_) inner_->select_shard(shard, shards);
+  }
+  bool next_chunk(std::vector<trace::TraceRecord>& out, std::size_t max_records) override {
+    const bool more = inner_->next_chunk(out, max_records);
+    delivered_ += out.size();
+    return more;
+  }
+  void rewind() override { inner_->rewind(); }
+  [[nodiscard]] const trace::ParseStats& stats() const noexcept override {
+    return inner_->stats();
+  }
+  [[nodiscard]] std::size_t catalogue_size() const noexcept override {
+    return inner_->catalogue_size();
+  }
+
+ private:
+  std::unique_ptr<trace::TraceSource> inner_;
+  bool forward_hint_;
+  std::atomic<std::uint64_t>& delivered_;
+};
+
+TEST(ShardedReplay, ShardHintNeverChangesTheResult) {
+  // The bench/e2e replay_sharded shape, at 50k requests.
+  trace::TraceGenConfig gen;
+  gen.num_users = 100'000;
+  gen.num_objects = 1'000'000;
+  gen.num_domains = 2'000;
+  gen.num_requests = 50'000;
+  gen.zipf_exponent = 0.8;
+  gen.seed = 2013;
+  const trace::SyntheticWorkload workload(gen);
+  ShardedReplayConfig config = base_config();
+  config.shards = 8;
+  config.replay.cache_capacity = 8'000;
+  config.replay.private_fraction = 0.2;
+
+  std::string first;
+  for (const std::size_t jobs : {1u, 2u}) {
+    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    config.jobs = jobs;
+    std::atomic<std::uint64_t> hinted_reads{0};
+    std::atomic<std::uint64_t> unhinted_reads{0};
+    const TraceSourceFactory open_hinted = [&] {
+      return std::make_unique<CountingSource>(workload.open(), true, hinted_reads);
+    };
+    const TraceSourceFactory open_unhinted = [&] {
+      return std::make_unique<CountingSource>(workload.open(), false, unhinted_reads);
+    };
+    const std::string hinted = replay_sharded(open_hinted, config).merged_json();
+    const std::string unhinted = replay_sharded(open_unhinted, config).merged_json();
+    EXPECT_EQ(hinted, unhinted);
+    if (first.empty()) first = hinted;
+    EXPECT_EQ(hinted, first);
+    // The runner hints every shard: hinted, the sources hand out each record
+    // once; unhinted, every shard reads the whole trace.
+    EXPECT_EQ(hinted_reads.load(), gen.num_requests);
+    EXPECT_EQ(unhinted_reads.load(), config.shards * gen.num_requests);
+  }
 }
 
 // --- Edge cases -------------------------------------------------------------

@@ -1,8 +1,9 @@
 // Streaming trace I/O (trace/stream.hpp): round-trips through both on-disk
 // formats, malformed-line accounting with the fail-fast threshold, the
 // truncation/bit-flip robustness corpora of both formats, the text -> binary
-// converter, bounded-memory synthetic generation, and the stable user ->
-// shard hash. See docs/SCALE.md.
+// converter (and its zero-chunk guard), bounded-memory synthetic
+// generation, the stable user -> shard hash and the sources' shard hint.
+// See docs/SCALE.md.
 #include "trace/stream.hpp"
 
 #include <gtest/gtest.h>
@@ -12,11 +13,14 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <limits>
 #include <map>
+#include <memory>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -163,6 +167,24 @@ TEST(TraceStream, ConvertTraceStreamsTextToBinary) {
   BinaryTraceSource converted(binary.path());
   EXPECT_EQ(converted.catalogue_size(), tr.catalogue_size);
   expect_records_equal(drain(converted, 500), tr.records, 1e-6);
+}
+
+TEST(TraceStream, ZeroChunkSizesAreRejected) {
+  // A zero chunk size used to end the conversion at once, as if the source
+  // were exhausted, and leave a valid but empty trace behind.
+  const Trace tr = small_trace();
+  VectorTraceSource source(tr);
+  ScratchFile converted("zero_chunk_convert.trace");
+  {
+    BinaryTraceWriter sink(converted.path());
+    EXPECT_THROW((void)convert_trace(source, sink, 0), std::invalid_argument);
+  }
+  EXPECT_EQ(source.stats().records, 0u);
+
+  // The writer refuses before it creates or truncates the file.
+  ScratchFile unwritten("zero_chunk_writer.trace");
+  EXPECT_THROW(BinaryTraceWriter(unwritten.path(), 0, 0), std::invalid_argument);
+  EXPECT_FALSE(std::filesystem::exists(unwritten.path()));
 }
 
 // --- Malformed-line accounting ---------------------------------------------
@@ -466,6 +488,57 @@ TEST(TraceStream, VectorSourceAdaptsAnInMemoryTrace) {
   expect_records_equal(drain(source, 333), tr.records, 0.0);
   source.rewind();
   EXPECT_EQ(drain(source, 1).size(), tr.size());
+}
+
+void expect_stats_equal(const ParseStats& actual, const ParseStats& expected) {
+  EXPECT_EQ(actual.lines, expected.lines);
+  EXPECT_EQ(actual.records, expected.records);
+  EXPECT_EQ(actual.comments, expected.comments);
+  EXPECT_EQ(actual.malformed, expected.malformed);
+}
+
+TEST(TraceStream, ShardHintYieldsExactlyTheShardsRecords) {
+  const SyntheticWorkload workload(synthetic_config());
+  const Trace tr = small_trace();
+  const std::vector<std::pair<std::string, std::function<std::unique_ptr<TraceSource>()>>>
+      kinds = {{"synthetic", [&] { return workload.open(); }},
+               {"vector", [&] { return std::make_unique<VectorTraceSource>(tr); }}};
+  for (const auto& [kind, open] : kinds) {
+    const auto unhinted = open();
+    const std::vector<TraceRecord> full = drain(*unhinted, 4'096);
+    const ParseStats full_stats = unhinted->stats();
+    ASSERT_FALSE(full.empty());
+    for (const std::size_t shards : {1u, 2u, 3u, 8u}) {
+      for (const std::size_t chunk : {1u, 7u, 4'096u}) {
+        SCOPED_TRACE(kind + " shards=" + std::to_string(shards) +
+                     " chunk=" + std::to_string(chunk));
+        std::size_t kept = 0;
+        for (std::size_t shard = 0; shard < shards; ++shard) {
+          std::vector<TraceRecord> expected;
+          for (const TraceRecord& record : full)
+            if (shard_of(record.user_id, shards) == shard) expected.push_back(record);
+
+          const auto source = open();
+          source->select_shard(shard, shards);
+          const std::vector<TraceRecord> hinted = drain(*source, chunk);
+          expect_records_equal(hinted, expected, 0.0);
+          expect_stats_equal(source->stats(), full_stats);
+          // rewind() restarts the same selected pass.
+          source->rewind();
+          expect_records_equal(drain(*source, chunk), expected, 0.0);
+          expect_stats_equal(source->stats(), full_stats);
+          kept += hinted.size();
+        }
+        // Each hinted pass is exactly its shard's records, so together the
+        // passes partition the trace.
+        EXPECT_EQ(kept, full.size());
+      }
+    }
+    const auto source = open();
+    EXPECT_THROW(source->select_shard(0, 0), std::invalid_argument);
+    EXPECT_THROW(source->select_shard(3, 3), std::invalid_argument);
+    EXPECT_THROW(source->select_shard(9, 8), std::invalid_argument);
+  }
 }
 
 TEST(TraceStream, ShardOfIsStableInRangeAndCoversShards) {
