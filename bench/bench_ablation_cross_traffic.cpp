@@ -12,8 +12,9 @@
 #include <cstdio>
 #include <functional>
 #include <memory>
-#include <optional>
+#include <string_view>
 
+#include "attack/timing_attack.hpp"
 #include "bench_common.hpp"
 #include "sim/topology.hpp"
 
@@ -89,45 +90,24 @@ CrossNet make_net(std::uint64_t seed, double cross_rate_per_s) {
   return net;
 }
 
-util::SimDuration fetch_blocking(sim::Consumer& consumer, sim::Scheduler& sched,
-                                 const ndn::Name& name) {
-  std::optional<util::SimDuration> rtt;
-  consumer.fetch(name, [&rtt](const ndn::Data&, util::SimDuration r) { rtt = r; });
-  while (!rtt && sched.run_one()) {
-  }
-  return rtt.value_or(0);
-}
-
 double decision_accuracy(double cross_rate_per_s, std::size_t trials, std::uint64_t seed) {
+  constexpr std::string_view kAttack = "cross_traffic";
   util::Rng coin(seed ^ 0x9e3779b97f4a7c15ULL);
-  std::size_t correct = 0;
+  attack::DetectionTally tally;
   for (std::size_t trial = 0; trial < trials; ++trial) {
     CrossNet net = make_net(seed + trial, cross_rate_per_s);
-    sim::Scheduler& sched = net.topo->scheduler();
     const ndn::Name base = ndn::Name("/producer/t").append_number(trial);
 
     // Let the cross traffic warm the queue up before measuring.
-    sched.run_until(util::millis(50));
+    net.topo->scheduler().run_until(util::millis(50));
 
-    double miss_ref = 0.0;
-    double hit_ref = 0.0;
-    constexpr int kCalib = 3;
-    for (int i = 0; i < kCalib; ++i) {
-      const ndn::Name calib = base.append("calib" + std::to_string(i));
-      miss_ref += util::to_millis(fetch_blocking(*net.adversary, sched, calib));
-      hit_ref += util::to_millis(fetch_blocking(*net.adversary, sched, calib));
-    }
-    miss_ref /= kCalib;
-    hit_ref /= kCalib;
-
-    const ndn::Name target = base.append("target");
-    const bool requested = coin.bernoulli(0.5);
-    if (requested) (void)fetch_blocking(*net.user, sched, target);
-    const double d1 = util::to_millis(fetch_blocking(*net.adversary, sched, target));
-    const bool verdict = std::abs(d1 - hit_ref) < std::abs(d1 - miss_ref);
-    if (verdict == requested) ++correct;
+    const attack::References refs =
+        attack::calibrate_references(*net.adversary, base, 3, kAttack);
+    const attack::DecisionRound round = attack::decide_once(
+        *net.user, *net.adversary, base.append("target"), refs, coin, kAttack);
+    tally.add(round.verdict, round.requested);
   }
-  return static_cast<double>(correct) / static_cast<double>(trials);
+  return tally.rates().accuracy;
 }
 
 }  // namespace

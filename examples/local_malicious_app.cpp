@@ -6,24 +6,12 @@
 //
 //   ./build/examples/local_malicious_app
 #include <cstdio>
-#include <optional>
 
 #include "sim/apps.hpp"
+#include "sim/fetch_util.hpp"
 #include "sim/forwarder.hpp"
 
 using namespace ndnp;
-
-namespace {
-
-util::SimDuration fetch(sim::Consumer& app, sim::Scheduler& sched, const ndn::Name& name) {
-  std::optional<util::SimDuration> rtt;
-  app.fetch(name, [&rtt](const ndn::Data&, util::SimDuration r) { rtt = r; });
-  while (!rtt && sched.run_one()) {
-  }
-  return rtt.value_or(-1);
-}
-
-}  // namespace
 
 int main() {
   sim::Scheduler sched;
@@ -49,9 +37,9 @@ int main() {
   const ndn::Name visited("/webmd/conditions/condition-x/page1");
   const ndn::Name inbox("/mailprovider/alice/inbox/newest");
   std::printf("  browser: %s  (%.2f ms)\n", visited.to_uri().c_str(),
-              util::to_millis(fetch(browser, sched, visited)));
+              util::to_millis(sim::fetch_blocking(browser, {.name = visited}).value()));
   std::printf("  mail:    %s  (%.2f ms)\n", inbox.to_uri().c_str(),
-              util::to_millis(fetch(mail, sched, inbox)));
+              util::to_millis(sim::fetch_blocking(mail, {.name = inbox}).value()));
 
   // The malicious app probes the shared local cache. Anything the user
   // recently fetched answers in IPC time; everything else pays the
@@ -68,7 +56,7 @@ int main() {
       {"someone else's mail inbox", ndn::Name("/mailprovider/bob/inbox/newest")},
   };
   for (const Probe& probe : probes) {
-    const util::SimDuration rtt = fetch(malicious, sched, probe.name);
+    const util::SimDuration rtt = sim::fetch_blocking(malicious, {.name = probe.name}).value();
     const bool cached = rtt < util::millis(1);
     std::printf("  %-38s %6.2f ms -> %s\n", probe.what, util::to_millis(rtt),
                 cached ? "CACHED (user activity inferred)" : "not cached");

@@ -15,6 +15,7 @@
 
 #include "core/name_privacy.hpp"
 #include "sim/apps.hpp"
+#include "sim/fetch_util.hpp"
 #include "sim/forwarder.hpp"
 #include "util/stats.hpp"
 
@@ -86,11 +87,8 @@ int main() {
   // The adversary's view: it cannot name what it cannot guess.
   std::printf("\nAdversary probes:\n");
   int adv_data = 0;
-  adversary.fetch(ndn::Name("/alice/call"),
-                  [&adv_data](const ndn::Data&, util::SimDuration) { ++adv_data; });
-  adversary.fetch(ndn::Name("/alice/call").append_number(7),
-                  [&adv_data](const ndn::Data&, util::SimDuration) { ++adv_data; });
-  sched.run();
+  for (const ndn::Name& probe : {ndn::Name("/alice/call"), ndn::Name("/alice/call/7")})
+    adv_data += sim::fetch_blocking(adversary, {.name = probe}).has_value() ? 1 : 0;
   std::printf("  prefix probes for /alice/call and /alice/call/7 returned %d data packets\n",
               adv_data);
   std::printf("  (cached frames are exact-match-only; their rand component is a %zu-hex-char\n",

@@ -5,6 +5,7 @@
 
 #include "core/name_privacy.hpp"
 #include "sim/apps.hpp"
+#include "sim/fetch_util.hpp"
 #include "sim/forwarder.hpp"
 #include "util/rng.hpp"
 
@@ -60,39 +61,17 @@ struct ConversationNet {
   }
 };
 
-/// Fetch with a deadline; nullopt = timed out.
-std::optional<util::SimDuration> fetch_or_timeout(Consumer& consumer, Scheduler& sched,
-                                                  const ndn::Name& name,
-                                                  util::SimDuration timeout) {
-  std::optional<util::SimDuration> rtt;
-  bool done = false;
-  ndn::Interest interest;
-  interest.name = name;
-  consumer.express_interest(
-      interest,
-      [&](const ndn::Data&, util::SimDuration r) {
-        rtt = r;
-        done = true;
-      },
-      0, timeout, [&done](const ndn::Interest&) { done = true; });
-  while (!done && sched.run_one()) {
-  }
-  return rtt;
-}
+/// Every fetch gives up after this long; nullopt then means "timed out".
+constexpr util::SimDuration kProbeTimeout = util::millis(200);
 
 }  // namespace
 
 ConversationAttackResult run_conversation_attack(const ConversationAttackConfig& config) {
   util::Rng coin(config.seed ^ 0x2545f4914f6cdd1dULL);
-  std::size_t positives = 0;
-  std::size_t detections = 0;
-  std::size_t false_alarms = 0;
-  std::size_t correct = 0;
-  const util::SimDuration probe_timeout = util::millis(200);
+  DetectionTally tally;
 
   for (std::size_t trial = 0; trial < config.trials; ++trial) {
     ConversationNet net(config.seed + trial * 101);
-    Scheduler& sched = net.sched;
 
     // Per-direction sessions; in protected mode frames carry PRF-derived
     // rand components and are exact-match-only.
@@ -128,11 +107,12 @@ ConversationAttackResult run_conversation_attack(const ConversationAttackConfig&
     net.alice_p->publish(ndn::make_data(ndn::Name("/alice/calib/0"), "c", "alice", "alice-key"));
     net.bob_p->publish(ndn::make_data(ndn::Name("/bob/calib/0"), "c", "bob", "bob-key"));
 
-    // Adversary calibration: miss then hit RTT toward each party.
+    // Adversary calibration: the midpoint of one miss and one hit RTT
+    // toward each party.
     const auto calibrate = [&](const ndn::Name& name) {
-      const auto miss = fetch_or_timeout(*net.adversary, sched, name, probe_timeout);
-      const auto hit = fetch_or_timeout(*net.adversary, sched, name, probe_timeout);
-      return (miss && hit) ? (*miss + *hit) / 2 : probe_timeout;
+      const auto miss = fetch_blocking(*net.adversary, {.name = name}, kProbeTimeout);
+      const auto hit = fetch_blocking(*net.adversary, {.name = name}, kProbeTimeout);
+      return (miss && hit) ? (*miss + *hit) / 2 : kProbeTimeout;
     };
     const util::SimDuration thr_alice = calibrate(ndn::Name("/alice/calib/0"));
     const util::SimDuration thr_bob = calibrate(ndn::Name("/bob/calib/0"));
@@ -141,36 +121,22 @@ ConversationAttackResult run_conversation_attack(const ConversationAttackConfig&
     // peer's frames, caching them at R along the way.
     const bool call = coin.bernoulli(0.5);
     if (call) {
-      ++positives;
       for (std::uint64_t seq = 0; seq < config.frames; ++seq) {
-        (void)fetch_or_timeout(*net.bob_c, sched, frame_name(true, seq), probe_timeout);
-        (void)fetch_or_timeout(*net.alice_c, sched, frame_name(false, seq), probe_timeout);
+        (void)fetch_blocking(*net.bob_c, {.name = frame_name(true, seq)}, kProbeTimeout);
+        (void)fetch_blocking(*net.alice_c, {.name = frame_name(false, seq)}, kProbeTimeout);
       }
     }
 
     // Probe: one prefix interest per direction; "ongoing" iff either comes
     // back faster than the calibrated midpoint.
     const auto rtt_alice =
-        fetch_or_timeout(*net.adversary, sched, ndn::Name("/alice/call"), probe_timeout);
+        fetch_blocking(*net.adversary, {.name = ndn::Name("/alice/call")}, kProbeTimeout);
     const auto rtt_bob =
-        fetch_or_timeout(*net.adversary, sched, ndn::Name("/bob/call"), probe_timeout);
-    const bool verdict =
-        (rtt_alice && *rtt_alice <= thr_alice) || (rtt_bob && *rtt_bob <= thr_bob);
-
-    if (verdict && call) ++detections;
-    if (verdict && !call) ++false_alarms;
-    if (verdict == call) ++correct;
+        fetch_blocking(*net.adversary, {.name = ndn::Name("/bob/call")}, kProbeTimeout);
+    tally.add((rtt_alice && *rtt_alice <= thr_alice) || (rtt_bob && *rtt_bob <= thr_bob), call);
   }
 
-  ConversationAttackResult result;
-  const std::size_t negatives = config.trials - positives;
-  result.detection_rate =
-      positives == 0 ? 0.0 : static_cast<double>(detections) / static_cast<double>(positives);
-  result.false_alarm_rate =
-      negatives == 0 ? 0.0
-                     : static_cast<double>(false_alarms) / static_cast<double>(negatives);
-  result.accuracy = static_cast<double>(correct) / static_cast<double>(config.trials);
-  return result;
+  return tally.rates();
 }
 
 }  // namespace ndnp::attack

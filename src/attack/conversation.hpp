@@ -14,6 +14,8 @@
 
 #include <cstdint>
 
+#include "attack/timing_attack.hpp"
+
 namespace ndnp::attack {
 
 struct ConversationAttackConfig {
@@ -25,14 +27,8 @@ struct ConversationAttackConfig {
   std::uint64_t seed = 17;
 };
 
-struct ConversationAttackResult {
-  /// Pr[verdict "call ongoing" | a call happened].
-  double detection_rate = 0.0;
-  /// Pr[verdict "call ongoing" | no call].
-  double false_alarm_rate = 0.0;
-  /// Overall accuracy under a balanced prior.
-  double accuracy = 0.0;
-};
+/// Scores the verdict "a call is ongoing".
+using ConversationAttackResult = DetectionRates;
 
 /// Run the detection game: per trial Alice and Bob hold a call with
 /// probability 1/2; the adversary then probes both parties' call prefixes

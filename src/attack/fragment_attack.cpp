@@ -1,27 +1,12 @@
 #include "attack/fragment_attack.hpp"
 
-#include <optional>
 #include <stdexcept>
 
 #include "util/stats.hpp"
 
 namespace ndnp::attack {
 
-namespace {
-
-util::SimDuration fetch_blocking(sim::Consumer& consumer, sim::Scheduler& scheduler,
-                                 const ndn::Name& name) {
-  std::optional<util::SimDuration> rtt;
-  consumer.fetch(name, [&rtt](const ndn::Data&, util::SimDuration r) { rtt = r; });
-  while (!rtt && scheduler.run_one()) {
-  }
-  if (!rtt)
-    throw std::runtime_error("fragment_attack: fetch of " + name.to_uri() +
-                             " never completed");
-  return *rtt;
-}
-
-}  // namespace
+constexpr std::string_view kAttack = "fragment_attack";
 
 FragmentAttackResult run_fragment_attack(const FragmentAttackConfig& config) {
   if (!config.scenario_params)
@@ -30,40 +15,30 @@ FragmentAttackResult run_fragment_attack(const FragmentAttackConfig& config) {
     throw std::invalid_argument("run_fragment_attack: bad configuration");
 
   util::Rng coin(config.seed ^ 0x5bd1e995ULL);
-  std::size_t detections = 0;
-  std::size_t false_alarms = 0;
-  std::size_t positives = 0;  // trials where the victim requested
-  std::size_t correct_trials = 0;
+  DetectionTally tally;
   std::size_t fragment_probes = 0;
   std::size_t fragment_correct = 0;
 
   for (std::size_t trial = 0; trial < config.trials; ++trial) {
     const auto scenario =
         sim::make_probe_scenario(config.scenario_params(config.seed + trial));
-    sim::Scheduler& scheduler = scenario->topology.scheduler();
+    sim::Consumer& adversary = *scenario->adversary;
     const ndn::Name base =
         scenario->producer->prefix().append("t" + std::to_string(trial));
 
-    // Calibration: double-fetch throwaway content. First fetches sample
-    // the miss reference, second fetches the hit reference; the decision
-    // threshold is the midpoint of the two means.
-    util::Welford miss_refs;
-    util::Welford hit_refs;
-    for (std::size_t i = 0; i < config.calibration_probes; ++i) {
-      const ndn::Name calib = base.append("calib" + std::to_string(i));
-      miss_refs.add(util::to_millis(fetch_blocking(*scenario->adversary, scheduler, calib)));
-      hit_refs.add(util::to_millis(fetch_blocking(*scenario->adversary, scheduler, calib)));
-    }
-    const double threshold_ms = 0.5 * (miss_refs.mean() + hit_refs.mean());
+    // Calibration: the decision threshold is the midpoint of the mean miss
+    // and mean hit reference RTTs.
+    const References refs =
+        calibrate_references(adversary, base, config.calibration_probes, kAttack);
+    const double threshold_ms = 0.5 * (refs.miss_ms + refs.hit_ms);
 
     // Victim side: with probability 1/2, U fetches all fragments of the
     // target content (as a real consumer downloading the file would).
     const ndn::Name content = base.append("video.avi");
     const bool requested = coin.bernoulli(0.5);
     if (requested) {
-      ++positives;
       for (std::size_t f = 0; f < config.n_fragments; ++f)
-        (void)fetch_blocking(*scenario->user, scheduler, content.append_number(f));
+        (void)timed_fetch(*scenario->user, content.append_number(f), kAttack);
     }
 
     // Adversary: one probe per fragment (each probe is one-shot — it
@@ -72,29 +47,17 @@ FragmentAttackResult run_fragment_attack(const FragmentAttackConfig& config) {
     // by sqrt(n).
     double rtt_sum_ms = 0.0;
     for (std::size_t f = 0; f < config.n_fragments; ++f) {
-      const double rtt_ms = util::to_millis(
-          fetch_blocking(*scenario->adversary, scheduler, content.append_number(f)));
+      const double rtt_ms =
+          util::to_millis(timed_fetch(adversary, content.append_number(f), kAttack));
       rtt_sum_ms += rtt_ms;
       // Bookkeeping for the paper's single-object success probability p.
       ++fragment_probes;
       if ((rtt_ms <= threshold_ms) == requested) ++fragment_correct;
     }
-    const bool verdict = rtt_sum_ms / static_cast<double>(config.n_fragments) <= threshold_ms;
-
-    if (verdict && requested) ++detections;
-    if (verdict && !requested) ++false_alarms;
-    if (verdict == requested) ++correct_trials;
+    tally.add(rtt_sum_ms / static_cast<double>(config.n_fragments) <= threshold_ms, requested);
   }
 
-  FragmentAttackResult result;
-  const std::size_t negatives = config.trials - positives;
-  result.detection_rate =
-      positives == 0 ? 0.0 : static_cast<double>(detections) / static_cast<double>(positives);
-  result.false_alarm_rate =
-      negatives == 0 ? 0.0
-                     : static_cast<double>(false_alarms) / static_cast<double>(negatives);
-  result.accuracy =
-      static_cast<double>(correct_trials) / static_cast<double>(config.trials);
+  FragmentAttackResult result{tally.rates()};
   result.per_object_accuracy =
       static_cast<double>(fragment_correct) / static_cast<double>(fragment_probes);
   result.analytic_success =

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <functional>
 
+#include "attack/timing_attack.hpp"
 #include "sim/topology.hpp"
 
 namespace ndnp::attack {
@@ -36,14 +37,9 @@ struct FragmentAttackConfig {
   std::uint64_t seed = 99;
 };
 
-struct FragmentAttackResult {
-  /// Pr[attack says "requested" | victim requested the content].
-  double detection_rate = 0.0;
-  /// Pr[attack says "requested" | victim did not request it].
-  double false_alarm_rate = 0.0;
-  /// Overall per-trial accuracy of the mean-over-fragments attack
-  /// (balanced prior) — the operational amplified success rate.
-  double accuracy = 0.0;
+/// The rates score the verdict "the victim requested the content"; the
+/// accuracy is the operational amplified success rate.
+struct FragmentAttackResult : DetectionRates {
   /// Single-fragment probe accuracy with the same threshold (the paper's
   /// per-object p, ~0.59 in the producer-adjacent setting).
   double per_object_accuracy = 0.0;

@@ -1,7 +1,5 @@
 #include "attack/pit_probe.hpp"
 
-#include <optional>
-
 #include "sim/topology.hpp"
 #include "util/rng.hpp"
 
@@ -9,14 +7,7 @@ namespace ndnp::attack {
 
 namespace {
 
-util::SimDuration fetch_blocking(sim::Consumer& consumer, sim::Scheduler& scheduler,
-                                 const ndn::Name& name) {
-  std::optional<util::SimDuration> rtt;
-  consumer.fetch(name, [&rtt](const ndn::Data&, util::SimDuration r) { rtt = r; });
-  while (!rtt && scheduler.run_one()) {
-  }
-  return rtt.value_or(0);
-}
+constexpr std::string_view kAttack = "pit_collapse_attack";
 
 /// Far-away producer so requests stay in flight long enough to probe.
 sim::ScenarioParams pit_probe_scenario(std::uint64_t seed,
@@ -35,20 +26,18 @@ sim::ScenarioParams pit_probe_scenario(std::uint64_t seed,
 
 PitProbeResult run_pit_collapse_attack(const PitProbeConfig& config) {
   util::Rng coin(config.seed ^ 0xa0761d6478bd642fULL);
-  std::size_t positives = 0;
-  std::size_t detections = 0;
-  std::size_t false_alarms = 0;
-  std::size_t correct = 0;
+  DetectionTally tally;
 
   for (std::size_t trial = 0; trial < config.trials; ++trial) {
     const auto scenario =
         sim::make_probe_scenario(pit_probe_scenario(config.seed + trial, config));
     sim::Scheduler& sched = scenario->topology.scheduler();
+    sim::Consumer& adversary = *scenario->adversary;
     const ndn::Name base = scenario->producer->prefix().append("t" + std::to_string(trial));
 
     // Calibrate the full-fetch RTT on a throwaway name.
     const double full_ms =
-        util::to_millis(fetch_blocking(*scenario->adversary, sched, base.append("calib")));
+        util::to_millis(timed_fetch(adversary, base.append("calib"), kAttack));
 
     // Victim requests the target with probability 1/2; the adversary
     // probes the same name ~20% of an RTT later — well before any Data
@@ -58,34 +47,16 @@ PitProbeResult run_pit_collapse_attack(const PitProbeConfig& config) {
     const util::SimDuration probe_offset =
         static_cast<util::SimDuration>(0.2 * full_ms * 1e6);
 
-    std::optional<util::SimDuration> victim_rtt;
-    if (requested) {
-      ++positives;
-      scenario->user->fetch(target, [&victim_rtt](const ndn::Data&, util::SimDuration r) {
-        victim_rtt = r;
-      });
-    }
+    if (requested) scenario->user->fetch(target, [](const ndn::Data&, util::SimDuration) {});
     sched.run_until(sched.now() + probe_offset);
-    const double probe_ms =
-        util::to_millis(fetch_blocking(*scenario->adversary, sched, target));
+    const double probe_ms = util::to_millis(timed_fetch(adversary, target, kAttack));
 
     // In-flight collapse returns after the residual delay (~80% of the
     // RTT); a genuine miss costs the full RTT. Split the difference.
-    const bool verdict = probe_ms < 0.9 * full_ms;
-    if (verdict && requested) ++detections;
-    if (verdict && !requested) ++false_alarms;
-    if (verdict == requested) ++correct;
+    tally.add(probe_ms < 0.9 * full_ms, requested);
   }
 
-  PitProbeResult result;
-  const std::size_t negatives = config.trials - positives;
-  result.detection_rate =
-      positives == 0 ? 0.0 : static_cast<double>(detections) / static_cast<double>(positives);
-  result.false_alarm_rate =
-      negatives == 0 ? 0.0
-                     : static_cast<double>(false_alarms) / static_cast<double>(negatives);
-  result.accuracy = static_cast<double>(correct) / static_cast<double>(config.trials);
-  return result;
+  return tally.rates();
 }
 
 }  // namespace ndnp::attack

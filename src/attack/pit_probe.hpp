@@ -19,6 +19,7 @@
 #include <functional>
 #include <memory>
 
+#include "attack/timing_attack.hpp"
 #include "core/policy.hpp"
 
 namespace ndnp::attack {
@@ -35,11 +36,8 @@ struct PitProbeConfig {
   std::uint64_t seed = 3;
 };
 
-struct PitProbeResult {
-  double detection_rate = 0.0;
-  double false_alarm_rate = 0.0;
-  double accuracy = 0.0;
-};
+/// Scores the verdict "the victim's request is in flight".
+using PitProbeResult = DetectionRates;
 
 /// Play the in-flight-detection game: per trial the victim requests a
 /// far-away content with probability 1/2, and the adversary probes the

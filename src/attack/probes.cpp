@@ -1,26 +1,8 @@
 #include "attack/probes.hpp"
 
+#include "sim/fetch_util.hpp"
+
 namespace ndnp::attack {
-
-namespace {
-
-/// Send a scope=2 interest and run until Data or the timeout deadline.
-[[nodiscard]] bool probe_returns_data(sim::ProbeScenario& scenario, const ndn::Name& name,
-                                      util::SimDuration timeout) {
-  sim::Scheduler& scheduler = scenario.topology.scheduler();
-  bool got_data = false;
-  ndn::Interest interest;
-  interest.name = name;
-  interest.scope = 2;
-  scenario.adversary->express_interest(
-      interest, [&got_data](const ndn::Data&, util::SimDuration) { got_data = true; });
-  const util::SimTime deadline = scheduler.now() + timeout;
-  while (!got_data && scheduler.pending() > 0 && scheduler.now() < deadline)
-    (void)scheduler.run_one();
-  return got_data;
-}
-
-}  // namespace
 
 std::string_view to_string(ScopeProbeVerdict verdict) noexcept {
   switch (verdict) {
@@ -35,13 +17,16 @@ bool detect_scope_honoring(sim::ProbeScenario& scenario, const ndn::Name& fresh_
                            util::SimDuration timeout) {
   // A fresh name cannot be in any cache: Data can only arrive if the
   // router forwarded the scope=2 interest, i.e. ignored the field.
-  return !probe_returns_data(scenario, fresh_name, timeout);
+  return !run_scope_probe(scenario, fresh_name, /*router_honors_scope=*/false, timeout)
+              .data_returned;
 }
 
 ScopeProbeResult run_scope_probe(sim::ProbeScenario& scenario, const ndn::Name& name,
                                  bool router_honors_scope, util::SimDuration timeout) {
   ScopeProbeResult result;
-  result.data_returned = probe_returns_data(scenario, name, timeout);
+  // The consumer drops the interest at the deadline if no Data came.
+  result.data_returned =
+      sim::fetch_blocking(*scenario.adversary, {.name = name, .scope = 2}, timeout).has_value();
   if (!router_honors_scope) {
     result.verdict = ScopeProbeVerdict::kInconclusive;
   } else {

@@ -4,10 +4,10 @@
 #include <string>
 #include <vector>
 
+#include "attack/timing_attack.hpp"
 #include "core/policies.hpp"
 #include "sim/topology.hpp"
 #include "util/rng.hpp"
-#include "util/tracing.hpp"
 
 namespace ndnp::attack {
 
@@ -87,9 +87,7 @@ TelemetryScenarioResult run_telemetry_scenario(const TelemetryScenarioConfig& co
           std::move(interest),
           [&result, adversary, name, probe_round](const ndn::Data&, util::SimDuration rtt) {
             ++result.probe_data;
-            NDNP_TRACE_EVENT(util::TraceEventType::kAttackProbe, adversary->name(),
-                             adversary->scheduler().now(), name.to_uri(), "truth=attack", -1,
-                             rtt, probe_round);
+            trace_attack_probe(*adversary, name, "attack", rtt, probe_round);
           });
     });
   }

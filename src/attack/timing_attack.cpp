@@ -1,30 +1,83 @@
 #include "attack/timing_attack.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <optional>
 #include <stdexcept>
+#include <string>
 
+#include "sim/fetch_util.hpp"
 #include "util/tracing.hpp"
 
 namespace ndnp::attack {
 
-namespace {
+constexpr std::string_view kAttack = "timing_attack";
 
-/// Express an interest and run the scheduler until its Data arrives.
-/// Returns the measured RTT.
-util::SimDuration fetch_blocking(sim::Consumer& consumer, sim::Scheduler& scheduler,
-                                 const ndn::Name& name) {
-  std::optional<util::SimDuration> rtt;
-  consumer.fetch(name, [&rtt](const ndn::Data&, util::SimDuration r) { rtt = r; });
-  while (!rtt && scheduler.run_one()) {
-  }
+util::SimDuration timed_fetch(sim::Consumer& consumer, const ndn::Name& name,
+                              std::string_view attack) {
+  const std::optional<util::SimDuration> rtt = sim::fetch_blocking(consumer, {.name = name});
   if (!rtt)
-    throw std::runtime_error("timing_attack: fetch of " + name.to_uri() + " never completed");
+    throw std::runtime_error(std::string(attack) + ": fetch of " + name.to_uri() +
+                             " never completed");
   return *rtt;
 }
 
-}  // namespace
+References calibrate_references(sim::Consumer& adversary, const ndn::Name& base,
+                                std::size_t probes, std::string_view attack) {
+  References refs;
+  for (std::size_t i = 0; i < probes; ++i) {
+    const ndn::Name calib = base.append("calib" + std::to_string(i));
+    refs.miss_ms += util::to_millis(timed_fetch(adversary, calib, attack));
+    refs.hit_ms += util::to_millis(timed_fetch(adversary, calib, attack));
+  }
+  refs.miss_ms /= static_cast<double>(probes);
+  refs.hit_ms /= static_cast<double>(probes);
+  return refs;
+}
+
+DecisionRound decide_once(sim::Consumer& victim, sim::Consumer& adversary,
+                          const ndn::Name& target, const References& refs, util::Rng& coin,
+                          std::string_view attack) {
+  DecisionRound round;
+  round.requested = coin.bernoulli(0.5);
+  if (round.requested) (void)timed_fetch(victim, target, attack);
+  round.probe_rtt = timed_fetch(adversary, target, attack);
+  const double d1 = util::to_millis(round.probe_rtt);
+  round.verdict = std::abs(d1 - refs.hit_ms) < std::abs(d1 - refs.miss_ms);
+  return round;
+}
+
+void DetectionTally::add(bool verdict, bool truth) noexcept {
+  ++trials_;
+  if (truth) ++positives_;
+  if (verdict && truth) ++detections_;
+  if (verdict && !truth) ++false_alarms_;
+  if (verdict == truth) ++correct_;
+}
+
+DetectionRates DetectionTally::rates() const noexcept {
+  const std::size_t negatives = trials_ - positives_;
+  return {.detection_rate = positives_ == 0 ? 0.0
+                                            : static_cast<double>(detections_) /
+                                                  static_cast<double>(positives_),
+          .false_alarm_rate = negatives == 0 ? 0.0
+                                             : static_cast<double>(false_alarms_) /
+                                                   static_cast<double>(negatives),
+          .accuracy = static_cast<double>(correct_) / static_cast<double>(trials_)};
+}
+
+void trace_attack_probe(const sim::Consumer& adversary, const ndn::Name& name,
+                        std::string_view truth, util::SimDuration rtt, std::int64_t round,
+                        std::string_view inferred) {
+  NDNP_TRACE_EVENT(util::TraceEventType::kAttackProbe, adversary.name(), adversary.now(),
+                   name.to_uri(),
+                   std::string("truth=")
+                       .append(truth)
+                       .append(inferred.empty() ? "" : " inferred=")
+                       .append(inferred),
+                   -1, rtt, round);
+}
 
 std::pair<double, double> best_threshold(const util::SampleSet& low,
                                          const util::SampleSet& high) {
@@ -71,44 +124,32 @@ TimingAttackResult run_timing_attack(const TimingAttackConfig& config) {
     // cache at R.
     const auto scenario =
         sim::make_probe_scenario(config.scenario_params(config.seed + trial));
-    sim::Scheduler& scheduler = scenario->topology.scheduler();
+    sim::Consumer& adversary = *scenario->adversary;
     const ndn::Name base =
         scenario->producer->prefix().append("t" + std::to_string(trial));
 
+    // The adversary probes `name`; its RTT is a hit or a miss sample.
+    const auto probe = [&](const ndn::Name& name, bool hit) {
+      util::SampleSet& samples = hit ? result.hit_rtts_ms : result.miss_rtts_ms;
+      const util::SimDuration rtt = timed_fetch(adversary, name, kAttack);
+      trace_attack_probe(adversary, name, hit ? "hit" : "miss", rtt,
+                         static_cast<std::int64_t>(samples.size()));
+      samples.add(util::to_millis(rtt));
+    };
     for (std::size_t i = 0; i < config.contents_per_trial; ++i) {
       const ndn::Name cached_name = base.append("hit" + std::to_string(i));
       const ndn::Name fresh_name = base.append("miss" + std::to_string(i));
       if (config.producer_mode) {
         // Figure 3(c): probe the same content twice. The first fetch finds
         // it uncached (miss sample); the second finds it at R (hit sample).
-        const util::SimDuration miss_rtt =
-            fetch_blocking(*scenario->adversary, scheduler, fresh_name);
-        NDNP_TRACE_EVENT(util::TraceEventType::kAttackProbe, scenario->adversary->name(),
-                         scheduler.now(), fresh_name.to_uri(), "truth=miss", -1, miss_rtt,
-                         static_cast<std::int64_t>(result.miss_rtts_ms.size()));
-        result.miss_rtts_ms.add(util::to_millis(miss_rtt));
-        const util::SimDuration hit_rtt =
-            fetch_blocking(*scenario->adversary, scheduler, fresh_name);
-        NDNP_TRACE_EVENT(util::TraceEventType::kAttackProbe, scenario->adversary->name(),
-                         scheduler.now(), fresh_name.to_uri(), "truth=hit", -1, hit_rtt,
-                         static_cast<std::int64_t>(result.hit_rtts_ms.size()));
-        result.hit_rtts_ms.add(util::to_millis(hit_rtt));
+        probe(fresh_name, false);
+        probe(fresh_name, true);
       } else {
         // Figures 3(a,b,d): victim U fetches first, caching at R; the
         // adversary then probes that content (hit) and a fresh one (miss).
-        (void)fetch_blocking(*scenario->user, scheduler, cached_name);
-        const util::SimDuration hit_rtt =
-            fetch_blocking(*scenario->adversary, scheduler, cached_name);
-        NDNP_TRACE_EVENT(util::TraceEventType::kAttackProbe, scenario->adversary->name(),
-                         scheduler.now(), cached_name.to_uri(), "truth=hit", -1, hit_rtt,
-                         static_cast<std::int64_t>(result.hit_rtts_ms.size()));
-        result.hit_rtts_ms.add(util::to_millis(hit_rtt));
-        const util::SimDuration miss_rtt =
-            fetch_blocking(*scenario->adversary, scheduler, fresh_name);
-        NDNP_TRACE_EVENT(util::TraceEventType::kAttackProbe, scenario->adversary->name(),
-                         scheduler.now(), fresh_name.to_uri(), "truth=miss", -1, miss_rtt,
-                         static_cast<std::int64_t>(result.miss_rtts_ms.size()));
-        result.miss_rtts_ms.add(util::to_millis(miss_rtt));
+        (void)timed_fetch(*scenario->user, cached_name, kAttack);
+        probe(cached_name, true);
+        probe(fresh_name, false);
       }
     }
   }
@@ -125,45 +166,26 @@ double run_decision_protocol(const TimingAttackConfig& config) {
     throw std::invalid_argument("run_decision_protocol: scenario_params is required");
 
   util::Rng coin(config.seed ^ 0xabcdef1234567890ULL);
-  std::size_t correct = 0;
+  DetectionTally tally;
   constexpr std::size_t kCalibrationProbes = 3;
 
   for (std::size_t trial = 0; trial < config.trials; ++trial) {
     const auto scenario =
         sim::make_probe_scenario(config.scenario_params(config.seed + trial));
-    sim::Scheduler& scheduler = scenario->topology.scheduler();
+    sim::Consumer& adversary = *scenario->adversary;
     const ndn::Name base =
         scenario->producer->prefix().append("t" + std::to_string(trial));
 
-    // Calibration: fetch throwaway content twice; first fetch samples the
-    // miss reference, second the hit reference.
-    double miss_ref = 0.0;
-    double hit_ref = 0.0;
-    for (std::size_t i = 0; i < kCalibrationProbes; ++i) {
-      const ndn::Name calib = base.append("calib" + std::to_string(i));
-      miss_ref += util::to_millis(fetch_blocking(*scenario->adversary, scheduler, calib));
-      hit_ref += util::to_millis(fetch_blocking(*scenario->adversary, scheduler, calib));
-    }
-    miss_ref /= kCalibrationProbes;
-    hit_ref /= kCalibrationProbes;
-
+    const References refs = calibrate_references(adversary, base, kCalibrationProbes, kAttack);
     // The victim requests the target with probability 1/2, unknown to Adv.
     const ndn::Name target = base.append("target");
-    const bool requested = coin.bernoulli(0.5);
-    if (requested) (void)fetch_blocking(*scenario->user, scheduler, target);
-
-    const util::SimDuration probe_rtt =
-        fetch_blocking(*scenario->adversary, scheduler, target);
-    const double d1 = util::to_millis(probe_rtt);
-    const bool verdict = std::abs(d1 - hit_ref) < std::abs(d1 - miss_ref);
-    NDNP_TRACE_EVENT(util::TraceEventType::kAttackProbe, scenario->adversary->name(),
-                     scheduler.now(), target.to_uri(),
-                     std::string("truth=") + (requested ? "hit" : "miss") +
-                         " inferred=" + (verdict ? "hit" : "miss"),
-                     -1, probe_rtt, static_cast<std::int64_t>(trial));
-    if (verdict == requested) ++correct;
+    const DecisionRound round =
+        decide_once(*scenario->user, adversary, target, refs, coin, kAttack);
+    trace_attack_probe(adversary, target, round.requested ? "hit" : "miss", round.probe_rtt,
+                       static_cast<std::int64_t>(trial), round.verdict ? "hit" : "miss");
+    tally.add(round.verdict, round.requested);
   }
-  return static_cast<double>(correct) / static_cast<double>(config.trials);
+  return tally.rates().accuracy;
 }
 
 std::string format_timing_report(const TimingAttackResult& result, std::size_t pdf_bins) {

@@ -8,12 +8,19 @@
 // two separate — via the Bayes-optimal classifier (the paper's
 // "probability of determining whether C is retrieved from R's cache") and
 // via a realistic single-threshold adversary.
+//
+// It also holds the steps every attack in this directory shares: a fetch
+// whose answer the attack needs, the miss/hit calibration, one round of
+// the decision protocol, the detection tally and the attack_probe trace
+// event.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <string_view>
 
 #include "sim/topology.hpp"
+#include "util/rng.hpp"
 #include "util/stats.hpp"
 
 namespace ndnp::attack {
@@ -62,6 +69,69 @@ struct TimingAttackResult {
 /// below the threshold are classified into `low`.
 [[nodiscard]] std::pair<double, double> best_threshold(const util::SampleSet& low,
                                                        const util::SampleSet& high);
+
+/// Fetch `name` through `consumer` (sim::fetch_blocking, no timeout) and
+/// return its RTT. A fetch that never completes throws std::runtime_error
+/// naming `attack` and `name`: scoring it as some RTT would read as a verdict.
+[[nodiscard]] util::SimDuration timed_fetch(sim::Consumer& consumer, const ndn::Name& name,
+                                            std::string_view attack);
+
+/// Mean miss and hit reference RTTs in ms.
+struct References {
+  double miss_ms = 0.0;
+  double hit_ms = 0.0;
+};
+
+/// Fetch base/calib<i> twice for each of `probes` throwaway names: first
+/// fetches sample the miss reference, second fetches the hit reference.
+/// Returns each sum divided by `probes`.
+[[nodiscard]] References calibrate_references(sim::Consumer& adversary, const ndn::Name& base,
+                                              std::size_t probes, std::string_view attack);
+
+struct DecisionRound {
+  bool requested = false;  // the victim fetched the target (ground truth)
+  bool verdict = false;    // the adversary decided "hit"
+  util::SimDuration probe_rtt = 0;
+};
+
+/// One round of the decision protocol: the victim fetches `target` with
+/// probability 1/2 drawn from `coin`, then the adversary probes it once and
+/// decides "hit" iff the RTT lies nearer the hit than the miss reference.
+[[nodiscard]] DecisionRound decide_once(sim::Consumer& victim, sim::Consumer& adversary,
+                                        const ndn::Name& target, const References& refs,
+                                        util::Rng& coin, std::string_view attack);
+
+/// How a per-trial yes/no attack scored against the ground truth.
+struct DetectionRates {
+  /// Pr[verdict | truth]; 0 when no trial had the truth.
+  double detection_rate = 0.0;
+  /// Pr[verdict | not truth]; 0 when every trial had it.
+  double false_alarm_rate = 0.0;
+  /// Fraction of trials whose verdict equals the truth.
+  double accuracy = 0.0;
+};
+
+/// Counts one (verdict, truth) pair per trial.
+class DetectionTally {
+ public:
+  void add(bool verdict, bool truth) noexcept;
+  [[nodiscard]] DetectionRates rates() const noexcept;
+
+ private:
+  std::size_t trials_ = 0;
+  std::size_t positives_ = 0;
+  std::size_t detections_ = 0;
+  std::size_t false_alarms_ = 0;
+  std::size_t correct_ = 0;
+};
+
+/// Record an attack_probe trace event for `adversary`'s probe of `name`
+/// at the current simulation time: detail "truth=<truth>", followed by
+/// " inferred=<inferred>" when `inferred` is not empty; a = `rtt`,
+/// b = `round`. Builds no string unless a tracer is bound and enabled.
+void trace_attack_probe(const sim::Consumer& adversary, const ndn::Name& name,
+                        std::string_view truth, util::SimDuration rtt, std::int64_t round,
+                        std::string_view inferred = {});
 
 /// The Figure-3 text report: the paired hit/miss PDF table, the RTT summary
 /// statistics, and both classifier accuracies. Extracted from the bench

@@ -1,11 +1,31 @@
 #include "core/engine.hpp"
 
 #include <stdexcept>
+#include <string>
 
 #include "util/invariant.hpp"
 #include "util/tracing.hpp"
 
 namespace ndnp::core {
+
+namespace {
+
+/// policy_decision detail: "policy=<name> action=<outcome> private=<0|1>",
+/// then " c=<c> k=<k>" when the policy reported Algorithm 1's state.
+[[nodiscard]] std::string decision_detail(std::string_view policy_name,
+                                          const LookupDecision& decision,
+                                          bool effective_private) {
+  std::string detail = std::string("policy=")
+                           .append(policy_name)
+                           .append(" action=")
+                           .append(to_string(decision.action))
+                           .append(effective_private ? " private=1" : " private=0");
+  if (decision.k >= 0)
+    detail += " c=" + std::to_string(decision.c) + " k=" + std::to_string(decision.k);
+  return detail;
+}
+
+}  // namespace
 
 CachePrivacyEngine::CachePrivacyEngine(std::size_t cache_capacity,
                                        cache::EvictionPolicy eviction,
@@ -24,7 +44,6 @@ CachePrivacyEngine::CachePrivacyEngine(std::size_t cache_capacity,
 
 void CachePrivacyEngine::set_trace_label(const std::string& label) {
   store_.set_trace_label(label);
-  policy_->set_trace_label(label);
 }
 
 LookupResult CachePrivacyEngine::lookup(const ndn::Interest& interest, util::SimTime now) {
@@ -37,6 +56,10 @@ LookupResult CachePrivacyEngine::lookup(const ndn::Interest& interest, util::Sim
   const bool effective_private = resolve_effective_privacy(*entry, interest);
   const LookupDecision decision =
       policy_->on_cached_lookup(*entry, interest, effective_private, now);
+  NDNP_TRACE_EVENT(util::TraceEventType::kPolicyDecision, store_.trace_label(), now,
+                   entry->data.name.to_uri(),
+                   decision_detail(policy_->name(), decision, effective_private), -1,
+                   decision.artificial_delay);
   NDNP_INVARIANT_CHECK("engine", decision.action != LookupOutcome::kTrueMiss,
                        "policy %s answered a cached lookup for %s with TrueMiss",
                        std::string(policy_->name()).c_str(), interest.name.to_uri().c_str());

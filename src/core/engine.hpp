@@ -114,7 +114,8 @@ class CachePrivacyEngine {
   [[nodiscard]] cache::ContentStore& store() noexcept { return store_; }
   [[nodiscard]] const CachePrivacyPolicy& policy() const noexcept { return *policy_; }
 
-  /// Node label on the CS and policy trace events (default "engine").
+  /// Node label on the CS trace events and on the policy_decision event
+  /// lookup() emits for every cached lookup (default "engine").
   void set_trace_label(const std::string& label);
 
   /// Publish engine, content-store and policy counters into `snap`

@@ -10,11 +10,9 @@ namespace ndnp::core {
 
 void NoPrivacyPolicy::on_insert(cache::Entry&, const ndn::Interest&, util::SimTime) {}
 
-LookupDecision NoPrivacyPolicy::on_cached_lookup(cache::Entry& entry, const ndn::Interest&,
-                                                 bool effective_private, util::SimTime now) {
-  const LookupDecision decision{.action = LookupOutcome::kExposedHit, .artificial_delay = 0};
-  trace_decision(entry, decision, effective_private, now);
-  return decision;
+LookupDecision NoPrivacyPolicy::on_cached_lookup(cache::Entry&, const ndn::Interest&, bool,
+                                                 util::SimTime) {
+  return {.action = LookupOutcome::kExposedHit, .artificial_delay = 0};
 }
 
 std::unique_ptr<CachePrivacyPolicy> NoPrivacyPolicy::clone() const {
@@ -55,7 +53,7 @@ AlwaysDelayPolicy AlwaysDelayPolicy::dynamic(DynamicDelayParams params) {
 void AlwaysDelayPolicy::on_insert(cache::Entry&, const ndn::Interest&, util::SimTime) {}
 
 LookupDecision AlwaysDelayPolicy::on_cached_lookup(cache::Entry& entry, const ndn::Interest&,
-                                                   bool effective_private, util::SimTime now) {
+                                                   bool effective_private, util::SimTime) {
   LookupDecision decision{.action = LookupOutcome::kExposedHit, .artificial_delay = 0};
   if (effective_private) {
     switch (mode_) {
@@ -80,7 +78,6 @@ LookupDecision AlwaysDelayPolicy::on_cached_lookup(cache::Entry& entry, const nd
       }
     }
   }
-  trace_decision(entry, decision, effective_private, now);
   return decision;
 }
 
@@ -114,19 +111,14 @@ void NaiveThresholdPolicy::on_insert(cache::Entry& entry, const ndn::Interest&, 
 }
 
 LookupDecision NaiveThresholdPolicy::on_cached_lookup(cache::Entry& entry, const ndn::Interest&,
-                                                      bool effective_private, util::SimTime now) {
-  if (!effective_private) {
-    const LookupDecision decision{.action = LookupOutcome::kExposedHit, .artificial_delay = 0};
-    trace_decision(entry, decision, effective_private, now);
-    return decision;
-  }
+                                                      bool effective_private, util::SimTime) {
+  if (!effective_private) return {.action = LookupOutcome::kExposedHit, .artificial_delay = 0};
   ++entry.meta.request_count;
   const auto count = static_cast<std::int64_t>(entry.meta.request_count);
-  const LookupDecision decision{.action = count <= k_ ? LookupOutcome::kSimulatedMiss
-                                                      : LookupOutcome::kExposedHit,
-                                .artificial_delay = 0};
-  trace_decision(entry, decision, effective_private, now, count, k_);
-  return decision;
+  return {.action = count <= k_ ? LookupOutcome::kSimulatedMiss : LookupOutcome::kExposedHit,
+          .artificial_delay = 0,
+          .c = count,
+          .k = k_};
 }
 
 std::unique_ptr<CachePrivacyPolicy> NaiveThresholdPolicy::clone() const {
@@ -197,12 +189,8 @@ void RandomCachePolicy::on_insert(cache::Entry& entry, const ndn::Interest&, uti
 }
 
 LookupDecision RandomCachePolicy::on_cached_lookup(cache::Entry& entry, const ndn::Interest&,
-                                                   bool effective_private, util::SimTime now) {
-  if (!effective_private) {
-    const LookupDecision decision{.action = LookupOutcome::kExposedHit, .artificial_delay = 0};
-    trace_decision(entry, decision, effective_private, now);
-    return decision;
-  }
+                                                   bool effective_private, util::SimTime) {
+  if (!effective_private) return {.action = LookupOutcome::kExposedHit, .artificial_delay = 0};
   std::int64_t count = 0;
   std::int64_t threshold = 0;
   if (grouping_ == Grouping::kNone) {
@@ -215,11 +203,11 @@ LookupDecision RandomCachePolicy::on_cached_lookup(cache::Entry& entry, const nd
     threshold = it->second.threshold;
   }
   // Algorithm 1 lines 10-14.
-  const LookupDecision decision{.action = count <= threshold ? LookupOutcome::kSimulatedMiss
-                                                             : LookupOutcome::kExposedHit,
-                                .artificial_delay = 0};
-  trace_decision(entry, decision, effective_private, now, count, threshold);
-  return decision;
+  return {.action = count <= threshold ? LookupOutcome::kSimulatedMiss
+                                       : LookupOutcome::kExposedHit,
+          .artificial_delay = 0,
+          .c = count,
+          .k = threshold};
 }
 
 std::unique_ptr<CachePrivacyPolicy> RandomCachePolicy::clone() const {

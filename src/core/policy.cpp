@@ -1,7 +1,5 @@
 #include "core/policy.hpp"
 
-#include "util/tracing.hpp"
-
 namespace ndnp::core {
 
 std::string_view to_string(LookupOutcome outcome) noexcept {
@@ -22,38 +20,6 @@ std::string_view counter_name(LookupOutcome outcome) noexcept {
     case LookupOutcome::kTrueMiss: return "true_misses";
   }
   return "?";
-}
-
-namespace {
-
-[[nodiscard]] std::string decision_detail(std::string_view policy_name,
-                                          const LookupDecision& decision,
-                                          bool effective_private, std::int64_t c,
-                                          std::int64_t k) {
-  std::string detail = "policy=";
-  detail += policy_name;
-  detail += " action=";
-  detail += to_string(decision.action);
-  detail += effective_private ? " private=1" : " private=0";
-  if (k >= 0) {
-    detail += " c=";
-    detail += std::to_string(c);
-    detail += " k=";
-    detail += std::to_string(k);
-  }
-  return detail;
-}
-
-}  // namespace
-
-void CachePrivacyPolicy::trace_decision(const cache::Entry& entry,
-                                        const LookupDecision& decision, bool effective_private,
-                                        util::SimTime now, std::int64_t c,
-                                        std::int64_t k) const {
-  NDNP_TRACE_EVENT(util::TraceEventType::kPolicyDecision, trace_label_, now,
-                   entry.data.name.to_uri(),
-                   decision_detail(name(), decision, effective_private, c, k), -1,
-                   decision.artificial_delay);
 }
 
 void init_privacy_marking(cache::Entry& entry, const ndn::Interest& cause) noexcept {

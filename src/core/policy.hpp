@@ -47,6 +47,11 @@ struct LookupDecision {
   LookupOutcome action = LookupOutcome::kExposedHit;
   /// Extra response delay for kDelayedHit (ignored otherwise).
   util::SimDuration artificial_delay = 0;
+  /// Algorithm 1's request counter c and threshold k behind the verdict,
+  /// for the engine's policy_decision trace event; -1 when the policy keeps
+  /// none for this lookup.
+  std::int64_t c = -1;
+  std::int64_t k = -1;
 };
 
 class CachePrivacyPolicy {
@@ -86,22 +91,6 @@ class CachePrivacyPolicy {
     (void)snap;
     (void)prefix;
   }
-
-  /// Node label stamped on policy_decision trace events (the owning
-  /// forwarder/engine sets its node name; default "policy").
-  void set_trace_label(std::string label) { trace_label_ = std::move(label); }
-  [[nodiscard]] const std::string& trace_label() const noexcept { return trace_label_; }
-
- protected:
-  /// Record a policy_decision trace event (no-op unless a tracer is bound
-  /// and enabled). `c`/`k` are the Algorithm-1 counter and threshold when
-  /// the policy keeps them; pass -1 when not applicable.
-  void trace_decision(const cache::Entry& entry, const LookupDecision& decision,
-                      bool effective_private, util::SimTime now, std::int64_t c = -1,
-                      std::int64_t k = -1) const;
-
- private:
-  std::string trace_label_ = "policy";
 };
 
 // ---------------------------------------------------------------------------

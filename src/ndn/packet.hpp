@@ -40,7 +40,7 @@ struct Interest {
   /// NDN scope: maximum number of NDN entities the interest may traverse,
   /// *source included*. nullopt = unlimited. scope=2 means "first-hop
   /// router only" — the cache-probing primitive of Section III.
-  std::optional<int> scope;
+  std::optional<int> scope = std::nullopt;
   /// Consumer-driven privacy bit (Section V): request this content as
   /// private regardless of producer marking.
   bool private_req = false;
@@ -48,7 +48,7 @@ struct Interest {
   /// are skipped as if absent).
   bool must_be_fresh = false;
   /// Requested PIT lifetime in nanoseconds; nullopt = router default.
-  std::optional<std::int64_t> lifetime;
+  std::optional<std::int64_t> lifetime = std::nullopt;
 
   /// Approximate wire size in bytes (type/length framing + name + fields);
   /// used by links that model transmission delay.

@@ -44,6 +44,27 @@ struct ReliableState : std::enable_shared_from_this<ReliableState> {
 
 }  // namespace
 
+std::optional<util::SimDuration> fetch_blocking(Consumer& consumer, ndn::Interest interest,
+                                                util::SimDuration timeout) {
+  struct Outcome {
+    bool done = false;
+    std::optional<util::SimDuration> rtt;
+  };
+  auto outcome = std::make_shared<Outcome>();
+  consumer.express_interest(
+      std::move(interest),
+      [outcome](const ndn::Data&, util::SimDuration rtt) {
+        outcome->done = true;
+        outcome->rtt = rtt;
+      },
+      /*face=*/0, timeout, [outcome](const ndn::Interest&) { outcome->done = true; },
+      [outcome](const ndn::Nack&) { outcome->done = true; });
+  Scheduler& scheduler = consumer.scheduler();
+  while (!outcome->done && scheduler.run_one()) {
+  }
+  return outcome->rtt;
+}
+
 void reliable_fetch(Consumer& consumer, const ndn::Name& name,
                     std::function<void(const ReliableFetchResult&)> on_done,
                     const ReliableFetchOptions& options) {

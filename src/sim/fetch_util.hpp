@@ -1,5 +1,7 @@
 // Consumer-side fetch utilities.
 //
+// fetch_blocking is the adversary's one primitive (Section III): fetch a
+// name and time the reply, running the simulation until it is answered.
 // ReliableFetcher wraps one interest with timeout-driven retransmission —
 // the standard NDN ARQ loop whose cache-assisted recovery is exactly why
 // Section V-A insists the unpredictable-name countermeasure must keep
@@ -10,10 +12,21 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 
 #include "sim/apps.hpp"
 
 namespace ndnp::sim {
+
+/// Express `interest` through `consumer` and run the consumer's scheduler
+/// until one of four things happens: the Data arrives, a NACK arrives, the
+/// consumer-side `timeout` fires (0 schedules no timer) or the event queue
+/// drains. Returns the RTT the Data callback saw, or nullopt when no Data
+/// came. An interest still pending when the queue drained may be answered
+/// later; its callback then writes into state it owns, not into this frame.
+[[nodiscard]] std::optional<util::SimDuration> fetch_blocking(Consumer& consumer,
+                                                              ndn::Interest interest,
+                                                              util::SimDuration timeout = 0);
 
 struct ReliableFetchOptions {
   /// Retransmission timeout per attempt.

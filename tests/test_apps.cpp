@@ -5,6 +5,7 @@
 #include <optional>
 
 #include "crypto/hmac.hpp"
+#include "sim/fetch_util.hpp"
 #include "sim/forwarder.hpp"
 
 namespace ndnp::sim {
@@ -169,11 +170,7 @@ TEST(Producer, IgnoresInterestsOutsidePrefix) {
   Producer producer(sched, "P", ndn::Name("/p"), "key", {}, 2);
   connect(consumer, producer, fixed_link(1.0));
 
-  bool got = false;
-  consumer.fetch(ndn::Name("/elsewhere/x"),
-                 [&](const ndn::Data&, util::SimDuration) { got = true; });
-  sched.run();
-  EXPECT_FALSE(got);
+  EXPECT_FALSE(fetch_blocking(consumer, {.name = ndn::Name("/elsewhere/x")}));
   EXPECT_EQ(producer.interests_unmatched(), 1u);
   EXPECT_EQ(producer.interests_served(), 0u);
 }
@@ -201,10 +198,7 @@ TEST(Node, LossyLinkDropsPackets) {
   LinkConfig lossy = fixed_link(1.0);
   lossy.loss_probability = 1.0;  // everything dropped
   connect(consumer, producer, lossy);
-  bool got = false;
-  consumer.fetch(ndn::Name("/p/x"), [&](const ndn::Data&, util::SimDuration) { got = true; });
-  sched.run();
-  EXPECT_FALSE(got);
+  EXPECT_FALSE(fetch_blocking(consumer, {.name = ndn::Name("/p/x")}));
   EXPECT_EQ(producer.interests_served(), 0u);
 }
 

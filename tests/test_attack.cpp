@@ -11,6 +11,7 @@
 #include "attack/sequential.hpp"
 #include "attack/timing_attack.hpp"
 #include "core/policies.hpp"
+#include "sim/fetch_util.hpp"
 
 namespace ndnp::attack {
 namespace {
@@ -54,20 +55,21 @@ TEST(TimingAttack, LocalHostGapIsObvious) {
   EXPECT_GT(result.miss_rtts_ms.mean(), 2.0 * result.hit_rtts_ms.mean());
 }
 
-TEST(TimingAttack, AlwaysDelayCountermeasureDefeatsAttack) {
-  // Install the content-specific Always-Delay policy at R and mark all
-  // probe content private: hit and miss RTTs become indistinguishable.
-  TimingAttackConfig config = small_config(&sim::lan_scenario_params);
-  config.scenario_params = [](std::uint64_t seed) {
-    sim::ScenarioParams params = sim::lan_scenario_params(seed);
-    params.producer_config.mark_private = true;
-    params.router_policy = [] {
-      return std::make_unique<core::AlwaysDelayPolicy>(
-          core::AlwaysDelayPolicy::content_specific());
-    };
-    return params;
+/// The LAN scenario with every probe content private and the
+/// content-specific Always-Delay policy installed at R.
+sim::ScenarioParams always_delay_lan(std::uint64_t seed) {
+  sim::ScenarioParams params = sim::lan_scenario_params(seed);
+  params.producer_config.mark_private = true;
+  params.router_policy = [] {
+    return std::make_unique<core::AlwaysDelayPolicy>(
+        core::AlwaysDelayPolicy::content_specific());
   };
-  const TimingAttackResult result = run_timing_attack(config);
+  return params;
+}
+
+TEST(TimingAttack, AlwaysDelayCountermeasureDefeatsAttack) {
+  // Hit and miss RTTs become indistinguishable.
+  const TimingAttackResult result = run_timing_attack(small_config(&always_delay_lan));
   EXPECT_LT(result.bayes_accuracy, 0.75);  // down from > 0.99 without the defense
 }
 
@@ -77,17 +79,7 @@ TEST(TimingAttack, DecisionProtocolNearPerfectOnLan) {
 }
 
 TEST(TimingAttack, DecisionProtocolDegradedByCountermeasure) {
-  TimingAttackConfig config = small_config(&sim::lan_scenario_params, 30);
-  config.scenario_params = [](std::uint64_t seed) {
-    sim::ScenarioParams params = sim::lan_scenario_params(seed);
-    params.producer_config.mark_private = true;
-    params.router_policy = [] {
-      return std::make_unique<core::AlwaysDelayPolicy>(
-          core::AlwaysDelayPolicy::content_specific());
-    };
-    return params;
-  };
-  const double accuracy = run_decision_protocol(config);
+  const double accuracy = run_decision_protocol(small_config(&always_delay_lan, 30));
   EXPECT_LT(accuracy, 0.8);
 }
 
@@ -172,11 +164,7 @@ TEST(ScopeProbe, HonoringRouterYieldsDeterministicOracle) {
             ScopeProbeVerdict::kNotCached);
 
   // Victim fetches; now the probe proves the cache holds it.
-  bool done = false;
-  scenario->user->fetch(target,
-                        [&done](const ndn::Data&, util::SimDuration) { done = true; });
-  while (!done && scenario->topology.scheduler().run_one()) {
-  }
+  ASSERT_TRUE(sim::fetch_blocking(*scenario->user, {.name = target}));
   const ScopeProbeResult result = run_scope_probe(*scenario, target, honors);
   EXPECT_EQ(result.verdict, ScopeProbeVerdict::kCached);
   EXPECT_TRUE(result.data_returned);
@@ -194,6 +182,24 @@ TEST(ScopeProbe, IgnoringRouterIsInconclusive) {
   const ScopeProbeResult result =
       run_scope_probe(*scenario, scenario->producer->prefix().append("x"), honors);
   EXPECT_EQ(result.verdict, ScopeProbeVerdict::kInconclusive);
+}
+
+TEST(ScopeProbe, DeadlineDropsThePendingProbe) {
+  // The router ignores scope, so the probe is forwarded and its Data comes
+  // back long after a 1 us deadline. The probe must not leave the interest
+  // pending: the late Data would otherwise fire a callback into the
+  // probe's finished stack frame.
+  sim::ScenarioParams params = sim::lan_scenario_params(7);
+  params.router_config.honor_scope = false;
+  auto scenario = sim::make_probe_scenario(params);
+  const ScopeProbeResult result =
+      run_scope_probe(*scenario, scenario->producer->prefix().append("late"),
+                      /*router_honors_scope=*/false, /*timeout=*/util::micros(1));
+  EXPECT_FALSE(result.data_returned);
+  ASSERT_EQ(scenario->adversary->outstanding(), 0u);
+  EXPECT_EQ(scenario->adversary->timeouts(), 1u);
+  scenario->topology.scheduler().run();  // the late Data finds nothing pending
+  EXPECT_EQ(scenario->adversary->data_received(), 1u);
 }
 
 TEST(ScopeProbe, VerdictNames) {
@@ -335,12 +341,6 @@ TEST(FragmentAttack, RejectsBadConfig) {
   EXPECT_THROW((void)run_fragment_attack(config), std::invalid_argument);
 }
 
-}  // namespace
-}  // namespace ndnp::attack
-
-namespace ndnp::attack {
-namespace {
-
 TEST(ConversationAttack, DetectsCallsWithPredictableNames) {
   ConversationAttackConfig config;
   config.trials = 30;
@@ -365,12 +365,6 @@ TEST(ConversationAttack, UnpredictableNamesCollapseDetection) {
   EXPECT_DOUBLE_EQ(result.false_alarm_rate, 0.0);
   EXPECT_NEAR(result.accuracy, 0.5, 0.25);
 }
-
-}  // namespace
-}  // namespace ndnp::attack
-
-namespace ndnp::attack {
-namespace {
 
 TEST(PitCollapseAttack, DetectsInFlightRequests) {
   PitProbeConfig config;
@@ -397,12 +391,6 @@ TEST(PitCollapseAttack, CacheSidePoliciesDoNotHelp) {
   EXPECT_GT(result.accuracy, 0.9);
 }
 
-}  // namespace
-}  // namespace ndnp::attack
-
-namespace ndnp::attack {
-namespace {
-
 TEST(PitCollapseAttack, CollapsePaddingClosesTheChannel) {
   PitProbeConfig config;
   config.trials = 40;
@@ -414,12 +402,6 @@ TEST(PitCollapseAttack, CollapsePaddingClosesTheChannel) {
   EXPECT_LT(result.detection_rate, 0.2);
   EXPECT_NEAR(result.accuracy, 0.5, 0.25);
 }
-
-}  // namespace
-}  // namespace ndnp::attack
-
-namespace ndnp::attack {
-namespace {
 
 TEST(SprtAttack, NaiveDegenerateDecidedQuicklyAndCorrectly) {
   // Fixed threshold: the miss-run length separates the states perfectly,

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "sim/apps.hpp"
+#include "sim/fetch_util.hpp"
 #include "sim/forwarder.hpp"
 
 namespace ndnp::sim {
@@ -20,10 +21,7 @@ TEST(PacketTap, RecordsBothDirections) {
   link.tap = std::make_shared<PacketTap>();
   connect(consumer, producer, link);
 
-  bool got = false;
-  consumer.fetch(ndn::Name("/p/x"), [&got](const ndn::Data&, util::SimDuration) { got = true; });
-  sched.run();
-  ASSERT_TRUE(got);
+  ASSERT_TRUE(fetch_blocking(consumer, {.name = ndn::Name("/p/x")}));
 
   ASSERT_EQ(link.tap->size(), 2u);
   EXPECT_EQ(link.tap->count(PacketKind::kInterest), 1u);
@@ -124,10 +122,7 @@ TEST(PacketTap, NoTapNoOverheadPathStillWorks) {
   LinkConfig link;
   link.latency = util::millis(1);
   connect(consumer, producer, link);
-  bool got = false;
-  consumer.fetch(ndn::Name("/p/x"), [&got](const ndn::Data&, util::SimDuration) { got = true; });
-  sched.run();
-  EXPECT_TRUE(got);
+  EXPECT_TRUE(fetch_blocking(consumer, {.name = ndn::Name("/p/x")}));
 }
 
 }  // namespace

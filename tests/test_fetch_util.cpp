@@ -34,6 +34,51 @@ struct Net {
   }
 };
 
+TEST(FetchBlocking, ReturnsTheRttTheDataCallbackSees) {
+  Net reference;
+  std::optional<util::SimDuration> seen;
+  reference.consumer->fetch(ndn::Name("/p/x"),
+                            [&seen](const ndn::Data&, util::SimDuration rtt) { seen = rtt; });
+  reference.sched.run();
+  ASSERT_TRUE(seen.has_value());
+
+  Net net;
+  EXPECT_EQ(fetch_blocking(*net.consumer, {.name = ndn::Name("/p/x")}), seen);
+  EXPECT_EQ(net.consumer->outstanding(), 0u);
+  // A consumer-side timeout that does not fire leaves the RTT unchanged.
+  Net timed;
+  EXPECT_EQ(fetch_blocking(*timed.consumer, {.name = ndn::Name("/p/x")}, util::millis(50)),
+            seen);
+}
+
+TEST(FetchBlocking, NoRouteNackReturnsNullopt) {
+  Net net(0.0, /*routed=*/false);
+  EXPECT_EQ(fetch_blocking(*net.consumer, {.name = ndn::Name("/p/x")}), std::nullopt);
+  EXPECT_EQ(net.consumer->nacks_received(), 1u);
+  EXPECT_EQ(net.consumer->outstanding(), 0u);
+}
+
+TEST(FetchBlocking, TimeoutReturnsNulloptAndDropsTheInterest) {
+  // The RTT is 3 ms; the consumer gives up after 1 ms and stops there.
+  Net net;
+  EXPECT_EQ(fetch_blocking(*net.consumer, {.name = ndn::Name("/p/x")}, util::millis(1)),
+            std::nullopt);
+  EXPECT_EQ(net.sched.now(), util::millis(1));
+  EXPECT_EQ(net.consumer->timeouts(), 1u);
+  EXPECT_EQ(net.consumer->outstanding(), 0u);
+  net.sched.run();  // the late Data arrives with nothing pending
+  EXPECT_EQ(net.consumer->data_received(), 1u);
+}
+
+TEST(FetchBlocking, DrainedQueueReturnsNullopt) {
+  // Every packet is lost: no Data, no NACK and no timer, so the fetch
+  // returns once the event queue is empty, the interest still pending.
+  Net net(/*loss=*/1.0);
+  EXPECT_EQ(fetch_blocking(*net.consumer, {.name = ndn::Name("/p/x")}), std::nullopt);
+  EXPECT_EQ(net.sched.pending(), 0u);
+  EXPECT_EQ(net.consumer->outstanding(), 1u);
+}
+
 TEST(ReliableFetch, SucceedsFirstTryOnCleanNetwork) {
   Net net;
   std::optional<ReliableFetchResult> result;

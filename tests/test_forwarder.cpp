@@ -9,6 +9,7 @@
 
 #include "core/policies.hpp"
 #include "sim/apps.hpp"
+#include "sim/fetch_util.hpp"
 
 namespace ndnp::sim {
 namespace {
@@ -51,17 +52,10 @@ void build_line(MiniNet& net, std::unique_ptr<core::CachePrivacyPolicy> policy =
   net.router->add_route(ndn::Name("/p"), rp);
 }
 
-util::SimDuration fetch(Consumer& consumer, Scheduler& sched, const ndn::Name& name,
-                        bool private_req = false, std::optional<int> scope = std::nullopt) {
-  std::optional<util::SimDuration> rtt;
-  ndn::Interest interest;
-  interest.name = name;
-  interest.private_req = private_req;
-  interest.scope = scope;
-  consumer.express_interest(interest,
-                            [&rtt](const ndn::Data&, util::SimDuration r) { rtt = r; });
-  while (!rtt && sched.run_one()) {
-  }
+util::SimDuration fetch(Consumer& consumer, const ndn::Name& name, bool private_req = false,
+                        std::optional<int> scope = std::nullopt) {
+  const std::optional<util::SimDuration> rtt =
+      fetch_blocking(consumer, {.name = name, .scope = scope, .private_req = private_req});
   EXPECT_TRUE(rtt.has_value()) << "fetch of " << name.to_uri() << " failed";
   return rtt.value_or(-1);
 }
@@ -69,7 +63,7 @@ util::SimDuration fetch(Consumer& consumer, Scheduler& sched, const ndn::Name& n
 TEST(Forwarder, FetchThroughRouterReachesProducer) {
   MiniNet net;
   build_line(net);
-  const util::SimDuration rtt = fetch(*net.consumer, net.sched, ndn::Name("/p/file/1"));
+  const util::SimDuration rtt = fetch(*net.consumer, ndn::Name("/p/file/1"));
   // 2 * (1 ms + 2 ms) plus processing; comfortably in [6, 7] ms.
   EXPECT_GE(rtt, util::millis(6));
   EXPECT_LE(rtt, util::millis(7));
@@ -80,8 +74,8 @@ TEST(Forwarder, FetchThroughRouterReachesProducer) {
 TEST(Forwarder, CachesAndServesSecondFetchFaster) {
   MiniNet net;
   build_line(net);
-  const util::SimDuration first = fetch(*net.consumer, net.sched, ndn::Name("/p/file/1"));
-  const util::SimDuration second = fetch(*net.consumer, net.sched, ndn::Name("/p/file/1"));
+  const util::SimDuration first = fetch(*net.consumer, ndn::Name("/p/file/1"));
+  const util::SimDuration second = fetch(*net.consumer, ndn::Name("/p/file/1"));
   EXPECT_LT(second, first);
   EXPECT_LE(second, util::millis(3));  // 2 * 1 ms + processing
   EXPECT_EQ(net.router->engine().stats().exposed_hits, 1u);
@@ -92,8 +86,8 @@ TEST(Forwarder, CachesAndServesSecondFetchFaster) {
 TEST(Forwarder, PrefixInterestSatisfiedByCachedLongerName) {
   MiniNet net;
   build_line(net);
-  (void)fetch(*net.consumer, net.sched, ndn::Name("/p/file/1"));
-  const util::SimDuration rtt = fetch(*net.consumer, net.sched, ndn::Name("/p/file"));
+  (void)fetch(*net.consumer, ndn::Name("/p/file/1"));
+  const util::SimDuration rtt = fetch(*net.consumer, ndn::Name("/p/file"));
   EXPECT_LE(rtt, util::millis(3));  // served from R's cache by prefix match
 }
 
@@ -144,13 +138,7 @@ TEST(Forwarder, DropsDuplicateNonce) {
 TEST(Forwarder, NoRouteDropsInterest) {
   MiniNet net;
   build_line(net);
-  ndn::Interest interest;
-  interest.name = ndn::Name("/unrouted/x");
-  bool got_data = false;
-  net.consumer->express_interest(
-      interest, [&got_data](const ndn::Data&, util::SimDuration) { got_data = true; });
-  net.sched.run();
-  EXPECT_FALSE(got_data);
+  EXPECT_FALSE(fetch_blocking(*net.consumer, {.name = ndn::Name("/unrouted/x")}));
   EXPECT_EQ(net.router->stats().no_route_drops, 1u);
 }
 
@@ -169,11 +157,11 @@ TEST(Forwarder, FibLongestPrefixMatchWins) {
   net.router->add_route(ndn::Name("/p"), to_general);
   net.router->add_route(ndn::Name("/p/special"), to_specific);
 
-  (void)fetch(*net.consumer, net.sched, ndn::Name("/p/special/doc"));
+  (void)fetch(*net.consumer, ndn::Name("/p/special/doc"));
   EXPECT_EQ(specific.interests_served(), 1u);
   EXPECT_EQ(net.producer->interests_served(), 0u);
 
-  (void)fetch(*net.consumer, net.sched, ndn::Name("/p/other/doc"));
+  (void)fetch(*net.consumer, ndn::Name("/p/other/doc"));
   EXPECT_EQ(net.producer->interests_served(), 1u);
 }
 
@@ -187,21 +175,15 @@ TEST(Forwarder, DefaultRouteCatchesEverything) {
   const auto [rp, pr] = connect(*net.router, *net.producer, fixed_link(1.0));
   (void)pr;
   net.router->add_route(ndn::Name(), rp);  // default route
-  (void)fetch(*net.consumer, net.sched, ndn::Name("/p/x"));
+  (void)fetch(*net.consumer, ndn::Name("/p/x"));
   EXPECT_EQ(net.producer->interests_served(), 1u);
 }
 
 TEST(Forwarder, HonoredScopeTwoStopsAtFirstHop) {
   MiniNet net;
   build_line(net, nullptr, /*honor_scope=*/true);
-  ndn::Interest interest;
-  interest.name = ndn::Name("/p/x");
-  interest.scope = 2;
-  bool got_data = false;
-  net.consumer->express_interest(
-      interest, [&got_data](const ndn::Data&, util::SimDuration) { got_data = true; });
-  net.sched.run();
-  EXPECT_FALSE(got_data);  // nothing cached, interest must not be forwarded
+  // Nothing cached: the interest must not be forwarded.
+  EXPECT_FALSE(fetch_blocking(*net.consumer, {.name = ndn::Name("/p/x"), .scope = 2}));
   EXPECT_EQ(net.router->stats().scope_drops, 1u);
   EXPECT_EQ(net.producer->interests_served(), 0u);
 }
@@ -209,9 +191,8 @@ TEST(Forwarder, HonoredScopeTwoStopsAtFirstHop) {
 TEST(Forwarder, HonoredScopeTwoServesFromCache) {
   MiniNet net;
   build_line(net, nullptr, /*honor_scope=*/true);
-  (void)fetch(*net.consumer, net.sched, ndn::Name("/p/x"));  // populate R's cache
-  const util::SimDuration rtt =
-      fetch(*net.consumer, net.sched, ndn::Name("/p/x"), false, /*scope=*/2);
+  (void)fetch(*net.consumer, ndn::Name("/p/x"));  // populate R's cache
+  const util::SimDuration rtt = fetch(*net.consumer, ndn::Name("/p/x"), false, /*scope=*/2);
   EXPECT_LE(rtt, util::millis(3));  // answered from R's CS
 }
 
@@ -219,8 +200,7 @@ TEST(Forwarder, HonoredScopeThreeReachesAdjacentProducer) {
   MiniNet net;
   build_line(net, nullptr, /*honor_scope=*/true);
   // Consumer (1) + router (2) + producer (3) = 3 entities.
-  const util::SimDuration rtt =
-      fetch(*net.consumer, net.sched, ndn::Name("/p/y"), false, /*scope=*/3);
+  const util::SimDuration rtt = fetch(*net.consumer, ndn::Name("/p/y"), false, /*scope=*/3);
   EXPECT_GT(rtt, util::millis(5));
   EXPECT_EQ(net.producer->interests_served(), 1u);
 }
@@ -228,8 +208,7 @@ TEST(Forwarder, HonoredScopeThreeReachesAdjacentProducer) {
 TEST(Forwarder, IgnoredScopeForwardsAnyway) {
   MiniNet net;
   build_line(net, nullptr, /*honor_scope=*/false);
-  const util::SimDuration rtt =
-      fetch(*net.consumer, net.sched, ndn::Name("/p/x"), false, /*scope=*/2);
+  const util::SimDuration rtt = fetch(*net.consumer, ndn::Name("/p/x"), false, /*scope=*/2);
   EXPECT_GT(rtt, util::millis(5));  // fetched from the producer regardless
   EXPECT_EQ(net.router->stats().scope_drops, 0u);
 }
@@ -273,8 +252,8 @@ TEST(Forwarder, AlwaysDelayPolicyEqualizesHitAndMissRtt) {
                       core::AlwaysDelayPolicy::content_specific()));
   // Producer-side privacy marking via config.
   const ndn::Name name("/p/secret");
-  const util::SimDuration miss = fetch(*net.consumer, net.sched, name, /*private=*/true);
-  const util::SimDuration hit = fetch(*net.consumer, net.sched, name, /*private=*/true);
+  const util::SimDuration miss = fetch(*net.consumer, name, /*private=*/true);
+  const util::SimDuration hit = fetch(*net.consumer, name, /*private=*/true);
   EXPECT_EQ(net.router->engine().stats().delayed_hits, 1u);
   // gamma_C equals the measured upstream delay: the two RTTs agree to
   // within the (deterministic-link) processing noise.
@@ -285,15 +264,15 @@ TEST(Forwarder, SimulatedMissForwardsUpstream) {
   MiniNet net;
   build_line(net, std::make_unique<core::NaiveThresholdPolicy>(2));
   const ndn::Name name("/p/secret2");
-  (void)fetch(*net.consumer, net.sched, name, /*private=*/true);
+  (void)fetch(*net.consumer, name, /*private=*/true);
   EXPECT_EQ(net.producer->interests_served(), 1u);
-  (void)fetch(*net.consumer, net.sched, name, /*private=*/true);  // simulated miss
+  (void)fetch(*net.consumer, name, /*private=*/true);  // simulated miss
   EXPECT_EQ(net.router->engine().stats().simulated_misses, 1u);
   EXPECT_EQ(net.producer->interests_served(), 2u);  // interest went all the way
   // Content stays cached; policy state survived the refresh.
   EXPECT_TRUE(net.router->cs().contains(name));
-  (void)fetch(*net.consumer, net.sched, name, /*private=*/true);  // second simulated miss
-  const util::SimDuration exposed = fetch(*net.consumer, net.sched, name, /*private=*/true);
+  (void)fetch(*net.consumer, name, /*private=*/true);  // second simulated miss
+  const util::SimDuration exposed = fetch(*net.consumer, name, /*private=*/true);
   EXPECT_EQ(net.router->engine().stats().exposed_hits, 1u);
   EXPECT_LE(exposed, util::millis(3));
 }
@@ -315,28 +294,21 @@ TEST(Forwarder, ExactMatchOnlyContentInvisibleToPrefixProbes) {
   net.producer->publish(std::move(secret));
 
   // Legitimate party knows the full name.
-  const util::SimDuration rtt =
-      fetch(*net.consumer, net.sched, ndn::Name("/p/session/0/deadbeef"));
+  const util::SimDuration rtt = fetch(*net.consumer, ndn::Name("/p/session/0/deadbeef"));
   EXPECT_GT(rtt, 0);
   EXPECT_TRUE(net.router->cs().contains(ndn::Name("/p/session/0/deadbeef")));
 
   // Prober without the rand component gets nothing from the cache, and the
   // producer won't answer the prefix either (exact-match content only).
-  ndn::Interest probe;
-  probe.name = ndn::Name("/p/session/0");
-  bool got_data = false;
-  net.consumer->express_interest(
-      probe, [&got_data](const ndn::Data&, util::SimDuration) { got_data = true; });
-  net.sched.run();
-  EXPECT_FALSE(got_data);
+  EXPECT_FALSE(fetch_blocking(*net.consumer, {.name = ndn::Name("/p/session/0")}));
 }
 
 TEST(Forwarder, StatsCountersConsistent) {
   MiniNet net;
   build_line(net);
-  (void)fetch(*net.consumer, net.sched, ndn::Name("/p/a"));
-  (void)fetch(*net.consumer, net.sched, ndn::Name("/p/a"));
-  (void)fetch(*net.consumer, net.sched, ndn::Name("/p/b"));
+  (void)fetch(*net.consumer, ndn::Name("/p/a"));
+  (void)fetch(*net.consumer, ndn::Name("/p/a"));
+  (void)fetch(*net.consumer, ndn::Name("/p/b"));
   const ForwarderStats& stats = net.router->stats();
   EXPECT_EQ(stats.interests_received, 3u);
   EXPECT_EQ(net.router->engine().stats().true_misses, 2u);

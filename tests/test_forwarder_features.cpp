@@ -6,6 +6,7 @@
 #include <optional>
 
 #include "sim/apps.hpp"
+#include "sim/fetch_util.hpp"
 #include "sim/forwarder.hpp"
 
 namespace ndnp::sim {
@@ -17,21 +18,13 @@ LinkConfig fixed_link(double latency_ms) {
   return cfg;
 }
 
-util::SimDuration fetch(Consumer& consumer, Scheduler& sched, ndn::Interest interest) {
-  std::optional<util::SimDuration> rtt;
-  consumer.express_interest(std::move(interest),
-                            [&rtt](const ndn::Data&, util::SimDuration r) { rtt = r; });
-  while (!rtt && sched.run_one()) {
-  }
+util::SimDuration fetch(Consumer& consumer, ndn::Interest interest) {
+  const std::optional<util::SimDuration> rtt = fetch_blocking(consumer, std::move(interest));
   EXPECT_TRUE(rtt.has_value());
   return rtt.value_or(-1);
 }
 
-ndn::Interest plain(const std::string& uri) {
-  ndn::Interest interest;
-  interest.name = ndn::Name(uri);
-  return interest;
-}
+ndn::Interest plain(const std::string& uri) { return {.name = ndn::Name(uri)}; }
 
 struct Line {
   Scheduler sched;
@@ -58,12 +51,11 @@ TEST(Freshness, StaleEntryInvisibleToMustBeFresh) {
   short_lived.freshness_period = util::millis(10);
   net.producer->publish(short_lived);
 
-  (void)fetch(*net.consumer, net.sched, plain("/p/frame"));  // cache at R
+  (void)fetch(*net.consumer, plain("/p/frame"));  // cache at R
   net.sched.run_until(net.sched.now() + util::millis(50));   // let it go stale
 
-  ndn::Interest fresh_only = plain("/p/frame");
-  fresh_only.must_be_fresh = true;
-  const util::SimDuration rtt = fetch(*net.consumer, net.sched, fresh_only);
+  const ndn::Interest fresh_only{.name = ndn::Name("/p/frame"), .must_be_fresh = true};
+  const util::SimDuration rtt = fetch(*net.consumer, fresh_only);
   EXPECT_GT(rtt, util::millis(5));  // fetched from the producer again
   EXPECT_EQ(net.producer->interests_served(), 2u);
 }
@@ -74,15 +66,14 @@ TEST(Freshness, RefetchedStaleEntryIsFreshAgain) {
   short_lived.freshness_period = util::millis(10);
   net.producer->publish(short_lived);
 
-  (void)fetch(*net.consumer, net.sched, plain("/p/frame"));  // cache at R
+  (void)fetch(*net.consumer, plain("/p/frame"));  // cache at R
   net.sched.run_until(net.sched.now() + util::millis(50));   // let it go stale
 
-  ndn::Interest fresh_only = plain("/p/frame");
-  fresh_only.must_be_fresh = true;
-  (void)fetch(*net.consumer, net.sched, fresh_only);  // refetch refreshes R's copy
+  const ndn::Interest fresh_only{.name = ndn::Name("/p/frame"), .must_be_fresh = true};
+  (void)fetch(*net.consumer, fresh_only);  // refetch refreshes R's copy
   EXPECT_EQ(net.producer->interests_served(), 2u);
   // Within the new freshness period R answers MustBeFresh itself.
-  const util::SimDuration rtt = fetch(*net.consumer, net.sched, fresh_only);
+  const util::SimDuration rtt = fetch(*net.consumer, fresh_only);
   EXPECT_LE(rtt, util::millis(3));
   EXPECT_EQ(net.producer->interests_served(), 2u);
 }
@@ -93,9 +84,9 @@ TEST(Freshness, StaleEntryStillServesPlainInterests) {
   short_lived.freshness_period = util::millis(10);
   net.producer->publish(short_lived);
 
-  (void)fetch(*net.consumer, net.sched, plain("/p/frame"));
+  (void)fetch(*net.consumer, plain("/p/frame"));
   net.sched.run_until(net.sched.now() + util::millis(50));
-  const util::SimDuration rtt = fetch(*net.consumer, net.sched, plain("/p/frame"));
+  const util::SimDuration rtt = fetch(*net.consumer, plain("/p/frame"));
   EXPECT_LE(rtt, util::millis(3));  // served stale from R's cache
   EXPECT_EQ(net.producer->interests_served(), 1u);
 }
@@ -106,10 +97,9 @@ TEST(Freshness, FreshEntrySatisfiesMustBeFresh) {
   long_lived.freshness_period = util::seconds(60);
   net.producer->publish(long_lived);
 
-  (void)fetch(*net.consumer, net.sched, plain("/p/doc"));
-  ndn::Interest fresh_only = plain("/p/doc");
-  fresh_only.must_be_fresh = true;
-  const util::SimDuration rtt = fetch(*net.consumer, net.sched, fresh_only);
+  (void)fetch(*net.consumer, plain("/p/doc"));
+  const ndn::Interest fresh_only{.name = ndn::Name("/p/doc"), .must_be_fresh = true};
+  const util::SimDuration rtt = fetch(*net.consumer, fresh_only);
   EXPECT_LE(rtt, util::millis(3));
 }
 
@@ -160,8 +150,8 @@ TEST(Admission, ZeroProbabilityNeverCaches) {
   ForwarderConfig cfg;
   cfg.cache_admission_probability = 0.0;
   Line net(cfg);
-  (void)fetch(*net.consumer, net.sched, plain("/p/x"));
-  (void)fetch(*net.consumer, net.sched, plain("/p/x"));
+  (void)fetch(*net.consumer, plain("/p/x"));
+  (void)fetch(*net.consumer, plain("/p/x"));
   EXPECT_EQ(net.router->cs().size(), 0u);
   EXPECT_EQ(net.router->stats().admission_skips, 2u);
   EXPECT_EQ(net.producer->interests_served(), 2u);  // every request goes upstream
@@ -173,7 +163,7 @@ TEST(Admission, PartialProbabilityCachesSome) {
   cfg.seed = 7;
   Line net(cfg);
   for (int i = 0; i < 40; ++i)
-    (void)fetch(*net.consumer, net.sched,
+    (void)fetch(*net.consumer,
                 plain("/p/obj" + std::to_string(i)));
   EXPECT_GT(net.router->cs().size(), 5u);
   EXPECT_LT(net.router->cs().size(), 35u);
@@ -208,7 +198,7 @@ struct TwoPathNet {
 TEST(Strategy, BestRouteUsesFirstRegisteredHop) {
   TwoPathNet net(ForwardingStrategy::kBestRoute);
   for (int i = 0; i < 5; ++i)
-    (void)fetch(*net.consumer, net.sched, plain("/p/x" + std::to_string(i)));
+    (void)fetch(*net.consumer, plain("/p/x" + std::to_string(i)));
   EXPECT_EQ(net.producer_a->interests_served(), 5u);
   EXPECT_EQ(net.producer_b->interests_served(), 0u);
 }
@@ -216,14 +206,14 @@ TEST(Strategy, BestRouteUsesFirstRegisteredHop) {
 TEST(Strategy, RoundRobinAlternatesHops) {
   TwoPathNet net(ForwardingStrategy::kRoundRobin);
   for (int i = 0; i < 6; ++i)
-    (void)fetch(*net.consumer, net.sched, plain("/p/x" + std::to_string(i)));
+    (void)fetch(*net.consumer, plain("/p/x" + std::to_string(i)));
   EXPECT_EQ(net.producer_a->interests_served(), 3u);
   EXPECT_EQ(net.producer_b->interests_served(), 3u);
 }
 
 TEST(Strategy, MulticastAsksEveryHopOnce) {
   TwoPathNet net(ForwardingStrategy::kMulticast);
-  (void)fetch(*net.consumer, net.sched, plain("/p/x"));
+  (void)fetch(*net.consumer, plain("/p/x"));
   net.sched.run();  // drain the second (late) reply
   EXPECT_EQ(net.producer_a->interests_served(), 1u);
   EXPECT_EQ(net.producer_b->interests_served(), 1u);
@@ -250,7 +240,7 @@ TEST(AddRoute, DuplicateRegistrationIgnored) {
   Consumer consumer(sched, "C", 2);
   connect(consumer, router, fixed_link(1.0));
   // Multicast over the deduplicated FIB still sends exactly one interest.
-  (void)fetch(consumer, sched, plain("/p/x"));
+  (void)fetch(consumer, plain("/p/x"));
   EXPECT_EQ(producer.interests_served(), 1u);
 }
 

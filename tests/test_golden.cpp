@@ -20,6 +20,9 @@
 #include <string>
 #include <vector>
 
+#include "attack/conversation.hpp"
+#include "attack/fragment_attack.hpp"
+#include "attack/pit_probe.hpp"
 #include "attack/timing_attack.hpp"
 #include "core/policies.hpp"
 #include "runner/experiments.hpp"
@@ -124,6 +127,64 @@ TEST(Golden, Fig3aTimingReportMatchesGoldenVector) {
   config.seed = 1;
   const attack::TimingAttackResult result = attack::run_timing_attack(config);
   expect_matches_golden("fig3a_trials5_seed1", attack::format_timing_report(result));
+}
+
+// --- The other attacks: exact results at small trial counts ---------------
+// Every attack drives the same probe primitive (sim::fetch_blocking) and the
+// shared calibration and tally steps. These pins lock each attack's result
+// bit for bit (EXPECT_EQ on doubles, not EXPECT_DOUBLE_EQ), so a change to
+// how a probe is fetched, timed or scored shows up here.
+
+TEST(Golden, AttackResultsArePinned) {
+  attack::TimingAttackConfig decision;
+  decision.trials = 12;
+  decision.scenario_params = &sim::producer_adjacent_scenario_params;
+  decision.seed = 11;
+  EXPECT_EQ(attack::run_decision_protocol(decision), 0.58333333333333337);
+  decision.scenario_params = &sim::lan_scenario_params;
+  EXPECT_EQ(attack::run_decision_protocol(decision), 1.0);
+
+  attack::FragmentAttackConfig fragment;
+  fragment.trials = 12;
+  fragment.n_fragments = 4;
+  fragment.calibration_probes = 5;
+  fragment.scenario_params = &sim::producer_adjacent_scenario_params;
+  fragment.seed = 505;
+  const attack::FragmentAttackResult frag = attack::run_fragment_attack(fragment);
+  EXPECT_EQ(frag.detection_rate, 0.5);
+  EXPECT_EQ(frag.false_alarm_rate, 0.25);
+  EXPECT_EQ(frag.accuracy, 0.58333333333333337);
+  EXPECT_EQ(frag.per_object_accuracy, 0.64583333333333337);
+  EXPECT_EQ(frag.analytic_success, 0.98426630467544363);
+
+  attack::PitProbeConfig pit;
+  pit.trials = 12;
+  pit.seed = 7777;
+  const attack::PitProbeResult open = attack::run_pit_collapse_attack(pit);
+  EXPECT_EQ(open.detection_rate, 1.0);
+  EXPECT_EQ(open.false_alarm_rate, 0.0);
+  EXPECT_EQ(open.accuracy, 1.0);
+  pit.pad_collapsed_private = true;
+  const attack::PitProbeResult padded = attack::run_pit_collapse_attack(pit);
+  EXPECT_EQ(padded.detection_rate, 0.0);
+  EXPECT_EQ(padded.false_alarm_rate, 0.0);
+  EXPECT_EQ(padded.accuracy, 0.5);
+
+  attack::ConversationAttackConfig conversation;
+  conversation.trials = 10;
+  conversation.frames = 5;
+  conversation.seed = 424242;
+  const attack::ConversationAttackResult predictable =
+      attack::run_conversation_attack(conversation);
+  EXPECT_EQ(predictable.detection_rate, 1.0);
+  EXPECT_EQ(predictable.false_alarm_rate, 0.0);
+  EXPECT_EQ(predictable.accuracy, 1.0);
+  conversation.unpredictable_names = true;
+  const attack::ConversationAttackResult unpredictable =
+      attack::run_conversation_attack(conversation);
+  EXPECT_EQ(unpredictable.detection_rate, 0.0);
+  EXPECT_EQ(unpredictable.false_alarm_rate, 0.0);
+  EXPECT_EQ(unpredictable.accuracy, 0.69999999999999996);
 }
 
 // --- Sharded replay: merged snapshot locked across PRs ---------------------

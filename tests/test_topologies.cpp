@@ -6,6 +6,7 @@
 #include <optional>
 
 #include "sim/apps.hpp"
+#include "sim/fetch_util.hpp"
 #include "sim/forwarder.hpp"
 
 namespace ndnp::sim {
@@ -45,12 +46,7 @@ TEST(RingTopology, LoopingInterestSuppressedByNonce) {
   r2.add_route(ndn::Name(), r2_to_r3);
   r3.add_route(ndn::Name(), r3_to_r1);
 
-  bool got_data = false;
-  consumer.fetch(ndn::Name("/phantom/content"),
-                 [&got_data](const ndn::Data&, util::SimDuration) { got_data = true; });
-  sched.run();
-
-  EXPECT_FALSE(got_data);
+  EXPECT_FALSE(fetch_blocking(consumer, {.name = ndn::Name("/phantom/content")}));
   EXPECT_EQ(r1.stats().nonce_drops, 1u);  // the loop closed exactly once
   EXPECT_EQ(r1.stats().forwarded_interests, 1u);
   EXPECT_EQ(r2.stats().forwarded_interests, 1u);
@@ -135,10 +131,7 @@ TEST(DiamondTopology, BestRouteFailoverViaSecondArmAfterNack) {
   EXPECT_TRUE(nacked);
 
   // Retry rotates to arm B.
-  bool got = false;
-  consumer.fetch(ndn::Name("/p/x"), [&got](const ndn::Data&, util::SimDuration) { got = true; });
-  sched.run();
-  EXPECT_TRUE(got);
+  EXPECT_TRUE(fetch_blocking(consumer, {.name = ndn::Name("/p/x")}));
   EXPECT_EQ(producer.interests_served(), 1u);
 }
 
@@ -198,13 +191,8 @@ TEST(TreeTopology, SecondWaveServedFromEdgeCaches) {
   connect(first, edge, fixed_link(0.3));
   connect(second, edge, fixed_link(0.3));
 
-  std::optional<util::SimDuration> cold;
-  first.fetch(ndn::Name("/p/x"), [&cold](const ndn::Data&, util::SimDuration r) { cold = r; });
-  sched.run();
-  std::optional<util::SimDuration> warm;
-  second.fetch(ndn::Name("/p/x"), [&warm](const ndn::Data&, util::SimDuration r) { warm = r; });
-  sched.run();
-
+  const auto cold = fetch_blocking(first, {.name = ndn::Name("/p/x")});
+  const auto warm = fetch_blocking(second, {.name = ndn::Name("/p/x")});
   ASSERT_TRUE(cold && warm);
   EXPECT_GT(*cold, util::millis(10));
   EXPECT_LT(*warm, util::millis(2));  // edge cache answered

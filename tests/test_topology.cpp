@@ -6,15 +6,13 @@
 #include <ostream>
 
 #include "core/policies.hpp"
+#include "sim/fetch_util.hpp"
 
 namespace ndnp::sim {
 namespace {
 
-util::SimDuration fetch(Consumer& consumer, Scheduler& sched, const ndn::Name& name) {
-  std::optional<util::SimDuration> rtt;
-  consumer.fetch(name, [&rtt](const ndn::Data&, util::SimDuration r) { rtt = r; });
-  while (!rtt && sched.run_one()) {
-  }
+util::SimDuration fetch(Consumer& consumer, const ndn::Name& name) {
+  const std::optional<util::SimDuration> rtt = fetch_blocking(consumer, {.name = name});
   EXPECT_TRUE(rtt.has_value());
   return rtt.value_or(-1);
 }
@@ -29,7 +27,7 @@ TEST(Topology, AddAndLinkNodes) {
   (void)pf;
   r.add_route(ndn::Name("/p"), rf);
   EXPECT_EQ(r.face_count(), 2u);
-  (void)fetch(c, topo.scheduler(), ndn::Name("/p/x"));
+  (void)fetch(c, ndn::Name("/p/x"));
   EXPECT_EQ(p.interests_served(), 1u);
 }
 
@@ -52,13 +50,12 @@ class ScenarioSweep : public ::testing::TestWithParam<CannedScenario> {};
 
 TEST_P(ScenarioSweep, UserAndAdversaryCanBothFetch) {
   const auto scenario = make_probe_scenario(GetParam().make(7));
-  Scheduler& sched = scenario->topology.scheduler();
   const ndn::Name name = scenario->producer->prefix().append("content");
-  const util::SimDuration user_rtt = fetch(*scenario->user, sched, name);
+  const util::SimDuration user_rtt = fetch(*scenario->user, name);
   EXPECT_GT(user_rtt, 0);
   // Content is now at R: adversary's probe is strictly faster than the
   // user's cold fetch in every scenario (the attack's foundation).
-  const util::SimDuration adv_rtt = fetch(*scenario->adversary, sched, name);
+  const util::SimDuration adv_rtt = fetch(*scenario->adversary, name);
   EXPECT_LT(adv_rtt, user_rtt);
   EXPECT_TRUE(scenario->router->cs().contains(name));
 }
@@ -96,8 +93,7 @@ TEST(Topology, DefaultPolicyIsNoPrivacy) {
 TEST(Topology, DeterministicAcrossRuns) {
   const auto run_once = [](std::uint64_t seed) {
     const auto scenario = make_probe_scenario(wan_scenario_params(seed));
-    Scheduler& sched = scenario->topology.scheduler();
-    return fetch(*scenario->user, sched, scenario->producer->prefix().append("x"));
+    return fetch(*scenario->user, scenario->producer->prefix().append("x"));
   };
   EXPECT_EQ(run_once(5), run_once(5));
   EXPECT_NE(run_once(5), run_once(6));  // different seed, different jitter
@@ -107,10 +103,9 @@ TEST(Topology, ProducerAdjacentScenarioHasSmallHitMissGap) {
   // The defining property of Figure 3(c): the R<->P delta is small
   // relative to the consumer-path RTT.
   const auto scenario = make_probe_scenario(producer_adjacent_scenario_params(8));
-  Scheduler& sched = scenario->topology.scheduler();
   const ndn::Name name = scenario->producer->prefix().append("c");
-  const util::SimDuration miss = fetch(*scenario->adversary, sched, name);
-  const util::SimDuration hit = fetch(*scenario->adversary, sched, name);
+  const util::SimDuration miss = fetch(*scenario->adversary, name);
+  const util::SimDuration hit = fetch(*scenario->adversary, name);
   EXPECT_LT(miss - hit, miss / 10);  // gap under 10 % of the total RTT
 }
 
@@ -118,10 +113,9 @@ TEST(Topology, LocalHostScenarioHasLargeRelativeGap) {
   // Figure 3(d): local IPC hit vs network miss differ by an order of
   // magnitude.
   const auto scenario = make_probe_scenario(local_host_scenario_params(9));
-  Scheduler& sched = scenario->topology.scheduler();
   const ndn::Name name = scenario->producer->prefix().append("c");
-  const util::SimDuration miss = fetch(*scenario->adversary, sched, name);
-  const util::SimDuration hit = fetch(*scenario->adversary, sched, name);
+  const util::SimDuration miss = fetch(*scenario->adversary, name);
+  const util::SimDuration hit = fetch(*scenario->adversary, name);
   EXPECT_GT(miss, 4 * hit);
 }
 

@@ -8,12 +8,15 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "attack/timing_attack.hpp"
+#include "core/policies.hpp"
 #include "sim/topology.hpp"
 #include "sim/trace_sinks.hpp"
 #include "util/metrics.hpp"
@@ -123,6 +126,25 @@ TEST(Tracing, DisabledTracerEvaluatesNothingAndNeverAllocates) {
   EXPECT_EQ(after - before, 0u) << "disabled tracer allocated";
   EXPECT_EQ(evaluations, 0u);
   EXPECT_EQ(tracer.total_recorded(), 0u);
+}
+
+TEST(Tracing, AttackProbeHelperBuildsNothingUnbound) {
+  ASSERT_EQ(util::Tracer::current(), nullptr);
+  sim::Scheduler sched;
+  const sim::Consumer adversary(sched, "Adv", 1);
+  const ndn::Name name("/a/name/long/enough/that/its/uri/needs/the/heap");
+  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  for (int i = 0; i < 1000; ++i)
+    attack::trace_attack_probe(adversary, name, "hit", 5, i, "miss");
+  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0u);
+
+  util::Tracer tracer;
+  util::TracerBinding binding(&tracer);
+  attack::trace_attack_probe(adversary, name, "hit", 5, 7, "miss");
+  const auto events = sim::flatten(tracer);
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].detail, "truth=hit inferred=miss");
+  EXPECT_EQ(events[0].b, 7);
 }
 
 TEST(Tracing, BindingRestoresPreviousTracer) {
@@ -346,6 +368,62 @@ TEST(TraceSinks, ForensicsAgreesWithTimingAttackCounters) {
   EXPECT_EQ(report.unknown, 0u);
   EXPECT_DOUBLE_EQ(report.agreement_rate(), 1.0);
   // Every verdict was decided by the shared first-hop router.
+  for (const sim::ProbeForensics& probe : report.probes) EXPECT_EQ(probe.decided_by, "R");
+}
+
+// A policy written outside core (here a wrapper forwarding every call, the
+// shape of a timing or auditing decorator) gets its decisions traced too:
+// the engine emits policy_decision under the router's node, so forensics
+// sees the wrapped Always-Delay hide every hit behind a delay.
+class WrappedPolicy final : public core::CachePrivacyPolicy {
+ public:
+  explicit WrappedPolicy(std::unique_ptr<core::CachePrivacyPolicy> inner)
+      : inner_(std::move(inner)) {}
+
+  void on_insert(cache::Entry& entry, const ndn::Interest& cause, util::SimTime now) override {
+    inner_->on_insert(entry, cause, now);
+  }
+  [[nodiscard]] core::LookupDecision on_cached_lookup(cache::Entry& entry,
+                                                      const ndn::Interest& interest,
+                                                      bool effective_private,
+                                                      util::SimTime now) override {
+    return inner_->on_cached_lookup(entry, interest, effective_private, now);
+  }
+  [[nodiscard]] std::string_view name() const noexcept override { return inner_->name(); }
+  [[nodiscard]] std::unique_ptr<core::CachePrivacyPolicy> clone() const override {
+    return std::make_unique<WrappedPolicy>(inner_->clone());
+  }
+
+ private:
+  std::unique_ptr<core::CachePrivacyPolicy> inner_;
+};
+
+TEST(TraceSinks, ForensicsSeesDecisionsOfAWrappedPolicy) {
+  attack::TimingAttackConfig config;
+  config.trials = 2;
+  config.contents_per_trial = 3;
+  config.scenario_params = [](std::uint64_t seed) {
+    sim::ScenarioParams params = sim::lan_scenario_params(seed);
+    params.producer_config.mark_private = true;
+    params.router_policy = [] {
+      return std::make_unique<WrappedPolicy>(std::make_unique<core::AlwaysDelayPolicy>(
+          core::AlwaysDelayPolicy::content_specific()));
+    };
+    return params;
+  };
+  config.seed = 1;
+
+  util::Tracer tracer;
+  {
+    util::TracerBinding binding(&tracer);
+    (void)attack::run_timing_attack(config);
+  }
+  const sim::ForensicsReport report = sim::probe_forensics(sim::flatten(tracer));
+  ASSERT_EQ(report.probes.size(), 12u);
+  EXPECT_EQ(report.delayed_hits, 6u);
+  EXPECT_EQ(report.true_misses, 6u);
+  EXPECT_EQ(report.exposed_hits, 0u);
+  EXPECT_DOUBLE_EQ(report.agreement_rate(), 1.0);
   for (const sim::ProbeForensics& probe : report.probes) EXPECT_EQ(probe.decided_by, "R");
 }
 
