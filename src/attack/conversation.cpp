@@ -1,6 +1,7 @@
 #include "attack/conversation.hpp"
 
 #include <optional>
+#include <stdexcept>
 #include <string>
 
 #include "core/name_privacy.hpp"
@@ -67,6 +68,7 @@ constexpr util::SimDuration kProbeTimeout = util::millis(200);
 }  // namespace
 
 ConversationAttackResult run_conversation_attack(const ConversationAttackConfig& config) {
+  if (config.trials == 0) throw std::invalid_argument("run_conversation_attack: trials is 0");
   util::Rng coin(config.seed ^ 0x2545f4914f6cdd1dULL);
   DetectionTally tally;
 

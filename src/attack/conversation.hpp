@@ -19,6 +19,7 @@
 namespace ndnp::attack {
 
 struct ConversationAttackConfig {
+  /// Must be positive: the attack throws std::invalid_argument at 0.
   std::size_t trials = 100;
   /// Frames each party produces per trial while the call is active.
   std::size_t frames = 30;

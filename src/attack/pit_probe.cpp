@@ -1,5 +1,7 @@
 #include "attack/pit_probe.hpp"
 
+#include <stdexcept>
+
 #include "sim/topology.hpp"
 #include "util/rng.hpp"
 
@@ -25,6 +27,7 @@ sim::ScenarioParams pit_probe_scenario(std::uint64_t seed,
 }  // namespace
 
 PitProbeResult run_pit_collapse_attack(const PitProbeConfig& config) {
+  if (config.trials == 0) throw std::invalid_argument("run_pit_collapse_attack: trials is 0");
   util::Rng coin(config.seed ^ 0xa0761d6478bd642fULL);
   DetectionTally tally;
 

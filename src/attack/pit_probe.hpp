@@ -25,6 +25,7 @@
 namespace ndnp::attack {
 
 struct PitProbeConfig {
+  /// Must be positive: the attack throws std::invalid_argument at 0.
   std::size_t trials = 100;
   /// CS privacy policy at R (null = NoPrivacy). The attack succeeds
   /// regardless — that is the point.

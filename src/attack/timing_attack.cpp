@@ -64,7 +64,9 @@ DetectionRates DetectionTally::rates() const noexcept {
           .false_alarm_rate = negatives == 0 ? 0.0
                                              : static_cast<double>(false_alarms_) /
                                                    static_cast<double>(negatives),
-          .accuracy = static_cast<double>(correct_) / static_cast<double>(trials_)};
+          .accuracy = trials_ == 0 ? 0.0
+                                   : static_cast<double>(correct_) /
+                                         static_cast<double>(trials_)};
 }
 
 void trace_attack_probe(const sim::Consumer& adversary, const ndn::Name& name,
@@ -164,6 +166,7 @@ TimingAttackResult run_timing_attack(const TimingAttackConfig& config) {
 double run_decision_protocol(const TimingAttackConfig& config) {
   if (!config.scenario_params)
     throw std::invalid_argument("run_decision_protocol: scenario_params is required");
+  if (config.trials == 0) throw std::invalid_argument("run_decision_protocol: trials is 0");
 
   util::Rng coin(config.seed ^ 0xabcdef1234567890ULL);
   DetectionTally tally;

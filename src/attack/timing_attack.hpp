@@ -61,7 +61,8 @@ struct TimingAttackResult {
 /// End-to-end adversary protocol success rate: per trial the victim's
 /// request happens with probability 1/2 (unknown to Adv); Adv calibrates
 /// d_hit/d_miss references on throwaway content, probes the target once and
-/// decides by nearest reference. Returns the fraction of correct verdicts.
+/// decides by nearest reference. Returns the fraction of correct verdicts;
+/// throws std::invalid_argument when `trials` is 0.
 [[nodiscard]] double run_decision_protocol(const TimingAttackConfig& config);
 
 /// Fit the best single-threshold classifier between two sample sets
@@ -107,7 +108,7 @@ struct DetectionRates {
   double detection_rate = 0.0;
   /// Pr[verdict | not truth]; 0 when every trial had it.
   double false_alarm_rate = 0.0;
-  /// Fraction of trials whose verdict equals the truth.
+  /// Fraction of trials whose verdict equals the truth; 0 with no trials.
   double accuracy = 0.0;
 };
 

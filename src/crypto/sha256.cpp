@@ -15,6 +15,9 @@ Sha256::Sha256(Sha256Compress compress) noexcept
              0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19} {}
 
 void Sha256::update(std::span<const std::uint8_t> data) noexcept {
+  // An empty span may carry a null pointer (an empty Payload's view does),
+  // and memcpy from null is undefined even for zero bytes.
+  if (data.empty()) return;
   total_bytes_ += data.size();
   std::size_t offset = 0;
   if (buffer_len_ > 0) {

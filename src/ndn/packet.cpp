@@ -36,10 +36,10 @@ std::string_view to_string(NackReason reason) noexcept {
   return "?";
 }
 
-Data make_data(Name name, std::string payload, std::string producer,
+Data make_data(Name name, Payload payload, std::string producer,
                std::string_view producer_key, bool producer_private) {
   Data data;
-  data.signature = crypto::sign_content(producer_key, name.to_uri(), payload);
+  data.signature = crypto::sign_content(producer_key, name.to_uri(), payload.view());
   data.name = std::move(name);
   data.payload = std::move(payload);
   data.producer = std::move(producer);

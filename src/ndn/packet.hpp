@@ -16,8 +16,10 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "crypto/sha256.hpp"
 #include "ndn/name.hpp"
@@ -55,11 +57,44 @@ struct Interest {
   [[nodiscard]] std::size_t wire_size() const noexcept;
 };
 
+/// Immutable Data content bytes, shared by every copy. Copying a Payload
+/// (and so a Data) adds a reference instead of copying the bytes: a Data
+/// forwarded over k hops and cached at every tier holds its producer's
+/// buffer exactly once, as routers caching whole signed packets would.
+/// An empty payload owns no buffer.
+class Payload {
+ public:
+  Payload() noexcept = default;
+  // Implicit conversions both ways, so `data.payload = "bytes"` and
+  // passing a payload where bytes are read stay plain.
+  Payload(std::string bytes)  // NOLINT(google-explicit-constructor)
+      : bytes_(bytes.empty() ? nullptr
+                             : std::make_shared<const std::string>(std::move(bytes))) {}
+  Payload(const char* bytes)  // NOLINT(google-explicit-constructor)
+      : Payload(std::string(bytes)) {}
+  operator std::string_view() const noexcept {  // NOLINT(google-explicit-constructor)
+    return view();
+  }
+
+  [[nodiscard]] std::string_view view() const noexcept {
+    return bytes_ ? std::string_view(*bytes_) : std::string_view();
+  }
+  [[nodiscard]] std::size_t size() const noexcept { return bytes_ ? bytes_->size() : 0; }
+
+  /// Content equality: two payloads are equal when their bytes are.
+  friend bool operator==(const Payload& a, const Payload& b) noexcept {
+    return a.view() == b.view();
+  }
+
+ private:
+  std::shared_ptr<const std::string> bytes_;
+};
+
 struct Data {
   Name name;
-  /// Payload is carried verbatim; experiments that only need sizes use a
-  /// string of that length.
-  std::string payload;
+  /// Payload is carried verbatim and shared between copies; experiments
+  /// that only need sizes use a buffer of that length.
+  Payload payload;
   /// Producer identity — NDN content is signed, which is precisely why the
   /// paper notes producers are identifiable from cached content.
   std::string producer;
@@ -93,8 +128,10 @@ struct Data {
 };
 
 /// Build a signed Data packet (signature computed over producer/name/
-/// payload with the producer's key).
-[[nodiscard]] Data make_data(Name name, std::string payload, std::string producer,
+/// payload with the producer's key). The Data shares `payload`'s buffer, so
+/// a producer that answers every request with the same bytes builds them
+/// once and still signs each response.
+[[nodiscard]] Data make_data(Name name, Payload payload, std::string producer,
                              std::string_view producer_key, bool producer_private = false);
 
 /// Why a network element refused to satisfy an interest.

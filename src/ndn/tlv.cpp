@@ -6,7 +6,7 @@ namespace ndnp::ndn {
 
 namespace {
 
-[[nodiscard]] std::span<const std::uint8_t> as_bytes(const std::string& s) noexcept {
+[[nodiscard]] std::span<const std::uint8_t> as_bytes(std::string_view s) noexcept {
   return {reinterpret_cast<const std::uint8_t*>(s.data()), s.size()};
 }
 
@@ -182,7 +182,7 @@ Interest decode_interest(std::span<const std::uint8_t> wire) {
 
 Buffer encode(const Data& data) {
   Buffer inner = encode(data.name);
-  append_tlv(inner, TlvType::kContent, as_bytes(data.payload));
+  append_tlv(inner, TlvType::kContent, as_bytes(data.payload.view()));
   append_tlv(inner, TlvType::kProducer, as_bytes(data.producer));
   append_tlv(inner, TlvType::kSignatureValue, data.signature);
   if (data.producer_private) append_tlv(inner, TlvType::kProducerPrivate, {});
@@ -212,7 +212,7 @@ Data decode_data(std::span<const std::uint8_t> wire) {
         saw_name = true;
         break;
       case TlvType::kContent:
-        data.payload.assign(field.value.begin(), field.value.end());
+        data.payload = std::string(field.value.begin(), field.value.end());
         break;
       case TlvType::kProducer:
         data.producer.assign(field.value.begin(), field.value.end());

@@ -24,12 +24,14 @@ void Consumer::express_interest(ndn::Interest interest, FetchCallback on_data, F
   pending.on_timeout = std::move(on_timeout);
   pending.on_nack = std::move(on_nack);
   const std::uint64_t id = pending.id;
-  const ndn::Name key = interest.name;
+  ndn::Name key = interest.name;
   pending_[key].push_back(std::move(pending));
   ++pending_count_;
 
   if (timeout > 0) {
-    scheduler().schedule_in(timeout, [this, key, id] {
+    // A moved-in (non-const) Name keeps the closure nothrow-movable, so it
+    // fits the scheduler's inline event buffer.
+    scheduler().schedule_in(timeout, [this, key = std::move(key), id] {
       const auto map_it = pending_.find(key);
       if (map_it == pending_.end()) return;
       auto& list = map_it->second;
@@ -108,7 +110,9 @@ Producer::Producer(Scheduler& scheduler, std::string name, ndn::Name prefix,
     : Node(scheduler, std::move(name), seed),
       prefix_(std::move(prefix)),
       signing_key_(std::move(signing_key)),
-      config_(config) {}
+      config_(config),
+      auto_payload_(config.auto_generate ? std::string(config.payload_size, 'x')
+                                         : std::string()) {}
 
 void Producer::publish(ndn::Data data) {
   ndn::Name key = data.name;
@@ -137,8 +141,8 @@ void Producer::receive_interest(const ndn::Interest& interest, FaceId in_face) {
   if (const ndn::Data* found = lookup_repo(interest)) {
     response = *found;
   } else if (config_.auto_generate) {
-    response = ndn::make_data(interest.name, std::string(config_.payload_size, 'x'), name(),
-                              signing_key_, config_.mark_private);
+    response = ndn::make_data(interest.name, auto_payload_, name(), signing_key_,
+                              config_.mark_private);
     if (config_.group_namespace_len > 0)
       response.group_id = interest.name.prefix(config_.group_namespace_len).to_uri();
   } else {
@@ -147,8 +151,12 @@ void Producer::receive_interest(const ndn::Interest& interest, FaceId in_face) {
   }
 
   ++interests_served_;
+  // A pooled handle keeps the capture within the scheduler's inline event
+  // buffer; a captured Data would not fit and would allocate per response.
   scheduler().schedule_in(config_.processing_delay,
-                          [this, in_face, response] { send_data(in_face, response); });
+                          [this, in_face, held = pooled_copy(response)] {
+                            send_data(in_face, *held);
+                          });
 }
 
 void Producer::receive_data(const ndn::Data& data, FaceId) {

@@ -106,6 +106,9 @@ class Producer final : public Node {
   ndn::Name prefix_;
   std::string signing_key_;
   ProducerConfig config_;
+  /// Content of every auto-generated response, built once: responses share
+  /// it (each is still signed), so serving costs no payload copy.
+  ndn::Payload auto_payload_;
   std::map<ndn::Name, ndn::Data> repo_;
   std::uint64_t interests_served_ = 0;
   std::uint64_t interests_unmatched_ = 0;

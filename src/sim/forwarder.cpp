@@ -360,7 +360,10 @@ std::vector<FaceId> Forwarder::select_next_hops(FibEntry& entry, FaceId in_face)
 
 void Forwarder::schedule_pit_timeout(const ndn::Name& name, std::uint64_t name_hash,
                                      std::uint64_t version, util::SimDuration lifetime) {
-  scheduler().schedule_in(lifetime, [this, name, name_hash, version] {
+  // `name = name` copies into a non-const member: a plain `name` capture of
+  // the const reference would be a const Name, which cannot be moved, so
+  // the closure would miss the scheduler's inline buffer and allocate.
+  scheduler().schedule_in(lifetime, [this, name = name, name_hash, version] {
     const PitEntry* entry = pit_find(name_hash, name);
     if (entry != nullptr && entry->version == version) {
       // The timer was armed for exactly this entry's lifetime; firing at

@@ -42,15 +42,14 @@ void Node::receive_nack(const ndn::Nack& nack, FaceId) {
 }
 
 void Node::transmit(FaceId face, std::size_t wire_bytes, EventFn deliver,
-                    const char* kind, const std::string& name_uri,
-                    util::SimDuration extra_delay) {
+                    const char* kind, const ndn::Name& name, util::SimDuration extra_delay) {
   FaceEnd& end = faces_.at(face);
   ++end.accounting.packets_out;
   if (end.config.sample_loss(rng_)) {
     ++end.accounting.losses;
     util::log(util::LogLevel::kDebug, "%s: %s %s lost on face %zu", name_.c_str(), kind,
-              name_uri.c_str(), face);
-    NDNP_TRACE_EVENT(util::TraceEventType::kLinkDrop, name_, scheduler_.now(), name_uri,
+              name.to_uri().c_str(), face);
+    NDNP_TRACE_EVENT(util::TraceEventType::kLinkDrop, name_, scheduler_.now(), name.to_uri(),
                      std::string("kind=") + kind, static_cast<std::int64_t>(face));
     return;
   }
@@ -70,7 +69,7 @@ void Node::transmit(FaceId face, std::size_t wire_bytes, EventFn deliver,
     }
   }
   delay += extra_delay;
-  NDNP_TRACE_EVENT(util::TraceEventType::kLinkEnqueue, name_, scheduler_.now(), name_uri,
+  NDNP_TRACE_EVENT(util::TraceEventType::kLinkEnqueue, name_, scheduler_.now(), name.to_uri(),
                    std::string("kind=") + kind, static_cast<std::int64_t>(face), delay,
                    static_cast<std::int64_t>(wire_bytes));
   // Wrap the delivery so the far end's arrival shows up as link_dequeue.
@@ -80,7 +79,7 @@ void Node::transmit(FaceId face, std::size_t wire_bytes, EventFn deliver,
   if (util::Tracer* tracer = util::Tracer::current();
       tracer != nullptr && tracer->enabled() && end.peer != nullptr) {
     deliver = [inner = std::move(deliver), sched = &scheduler_, rx_node = end.peer->name(),
-               rx_face = static_cast<std::int64_t>(end.peer_face), uri = name_uri,
+               rx_face = static_cast<std::int64_t>(end.peer_face), uri = name.to_uri(),
                detail = std::string("kind=") + kind]() mutable {
       NDNP_TRACE_EVENT(util::TraceEventType::kLinkDequeue, rx_node, sched->now(), uri, detail,
                        rx_face);
@@ -126,7 +125,7 @@ void Node::transmit_packet(FaceId face, const Packet& packet, const char* kind) 
   FaceEnd& end = faces_.at(face);
   Node* peer = end.peer;
   const FaceId peer_face = end.peer_face;
-  const std::string uri = packet_name(packet).to_uri();
+  const ndn::Name& name = packet_name(packet);
 
   const Packet* to_send = &packet;
   Packet corrupted;
@@ -135,7 +134,8 @@ void Node::transmit_packet(FaceId face, const Packet& packet, const char* kind) 
   if (end.fault_state != nullptr) {
     const FaultAction action = end.fault_state->on_packet(scheduler_.now());
     if (action.any())
-      NDNP_TRACE_EVENT(util::TraceEventType::kFaultInject, name_, scheduler_.now(), uri,
+      NDNP_TRACE_EVENT(util::TraceEventType::kFaultInject, name_, scheduler_.now(),
+                       name.to_uri(),
                        std::string("cause=") + (action.cause ? action.cause : "?") +
                            " kind=" + kind,
                        static_cast<std::int64_t>(face), action.extra_delay);
@@ -143,8 +143,9 @@ void Node::transmit_packet(FaceId face, const Packet& packet, const char* kind) 
       ++end.accounting.packets_out;
       ++end.accounting.losses;
       util::log(util::LogLevel::kDebug, "%s: %s %s dropped by fault (%s) on face %zu",
-                name_.c_str(), kind, uri.c_str(), action.cause ? action.cause : "?", face);
-      NDNP_TRACE_EVENT(util::TraceEventType::kLinkDrop, name_, scheduler_.now(), uri,
+                name_.c_str(), kind, name.to_uri().c_str(), action.cause ? action.cause : "?",
+                face);
+      NDNP_TRACE_EVENT(util::TraceEventType::kLinkDrop, name_, scheduler_.now(), name.to_uri(),
                        std::string("kind=") + kind + " cause=" +
                            (action.cause ? action.cause : "?"),
                        static_cast<std::int64_t>(face));
@@ -157,8 +158,8 @@ void Node::transmit_packet(FaceId face, const Packet& packet, const char* kind) 
         // the packet as garbage, so it is dropped here.
         ++end.accounting.packets_out;
         ++end.accounting.losses;
-        NDNP_TRACE_EVENT(util::TraceEventType::kLinkDrop, name_, scheduler_.now(), uri,
-                         std::string("kind=") + kind + " cause=corrupt_garbage",
+        NDNP_TRACE_EVENT(util::TraceEventType::kLinkDrop, name_, scheduler_.now(),
+                         name.to_uri(), std::string("kind=") + kind + " cause=corrupt_garbage",
                          static_cast<std::int64_t>(face));
         return;
       }
@@ -175,7 +176,7 @@ void Node::transmit_packet(FaceId face, const Packet& packet, const char* kind) 
   for (int i = 0; i < copies; ++i) {
     transmit(
         face, to_send->wire_size(),
-        [peer, peer_face, pooled] { dispatch(*peer, peer_face, *pooled); }, kind, uri,
+        [peer, peer_face, pooled] { dispatch(*peer, peer_face, *pooled); }, kind, name,
         extra_delay);
   }
 }

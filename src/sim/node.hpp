@@ -98,9 +98,10 @@ class Node {
 
   /// Pooled copy of a packet for capture in scheduled events. The handle's
   /// object is recycled (not destroyed) when the last capture drops, so its
-  /// Name components / payload buffers keep their capacity and steady-state
-  /// in-flight copies stop allocating. Handles pin the pool itself, so they
-  /// stay valid even if this node is destroyed while packets are in flight.
+  /// Name components keep their capacity and steady-state in-flight copies
+  /// stop allocating; a Data's payload is shared, never copied. Handles pin
+  /// the pool itself, so they stay valid even if this node is destroyed
+  /// while packets are in flight.
   template <typename Packet>
   [[nodiscard]] util::PoolRef<Packet> pooled_copy(const Packet& packet) {
     util::PoolRef<Packet> ref = [this] {
@@ -135,9 +136,10 @@ class Node {
   /// enabled) and schedules `deliver` at the arrival time, `extra_delay`
   /// (fault-injected reorder/spike hold-back) later. Takes the scheduler's
   /// native EventFn so the pooled-capture delivery closure moves straight
-  /// into the event node without a std::function heap hop.
+  /// into the event node without a std::function heap hop. `name`'s URI is
+  /// built only for trace events and the loss log, never per packet.
   void transmit(FaceId face, std::size_t wire_bytes, EventFn deliver,
-                const char* kind, const std::string& name_uri,
+                const char* kind, const ndn::Name& name,
                 util::SimDuration extra_delay = 0);
 
   /// Shared fault-aware tail of send_interest/send_data/send_nack:

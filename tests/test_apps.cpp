@@ -7,6 +7,7 @@
 #include "crypto/hmac.hpp"
 #include "sim/fetch_util.hpp"
 #include "sim/forwarder.hpp"
+#include "sim/topology.hpp"
 
 namespace ndnp::sim {
 namespace {
@@ -146,6 +147,49 @@ TEST(Producer, AutoGenerateHonorsPayloadSizeAndPrivacy) {
   EXPECT_TRUE(seen->producer_private);
   EXPECT_TRUE(crypto::verify_content("key", seen->name.to_uri(), seen->payload,
                                      seen->signature));
+}
+
+// Consumer U -> edge R -> core X1 -> auto-generating producer P.
+std::unique_ptr<ProbeScenario> chain_with_payload(std::size_t payload_size) {
+  ScenarioParams params = lan_scenario_params(/*seed=*/17);
+  params.producer_config.payload_size = payload_size;
+  return make_probe_scenario(params);
+}
+
+TEST(Producer, ChainFetchesScheduleNoHeapEvents) {
+  // Every scheduled closure on the path — the consumer's timeout, link
+  // deliveries, forwarder processing, PIT timers and the producer's delayed
+  // response — fits the scheduler's inline event buffer.
+  const auto chain = chain_with_payload(8'192);
+  for (int i = 0; i < 20; ++i) {
+    ndn::Interest interest;
+    interest.name = chain->producer->prefix().append("obj" + std::to_string(i));
+    chain->user->express_interest(
+        std::move(interest), [](const ndn::Data&, util::SimDuration) {}, /*face=*/0,
+        /*timeout=*/util::seconds(1));
+  }
+  chain->topology.scheduler().run();
+  EXPECT_EQ(chain->user->data_received(), 20u);
+  EXPECT_EQ(chain->topology.scheduler().heap_fallback_events(), 0u);
+}
+
+TEST(Producer, ChainSharesOneBufferEndToEnd) {
+  // The producer's bytes are never copied: the consumer's Data and the
+  // Data cached at the edge and at the core all point at one buffer.
+  const auto chain = chain_with_payload(4'096);
+  const ndn::Name name = chain->producer->prefix().append("shared");
+  ndn::Payload received;
+  chain->user->fetch(name, [&](const ndn::Data& data, util::SimDuration) {
+    received = data.payload;
+  });
+  chain->topology.scheduler().run();
+  ASSERT_EQ(received.size(), 4'096u);
+  const cache::Entry* edge = chain->router->cs().find_exact(name);
+  const cache::Entry* core = chain->core.at(0)->cs().find_exact(name);
+  ASSERT_NE(edge, nullptr);
+  ASSERT_NE(core, nullptr);
+  EXPECT_EQ(edge->data.payload.view().data(), received.view().data());
+  EXPECT_EQ(core->data.payload.view().data(), received.view().data());
 }
 
 TEST(Producer, GroupIdAssignedFromNamespace) {

@@ -114,6 +114,18 @@ TEST(TimingAttack, RequiresScenarioFactory) {
   EXPECT_THROW((void)run_decision_protocol(config), std::invalid_argument);
 }
 
+TEST(TimingAttack, DecisionProtocolRejectsZeroTrials) {
+  EXPECT_THROW((void)run_decision_protocol(small_config(&sim::lan_scenario_params, 0)),
+               std::invalid_argument);
+}
+
+TEST(DetectionTally, EmptyTallyRatesAreZero) {
+  const DetectionRates rates = DetectionTally().rates();
+  EXPECT_EQ(rates.detection_rate, 0.0);
+  EXPECT_EQ(rates.false_alarm_rate, 0.0);
+  EXPECT_EQ(rates.accuracy, 0.0);
+}
+
 TEST(BestThreshold, SeparatesDisjointSamples) {
   util::SampleSet low;
   util::SampleSet high;
@@ -366,6 +378,12 @@ TEST(ConversationAttack, UnpredictableNamesCollapseDetection) {
   EXPECT_NEAR(result.accuracy, 0.5, 0.25);
 }
 
+TEST(ConversationAttack, RejectsZeroTrials) {
+  ConversationAttackConfig config;
+  config.trials = 0;
+  EXPECT_THROW((void)run_conversation_attack(config), std::invalid_argument);
+}
+
 TEST(PitCollapseAttack, DetectsInFlightRequests) {
   PitProbeConfig config;
   config.trials = 40;
@@ -401,6 +419,12 @@ TEST(PitCollapseAttack, CollapsePaddingClosesTheChannel) {
   // adversary is reduced to guessing.
   EXPECT_LT(result.detection_rate, 0.2);
   EXPECT_NEAR(result.accuracy, 0.5, 0.25);
+}
+
+TEST(PitCollapseAttack, RejectsZeroTrials) {
+  PitProbeConfig config;
+  config.trials = 0;
+  EXPECT_THROW((void)run_pit_collapse_attack(config), std::invalid_argument);
 }
 
 TEST(SprtAttack, NaiveDegenerateDecidedQuicklyAndCorrectly) {

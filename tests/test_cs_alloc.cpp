@@ -1,4 +1,5 @@
-// Steady-state allocation proof for the ContentStore LFU index.
+// Steady-state allocation proofs: the ContentStore LFU index, and the
+// zero-copy Data payload on the forwarding path.
 //
 // Regression test for the FreqBucket churn bug surfaced by the
 // alloc-naked-new lint rule: index_access() used to `new` a FreqBucket on
@@ -20,12 +21,19 @@
 #include <new>
 #include <vector>
 
+#include "sim/topology.hpp"
+
 namespace {
 std::atomic<std::size_t> g_allocations{0};
+/// Allocations of at least kPayloadBytes: a payload-sized buffer.
+constexpr std::size_t kPayloadBytes = 8'192;
+std::atomic<std::size_t> g_payload_sized_allocations{0};
 }  // namespace
 
 void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (size >= kPayloadBytes)
+    g_payload_sized_allocations.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
@@ -110,6 +118,33 @@ TEST(ContentStoreAlloc, LruSteadyStateHitChurnDoesNotAllocate) {
   EXPECT_EQ(after - before, 0u) << "LRU move-to-front allocated during steady-state hit churn";
   EXPECT_NO_THROW(cs.check_integrity());
   EXPECT_EQ(cs.size(), kEntries);
+}
+
+TEST(PayloadAlloc, ForwardingOverHopsCopiesNoPayload) {
+  // Consumer U -> edge R -> core X1 -> producer P, whose auto-generated
+  // responses carry kPayloadBytes each. Each fetch runs the network until
+  // it is idle, and bounded stores keep every table at its warmed-up size,
+  // so any payload-sized allocation after warm-up is a copy of payload
+  // bytes somewhere on the path.
+  sim::ScenarioParams params = sim::lan_scenario_params(/*seed=*/5);
+  params.router_config.cs_capacity = 16;
+  params.producer_config.payload_size = kPayloadBytes;
+  const auto chain = sim::make_probe_scenario(params);
+  const auto fetch = [&chain](int i) {
+    chain->user->fetch(chain->producer->prefix().append("obj" + std::to_string(i)),
+                       [](const ndn::Data&, util::SimDuration) {});
+    chain->topology.scheduler().run();
+  };
+
+  constexpr int kWarmup = 64;
+  constexpr int kMeasured = 256;
+  for (int i = 0; i < kWarmup; ++i) fetch(i);
+  const std::size_t before = g_payload_sized_allocations.load(std::memory_order_relaxed);
+  for (int i = kWarmup; i < kWarmup + kMeasured; ++i) fetch(i);
+  const std::size_t after = g_payload_sized_allocations.load(std::memory_order_relaxed);
+
+  EXPECT_EQ(after - before, 0u) << "a Data forwarded over the chain copied its payload";
+  EXPECT_EQ(chain->user->data_received(), static_cast<std::uint64_t>(kWarmup + kMeasured));
 }
 
 }  // namespace

@@ -6,8 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <new>
 #include <sstream>
@@ -145,6 +147,44 @@ TEST(Tracing, AttackProbeHelperBuildsNothingUnbound) {
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].detail, "truth=hit inferred=miss");
   EXPECT_EQ(events[0].b, 7);
+}
+
+TEST(Tracing, LinkEventsNameTheirPacket) {
+  // The link layer builds a packet's URI only for its trace events: every
+  // link and fault event must still carry the name of the packet it is about.
+  sim::Scheduler sched;
+  sim::Consumer consumer(sched, "C", 1);
+  sim::Producer producer(sched, "P", ndn::Name("/p"), "key", sim::ProducerConfig{}, 2);
+  sim::LinkConfig link;
+  link.latency = util::millis(1);
+  link.loss_probability = 0.2;
+  link.faults.duplicate_probability = 0.3;
+  link.faults.spike_probability = 0.3;
+  link.faults.spike_delay = util::millis(2);
+  link.faults.flap_period = util::millis(40);
+  link.faults.flap_down = util::millis(5);
+  link.faults.seed = 9;
+  connect(consumer, producer, link);
+
+  util::Tracer tracer;
+  util::TracerBinding binding(&tracer);
+  std::vector<std::string> uris;
+  for (int i = 0; i < 40; ++i) {
+    uris.push_back("/p/obj" + std::to_string(i));
+    consumer.fetch(ndn::Name(uris.back()), [](const ndn::Data&, util::SimDuration) {});
+    sched.run_until(sched.now() + util::millis(3));
+  }
+  sched.run();
+
+  std::map<std::string, std::size_t> seen;
+  for (const sim::FlatEvent& event : sim::flatten(tracer)) {
+    if (event.comp != "link" && event.type != "fault_inject") continue;
+    ++seen[event.type];
+    EXPECT_NE(std::find(uris.begin(), uris.end(), event.name), uris.end())
+        << event.type << " event names '" << event.name << "'";
+  }
+  for (const char* type : {"link_enqueue", "link_dequeue", "link_drop", "fault_inject"})
+    EXPECT_GT(seen[type], 0u) << "no " << type << " event";
 }
 
 TEST(Tracing, BindingRestoresPreviousTracer) {
