@@ -26,6 +26,7 @@
 #include "crypto/hmac.hpp"
 #include "crypto/sha256_compress.hpp"
 #include "ndn/tlv.hpp"
+#include "oracle/heap_scheduler.hpp"
 #include "sim/apps.hpp"
 #include "sim/forwarder.hpp"
 #include "sim/scheduler.hpp"

@@ -94,8 +94,7 @@ TelemetryScenarioResult run_telemetry_scenario(const TelemetryScenarioConfig& co
 
   scheduler.run();
   result.end_time = scheduler.now();
-  result.exposed_hits = scenario->router->engine().stats().exposed_hits;
-  result.delayed_hits = scenario->router->engine().stats().delayed_hits;
+  result.router_outcomes = scenario->router->engine().stats();
   // Close out the time series: one forced row at the end of the run so the
   // exported CSV covers the tail even between cadence boundaries.
   if (hub != nullptr) hub->recorder().sample_at(result.end_time);

@@ -26,6 +26,7 @@
 
 #include <cstdint>
 
+#include "core/engine.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/sim_time.hpp"
 
@@ -53,9 +54,8 @@ struct TelemetryScenarioResult {
   std::uint64_t honest_data = 0;
   std::uint64_t probes = 0;
   std::uint64_t probe_data = 0;
-  /// Router interest dispositions, for sanity checks.
-  std::uint64_t exposed_hits = 0;
-  std::uint64_t delayed_hits = 0;
+  /// Router lookup outcomes, for sanity checks.
+  core::EngineStats router_outcomes;
   util::SimTime attack_start = 0;
   util::SimTime end_time = 0;
 };

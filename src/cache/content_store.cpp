@@ -186,14 +186,6 @@ const Entry* ContentStore::find(const ndn::Interest& interest, util::SimTime now
   return const_cast<ContentStore*>(this)->find(interest, now);
 }
 
-Entry* ContentStore::find_exact(const ndn::Name& name) {
-  return exact_find(name.hash64(), name);
-}
-
-const Entry* ContentStore::find_exact(const ndn::Name& name) const {
-  return const_cast<ContentStore*>(this)->find_exact(name);
-}
-
 void ContentStore::touch(Entry& entry, util::SimTime now) {
   entry.meta.last_access = now;
   Node* node = static_cast<Node*>(&entry);

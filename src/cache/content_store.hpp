@@ -186,10 +186,6 @@ class ContentStore {
   void set_trace_label(std::string label) { trace_label_ = std::move(label); }
   [[nodiscard]] const std::string& trace_label() const noexcept { return trace_label_; }
 
-  /// Exact full-name lookup.
-  [[nodiscard]] Entry* find_exact(const ndn::Name& name);
-  [[nodiscard]] const Entry* find_exact(const ndn::Name& name) const;
-
   /// Record an access for eviction ordering (LRU move-to-front, LFU count
   /// bump) and update meta.last_access. `entry` must be one of this
   /// store's entries; no index is probed.

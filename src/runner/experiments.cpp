@@ -92,13 +92,6 @@ Fig5Grid run_fig5_grid(const Config& config, const std::vector<trace::ReplayConf
   return grid;
 }
 
-/// Canonical merged JSON of a grid's cells, row-major.
-std::string merged_cells_json(const std::vector<std::vector<util::MetricsSnapshot>>& cells) {
-  SweepResult sweep;
-  for (const auto& row : cells) sweep.runs.insert(sweep.runs.end(), row.begin(), row.end());
-  return sweep.merged_json();
-}
-
 /// A table's header line: `label`, then one column per cache size.
 std::string cache_size_header(std::string label, const std::vector<std::size_t>& cache_sizes) {
   for (const std::size_t size : cache_sizes)
@@ -178,8 +171,6 @@ std::string Fig5aResult::format_delay_table() const {
   return out;
 }
 
-std::string Fig5aResult::merged_json() const { return merged_cells_json(cells); }
-
 Fig5bResult run_fig5b(const Fig5bConfig& config) {
   // NDNP-LINT-ALLOW(determinism-wallclock): wall_seconds reporting gauge, excluded from golden output
   const auto start = std::chrono::steady_clock::now();
@@ -220,8 +211,6 @@ std::string Fig5bResult::format_table() const {
   }
   return out;
 }
-
-std::string Fig5bResult::merged_json() const { return merged_cells_json(cells); }
 
 // ---------------------------------------------------------------------------
 // Figure 4(a)

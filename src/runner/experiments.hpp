@@ -74,9 +74,6 @@ struct Fig5aResult {
   /// Mean response delay (ms) per cell — the metric the degraded-network
   /// ablation moves (hit rates stay put by construction).
   [[nodiscard]] std::string format_delay_table() const;
-
-  /// Canonical merged JSON of all cells (row-major) plus the aggregate.
-  [[nodiscard]] std::string merged_json() const;
 };
 
 /// Throws std::runtime_error if the exponential parameterization is
@@ -121,9 +118,6 @@ struct Fig5bResult {
   /// The bench's table text (header row + one row per private share),
   /// identical to the pre-runner serial output; golden-vector locked.
   [[nodiscard]] std::string format_table() const;
-
-  /// Canonical merged JSON of all cells (row-major) plus the aggregate.
-  [[nodiscard]] std::string merged_json() const;
 };
 
 /// Throws std::runtime_error if the exponential parameterization is

@@ -1,6 +1,5 @@
 #include "runner/runner.hpp"
 
-#include <chrono>
 #include <mutex>
 
 #include "sim/trace_sinks.hpp"
@@ -78,29 +77,5 @@ void parallel_for(std::size_t num_tasks, std::size_t jobs,
 }
 
 }  // namespace detail
-
-std::string SweepResult::merged_json() const {
-  std::string out = "{\"runs\":[";
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    if (i) out += ',';
-    out += runs[i].to_json();
-  }
-  out += "],\"aggregate\":";
-  out += aggregate().to_json();
-  out += '}';
-  return out;
-}
-
-SweepResult run_metrics_sweep(std::size_t num_runs, const SweepOptions& options,
-                              const MetricsRunFn& fn) {
-  // NDNP-LINT-ALLOW(determinism-wallclock): wall_seconds reporting gauge, excluded from merged_json
-  const auto start = std::chrono::steady_clock::now();
-  SweepResult result;
-  result.runs = run_sweep<util::MetricsSnapshot>(num_runs, options, fn);
-  result.wall_seconds =
-      // NDNP-LINT-ALLOW(determinism-wallclock): wall_seconds reporting gauge, excluded from merged_json
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-  return result;
-}
 
 }  // namespace ndnp::runner

@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "telemetry/telemetry.hpp"
-#include "util/metrics.hpp"
 #include "util/tracing.hpp"
 
 namespace ndnp::runner {
@@ -141,25 +140,5 @@ std::vector<R> run_sweep(std::size_t num_runs, const SweepOptions& options, Fn&&
   if (options.telemetry != nullptr) options.telemetry->write_files();
   return results;
 }
-
-/// Result of a metrics sweep: per-run snapshots in run-index order plus
-/// wall-clock timing (kept out of the deterministic merge).
-struct SweepResult {
-  std::vector<util::MetricsSnapshot> runs;
-  double wall_seconds = 0.0;
-
-  [[nodiscard]] util::SweepAggregate aggregate() const {
-    return util::SweepAggregate::from_runs(runs);
-  }
-
-  /// Canonical merged JSON: per-run snapshots in run-index order followed
-  /// by the cross-run aggregate. Byte-identical for any jobs count.
-  [[nodiscard]] std::string merged_json() const;
-};
-
-/// Metrics-typed convenience wrapper around run_sweep.
-using MetricsRunFn = std::function<util::MetricsSnapshot(const RunContext&)>;
-[[nodiscard]] SweepResult run_metrics_sweep(std::size_t num_runs, const SweepOptions& options,
-                                            const MetricsRunFn& fn);
 
 }  // namespace ndnp::runner

@@ -1,26 +1,18 @@
 // Model-based chaos fuzzing for the forwarder stack.
 //
-// Two seeded, fully deterministic episode generators:
+// run_chaos_episode() builds a random consumer—forwarder-chain—producer
+// topology, turns on the fault engine (sim/faults.hpp) on every link,
+// schedules node faults (CS wipes, PIT squeezes) and a random interest
+// workload, runs the simulation to quiescence, then checks every structural
+// invariant (Forwarder::check_invariants). The episode digest fingerprints
+// the full end state so parallel sweeps can prove byte-identical replay
+// across --jobs counts.
 //
-//  - run_chaos_episode(): builds a random consumer—forwarder-chain—producer
-//    topology, turns on the fault engine (sim/faults.hpp) on every link,
-//    schedules node faults (CS wipes, PIT squeezes) and a random interest
-//    workload, runs the simulation to quiescence, then checks every
-//    structural invariant (Forwarder::check_invariants). The episode digest
-//    fingerprints the full end state so parallel sweeps can prove
-//    byte-identical replay across --jobs counts.
-//
-//  - run_differential_episode(): drives a single Forwarder (zero
-//    processing/link delay) with a random op stream — interests from two
-//    downstream faces, Data/NACKs from upstream, hostile field values —
-//    while a naive reference model (plain std::map PIT + LRU CS, the
-//    spirit of tests/test_cs_differential.cpp) predicts every emitted
-//    packet and every counter. Any divergence is reported with the op
-//    index and a human-readable description.
-//
-// Both entry points use only the episode seed for randomness, so a failure
-// reproduces from its seed alone (tools/chaos_tool replays one episode with
-// full logging).
+// The episode uses only its seed for randomness, so a failure reproduces
+// from the seed alone (tools/chaos_tool replays one episode with full
+// logging). Its differential twin, run_differential_episode, checks one
+// Forwarder against a naive reference model and lives in the test oracle
+// (oracle/differential.hpp).
 #pragma once
 
 #include <cstdint>
@@ -69,20 +61,5 @@ struct ChaosEpisodeResult {
 /// Run one seeded chaos episode. Never throws: invariant violations are
 /// caught and reported in the result.
 [[nodiscard]] ChaosEpisodeResult run_chaos_episode(const ChaosEpisodeOptions& options);
-
-struct DifferentialResult {
-  std::size_t ops = 0;
-  std::size_t divergences = 0;
-  /// Op index and description of the first divergence ("" when clean).
-  std::string first_divergence;
-
-  [[nodiscard]] bool ok() const noexcept { return divergences == 0; }
-};
-
-/// Run one seeded differential episode: `num_ops` random operations against
-/// a real Forwarder, cross-checked op-by-op against the naive reference
-/// model. Stops at the first divergence.
-[[nodiscard]] DifferentialResult run_differential_episode(std::uint64_t seed,
-                                                          std::size_t num_ops = 1500);
 
 }  // namespace ndnp::sim

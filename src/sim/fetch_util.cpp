@@ -79,72 +79,4 @@ void reliable_fetch(Consumer& consumer, const ndn::Name& name,
   state->attempt();
 }
 
-void segment_fetch(Consumer& consumer, const ndn::Name& prefix, std::size_t count,
-                   std::function<void(const SegmentFetchResult&)> on_done,
-                   const SegmentFetchOptions& options) {
-  if (!on_done) throw std::invalid_argument("segment_fetch: on_done is required");
-  if (options.window == 0) throw std::invalid_argument("segment_fetch: window must be >= 1");
-  if (count == 0) {
-    on_done({.succeeded = true, .segments = 0, .retransmissions = 0, .elapsed = 0});
-    return;
-  }
-
-  struct SegmentState {
-    Consumer* consumer = nullptr;
-    ndn::Name prefix;
-    std::size_t count = 0;
-    SegmentFetchOptions options;
-    std::function<void(const SegmentFetchResult&)> on_done;
-    util::SimTime started_at = 0;
-    std::size_t next_to_issue = 0;
-    std::size_t completed = 0;
-    std::size_t retransmissions = 0;
-    bool failed = false;
-  };
-  auto state = std::make_shared<SegmentState>();
-  state->consumer = &consumer;
-  state->prefix = prefix;
-  state->count = count;
-  state->options = options;
-  state->on_done = std::move(on_done);
-  state->started_at = consumer.now();
-
-  // Window pump: issuing a segment registers a completion callback that
-  // issues the next one, keeping `window` segments in flight. The pump
-  // holds itself only weakly; the in-flight completion callbacks own it,
-  // so it, the state and `on_done` are freed once the last one has run.
-  auto issue = std::make_shared<std::function<void()>>();
-  *issue = [state, weak_issue = std::weak_ptr<std::function<void()>>(issue)] {
-    if (state->failed || state->next_to_issue >= state->count) return;
-    const std::size_t segment = state->next_to_issue++;
-    reliable_fetch(
-        *state->consumer, state->prefix.append_number(segment),
-        [state, issue = weak_issue.lock()](const ReliableFetchResult& result) {
-          state->retransmissions += result.attempts - (result.succeeded ? 1 : 0);
-          if (!result.succeeded) {
-            if (!state->failed) {
-              state->failed = true;
-              state->on_done({.succeeded = false,
-                              .segments = state->completed,
-                              .retransmissions = state->retransmissions,
-                              .elapsed = state->consumer->now() - state->started_at});
-            }
-            return;
-          }
-          ++state->completed;
-          if (state->completed == state->count) {
-            state->on_done({.succeeded = true,
-                            .segments = state->completed,
-                            .retransmissions = state->retransmissions,
-                            .elapsed = state->consumer->now() - state->started_at});
-            return;
-          }
-          (*issue)();
-        },
-        state->options.per_segment);
-  };
-  const std::size_t initial = std::min(options.window, count);
-  for (std::size_t i = 0; i < initial; ++i) (*issue)();
-}
-
 }  // namespace ndnp::sim

@@ -5,9 +5,7 @@
 // ReliableFetcher wraps one interest with timeout-driven retransmission —
 // the standard NDN ARQ loop whose cache-assisted recovery is exactly why
 // Section V-A insists the unpredictable-name countermeasure must keep
-// router caching intact. SegmentFetcher pipelines a fixed window of
-// segment interests (/prefix/0, /prefix/1, ...), the shape of the
-// multi-object content the fragment-correlation attack exploits.
+// router caching intact.
 #pragma once
 
 #include <cstdint>
@@ -50,27 +48,5 @@ struct ReliableFetchResult {
 void reliable_fetch(Consumer& consumer, const ndn::Name& name,
                     std::function<void(const ReliableFetchResult&)> on_done,
                     const ReliableFetchOptions& options = {});
-
-struct SegmentFetchOptions {
-  /// Segments in flight simultaneously.
-  std::size_t window = 4;
-  ReliableFetchOptions per_segment;
-};
-
-struct SegmentFetchResult {
-  bool succeeded = false;
-  std::size_t segments = 0;
-  /// Total retransmitted interests across all segments.
-  std::size_t retransmissions = 0;
-  /// Completion time from start of the fetch.
-  util::SimDuration elapsed = 0;
-};
-
-/// Fetch segments prefix/0 .. prefix/(count-1) with a sliding window;
-/// `on_done` fires once when all segments arrived or any segment
-/// exhausted its attempts.
-void segment_fetch(Consumer& consumer, const ndn::Name& prefix, std::size_t count,
-                   std::function<void(const SegmentFetchResult&)> on_done,
-                   const SegmentFetchOptions& options = {});
 
 }  // namespace ndnp::sim

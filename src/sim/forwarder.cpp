@@ -34,12 +34,13 @@ void Forwarder::arm_telemetry(telemetry::TelemetryHub* hub) {
   // Occupancy gauges ride along with the built-in detector series. Probes
   // read live state at sample time; registration must precede the first
   // sample (the recorder freezes its column set there).
-  hub->add_probe("cs.size", [this] { return static_cast<double>(cs().size()); });
-  hub->add_probe("pit.size", [this] { return static_cast<double>(pit_.size()); });
-  hub->add_probe("forwarder.interests_received",
-                 [this] { return static_cast<double>(stats_.interests_received); });
-  hub->add_probe("forwarder.forwarded_interests",
-                 [this] { return static_cast<double>(stats_.forwarded_interests); });
+  telemetry::TimeSeriesRecorder& recorder = hub->recorder();
+  recorder.add_probe("cs.size", [this] { return static_cast<double>(cs().size()); });
+  recorder.add_probe("pit.size", [this] { return static_cast<double>(pit_.size()); });
+  recorder.add_probe("forwarder.interests_received",
+                     [this] { return static_cast<double>(stats_.interests_received); });
+  recorder.add_probe("forwarder.forwarded_interests",
+                     [this] { return static_cast<double>(stats_.forwarded_interests); });
 }
 
 void Forwarder::add_route(const ndn::Name& prefix, FaceId next_hop) {

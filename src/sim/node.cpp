@@ -41,8 +41,9 @@ void Node::receive_nack(const ndn::Nack& nack, FaceId) {
             nack.interest.name.to_uri().c_str());
 }
 
-void Node::transmit(FaceId face, std::size_t wire_bytes, EventFn deliver,
-                    const char* kind, const ndn::Name& name, util::SimDuration extra_delay) {
+std::optional<util::SimDuration> Node::transmit(FaceId face, std::size_t wire_bytes,
+                                                const char* kind, const ndn::Name& name,
+                                                util::SimDuration extra_delay) {
   FaceEnd& end = faces_.at(face);
   ++end.accounting.packets_out;
   if (end.config.sample_loss(rng_)) {
@@ -51,7 +52,7 @@ void Node::transmit(FaceId face, std::size_t wire_bytes, EventFn deliver,
               name.to_uri().c_str(), face);
     NDNP_TRACE_EVENT(util::TraceEventType::kLinkDrop, name_, scheduler_.now(), name.to_uri(),
                      std::string("kind=") + kind, static_cast<std::int64_t>(face));
-    return;
+    return std::nullopt;
   }
   // Propagation + jitter (no size component)...
   util::SimDuration delay = end.config.sample_delay(rng_, 0);
@@ -72,31 +73,7 @@ void Node::transmit(FaceId face, std::size_t wire_bytes, EventFn deliver,
   NDNP_TRACE_EVENT(util::TraceEventType::kLinkEnqueue, name_, scheduler_.now(), name.to_uri(),
                    std::string("kind=") + kind, static_cast<std::int64_t>(face), delay,
                    static_cast<std::int64_t>(wire_bytes));
-  // Wrap the delivery so the far end's arrival shows up as link_dequeue.
-  // The wrapper is built only while a tracer is live: with tracing off the
-  // callback is passed through untouched, and either way exactly one event
-  // is scheduled, so the simulation's event order cannot change.
-  if (util::Tracer* tracer = util::Tracer::current();
-      tracer != nullptr && tracer->enabled() && end.peer != nullptr) {
-    deliver = [inner = std::move(deliver), sched = &scheduler_, rx_node = end.peer->name(),
-               rx_face = static_cast<std::int64_t>(end.peer_face), uri = name.to_uri(),
-               detail = std::string("kind=") + kind]() mutable {
-      NDNP_TRACE_EVENT(util::TraceEventType::kLinkDequeue, rx_node, sched->now(), uri, detail,
-                       rx_face);
-      inner();
-    };
-  }
-  // Close the conservation ledger at delivery time — only where fault
-  // injection is active (the wrapper costs an allocation per packet, which
-  // benign hot paths do not pay; face indices are stable, so capturing the
-  // index survives later connect() reallocation of faces_).
-  if (end.fault_state != nullptr) {
-    deliver = [this, face, inner = std::move(deliver)]() mutable {
-      ++faces_[face].accounting.deliveries;
-      inner();
-    };
-  }
-  scheduler_.schedule_in(delay, std::move(deliver));
+  return delay;
 }
 
 namespace {
@@ -173,11 +150,29 @@ void Node::transmit_packet(FaceId face, const Packet& packet, const char* kind) 
   // included); the pool recycles the buffer capacity once the last copy is
   // dispatched.
   util::PoolRef<Packet> pooled = pooled_copy(*to_send);
+  // Fault links close their conservation ledger at delivery time; face
+  // indices are stable, so the sender and face index survive a later
+  // connect() reallocating faces_. Fault-free links never touch the sender.
+  Node* const ledger = end.fault_state != nullptr ? this : nullptr;
+  const bool traced = util::Tracer::current() != nullptr;
   for (int i = 0; i < copies; ++i) {
-    transmit(
-        face, to_send->wire_size(),
-        [peer, peer_face, pooled] { dispatch(*peer, peer_face, *pooled); }, kind, name,
-        extra_delay);
+    const std::optional<util::SimDuration> delay =
+        transmit(face, to_send->wire_size(), kind, name, extra_delay);
+    if (!delay.has_value()) continue;
+    // The far end's arrival shows up as link_dequeue, named after the packet
+    // as sent (a corrupted copy may carry another name); the URI is built
+    // only while a tracer is bound. Exactly one event is scheduled either
+    // way, so tracing cannot change the simulation's event order.
+    scheduler_.schedule_in(
+        *delay, [peer, peer_face, pooled, kind, ledger, face,
+                 uri = traced ? name.to_uri() : std::string()]() mutable {
+          if (ledger != nullptr) ++ledger->faces_[face].accounting.deliveries;
+          if (!uri.empty())
+            NDNP_TRACE_EVENT(util::TraceEventType::kLinkDequeue, peer->name(), peer->now(),
+                             std::move(uri), std::string("kind=") + kind,
+                             static_cast<std::int64_t>(peer_face));
+          dispatch(*peer, peer_face, *pooled);
+        });
   }
 }
 

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -132,20 +133,22 @@ class Node {
     FaceAccounting accounting;
   };
 
-  /// Common transmission path: samples loss/delay (plus queueing when
-  /// enabled) and schedules `deliver` at the arrival time, `extra_delay`
-  /// (fault-injected reorder/spike hold-back) later. Takes the scheduler's
-  /// native EventFn so the pooled-capture delivery closure moves straight
-  /// into the event node without a std::function heap hop. `name`'s URI is
-  /// built only for trace events and the loss log, never per packet.
-  void transmit(FaceId face, std::size_t wire_bytes, EventFn deliver,
-                const char* kind, const ndn::Name& name,
-                util::SimDuration extra_delay = 0);
+  /// Common link model of one outgoing packet: counts it, samples loss and
+  /// delay (plus queueing when enabled) and returns the delay until
+  /// arrival, `extra_delay` (fault-injected reorder/spike hold-back)
+  /// included, or nullopt when the link lost it. `name`'s URI is built
+  /// only for trace events and the loss log, never per packet.
+  [[nodiscard]] std::optional<util::SimDuration> transmit(FaceId face, std::size_t wire_bytes,
+                                                          const char* kind,
+                                                          const ndn::Name& name,
+                                                          util::SimDuration extra_delay);
 
   /// Shared fault-aware tail of send_interest/send_data/send_nack:
-  /// consults the face's fault engine (drop / corrupt / duplicate / delay)
-  /// and hands the surviving copies to transmit(). Defined in node.cpp —
-  /// only the three send_* methods instantiate it.
+  /// consults the face's fault engine (drop / corrupt / duplicate / delay),
+  /// runs each surviving copy through transmit() and schedules its
+  /// delivery: one closure that holds the pooled packet and fits the
+  /// event's inline buffer on every link, traced or not. Defined in
+  /// node.cpp — only the three send_* methods instantiate it.
   template <typename Packet>
   void transmit_packet(FaceId face, const Packet& packet, const char* kind);
 

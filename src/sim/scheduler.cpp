@@ -32,21 +32,11 @@ WheelScheduler::~WheelScheduler() {
   }
 }
 
-std::uint64_t WheelScheduler::enqueue(util::SimTime when, EventFn fn, bool cancellable) {
+void WheelScheduler::enqueue(util::SimTime when, EventFn fn) {
   if (fn.heap_allocated()) ++heap_fallback_events_;
-  EventNode* node = slab_.create(when, next_seq_++, cancellable, std::move(fn));
-  if (cancellable) live_cancellable_.insert(node->seq);
+  EventNode* node = slab_.create(when, next_seq_++, std::move(fn));
   ++live_;
   place(node);
-  return node->seq;
-}
-
-bool WheelScheduler::cancel(EventHandle handle) {
-  // Lazy cancellation: drop the seq from the live set; the node itself is
-  // reaped when it reaches the ready heap (or at destruction).
-  if (live_cancellable_.erase(handle.seq) == 0) return false;
-  --live_;
-  return true;
 }
 
 void WheelScheduler::place(EventNode* node) {
@@ -73,21 +63,12 @@ void WheelScheduler::ready_push(EventNode* node) {
   std::push_heap(ready_.begin(), ready_.end(), DispatchesAfter{});
 }
 
-void WheelScheduler::reap_ready_top() {
-  std::pop_heap(ready_.begin(), ready_.end(), DispatchesAfter{});
-  slab_.destroy(ready_.back().node);
-  ready_.pop_back();
-}
-
 bool WheelScheduler::ensure_ready() {
-  for (;;) {
-    while (!ready_.empty()) {
-      if (!is_cancelled(*ready_.front().node)) return true;
-      reap_ready_top();
-    }
+  while (ready_.empty()) {
     if (live_ == 0) return false;
     advance();
   }
+  return true;
 }
 
 int WheelScheduler::next_occupied(int level, std::size_t from) const noexcept {
@@ -216,7 +197,6 @@ void WheelScheduler::dispatch_front() {
   last_seq_ = item.seq;
   ++processed_;
   --live_;
-  if (node->cancellable) live_cancellable_.erase(node->seq);
   // Move the callable out and recycle the node BEFORE invoking: the event
   // may schedule new work (reusing this very node) or throw, and either
   // way the slab stays consistent.
@@ -241,75 +221,6 @@ void WheelScheduler::run() {
 
 void WheelScheduler::run_until(util::SimTime until) {
   while (ensure_ready() && ready_.front().when <= until) dispatch_front();
-  if (now_ < until) now_ = until;
-}
-
-// ---------------------------------------------------------------------------
-// HeapScheduler (reference implementation)
-
-std::uint64_t HeapScheduler::enqueue(util::SimTime when, EventFn fn, bool cancellable) {
-  const std::uint64_t seq = next_seq_++;
-  if (cancellable) live_cancellable_.insert(seq);
-  queue_.push(Item{when, seq, cancellable, std::move(fn)});
-  ++live_;
-  return seq;
-}
-
-bool HeapScheduler::cancel(EventHandle handle) {
-  if (live_cancellable_.erase(handle.seq) == 0) return false;
-  --live_;
-  return true;
-}
-
-void HeapScheduler::reap_cancelled_top() {
-  while (!queue_.empty()) {
-    const Item& top = queue_.top();
-    if (!top.cancellable || live_cancellable_.find(top.seq) != live_cancellable_.end()) {
-      return;
-    }
-    queue_.pop();
-  }
-}
-
-bool HeapScheduler::run_one() {
-  reap_cancelled_top();
-  if (queue_.empty()) return false;
-  // priority_queue::top() is const; move out via const_cast, standard
-  // practice given pop() immediately discards the slot.
-  Item item = std::move(const_cast<Item&>(queue_.top()));
-  queue_.pop();
-  NDNP_INVARIANT_CHECK("scheduler", item.when >= now_,
-                       "event at t=%lld dispatched after clock reached %lld",
-                       static_cast<long long>(item.when), static_cast<long long>(now_));
-  NDNP_INVARIANT_CHECK("scheduler", item.when > now_ || item.seq > last_seq_ || processed_ == 0,
-                       "equal-time events dispatched out of schedule order (seq %llu after "
-                       "%llu at t=%lld)",
-                       static_cast<unsigned long long>(item.seq),
-                       static_cast<unsigned long long>(last_seq_),
-                       static_cast<long long>(item.when));
-  now_ = item.when;
-  last_seq_ = item.seq;
-  ++processed_;
-  --live_;
-  if (item.cancellable) live_cancellable_.erase(item.seq);
-  {
-    NDNP_TRACE_SCOPE("scheduler", "scheduler", "dispatch");
-    item.fn();
-  }
-  return true;
-}
-
-void HeapScheduler::run() {
-  while (run_one()) {
-  }
-}
-
-void HeapScheduler::run_until(util::SimTime until) {
-  for (;;) {
-    reap_cancelled_top();
-    if (queue_.empty() || queue_.top().when > until) break;
-    (void)run_one();
-  }
   if (now_ < until) now_ = until;
 }
 

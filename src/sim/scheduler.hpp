@@ -1,35 +1,29 @@
 // Discrete-event scheduler.
 //
-// Two implementations of one contract (see docs/PERFORMANCE.md):
+// `WheelScheduler` is a hierarchical timer wheel (calendar queue) of 7
+// levels x 256 slots over 1.024 us ticks, with event nodes carved from a
+// slab free-list and callables stored inline in the node
+// (util::SmallFunction). Steady-state schedule/run cycles perform zero heap
+// allocations once the peak working set has been carved. Events whose tick
+// has been reached are drained through a small (when, seq) binary heap,
+// which is what preserves the exact dispatch contract (see
+// docs/PERFORMANCE.md).
 //
-//  - `WheelScheduler` (the default): a hierarchical timer wheel (calendar
-//    queue) of 7 levels x 256 slots over 1.024 us ticks, with event nodes
-//    carved from a slab free-list and callables stored inline in the node
-//    (util::SmallFunction). Steady-state schedule/run cycles perform zero
-//    heap allocations once the peak working set has been carved. Events
-//    whose tick has been reached are drained through a small (when, seq)
-//    binary heap, which is what preserves the exact dispatch contract.
-//
-//  - `HeapScheduler` (the reference): the original binary-heap
-//    implementation, kept as the obviously-correct baseline that tests and
-//    benchmarks compare against; tests/test_scheduler_differential.cpp
-//    proves the two dispatch identically over seeded random workloads.
-//
-// The shared contract, which makes runs byte-identical across --jobs:
-// events dispatch in strict (time, sequence) order — time never runs
-// backwards, and equal-time events run in schedule (FIFO) order.
-// Single-threaded by design: network simulations at this scale are
-// dominated by event dispatch, and determinism is worth more to the
-// experiments than parallelism.
+// The contract, which makes runs byte-identical across --jobs: events
+// dispatch in strict (time, sequence) order — time never runs backwards,
+// and equal-time events run in schedule (FIFO) order. The binary-heap
+// reference implementation, oracle/heap_scheduler.hpp, lives outside the
+// shipped library; tests/test_scheduler_differential.cpp proves the two
+// dispatch identically over seeded random workloads. Single-threaded by
+// design: network simulations at this scale are dominated by event
+// dispatch, and determinism is worth more to the experiments than
+// parallelism.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <queue>
 #include <stdexcept>
 #include <type_traits>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -45,11 +39,6 @@ namespace ndnp::sim {
 /// by `heap_fallback_events()`.
 inline constexpr std::size_t kEventInlineBytes = 96;
 using EventFn = util::SmallFunction<kEventInlineBytes>;
-
-/// Opaque handle to a cancellable event (see schedule_cancellable_at).
-struct EventHandle {
-  std::uint64_t seq = ~0ULL;
-};
 
 namespace detail {
 
@@ -77,10 +66,6 @@ inline void throw_if_negative(util::SimDuration delay) {
 
 class WheelScheduler {
  public:
-  /// Compatibility alias; schedule_* accept any void() callable directly
-  /// (std::function included), so most callers never name this type.
-  using Event = std::function<void()>;
-
   WheelScheduler() = default;
   WheelScheduler(const WheelScheduler&) = delete;
   WheelScheduler& operator=(const WheelScheduler&) = delete;
@@ -91,7 +76,7 @@ class WheelScheduler {
   void schedule_at(util::SimTime when, F&& event) {
     detail::throw_if_past(when, now_);
     detail::throw_if_null_event(event);
-    (void)enqueue(when, EventFn(std::forward<F>(event)), false);
+    enqueue(when, EventFn(std::forward<F>(event)));
   }
 
   /// Schedule `delay` after the current time (delay >= 0).
@@ -100,28 +85,6 @@ class WheelScheduler {
     detail::throw_if_negative(delay);
     schedule_at(now_ + delay, std::forward<F>(event));
   }
-
-  /// Like schedule_at, but the returned handle can cancel the event before
-  /// it runs. Cancellation is O(1) amortized; cancelled events never
-  /// dispatch and do not count as processed. Only cancellable events touch
-  /// the side table, so the plain schedule_* hot path stays allocation-free.
-  template <typename F>
-  [[nodiscard]] EventHandle schedule_cancellable_at(util::SimTime when, F&& event) {
-    detail::throw_if_past(when, now_);
-    detail::throw_if_null_event(event);
-    return EventHandle{enqueue(when, EventFn(std::forward<F>(event)), true)};
-  }
-
-  template <typename F>
-  [[nodiscard]] EventHandle schedule_cancellable_in(util::SimDuration delay, F&& event) {
-    detail::throw_if_negative(delay);
-    return schedule_cancellable_at(now_ + delay, std::forward<F>(event));
-  }
-
-  /// Cancel a pending cancellable event. Returns true if the event was
-  /// still pending (it will not run); false if it already ran or was
-  /// already cancelled.
-  bool cancel(EventHandle handle);
 
   /// Current simulation time: the timestamp of the event being processed,
   /// or of the last processed event when idle.
@@ -167,12 +130,11 @@ class WheelScheduler {
   struct EventNode {
     util::SimTime when;
     std::uint64_t seq;
-    bool cancellable;
     EventNode* next;
     EventFn fn;
 
-    EventNode(util::SimTime w, std::uint64_t s, bool c, EventFn f)
-        : when(w), seq(s), cancellable(c), next(nullptr), fn(std::move(f)) {}
+    EventNode(util::SimTime w, std::uint64_t s, EventFn f)
+        : when(w), seq(s), next(nullptr), fn(std::move(f)) {}
   };
 
   struct ReadyItem {
@@ -192,19 +154,15 @@ class WheelScheduler {
     return static_cast<std::uint64_t>(when) >> kTickShift;
   }
 
-  std::uint64_t enqueue(util::SimTime when, EventFn fn, bool cancellable);
+  void enqueue(util::SimTime when, EventFn fn);
   void place(EventNode* node);
   void ready_push(EventNode* node);
-  void reap_ready_top();
   bool ensure_ready();
   void advance();
   void cascade(int level, std::size_t idx);
   void dump_slot(std::size_t idx);
   void dispatch_front();
   [[nodiscard]] int next_occupied(int level, std::size_t from) const noexcept;
-  [[nodiscard]] bool is_cancelled(const EventNode& node) const {
-    return node.cancellable && live_cancellable_.find(node.seq) == live_cancellable_.end();
-  }
 
   util::Slab<EventNode> slab_;
   EventNode* slots_[kLevels][kSlots] = {};
@@ -213,7 +171,6 @@ class WheelScheduler {
   /// Tick whose level-0 slot has been drained into `ready_`; events at or
   /// before it go straight to the ready heap.
   std::uint64_t cursor_tick_ = 0;
-  std::set<std::uint64_t> live_cancellable_;  // ordered: determinism guard bans hash sets
 
   util::SimTime now_ = util::kTimeZero;
   std::uint64_t next_seq_ = 0;
@@ -224,77 +181,6 @@ class WheelScheduler {
   std::size_t live_ = 0;
   std::uint64_t heap_fallback_events_ = 0;
   std::uint64_t cascades_ = 0;
-};
-
-// ---------------------------------------------------------------------------
-// HeapScheduler: the original binary-heap implementation, kept as the
-// reference the differential soak harness replays against.
-
-class HeapScheduler {
- public:
-  using Event = std::function<void()>;
-
-  template <typename F>
-  void schedule_at(util::SimTime when, F&& event) {
-    detail::throw_if_past(when, now_);
-    detail::throw_if_null_event(event);
-    (void)enqueue(when, EventFn(std::forward<F>(event)), false);
-  }
-
-  template <typename F>
-  void schedule_in(util::SimDuration delay, F&& event) {
-    detail::throw_if_negative(delay);
-    schedule_at(now_ + delay, std::forward<F>(event));
-  }
-
-  template <typename F>
-  [[nodiscard]] EventHandle schedule_cancellable_at(util::SimTime when, F&& event) {
-    detail::throw_if_past(when, now_);
-    detail::throw_if_null_event(event);
-    return EventHandle{enqueue(when, EventFn(std::forward<F>(event)), true)};
-  }
-
-  template <typename F>
-  [[nodiscard]] EventHandle schedule_cancellable_in(util::SimDuration delay, F&& event) {
-    detail::throw_if_negative(delay);
-    return schedule_cancellable_at(now_ + delay, std::forward<F>(event));
-  }
-
-  bool cancel(EventHandle handle);
-
-  [[nodiscard]] util::SimTime now() const noexcept { return now_; }
-  bool run_one();
-  void run();
-  void run_until(util::SimTime until);
-  [[nodiscard]] std::size_t pending() const noexcept { return live_; }
-  [[nodiscard]] std::uint64_t processed() const noexcept { return processed_; }
-
-  static constexpr const char* kImplName = "heap";
-
- private:
-  struct Item {
-    util::SimTime when;
-    std::uint64_t seq;
-    bool cancellable;
-    EventFn fn;
-  };
-  struct Later {
-    bool operator()(const Item& a, const Item& b) const noexcept {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
-    }
-  };
-
-  std::uint64_t enqueue(util::SimTime when, EventFn fn, bool cancellable);
-  void reap_cancelled_top();
-
-  std::priority_queue<Item, std::vector<Item>, Later> queue_;
-  std::set<std::uint64_t> live_cancellable_;  // ordered: determinism guard bans hash sets
-  util::SimTime now_ = util::kTimeZero;
-  std::uint64_t next_seq_ = 0;
-  std::uint64_t processed_ = 0;
-  std::uint64_t last_seq_ = 0;
-  std::size_t live_ = 0;
 };
 
 /// The simulation-wide scheduler.

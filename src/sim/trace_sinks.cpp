@@ -437,16 +437,10 @@ ForensicsReport probe_forensics(const std::vector<FlatEvent>& events) {
     probe.agrees = probe.verdict.has_value() && !probe.truth.empty() &&
                    (probe.truth == "hit") == (*probe.verdict != core::LookupOutcome::kTrueMiss);
 
-    if (!probe.verdict) {
+    if (probe.verdict)
+      ++report.verdicts.count(*probe.verdict);
+    else
       ++report.unknown;
-    } else {
-      switch (*probe.verdict) {
-        case core::LookupOutcome::kExposedHit: ++report.exposed_hits; break;
-        case core::LookupOutcome::kDelayedHit: ++report.delayed_hits; break;
-        case core::LookupOutcome::kSimulatedMiss: ++report.simulated_misses; break;
-        case core::LookupOutcome::kTrueMiss: ++report.true_misses; break;
-      }
-    }
     if (probe.agrees) ++report.agreements;
     attribute_faults(probe, ev.t - ev.a);
     if (probe.faults > 0) ++report.faulted_probes;
@@ -487,10 +481,13 @@ std::string ForensicsReport::format_table() const {
   }
   char summary[320];
   std::snprintf(summary, sizeof summary,
-                "probes=%zu exposed_hit=%zu delayed_hit=%zu simulated_miss=%zu true_miss=%zu "
-                "unknown=%zu agreement=%.4f",
-                probes.size(), exposed_hits, delayed_hits, simulated_misses, true_misses,
-                unknown, agreement_rate());
+                "probes=%zu exposed_hit=%llu delayed_hit=%llu simulated_miss=%llu "
+                "true_miss=%llu unknown=%zu agreement=%.4f",
+                probes.size(), static_cast<unsigned long long>(verdicts.exposed_hits),
+                static_cast<unsigned long long>(verdicts.delayed_hits),
+                static_cast<unsigned long long>(verdicts.simulated_misses),
+                static_cast<unsigned long long>(verdicts.true_misses), unknown,
+                agreement_rate());
   out << summary;
   if (with_faults) {
     std::snprintf(summary, sizeof summary, " fault_events=%zu faulted_probes=%zu",

@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "core/engine.hpp"
 #include "core/policy.hpp"
 #include "telemetry/detectors.hpp"
 #include "util/sim_time.hpp"
@@ -97,10 +98,8 @@ struct ProbeForensics {
 
 struct ForensicsReport {
   std::vector<ProbeForensics> probes;
-  std::size_t exposed_hits = 0;
-  std::size_t delayed_hits = 0;
-  std::size_t simulated_misses = 0;
-  std::size_t true_misses = 0;
+  /// Probes per decided verdict (`requests` stays 0).
+  core::EngineStats verdicts;
   std::size_t unknown = 0;
   std::size_t agreements = 0;
   /// Total fault_inject events in the capture / probes with faults in

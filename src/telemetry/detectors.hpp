@@ -20,6 +20,12 @@
 //                          content — the countermeasure is absorbing a
 //                          probe stream.
 //
+// The delayed-hit-ratio detector fires only on the face bank: it profiles
+// a *requester* (a face whose cache-served traffic is dominated by the
+// countermeasure's delays is probing protected content), while a prefix
+// bucket dominated by one private object reaches the same ratio
+// legitimately.
+//
 // Alarms are rate-limited per (bucket, detector) by a sim-time cooldown so
 // a sustained anomaly re-fires at a bounded, window-friendly rate. The
 // caller (telemetry::TelemetryHub) turns fired alarms into telemetry_alarm
@@ -43,47 +49,35 @@ enum class DetectorKind : std::uint8_t {
 };
 inline constexpr std::size_t kDetectorKinds = 3;
 
-/// Bit for `kind` in a DetectorBank enable mask.
-[[nodiscard]] constexpr std::uint8_t detector_bit(DetectorKind kind) noexcept {
-  return static_cast<std::uint8_t>(1u << static_cast<std::uint8_t>(kind));
-}
-inline constexpr std::uint8_t kAllDetectors = 0b111;
-
 [[nodiscard]] std::string_view to_string(DetectorKind kind) noexcept;
 
-/// Detector knobs (docs/OBSERVABILITY.md documents each one).
-struct DetectorTuning {
-  /// EWMA smoothing for hit-rate / delayed-ratio estimators.
-  double ewma_alpha = 0.05;
-  /// Observations that seed a bucket's hit-rate baseline before the CUSUM
-  /// arms. Larger = more tolerant of cache warm-up drift.
-  std::uint64_t warmup_samples = 256;
-  /// CUSUM per-sample slack: sustained mean shifts below this are free.
-  /// Together with the threshold this bounds the Bernoulli false-alarm
-  /// rate at roughly exp(-2 * drift * threshold / sigma^2) per reset
-  /// cycle — keep drift * threshold well above sigma^2 (<= 0.25).
-  double cusum_drift = 0.15;
-  /// CUSUM alarm threshold on the accumulated statistic.
-  double cusum_threshold = 12.0;
-  /// Adaptation rate of the CUSUM reference after arming (slow EWMA; a
-  /// ~300-sample time constant). Absorbs honest long-horizon hit-rate
-  /// drift — cache saturation — while abrupt collapses still accumulate.
-  double cusum_reference_alpha = 0.003;
-  /// Gaps needed before the regularity detector judges a bucket.
-  std::uint64_t min_gap_samples = 24;
-  /// Fire arrival_regularity while gap CV stays below this (Poisson ~0.74).
-  double regularity_cv_max = 0.15;
-  /// Cache-served observations before delayed_hit_ratio judges a bucket.
-  std::uint64_t min_served_samples = 64;
-  /// Fire delayed_hit_ratio when the delayed share of cache-served
-  /// traffic exceeds this. High on purpose: honest traffic with temporal
-  /// locality produces delayed-hit streaks on private objects; only a
-  /// requester whose served traffic is *dominated* by delayed hits is
-  /// hammering protected content.
-  double delayed_ratio_max = 0.9;
-  /// Per-(bucket, detector) sim-time alarm cooldown.
-  util::SimDuration alarm_cooldown = util::millis(10);
+/// What a bank's buckets are keyed by.
+enum class BankScope : std::uint8_t {
+  kFace,    // arrival face (or trace user)
+  kPrefix,  // hash of the content name's depth-2 prefix
 };
+
+// Detector constants (docs/OBSERVABILITY.md, "Online telemetry").
+/// Buckets of the face bank and of the prefix bank.
+inline constexpr std::size_t kFaceBuckets = 32;
+inline constexpr std::size_t kPrefixBuckets = 64;
+/// Observations that seed a bucket's hit-rate baseline before the CUSUM
+/// arms. Larger = more tolerant of cache warm-up drift.
+inline constexpr std::uint64_t kWarmupSamples = 256;
+/// Gaps needed before the regularity detector judges a bucket.
+inline constexpr std::uint64_t kMinGapSamples = 24;
+/// Fire arrival_regularity while gap CV stays below this (Poisson ~0.74).
+inline constexpr double kRegularityCvMax = 0.15;
+/// Cache-served observations before delayed_hit_ratio judges a bucket.
+inline constexpr std::uint64_t kMinServedSamples = 64;
+/// Fire delayed_hit_ratio when the delayed share of cache-served traffic
+/// exceeds this. High on purpose: honest traffic with temporal locality
+/// produces delayed-hit streaks on private objects; only a requester whose
+/// served traffic is *dominated* by delayed hits is hammering protected
+/// content.
+inline constexpr double kDelayedRatioMax = 0.9;
+/// Per-(bucket, detector) sim-time alarm cooldown.
+inline constexpr util::SimDuration kAlarmCooldown = util::millis(10);
 
 /// One alarm fired by observe(); `statistic` is the detector's current
 /// decision statistic (CUSUM level, gap CV, delayed ratio).
@@ -94,12 +88,11 @@ struct AlarmEvent {
 
 class DetectorBank {
  public:
-  /// `buckets` fixes the bank size up front — per-observation updates are
-  /// allocation-free from then on. `enabled` masks which detectors this
-  /// bank may fire (detector_bit); disabled detectors still update their
-  /// estimators (the time series stays complete) but never alarm.
-  DetectorBank(std::size_t buckets, const DetectorTuning& tuning,
-               std::uint8_t enabled = kAllDetectors);
+  /// The scope fixes the bank size up front (kFaceBuckets or
+  /// kPrefixBuckets) — per-observation updates are allocation-free from
+  /// then on. A prefix bank never fires delayed_hit_ratio, but still
+  /// updates its estimators, so the time series stays complete.
+  explicit DetectorBank(BankScope scope);
 
   /// Fold one lookup outcome into bucket `key % buckets()`. Fired alarms
   /// (at most one per detector) are written to `out`; returns how many.
@@ -118,15 +111,8 @@ class DetectorBank {
     return alarms_[0] + alarms_[1] + alarms_[2];
   }
 
-  /// Current hit-rate EWMA of a bucket (diagnostic / time-series probe).
-  [[nodiscard]] double bucket_hit_rate(std::size_t bucket) const;
   /// Largest CUSUM statistic across all buckets (time-series probe).
   [[nodiscard]] double max_cusum_statistic() const noexcept;
-
-  /// Fold another bank's per-bucket state into this one (same bucket count
-  /// and tuning required; used to combine per-shard banks). Associative
-  /// across banks up to FP rounding — see estimators.hpp.
-  void merge_from(const DetectorBank& other);
 
  private:
   struct BucketState {
@@ -140,11 +126,10 @@ class DetectorBank {
                                                 util::kTimeUnset};
   };
 
-  [[nodiscard]] bool cooled_down(BucketState& state, DetectorKind kind,
-                                 util::SimTime now) const noexcept;
+  [[nodiscard]] static bool cooled_down(const BucketState& state, DetectorKind kind,
+                                        util::SimTime now) noexcept;
 
-  DetectorTuning tuning_;
-  std::uint8_t enabled_;
+  BankScope scope_;
   std::vector<BucketState> buckets_;
   std::uint64_t observations_ = 0;
   std::uint64_t alarms_[kDetectorKinds] = {0, 0, 0};

@@ -8,18 +8,17 @@
 // bench in bench_micro_ops measures the armed cost against the forwarder
 // round trip; BENCH_telemetry.json pins it under 5%).
 //
-// Merge semantics: each estimator carries an observation count and merges
-// by count-weighted combination (CUSUM statistics take the max, alarm
-// counts sum). The combine is mathematically associative — merged(a,
-// merged(b, c)) == merged(merged(a, b), c) up to floating-point rounding —
-// which is what the sharded replayer needs to fold per-shard detector
-// state in shard order (tests/test_telemetry.cpp pins the property).
+// The smoothing and CUSUM constants below are fixed: the detector banks
+// (detectors.hpp) were calibrated with them against the attack-scenario
+// recall floor and the clean-replay false-alarm ceiling, and nothing sets
+// them per run.
 //
 // Like the flight recorder, estimators only observe: they never draw from
 // util::Rng and never feed anything back into the simulation, so arming
 // telemetry cannot move golden vectors.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 
@@ -27,53 +26,47 @@
 
 namespace ndnp::telemetry {
 
+/// EWMA smoothing of every estimator (hit rate, delayed ratio, gaps).
+inline constexpr double kEwmaAlpha = 0.05;
+/// CUSUM per-sample slack: sustained mean shifts below this are free.
+/// Together with the threshold this bounds the Bernoulli false-alarm rate
+/// at roughly exp(-2 * drift * threshold / sigma^2) per reset cycle — keep
+/// drift * threshold well above sigma^2 (<= 0.25).
+inline constexpr double kCusumDrift = 0.15;
+/// CUSUM alarm threshold on the accumulated statistic.
+inline constexpr double kCusumThreshold = 12.0;
+/// Adaptation rate of the CUSUM reference after arming (slow EWMA; a
+/// ~300-sample time constant). Absorbs honest long-horizon hit-rate drift
+/// — cache saturation — while abrupt collapses still accumulate.
+inline constexpr double kCusumReferenceAlpha = 0.003;
+
 /// Exponentially-weighted moving average of a scalar stream. The first
 /// observation seeds the estimate directly (no zero-bias warm-up).
 struct EwmaEstimator {
-  double alpha = 0.05;
   double value = 0.0;
   std::uint64_t count = 0;
 
   void observe(double x) noexcept {
     ++count;
-    value = count == 1 ? x : value + alpha * (x - value);
-  }
-
-  /// Count-weighted combination of two estimates (associative up to FP
-  /// rounding; empty sides are identity).
-  [[nodiscard]] static EwmaEstimator merged(const EwmaEstimator& a,
-                                            const EwmaEstimator& b) noexcept {
-    EwmaEstimator out;
-    out.alpha = a.count != 0 ? a.alpha : b.alpha;
-    out.count = a.count + b.count;
-    if (out.count != 0)
-      out.value = (a.value * static_cast<double>(a.count) +
-                   b.value * static_cast<double>(b.count)) /
-                  static_cast<double>(out.count);
-    return out;
+    value = count == 1 ? x : value + kEwmaAlpha * (x - value);
   }
 };
 
-/// CUSUM change-point detector on a scalar stream: accumulates deviations
-/// from `reference` beyond a per-sample slack `drift` and fires when a
-/// side's statistic exceeds `threshold`, then resets (so a sustained shift
-/// keeps re-firing at a bounded rate instead of once). `two_sided = false`
-/// tracks only downward shifts — the right mode for hit-rate streams,
-/// where cache warm-up drifts the mean *up* and only a collapse is
-/// anomalous. `reference_alpha > 0` makes the reference itself a slow EWMA
-/// of the stream, so legitimate long-horizon drift (a cache saturating and
-/// shedding hit rate over thousands of requests) is absorbed while an
-/// abrupt shift outruns the adaptation and still accumulates. The caller
-/// sets `reference` after its warm-up mean is known; observe() before that
-/// is a no-op returning false.
+/// Downward CUSUM change-point detector on a scalar stream: accumulates
+/// shortfalls below `reference` beyond the per-sample slack kCusumDrift and
+/// fires when the statistic exceeds kCusumThreshold, then resets (so a
+/// sustained shift keeps re-firing at a bounded rate instead of once).
+/// Only downward shifts count — the right mode for hit-rate streams, where
+/// cache warm-up drifts the mean *up* and only a collapse is anomalous.
+/// The reference itself follows the stream as a slow EWMA
+/// (kCusumReferenceAlpha), so legitimate long-horizon drift (a cache
+/// saturating and shedding hit rate over thousands of requests) is
+/// absorbed while an abrupt shift outruns the adaptation and still
+/// accumulates. The caller arms the detector once its warm-up mean is
+/// known; observe() before that is a no-op returning false.
 struct CusumDetector {
-  double drift = 0.08;
-  double threshold = 4.0;
   double reference = 0.0;
-  double reference_alpha = 0.0;
   bool armed = false;
-  bool two_sided = true;
-  double pos = 0.0;
   double neg = 0.0;
   std::uint64_t alarms = 0;
 
@@ -82,35 +75,20 @@ struct CusumDetector {
     armed = true;
   }
 
-  /// Returns true when this observation pushes a statistic past threshold.
+  /// Returns true when this observation pushes the statistic past threshold.
   bool observe(double x) noexcept {
     if (!armed) return false;
-    if (two_sided) pos = std::max(0.0, pos + (x - reference - drift));
-    neg = std::max(0.0, neg + (reference - x - drift));
-    if (reference_alpha > 0.0) reference += reference_alpha * (x - reference);
-    if (pos > threshold || neg > threshold) {
+    neg = std::max(0.0, neg + (reference - x - kCusumDrift));
+    reference += kCusumReferenceAlpha * (x - reference);
+    if (neg > kCusumThreshold) {
       ++alarms;
-      pos = 0.0;
       neg = 0.0;
       return true;
     }
     return false;
   }
 
-  [[nodiscard]] double statistic() const noexcept { return std::max(pos, neg); }
-
-  /// Merge: references combine by armed-side preference, statistics take
-  /// the max (conservative union — a shift seen by either shard survives),
-  /// alarm counts sum. Max and sum are exactly associative; the reference
-  /// pick is deterministic (first armed side wins).
-  [[nodiscard]] static CusumDetector merged(const CusumDetector& a,
-                                            const CusumDetector& b) noexcept {
-    CusumDetector out = a.armed ? a : b;
-    out.pos = std::max(a.pos, b.pos);
-    out.neg = std::max(a.neg, b.neg);
-    out.alarms = a.alarms + b.alarms;
-    return out;
-  }
+  [[nodiscard]] double statistic() const noexcept { return neg; }
 };
 
 /// Inter-arrival regularity: EWMA of the gap and of its absolute deviation.
@@ -138,23 +116,6 @@ struct InterArrivalEstimator {
   [[nodiscard]] double regularity_cv() const noexcept {
     if (gap.count == 0 || gap.value <= 0.0) return 1e9;
     return gap_abs_dev.value / gap.value;
-  }
-
-  /// Merge: gap statistics combine count-weighted; the later shard's last
-  /// arrival wins (shards partition time-ordered streams by user, so the
-  /// max is the right continuation point).
-  [[nodiscard]] static InterArrivalEstimator merged(const InterArrivalEstimator& a,
-                                                    const InterArrivalEstimator& b) noexcept {
-    InterArrivalEstimator out;
-    out.gap = EwmaEstimator::merged(a.gap, b.gap);
-    out.gap_abs_dev = EwmaEstimator::merged(a.gap_abs_dev, b.gap_abs_dev);
-    if (a.last_arrival == util::kTimeUnset)
-      out.last_arrival = b.last_arrival;
-    else if (b.last_arrival == util::kTimeUnset)
-      out.last_arrival = a.last_arrival;
-    else
-      out.last_arrival = std::max(a.last_arrival, b.last_arrival);
-    return out;
   }
 };
 

@@ -9,15 +9,10 @@
 namespace ndnp::telemetry {
 
 TelemetryHub::TelemetryHub(const TelemetryOptions& options, std::string node_label)
-    : options_(options),
-      node_label_(std::move(node_label)),
-      recorder_(options.sample_every, options.max_rows),
-      face_bank_(options.face_buckets, options.tuning, options.face_detectors),
-      prefix_bank_(options.prefix_buckets, options.tuning, options.prefix_detectors) {
-  global_hit_rate_.alpha = options_.tuning.ewma_alpha;
+    : node_label_(std::move(node_label)), recorder_(options.sample_every) {
   // Built-in detector time series; owners layer their gauges (CS/PIT
-  // occupancy, scheduler depth, ...) on top via add_probe before the first
-  // sample freezes the column set.
+  // occupancy, scheduler depth, ...) on top via recorder().add_probe before
+  // the first sample freezes the column set.
   recorder_.add_probe("telemetry.lookups", [this] { return static_cast<double>(lookups()); });
   recorder_.add_probe("telemetry.hit_rate_ewma", [this] { return global_hit_rate_.value; });
   for (std::size_t k = 0; k < kDetectorKinds; ++k) {
@@ -31,14 +26,8 @@ TelemetryHub::TelemetryHub(const TelemetryOptions& options, std::string node_lab
                       [this] { return prefix_bank_.max_cusum_statistic(); });
 }
 
-void TelemetryHub::add_probe(std::string name, TimeSeriesRecorder::Probe probe) {
-  recorder_.add_probe(std::move(name), std::move(probe));
-}
-
 void TelemetryHub::on_lookup(std::uint64_t face_key, std::uint64_t prefix_hash,
                              core::LookupOutcome outcome, util::SimTime now) {
-  ++outcomes_.requests;
-  ++outcomes_.count(outcome);
   global_hit_rate_.observe(outcome == core::LookupOutcome::kExposedHit ? 1.0 : 0.0);
 
   AlarmEvent fired[kDetectorKinds];
@@ -66,7 +55,6 @@ void TelemetryHub::on_lookup(std::uint64_t face_key, std::uint64_t prefix_hash,
 void TelemetryHub::export_metrics(util::MetricsSnapshot& snap,
                                   const std::string& prefix) const {
   snap.counters[prefix + ".lookups"] += lookups();
-  outcomes_.export_outcomes(snap, prefix + ".outcome");
   for (std::size_t k = 0; k < kDetectorKinds; ++k) {
     const auto kind = static_cast<DetectorKind>(k);
     snap.counters[prefix + ".alarms." + std::string(to_string(kind))] += alarms(kind);

@@ -24,7 +24,7 @@
 #include <string>
 #include <vector>
 
-#include "core/engine.hpp"
+#include "core/policy.hpp"
 #include "ndn/name.hpp"
 #include "telemetry/detectors.hpp"
 #include "telemetry/timeseries.hpp"
@@ -39,23 +39,8 @@ struct MetricsSnapshot;
 namespace ndnp::telemetry {
 
 struct TelemetryOptions {
-  /// Time-series sampling cadence (sim time) and ring size.
+  /// Time-series sampling cadence (sim time).
   util::SimDuration sample_every = util::millis(10);
-  std::size_t max_rows = 4096;
-  /// Bucket counts for the two detector banks.
-  std::size_t face_buckets = 32;
-  std::size_t prefix_buckets = 64;
-  /// Which detectors each bank may fire (detector_bit masks). The
-  /// delayed-hit-ratio detector is face-only by default: it profiles a
-  /// *requester* (a face whose cache-served traffic is dominated by the
-  /// countermeasure's delays is probing protected content), while a prefix
-  /// bucket dominated by one private object reaches the same ratio
-  /// legitimately.
-  std::uint8_t face_detectors = kAllDetectors;
-  std::uint8_t prefix_detectors = static_cast<std::uint8_t>(
-      detector_bit(DetectorKind::kHitRateShift) |
-      detector_bit(DetectorKind::kArrivalRegularity));
-  DetectorTuning tuning;
 };
 
 class TelemetryHub {
@@ -73,22 +58,13 @@ class TelemetryHub {
   void on_lookup(std::uint64_t face_key, std::uint64_t prefix_hash,
                  core::LookupOutcome outcome, util::SimTime now);
 
-  /// Sample the time series if a cadence boundary has passed (also called
-  /// by on_lookup; expose it for callers with quiet phases).
-  void maybe_sample(util::SimTime now) { recorder_.maybe_sample(now); }
-
-  /// Register an extra gauge probe on the recorder (CS occupancy, PIT
-  /// size, scheduler gauges, ... — the owner wires what it has).
-  void add_probe(std::string name, TimeSeriesRecorder::Probe probe);
-
+  /// The time series; owners register extra gauge probes on it (CS
+  /// occupancy, PIT size, ... — whatever they have) before the first sample.
   [[nodiscard]] TimeSeriesRecorder& recorder() noexcept { return recorder_; }
   [[nodiscard]] const TimeSeriesRecorder& recorder() const noexcept { return recorder_; }
-  [[nodiscard]] const DetectorBank& face_bank() const noexcept { return face_bank_; }
-  [[nodiscard]] const DetectorBank& prefix_bank() const noexcept { return prefix_bank_; }
-  [[nodiscard]] const TelemetryOptions& options() const noexcept { return options_; }
-  [[nodiscard]] const std::string& node_label() const noexcept { return node_label_; }
 
-  [[nodiscard]] std::uint64_t lookups() const noexcept { return outcomes_.requests; }
+  /// Lookups folded in so far (each one is observed once by the face bank).
+  [[nodiscard]] std::uint64_t lookups() const noexcept { return face_bank_.observations(); }
   [[nodiscard]] std::uint64_t alarms_total() const noexcept {
     return face_bank_.alarms_total() + prefix_bank_.alarms_total();
   }
@@ -97,18 +73,16 @@ class TelemetryHub {
   }
 
   /// Publish lookup/alarm counters into `snap` under `prefix`
-  /// ("<prefix>.lookups", "<prefix>.alarms.<detector>", ...).
+  /// ("<prefix>.lookups", "<prefix>.alarms.<detector>", ...). The outcome
+  /// counts are the engine's own export, not repeated here.
   void export_metrics(util::MetricsSnapshot& snap, const std::string& prefix) const;
 
  private:
-  TelemetryOptions options_;
   std::string node_label_;
   TimeSeriesRecorder recorder_;
-  DetectorBank face_bank_;
-  DetectorBank prefix_bank_;
+  DetectorBank face_bank_{BankScope::kFace};
+  DetectorBank prefix_bank_{BankScope::kPrefix};
   EwmaEstimator global_hit_rate_;
-  /// Lookups and their outcomes, counted like the engine counts them.
-  core::EngineStats outcomes_;
 };
 
 /// The hot-path hook: feed one decided lookup of `name` into `hub` (no-op

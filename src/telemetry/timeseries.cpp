@@ -23,8 +23,8 @@ std::string sanitize_prometheus(const std::string& name) {
 
 }  // namespace
 
-TimeSeriesRecorder::TimeSeriesRecorder(util::SimDuration sample_every, std::size_t max_rows)
-    : cadence_(sample_every), max_rows_(max_rows) {
+TimeSeriesRecorder::TimeSeriesRecorder(util::SimDuration sample_every)
+    : cadence_(sample_every) {
   if (cadence_ <= 0)
     throw std::invalid_argument("TimeSeriesRecorder: sample_every must be positive");
 }
@@ -42,32 +42,21 @@ void TimeSeriesRecorder::add_probe(std::string name, Probe probe) {
   probes_.push_back(std::move(probe));
 }
 
-std::size_t TimeSeriesRecorder::rows() const noexcept {
-  return full_ ? max_rows_ : (max_rows_ == 0 ? times_.size() : head_);
-}
-
 void TimeSeriesRecorder::emit_row(util::SimTime t) {
   frozen_ = true;
-  if (max_rows_ == 0) {
-    times_.push_back(t);
-    for (const Probe& probe : probes_) values_.push_back(probe ? probe() : 0.0);
-    return;
-  }
   const std::size_t stride = probes_.size();
-  if (times_.size() < max_rows_) {
+  std::size_t row = times_.size();
+  if (row < kRingRows) {
     times_.push_back(t);
     values_.resize(values_.size() + stride);
-    for (std::size_t i = 0; i < stride; ++i)
-      values_[(times_.size() - 1) * stride + i] = probes_[i] ? probes_[i]() : 0.0;
-    head_ = times_.size() % max_rows_;
-    full_ = times_.size() == max_rows_;
-    return;
+  } else {
+    ++dropped_;
+    row = head_;
+    head_ = (head_ + 1) % kRingRows;
+    times_[row] = t;
   }
-  ++dropped_;
-  times_[head_] = t;
   for (std::size_t i = 0; i < stride; ++i)
-    values_[head_ * stride + i] = probes_[i] ? probes_[i]() : 0.0;
-  head_ = (head_ + 1) % max_rows_;
+    values_[row * stride + i] = probes_[i] ? probes_[i]() : 0.0;
 }
 
 void TimeSeriesRecorder::maybe_sample(util::SimTime now) {
@@ -88,9 +77,8 @@ std::string TimeSeriesRecorder::to_csv() const {
   const std::size_t stride = probes_.size();
   const std::size_t n = rows();
   // Ring unwrap: oldest row first.
-  const std::size_t start = full_ ? head_ : 0;
   for (std::size_t r = 0; r < n; ++r) {
-    const std::size_t i = full_ ? (start + r) % max_rows_ : r;
+    const std::size_t i = (head_ + r) % n;
     out += std::to_string(times_[i]);
     for (std::size_t c = 0; c < stride; ++c)
       out += ',' + util::format_double(values_[i * stride + c]);
@@ -103,7 +91,7 @@ std::string TimeSeriesRecorder::to_prometheus() const {
   std::string out;
   const std::size_t n = rows();
   if (n == 0) return out;
-  const std::size_t last = full_ ? (head_ + max_rows_ - 1) % max_rows_ : n - 1;
+  const std::size_t last = (head_ + n - 1) % n;
   const std::size_t stride = probes_.size();
   const long long stamp_ms = times_[last] / 1'000'000;
   for (std::size_t c = 0; c < stride; ++c) {

@@ -11,7 +11,7 @@
 //    gets a row — the rest are counted in missed_boundaries(). This lazy
 //    scheme needs no scheduler events, so arming a recorder can never
 //    perturb event order (golden vectors stay byte-identical).
-//  * The ring keeps the most recent `max_rows` rows (flight-recorder
+//  * The ring keeps the most recent kRingRows rows (flight-recorder
 //    style); dropped_rows() counts overwrites.
 //
 // All output is canonical: times are integer nanoseconds, values print
@@ -33,9 +33,11 @@ class TimeSeriesRecorder {
  public:
   using Probe = std::function<double()>;
 
-  /// `sample_every` must be positive; `max_rows` = 0 keeps every row.
-  explicit TimeSeriesRecorder(util::SimDuration sample_every = util::millis(10),
-                              std::size_t max_rows = 4096);
+  /// Rows the ring keeps.
+  static constexpr std::size_t kRingRows = 4096;
+
+  /// `sample_every` must be positive.
+  explicit TimeSeriesRecorder(util::SimDuration sample_every = util::millis(10));
 
   /// Register (or replace, by name) a gauge probe. Throws once the probe
   /// set is frozen by the first sample.
@@ -50,7 +52,7 @@ class TimeSeriesRecorder {
 
   [[nodiscard]] util::SimDuration sample_every() const noexcept { return cadence_; }
   [[nodiscard]] std::size_t probes() const noexcept { return names_.size(); }
-  [[nodiscard]] std::size_t rows() const noexcept;
+  [[nodiscard]] std::size_t rows() const noexcept { return times_.size(); }
   [[nodiscard]] std::uint64_t missed_boundaries() const noexcept { return missed_; }
   [[nodiscard]] std::uint64_t dropped_rows() const noexcept { return dropped_; }
 
@@ -67,7 +69,6 @@ class TimeSeriesRecorder {
   void emit_row(util::SimTime t);
 
   util::SimDuration cadence_;
-  std::size_t max_rows_;
   bool frozen_ = false;
   std::int64_t last_boundary_ = 0;  // boundary index of the last emitted row
   std::uint64_t missed_ = 0;
@@ -75,11 +76,11 @@ class TimeSeriesRecorder {
   std::vector<std::string> names_;
   std::vector<Probe> probes_;
   // Ring of rows: times_[i] with values row-major in values_ (stride =
-  // probes()). head_ is the next overwrite slot once full.
+  // probes()). head_ is the oldest row: 0 until the ring is full, then the
+  // next overwrite slot.
   std::vector<util::SimTime> times_;
   std::vector<double> values_;
   std::size_t head_ = 0;
-  bool full_ = false;
 };
 
 }  // namespace ndnp::telemetry

@@ -1,7 +1,6 @@
 #include "util/metrics.hpp"
 
 #include <cstdio>
-#include <set>
 
 namespace ndnp::util {
 
@@ -81,82 +80,6 @@ std::string MetricsSnapshot::to_json() const {
     if (!first) out += ',';
     first = false;
     out += '"' + escape(name) + "\":" + format_double(value);
-  }
-  out += "},\"histograms\":{";
-  first = true;
-  for (const auto& [name, hist] : histograms) {
-    if (!first) out += ',';
-    first = false;
-    out += '"' + escape(name) + "\":";
-    append_histogram_json(out, hist);
-  }
-  out += "}}";
-  return out;
-}
-
-void MetricAggregate::add(double x) {
-  stats.add(x);
-  samples.add(x);
-}
-
-SweepAggregate SweepAggregate::from_runs(const std::vector<MetricsSnapshot>& runs) {
-  SweepAggregate agg;
-  agg.runs = runs.size();
-  // Counters missing from some runs count as 0 there, so the mean is
-  // over all runs; gauges (derived ratios) are only meaningful where
-  // computed and skip absent runs.
-  std::set<std::string> counter_names;
-  for (const MetricsSnapshot& run : runs)
-    for (const auto& [name, value] : run.counters) {
-      (void)value;
-      counter_names.insert(name);
-    }
-  for (const std::string& name : counter_names) {
-    MetricAggregate& metric = agg.counters[name];
-    for (const MetricsSnapshot& run : runs) {
-      const auto it = run.counters.find(name);
-      metric.add(it == run.counters.end() ? 0.0 : static_cast<double>(it->second));
-    }
-  }
-  for (const MetricsSnapshot& run : runs) {
-    for (const auto& [name, value] : run.gauges) agg.gauges[name].add(value);
-    merge_histograms(agg.histograms, run.histograms);
-  }
-  return agg;
-}
-
-namespace {
-
-void append_aggregate_json(std::string& out, const std::string& name,
-                           const MetricAggregate& metric) {
-  out += '"' + escape(name) + "\":{";
-  out += "\"count\":" + std::to_string(metric.stats.count());
-  out += ",\"mean\":" + format_double(metric.stats.mean());
-  out += ",\"stddev\":" + format_double(metric.stats.stddev());
-  out += ",\"min\":" + format_double(metric.stats.min());
-  out += ",\"max\":" + format_double(metric.stats.max());
-  out += ",\"p50\":" + format_double(metric.percentile(0.5));
-  out += ",\"p95\":" + format_double(metric.percentile(0.95));
-  out += ",\"p99\":" + format_double(metric.percentile(0.99));
-  out += '}';
-}
-
-}  // namespace
-
-std::string SweepAggregate::to_json() const {
-  std::string out = "{\"runs\":" + std::to_string(runs) + ",\"counters\":{";
-  bool first = true;
-  for (const auto& [name, metric] : counters) {
-    if (!first) out += ',';
-    first = false;
-    append_aggregate_json(out, name, metric);
-  }
-  out += "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, metric] : gauges) {
-    if (!first) out += ',';
-    first = false;
-    append_aggregate_json(out, name, metric);
   }
   out += "},\"histograms\":{";
   first = true;

@@ -5,9 +5,7 @@
 // dotted naming scheme (`<component>.<counter>`, e.g. "cs.evictions",
 // "engine.exposed_hits"; see docs/RUNNER.md). Every export hook adds
 // (`snap.counters[name] += value`), so two exports under one prefix sum.
-// Snapshots from a seed/parameter sweep are aggregated across runs
-// (mean/stddev/min/max via Welford, exact percentiles via SampleSet) and
-// exported as JSON for the bench harness.
+// Snapshots export as canonical JSON for the tools and the bench harness.
 //
 // A snapshot is a plain value with no synchronization: each run fills its
 // own, and per-worker snapshots are combined with merge_snapshots after the
@@ -55,32 +53,5 @@ using MetricsRegistry = MetricsSnapshot;
 /// parts were produced. Throws std::invalid_argument when two same-named
 /// histograms differ in shape.
 [[nodiscard]] MetricsSnapshot merge_snapshots(const std::vector<MetricsSnapshot>& parts);
-
-/// Cross-run aggregate of one metric: count/mean/stddev/min/max (Welford)
-/// plus exact percentiles (SampleSet keeps every per-run value; sweeps are
-/// at most thousands of runs, so this is cheap).
-struct MetricAggregate {
-  Welford stats;
-  SampleSet samples;
-
-  void add(double x);
-  [[nodiscard]] double percentile(double q) const { return samples.quantile(q); }
-};
-
-/// Aggregate of a whole sweep: every counter and gauge name seen in any run
-/// maps to its across-run statistics (runs missing a name contribute 0 for
-/// counters and are skipped for gauges); same-named histograms are merged
-/// bin-wise.
-struct SweepAggregate {
-  std::size_t runs = 0;
-  std::map<std::string, MetricAggregate> counters;
-  std::map<std::string, MetricAggregate> gauges;
-  std::map<std::string, Histogram> histograms;
-
-  [[nodiscard]] static SweepAggregate from_runs(const std::vector<MetricsSnapshot>& runs);
-
-  /// Canonical JSON (same determinism guarantees as MetricsSnapshot).
-  [[nodiscard]] std::string to_json() const;
-};
 
 }  // namespace ndnp::util

@@ -102,7 +102,6 @@ const std::string& Tracer::label(std::uint32_t id) const {
 void Tracer::record(TraceEventType type, std::string_view node, util::SimTime time,
                     std::string name, std::string detail, std::int64_t face, std::int64_t a,
                     std::int64_t b) {
-  if (!enabled_) return;
   if (!filter_.empty() && !name.empty() &&
       name.compare(0, filter_.size(), filter_) != 0) {
     ++filtered_;
@@ -132,7 +131,6 @@ void Tracer::record(TraceEventType type, std::string_view node, util::SimTime ti
 
 void Tracer::record_span(std::string_view node, std::string_view comp, std::string_view label,
                          std::int64_t wall_ns) {
-  if (!enabled_) return;
   TraceEvent ev;
   ev.time = last_time_;
   ev.type = TraceEventType::kSpan;
@@ -206,7 +204,7 @@ std::int64_t wall_clock_ns() noexcept {
 ScopedTraceSpan::ScopedTraceSpan(const char* node, const char* comp,
                                  const char* label) noexcept {
   Tracer* tracer = Tracer::current();
-  if (tracer == nullptr || !tracer->enabled()) return;
+  if (tracer == nullptr) return;
   tracer_ = tracer;
   node_ = node;
   comp_ = comp;

@@ -14,9 +14,10 @@
 //    the sweep runner gives every run its own tracer on its own worker).
 //  - Instrumentation points go through the NDNP_TRACE_EVENT /
 //    NDNP_TRACE_SCOPE macros, which consult the thread-local *bound*
-//    tracer (`Tracer::current()`, set via TracerBinding RAII). No binding
-//    or a disabled tracer means the macro arguments are never evaluated:
-//    the disabled path is one thread-local load and a branch — no
+//    tracer (`Tracer::current()`, set via TracerBinding RAII). The
+//    binding is the one switch: with no tracer bound (or nullptr bound)
+//    the macro arguments are never evaluated, and the disabled path is one
+//    thread-local load and a branch — no
 //    allocation, no name formatting (tests/test_tracing.cpp asserts the
 //    no-allocation property with a counting operator new).
 //
@@ -102,9 +103,6 @@ class Tracer {
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
-  void set_enabled(bool enabled) noexcept { enabled_ = enabled; }
-  [[nodiscard]] bool enabled() const noexcept { return enabled_; }
-
   /// Only record events whose `name` starts with `prefix` (events with an
   /// empty name — spans, marks — always pass). Empty prefix = record all.
   void set_filter(std::string prefix) { filter_ = std::move(prefix); }
@@ -158,7 +156,6 @@ class Tracer {
  private:
   friend class TracerBinding;
 
-  bool enabled_ = true;
   std::size_t capacity_;
   std::size_t head_ = 0;  // next overwrite position once the ring is full
   std::size_t total_ = 0;
@@ -215,15 +212,15 @@ class ScopedTraceSpan {
 
 // ---------------------------------------------------------------------------
 // Instrumentation macros. Arguments are evaluated ONLY when a tracer is
-// bound and enabled, so call sites may freely pass `name.to_uri()` and
-// formatted detail strings without taxing the common path.
+// bound, so call sites may freely pass `name.to_uri()` and formatted detail
+// strings without taxing the common path.
 
 /// NDNP_TRACE_EVENT(type, node, time, name, detail, face, a, b) — trailing
 /// arguments optional per Tracer::record's defaults.
 #define NDNP_TRACE_EVENT(type, node, /*time,*/...)                            \
   do {                                                                        \
     ::ndnp::util::Tracer* ndnp_trace_t_ = ::ndnp::util::Tracer::current();    \
-    if (ndnp_trace_t_ != nullptr && ndnp_trace_t_->enabled())                 \
+    if (ndnp_trace_t_ != nullptr)                                             \
       ndnp_trace_t_->record((type), (node), __VA_ARGS__);                     \
   } while (0)
 

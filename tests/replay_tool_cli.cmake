@@ -14,6 +14,9 @@
 #                   --json at --jobs 1 and 2; a malformed trace exits 1 with
 #                   a message that names the file once, with or without
 #                   --shards.
+# CASE telemetry_json: --json --telemetry-out carries telemetry.lookups
+#                   equal to engine.requests and no telemetry.outcome.* key
+#                   (the outcome counts appear once, under engine.*).
 # CASE bad_numbers: malformed numbers given to trace_gen, chaos_tool,
 #                   telemetry_tool and a bench binary (flags and NDNP_*
 #                   variables) exit 2 with a message naming the flag or
@@ -113,6 +116,26 @@ elseif(CASE STREQUAL "unsharded_jobs")
       message(FATAL_ERROR "expected one mention of bad.txt and its line 2: ${err}")
     endif()
   endforeach()
+elseif(CASE STREQUAL "telemetry_json")
+  execute_process(
+    COMMAND "${REPLAY_TOOL}" --trace "${WORK_DIR}/t1.txt" --policy expo --cache 20 --json
+            --telemetry-out "${WORK_DIR}/series.csv"
+    RESULT_VARIABLE rc OUTPUT_VARIABLE json ERROR_VARIABLE err)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "replay_tool --json --telemetry-out exited ${rc}: ${err}")
+  endif()
+  string(JSON counters GET "${json}" runs 0 counters)
+  string(JSON lookups GET "${counters}" telemetry.lookups)
+  string(JSON requests GET "${counters}" engine.requests)
+  if(requests EQUAL 0 OR NOT lookups EQUAL requests)
+    message(FATAL_ERROR "telemetry.lookups=${lookups} but engine.requests=${requests}")
+  endif()
+  if(json MATCHES "\"telemetry\\.outcome\\.")
+    message(FATAL_ERROR "telemetry.outcome.* repeats the engine's counts: ${json}")
+  endif()
+  if(NOT EXISTS "${WORK_DIR}/series.csv")
+    message(FATAL_ERROR "--telemetry-out wrote no ${WORK_DIR}/series.csv")
+  endif()
 elseif(CASE STREQUAL "bad_numbers")
   # Each entry: flag or variable the message must name, then the command.
   foreach(bad

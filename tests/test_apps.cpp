@@ -8,6 +8,7 @@
 #include "sim/fetch_util.hpp"
 #include "sim/forwarder.hpp"
 #include "sim/topology.hpp"
+#include "util/tracing.hpp"
 
 namespace ndnp::sim {
 namespace {
@@ -173,6 +174,52 @@ TEST(Producer, ChainFetchesScheduleNoHeapEvents) {
   EXPECT_EQ(chain->topology.scheduler().heap_fallback_events(), 0u);
 }
 
+/// Expresses 100 interests through a lan_scenario_params chain and runs it
+/// to quiescence; returns the heap-fallback event count.
+std::uint64_t heap_events_over_100_fetches(ProbeScenario& chain) {
+  for (int i = 0; i < 100; ++i) {
+    ndn::Interest interest;
+    interest.name = chain.producer->prefix().append("obj" + std::to_string(i));
+    chain.user->express_interest(
+        std::move(interest), [](const ndn::Data&, util::SimDuration) {}, /*face=*/0,
+        /*timeout=*/util::seconds(1));
+  }
+  chain.topology.scheduler().run();
+  EXPECT_EQ(chain.user->data_received(), 100u);
+  return chain.topology.scheduler().heap_fallback_events();
+}
+
+TEST(Producer, FaultLinkFetchesScheduleNoHeapEvents) {
+  // A fault-enabled link closes its conservation ledger in the delivery
+  // closure itself, which still fits the inline event buffer.
+  ScenarioParams params = lan_scenario_params(/*seed=*/17);
+  params.core_link.faults.spike_probability = 0.5;
+  params.core_link.faults.spike_delay = util::micros(200);
+  const auto chain = make_probe_scenario(params);
+  EXPECT_EQ(heap_events_over_100_fetches(*chain), 0u);
+  const Forwarder& core = *chain->core.at(0);
+  std::uint64_t deliveries = 0;
+  for (FaceId face = 0; face < core.face_count(); ++face) {
+    const FaceAccounting& acct = core.face_accounting(face);
+    EXPECT_EQ(acct.packets_out, acct.losses + acct.deliveries) << "face " << face;
+    deliveries += acct.deliveries;
+  }
+  EXPECT_EQ(deliveries, 200u) << "each fetch crosses the core's two fault links once";
+}
+
+TEST(Producer, TracedFetchesScheduleNoHeapEvents) {
+  // With a tracer bound, the delivery closure names its packet in the
+  // receiver's link_dequeue event without outgrowing the inline buffer.
+  const auto chain = make_probe_scenario(lan_scenario_params(/*seed=*/17));
+  util::Tracer tracer;
+  util::TracerBinding binding(&tracer);
+  EXPECT_EQ(heap_events_over_100_fetches(*chain), 0u);
+  std::size_t dequeues = 0;
+  for (const util::TraceEvent& event : tracer.events())
+    if (event.type == util::TraceEventType::kLinkDequeue) ++dequeues;
+  EXPECT_EQ(dequeues, 600u) << "six link crossings per fetch";
+}
+
 TEST(Producer, ChainSharesOneBufferEndToEnd) {
   // The producer's bytes are never copied: the consumer's Data and the
   // Data cached at the edge and at the core all point at one buffer.
@@ -184,8 +231,8 @@ TEST(Producer, ChainSharesOneBufferEndToEnd) {
   });
   chain->topology.scheduler().run();
   ASSERT_EQ(received.size(), 4'096u);
-  const cache::Entry* edge = chain->router->cs().find_exact(name);
-  const cache::Entry* core = chain->core.at(0)->cs().find_exact(name);
+  const cache::Entry* edge = chain->router->cs().prepare(name).existing();
+  const cache::Entry* core = chain->core.at(0)->cs().prepare(name).existing();
   ASSERT_NE(edge, nullptr);
   ASSERT_NE(core, nullptr);
   EXPECT_EQ(edge->data.payload.view().data(), received.view().data());

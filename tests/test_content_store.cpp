@@ -33,8 +33,8 @@ EntryMeta meta_at(util::SimTime t) {
 TEST(ContentStore, InsertAndExactFind) {
   ContentStore cs(10);
   cs.insert(make_content("/a/b"), meta_at(1));
-  ASSERT_NE(cs.find_exact(ndn::Name("/a/b")), nullptr);
-  EXPECT_EQ(cs.find_exact(ndn::Name("/a/c")), nullptr);
+  ASSERT_NE(cs.prepare(ndn::Name("/a/b")).existing(), nullptr);
+  EXPECT_EQ(cs.prepare(ndn::Name("/a/c")).existing(), nullptr);
   EXPECT_EQ(cs.size(), 1u);
   EXPECT_TRUE(cs.contains(ndn::Name("/a/b")));
 }
@@ -84,7 +84,7 @@ TEST(ContentStore, OverwriteKeepsSize) {
   updated.payload = "new";
   cs.insert(std::move(updated), meta_at(2));
   EXPECT_EQ(cs.size(), 1u);
-  EXPECT_EQ(cs.find_exact(ndn::Name("/a"))->data.payload, "new");
+  EXPECT_EQ(cs.prepare(ndn::Name("/a")).existing()->data.payload, "new");
 }
 
 TEST(ContentStore, EraseAndClear) {
@@ -112,7 +112,7 @@ TEST(ContentStore, LruEvictsLeastRecentlyUsed) {
   cs.insert(make_content("/a"), meta_at(1));
   cs.insert(make_content("/b"), meta_at(2));
   // Touch /a so /b becomes the LRU victim.
-  cs.touch(*cs.find_exact(ndn::Name("/a")), 3);
+  cs.touch(*cs.prepare(ndn::Name("/a")).existing(), 3);
   cs.insert(make_content("/c"), meta_at(4));
   EXPECT_TRUE(cs.contains(ndn::Name("/a")));
   EXPECT_FALSE(cs.contains(ndn::Name("/b")));
@@ -124,7 +124,7 @@ TEST(ContentStore, FifoIgnoresAccessOrder) {
   ContentStore cs(2, EvictionPolicy::kFifo);
   cs.insert(make_content("/a"), meta_at(1));
   cs.insert(make_content("/b"), meta_at(2));
-  cs.touch(*cs.find_exact(ndn::Name("/a")), 3);  // irrelevant for FIFO
+  cs.touch(*cs.prepare(ndn::Name("/a")).existing(), 3);  // irrelevant for FIFO
   cs.insert(make_content("/c"), meta_at(4));
   EXPECT_FALSE(cs.contains(ndn::Name("/a")));  // oldest insertion evicted
   EXPECT_TRUE(cs.contains(ndn::Name("/b")));
@@ -134,7 +134,7 @@ TEST(ContentStore, LfuEvictsColdestEntry) {
   ContentStore cs(2, EvictionPolicy::kLfu);
   cs.insert(make_content("/hot"), meta_at(1));
   cs.insert(make_content("/cold"), meta_at(2));
-  for (int i = 0; i < 5; ++i) cs.touch(*cs.find_exact(ndn::Name("/hot")), 3 + i);
+  for (int i = 0; i < 5; ++i) cs.touch(*cs.prepare(ndn::Name("/hot")).existing(), 3 + i);
   cs.insert(make_content("/new"), meta_at(10));
   EXPECT_TRUE(cs.contains(ndn::Name("/hot")));
   EXPECT_FALSE(cs.contains(ndn::Name("/cold")));
@@ -151,7 +151,7 @@ TEST(ContentStore, RandomEvictionKeepsCapacityBound) {
 TEST(ContentStore, TouchUpdatesLastAccess) {
   ContentStore cs(4);
   cs.insert(make_content("/a"), meta_at(1));
-  Entry* entry = cs.find_exact(ndn::Name("/a"));
+  Entry* entry = cs.prepare(ndn::Name("/a")).existing();
   cs.touch(*entry, 42);
   EXPECT_EQ(entry->meta.last_access, 42);
 }
@@ -200,8 +200,8 @@ TEST(ContentStore, StatsRegressionScriptedSequence) {
   EXPECT_NE(cs.find(fresh_z, /*now=*/10), nullptr);  // lookups=4 matches=4 (no freshness set)
   ndn::Interest miss = interest_for("/nope");
   EXPECT_EQ(cs.find(miss), nullptr);  // lookups=5, matches stay 4
-  // 5. find_exact / contains are NOT lookups (no stats side effects).
-  EXPECT_NE(cs.find_exact(ndn::Name("/z")), nullptr);
+  // 5. prepare / contains are NOT lookups (no stats side effects).
+  EXPECT_NE(cs.prepare(ndn::Name("/z")).existing(), nullptr);
   EXPECT_TRUE(cs.contains(ndn::Name("/z")));
   // 6. Overwrite counts as an insert but never evicts.
   cs.insert(make_content("/z"), meta_at(11));  // inserts=4 evictions=0
@@ -232,8 +232,8 @@ TEST(ContentStore, PolicyToString) {
 
 TEST(ContentStore, PrepareNamesTheExactEntryWithoutCountingALookup) {
   ContentStore cs(4);
-  cs.insert(make_content("/a/b"), meta_at(1));
-  EXPECT_EQ(cs.prepare(ndn::Name("/a/b")).existing(), cs.find_exact(ndn::Name("/a/b")));
+  const Entry& entry = cs.insert(make_content("/a/b"), meta_at(1));
+  EXPECT_EQ(cs.prepare(ndn::Name("/a/b")).existing(), &entry);
   EXPECT_EQ(cs.prepare(ndn::Name("/a")).existing(), nullptr);  // a prefix is not a match
   EXPECT_EQ(cs.prepare(ndn::Name("/a/c")).existing(), nullptr);
   EXPECT_EQ(cs.stats().lookups, 0u);
@@ -293,7 +293,7 @@ TEST(ContentStore, DeepNamesSpillTheirPrefixHashes) {
   ContentStore cs(2);
   cs.insert(make_content(uri), meta_at(1));
   cs.insert(make_content("/c0/other"), meta_at(2));
-  ASSERT_NE(cs.find_exact(ndn::Name(uri)), nullptr);
+  ASSERT_NE(cs.prepare(ndn::Name(uri)).existing(), nullptr);
   const Entry* via_prefix = cs.find(interest_for("/c0/c1/c2/c3/c4/c5"));
   ASSERT_NE(via_prefix, nullptr);
   EXPECT_EQ(via_prefix->data.name, ndn::Name(uri));
@@ -367,7 +367,7 @@ TEST_P(EvictionPolicyTest, TouchAndHintedInsertsKeepIntegrity) {
         if (Entry* entry = cs.find(interest_for(uri.substr(0, 3)))) cs.touch(*entry, now);
         break;
       default:
-        if (Entry* entry = cs.find_exact(ndn::Name(uri))) {
+        if (Entry* entry = cs.prepare(ndn::Name(uri)).existing()) {
           if (rng.bernoulli(0.5)) {
             EXPECT_TRUE(cs.erase(ndn::Name(uri)));
           } else {
@@ -383,7 +383,7 @@ TEST_P(EvictionPolicyTest, TouchAndHintedInsertsKeepIntegrity) {
   std::size_t seen = 0;
   cs.for_each([&](const Entry& entry) {
     ++seen;
-    EXPECT_EQ(cs.find_exact(entry.data.name), &entry);
+    EXPECT_EQ(cs.prepare(entry.data.name).existing(), &entry);
   });
   EXPECT_EQ(seen, cs.size());
 }

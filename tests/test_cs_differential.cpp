@@ -311,7 +311,7 @@ void run_differential(EvictionPolicy policy, std::uint64_t seed,
       // Exact find (no stats side effects in either implementation).
       const ndn::Name name = random_name(op_rng);
       Entry* ref_hit = ref.find_exact(name);
-      Entry* opt_hit = opt.find_exact(name);
+      Entry* opt_hit = opt.prepare(name).existing();
       ASSERT_EQ(ref_hit != nullptr, opt_hit != nullptr) << "op " << op;
       if (ref_hit) {
         ASSERT_EQ(ref_hit->meta.inserted_at, opt_hit->meta.inserted_at) << "op " << op;

@@ -55,7 +55,7 @@ TEST(Engine, FetchDelayRecordedInMeta) {
   CachePrivacyEngine engine(10, cache::EvictionPolicy::kLru,
                             std::make_unique<NoPrivacyPolicy>());
   (void)engine.handle(interest_for("/a"), 0, make_fetch());
-  const cache::Entry* entry = engine.store().find_exact(ndn::Name("/a"));
+  const cache::Entry* entry = engine.store().prepare(ndn::Name("/a")).existing();
   ASSERT_NE(entry, nullptr);
   EXPECT_EQ(entry->meta.fetch_delay, kFetchDelay);
   EXPECT_EQ(entry->meta.inserted_at, 0);
@@ -231,7 +231,7 @@ TEST(Engine, RefetchedStaleEntryIsFreshAgain) {
   EXPECT_EQ(engine.handle(interest, util::seconds(1), fetch).kind, LookupOutcome::kTrueMiss);
   // The refetch restarted the freshness period: the refreshed copy now
   // answers MustBeFresh until it goes stale again.
-  EXPECT_EQ(engine.store().find_exact(interest.name)->meta.inserted_at, util::seconds(1));
+  EXPECT_EQ(engine.store().prepare(interest.name).existing()->meta.inserted_at, util::seconds(1));
   EXPECT_EQ(engine.handle(interest, util::seconds(1) + util::millis(5), fetch).kind,
             LookupOutcome::kExposedHit);
   EXPECT_EQ(engine.handle(interest, util::seconds(2), fetch).kind, LookupOutcome::kTrueMiss);
@@ -253,8 +253,8 @@ TEST(Engine, AdmitRefreshKeepsPolicyState) {
   ASSERT_NE(hidden.entry, nullptr);
   EXPECT_TRUE(engine.admit(ndn::make_data(interest.name, "v2", "p", "k"), interest, kFetchDelay,
                            2, coin));
-  EXPECT_EQ(engine.store().find_exact(interest.name)->data.payload, "v2");
-  EXPECT_EQ(engine.store().find_exact(interest.name)->meta.request_count, 1u);
+  EXPECT_EQ(engine.store().prepare(interest.name).existing()->data.payload, "v2");
+  EXPECT_EQ(engine.store().prepare(interest.name).existing()->meta.request_count, 1u);
   EXPECT_EQ(engine.lookup(interest, 3).outcome, LookupOutcome::kSimulatedMiss);
   EXPECT_EQ(engine.lookup(interest, 4).outcome, LookupOutcome::kExposedHit);
   EXPECT_EQ(engine.store().stats().inserts, 1u);
@@ -382,7 +382,7 @@ TEST(EngineAdmission, RefreshFlipsNoCoin) {
   EXPECT_TRUE(engine.admit(ndn::make_data(interest.name, "v2", "p", "k"), interest, kFetchDelay,
                            1, coin));
   EXPECT_EQ(coin.next_u64(), witness.next_u64());
-  EXPECT_EQ(engine.store().find_exact(interest.name)->data.payload, "v2");
+  EXPECT_EQ(engine.store().prepare(interest.name).existing()->data.payload, "v2");
 }
 
 TEST(EngineAdmission, RefreshHeavyOutcomeSequenceIsPinned) {
@@ -426,7 +426,7 @@ TEST(EngineAdmission, RefreshKeepsPolicyStateAndRestartsFreshness) {
   util::Rng admits = coin_that(true);
   ASSERT_TRUE(engine.admit(data, interest, kFetchDelay, 0, admits));
   for (int i = 1; i <= 3; ++i) (void)engine.lookup(interest, util::millis(i));
-  const cache::Entry before = *engine.store().find_exact(interest.name);
+  const cache::Entry before = *engine.store().prepare(interest.name).existing();
   ASSERT_GE(before.meta.k_threshold, 0);
   ASSERT_TRUE(before.meta.treated_private);
   EXPECT_FALSE(before.fresh_at(util::millis(20)));
@@ -436,7 +436,7 @@ TEST(EngineAdmission, RefreshKeepsPolicyStateAndRestartsFreshness) {
   util::Rng refuses = coin_that(false);
   data.payload = "v2";
   EXPECT_TRUE(engine.admit(data, interest, util::millis(99), util::millis(15), refuses));
-  const cache::Entry& after = *engine.store().find_exact(interest.name);
+  const cache::Entry& after = *engine.store().prepare(interest.name).existing();
   EXPECT_EQ(after.data.payload, "v2");
   EXPECT_EQ(after.meta.k_threshold, before.meta.k_threshold);
   EXPECT_EQ(after.meta.request_count, before.meta.request_count);

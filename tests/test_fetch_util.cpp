@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <optional>
 
 #include "sim/forwarder.hpp"
@@ -167,116 +166,6 @@ TEST(ReliableFetch, ValidatesArguments) {
       reliable_fetch(*net.consumer, ndn::Name("/p/x"),
                      [](const ReliableFetchResult&) {}, options),
       std::invalid_argument);
-}
-
-TEST(SegmentFetch, FetchesAllSegmentsInOrderOfAvailability) {
-  Net net;
-  std::optional<SegmentFetchResult> result;
-  segment_fetch(*net.consumer, ndn::Name("/p/file"), 20,
-                [&result](const SegmentFetchResult& r) { result = r; });
-  net.sched.run();
-  ASSERT_TRUE(result.has_value());
-  EXPECT_TRUE(result->succeeded);
-  EXPECT_EQ(result->segments, 20u);
-  EXPECT_EQ(result->retransmissions, 0u);
-  EXPECT_GT(result->elapsed, 0);
-  EXPECT_EQ(net.producer->interests_served(), 20u);
-}
-
-TEST(SegmentFetch, WindowLimitsConcurrency) {
-  // With a window of 2, at most 2 interests are outstanding; 10 segments
-  // over a 3 ms RTT need at least 5 round trips.
-  Net net;
-  std::optional<SegmentFetchResult> slow;
-  SegmentFetchOptions narrow;
-  narrow.window = 2;
-  segment_fetch(*net.consumer, ndn::Name("/p/file"), 10,
-                [&slow](const SegmentFetchResult& r) { slow = r; }, narrow);
-  net.sched.run();
-
-  Net net2;
-  std::optional<SegmentFetchResult> fast;
-  SegmentFetchOptions wide;
-  wide.window = 10;
-  segment_fetch(*net2.consumer, ndn::Name("/p/file"), 10,
-                [&fast](const SegmentFetchResult& r) { fast = r; }, wide);
-  net2.sched.run();
-
-  ASSERT_TRUE(slow && fast);
-  EXPECT_GT(slow->elapsed, 3 * fast->elapsed);
-}
-
-TEST(SegmentFetch, ZeroSegmentsSucceedImmediately) {
-  Net net;
-  std::optional<SegmentFetchResult> result;
-  segment_fetch(*net.consumer, ndn::Name("/p/file"), 0,
-                [&result](const SegmentFetchResult& r) { result = r; });
-  ASSERT_TRUE(result.has_value());
-  EXPECT_TRUE(result->succeeded);
-  EXPECT_EQ(result->segments, 0u);
-}
-
-TEST(SegmentFetch, SurvivesLossWithRetransmissions) {
-  Net net(/*loss=*/0.25);
-  std::optional<SegmentFetchResult> result;
-  SegmentFetchOptions options;
-  options.per_segment.timeout = util::millis(20);
-  options.per_segment.max_attempts = 10;
-  segment_fetch(*net.consumer, ndn::Name("/p/file"), 30,
-                [&result](const SegmentFetchResult& r) { result = r; }, options);
-  net.sched.run();
-  ASSERT_TRUE(result.has_value());
-  EXPECT_TRUE(result->succeeded);
-  EXPECT_EQ(result->segments, 30u);
-  EXPECT_GT(result->retransmissions, 0u);
-}
-
-TEST(SegmentFetch, ReportsFailureWhenSegmentUnreachable) {
-  Net net(0.0, /*routed=*/false);
-  std::optional<SegmentFetchResult> result;
-  SegmentFetchOptions options;
-  options.per_segment.timeout = util::millis(10);
-  options.per_segment.max_attempts = 2;
-  segment_fetch(*net.consumer, ndn::Name("/p/file"), 5,
-                [&result](const SegmentFetchResult& r) { result = r; }, options);
-  net.sched.run();
-  ASSERT_TRUE(result.has_value());
-  EXPECT_FALSE(result->succeeded);
-}
-
-TEST(SegmentFetch, ValidatesArguments) {
-  Net net;
-  EXPECT_THROW(segment_fetch(*net.consumer, ndn::Name("/p/f"), 3, nullptr),
-               std::invalid_argument);
-  SegmentFetchOptions options;
-  options.window = 0;
-  EXPECT_THROW(
-      segment_fetch(*net.consumer, ndn::Name("/p/f"), 3, [](const SegmentFetchResult&) {},
-                    options),
-      std::invalid_argument);
-}
-
-TEST(SegmentFetch, ReleasesStateWhenDone) {
-  // Once the scheduler drains, nothing may still own the caller's on_done:
-  // a reference cycle through the window pump would keep the sentinel it
-  // captures alive, on success and on failure alike.
-  for (const bool routed : {true, false}) {
-    Net net(0.0, routed);
-    const auto sentinel = std::make_shared<int>(0);
-    std::optional<SegmentFetchResult> result;
-    SegmentFetchOptions options;
-    options.window = 3;
-    options.per_segment.timeout = util::millis(10);
-    options.per_segment.max_attempts = 2;
-    segment_fetch(
-        *net.consumer, ndn::Name("/p/file"), 8,
-        [sentinel, &result](const SegmentFetchResult& r) { result = r; }, options);
-    EXPECT_GT(sentinel.use_count(), 1);
-    net.sched.run();
-    ASSERT_TRUE(result.has_value());
-    EXPECT_EQ(result->succeeded, routed);
-    EXPECT_EQ(sentinel.use_count(), 1) << (routed ? "success path" : "failure path");
-  }
 }
 
 }  // namespace

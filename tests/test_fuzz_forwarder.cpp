@@ -1,4 +1,4 @@
-// Model-based forwarder fuzzing (sim/chaos.hpp): seeded random episodes
+// Model-based forwarder fuzzing (sim/chaos.hpp, oracle/differential.hpp): seeded random episodes
 // against a multi-node faulty topology with the invariant layer armed, and
 // a differential op stream cross-checked against the naive reference
 // forwarder. Plus regression tests for bugs the fuzzer found.
@@ -8,6 +8,7 @@
 
 #include <vector>
 
+#include "oracle/differential.hpp"
 #include "runner/runner.hpp"
 #include "sim/apps.hpp"
 #include "sim/forwarder.hpp"

@@ -1,11 +1,9 @@
 // Metrics snapshots: exact per-thread merges, histogram merge algebra,
-// canonical serialization, cross-run aggregation, and the component export
-// hooks.
+// canonical serialization, and the component export hooks.
 #include "util/metrics.hpp"
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <thread>
 #include <vector>
 
@@ -128,39 +126,6 @@ TEST(Metrics, SnapshotJsonIsCanonical) {
   EXPECT_EQ(json,
             R"({"counters":{"a.first":1,"z.last":3},"gauges":{"rate":0.30000000000000004},)"
             R"("histograms":{"lat":{"lo":0,"hi":100,"counts":[1,0,0,0]}}})");
-}
-
-TEST(Metrics, SweepAggregateStats) {
-  std::vector<util::MetricsSnapshot> runs(4);
-  const double values[] = {1.0, 2.0, 3.0, 6.0};
-  for (std::size_t i = 0; i < 4; ++i) {
-    runs[i].counters["hits"] = static_cast<std::uint64_t>(values[i]);
-    runs[i].gauges["rate"] = values[i] / 10.0;
-  }
-  runs[3].counters["only_last"] = 8;  // missing elsewhere -> counts as 0
-  const util::SweepAggregate agg = util::SweepAggregate::from_runs(runs);
-  EXPECT_EQ(agg.runs, 4u);
-  EXPECT_DOUBLE_EQ(agg.counters.at("hits").stats.mean(), 3.0);
-  EXPECT_DOUBLE_EQ(agg.counters.at("hits").stats.min(), 1.0);
-  EXPECT_DOUBLE_EQ(agg.counters.at("hits").stats.max(), 6.0);
-  EXPECT_DOUBLE_EQ(agg.counters.at("only_last").stats.mean(), 2.0);
-  EXPECT_EQ(agg.counters.at("only_last").stats.count(), 4u);
-  EXPECT_DOUBLE_EQ(agg.gauges.at("rate").percentile(1.0), 0.6);
-  // Welford stddev of {1,2,3,6}: mean 3, var (4+1+0+9)/3
-  EXPECT_NEAR(agg.counters.at("hits").stats.stddev(), std::sqrt(14.0 / 3.0), 1e-12);
-}
-
-TEST(Metrics, SweepAggregateMergesHistograms) {
-  std::vector<util::MetricsSnapshot> runs(3);
-  for (std::size_t i = 0; i < 3; ++i) {
-    util::Histogram& h = runs[i].histograms.try_emplace("h", 0.0, 4.0, 2).first->second;
-    for (std::size_t n = 0; n < i + 1; ++n) h.add(1.0);
-    for (std::size_t n = 0; n < 2 * (i + 1); ++n) h.add(3.0);
-  }
-  const util::SweepAggregate agg = util::SweepAggregate::from_runs(runs);
-  const util::Histogram& h = agg.histograms.at("h");
-  EXPECT_EQ(h.count(0), 6u);
-  EXPECT_EQ(h.count(1), 12u);
 }
 
 TEST(Metrics, ContentStoreExport) {

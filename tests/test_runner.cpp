@@ -13,6 +13,7 @@
 
 #include "lint/engine.hpp"
 #include "runner/experiments.hpp"
+#include "util/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -72,23 +73,23 @@ util::MetricsSnapshot synthetic_run(const runner::RunContext& ctx) {
 }
 
 TEST(Runner, SixteenRunSweepIsByteIdenticalForJobs148) {
-  runner::SweepOptions options;
-  options.master_seed = 99;
-  options.jobs = 1;
-  const runner::SweepResult jobs1 = runner::run_metrics_sweep(16, options, synthetic_run);
-  options.jobs = 4;
-  const runner::SweepResult jobs4 = runner::run_metrics_sweep(16, options, synthetic_run);
-  options.jobs = 8;
-  const runner::SweepResult jobs8 = runner::run_metrics_sweep(16, options, synthetic_run);
-
-  ASSERT_EQ(jobs1.runs.size(), 16u);
-  const std::string json1 = jobs1.merged_json();
-  EXPECT_EQ(json1, jobs4.merged_json());
-  EXPECT_EQ(json1, jobs8.merged_json());
-  for (std::size_t i = 0; i < 16; ++i) {
-    EXPECT_TRUE(jobs1.runs[i] == jobs4.runs[i]) << "run " << i;
-    EXPECT_EQ(jobs1.runs[i].counters.at("run_index"), i) << "merge order broken";
-  }
+  const auto sweep_json = [](std::size_t jobs) {
+    runner::SweepOptions options;
+    options.master_seed = 99;
+    options.jobs = jobs;
+    const std::vector<util::MetricsSnapshot> runs =
+        runner::run_sweep<util::MetricsSnapshot>(16, options, synthetic_run);
+    EXPECT_EQ(runs.size(), 16u);
+    std::string json;
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      EXPECT_EQ(runs[i].counters.at("run_index"), i) << "merge order broken";
+      json += runs[i].to_json() + '\n';
+    }
+    return json;
+  };
+  const std::string json1 = sweep_json(1);
+  EXPECT_EQ(json1, sweep_json(4));
+  EXPECT_EQ(json1, sweep_json(8));
 }
 
 TEST(Runner, SweepPreservesRunIndexOrder) {
@@ -134,9 +135,9 @@ TEST(RunnerJobsInvariance, Fig5aByteIdenticalAcrossJobs) {
   runner::Fig5aResult result8 = runner::run_fig5a(config);
   EXPECT_EQ(jobs1, jobs4);
   EXPECT_EQ(jobs1, result8.format_table());
-  // The full merged metrics JSON (not just the table) is jobs-invariant.
+  // Every cell's full metrics snapshot (not just the table) is jobs-invariant.
   config.jobs = 1;
-  EXPECT_EQ(runner::run_fig5a(config).merged_json(), result8.merged_json());
+  EXPECT_TRUE(runner::run_fig5a(config).cells == result8.cells);
 }
 
 TEST(RunnerJobsInvariance, Fig4aAndTheoryByteIdenticalAcrossJobs) {

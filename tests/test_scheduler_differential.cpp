@@ -3,19 +3,19 @@
 //
 // Both schedulers are driven in lockstep through identical seeded op
 // streams — schedule_at / schedule_in at wildly mixed time scales (same
-// tick, sub-tick, cross-slot, cross-level, far-future), cancellable
-// schedules, cancellations, run_one, run_until — while every dispatched
+// tick, sub-tick, cross-slot, cross-level, far-future), run_one,
+// run_until, run — while every dispatched
 // event deterministically decides (from a SplitMix64 stream keyed by its
 // own id) whether to schedule children of its own. After every control op
 // the externally observable state must match exactly: dispatch log
-// (event id, timestamp) entries, clock, processed count, pending count,
-// and cancel() return values. At the end both queues are drained and the
+// (event id, timestamp) entries, clock, processed count and pending
+// count. At the end both queues are drained and the
 // full dispatch logs plus an FNV-1a digest are compared entry for entry.
 //
 // If the wheel's slot placement, bitmap scan, cascade tie-breaking, or
 // ready-heap ordering ever diverges from plain (time, seq) FIFO dispatch,
 // some op in these streams will catch it.
-#include "sim/scheduler.hpp"
+#include "oracle/heap_scheduler.hpp"
 
 #include <gtest/gtest.h>
 
@@ -76,7 +76,6 @@ class Driver {
 
   Sched& sched() { return sched_; }
   const std::vector<LogEntry>& log() const { return log_; }
-  std::size_t handle_count() const { return handles_.size(); }
 
   void schedule_plain(util::SimDuration delay, bool absolute) {
     const std::uint64_t id = next_id_++;
@@ -87,13 +86,6 @@ class Driver {
       sched_.schedule_in(delay, event);
     }
   }
-
-  void schedule_cancellable(util::SimDuration delay) {
-    const std::uint64_t id = next_id_++;
-    handles_.push_back(sched_.schedule_cancellable_in(delay, [this, id] { on_dispatch(id); }));
-  }
-
-  bool cancel(std::size_t handle_index) { return sched_.cancel(handles_[handle_index]); }
 
   std::uint64_t digest() const {
     std::uint64_t hash = 1469598103934665603ULL;  // FNV-1a offset basis
@@ -138,7 +130,6 @@ class Driver {
   std::uint64_t master_seed_;
   std::uint64_t next_id_ = 1;
   std::vector<LogEntry> log_;
-  std::vector<EventHandle> handles_;
 };
 
 /// Delay magnitudes deliberately straddle the wheel's structure: 0 (same
@@ -164,20 +155,11 @@ void run_soak(std::uint64_t seed, std::size_t ops) {
 
   for (std::size_t op = 0; op < ops; ++op) {
     const std::uint64_t kind = rng.uniform_u64(100);
-    if (kind < 45) {
+    if (kind < 65) {
       const util::SimDuration delay = random_delay(rng);
       const bool absolute = rng.bernoulli(0.3);
       wheel.schedule_plain(delay, absolute);
       heap.schedule_plain(delay, absolute);
-    } else if (kind < 55) {
-      const util::SimDuration delay = random_delay(rng);
-      wheel.schedule_cancellable(delay);
-      heap.schedule_cancellable(delay);
-    } else if (kind < 65) {
-      if (wheel.handle_count() > 0) {
-        const std::size_t index = rng.uniform_u64(wheel.handle_count());
-        ASSERT_EQ(wheel.cancel(index), heap.cancel(index)) << "op " << op << " seed " << seed;
-      }
     } else if (kind < 90) {
       ASSERT_EQ(wheel.sched().run_one(), heap.sched().run_one())
           << "op " << op << " seed " << seed;

@@ -1,7 +1,8 @@
 // Online telemetry layer: estimator properties (EWMA convergence, CUSUM
-// step response and stationary silence, merge associativity), recorder
-// ring/CSV/Prometheus semantics, hub alarm emission as trace events, the
-// labelled attack-scenario recall floor, the clean-replay false-alarm
+// step response and stationary silence, inter-arrival regularity), the
+// prefix bank's fixed detector rule, recorder ring/CSV/Prometheus
+// semantics, hub alarm emission as trace events, the labelled
+// attack-scenario recall floor, the clean-replay false-alarm
 // ceiling, jobs-invariance of the exported series, and a pinned golden
 // CSV vector (regenerate with NDNP_REGEN_GOLDEN=1).
 #include "telemetry/telemetry.hpp"
@@ -59,20 +60,8 @@ TEST(Ewma, FirstObservationSeedsDirectly) {
   EXPECT_DOUBLE_EQ(ewma.value, 0.75);
 }
 
-/// The calibrated production detector: downward-only, adaptive reference
-/// (mirrors telemetry::DetectorTuning defaults).
-telemetry::CusumDetector tuned_cusum() {
-  telemetry::CusumDetector cusum;
-  const telemetry::DetectorTuning tuning;
-  cusum.drift = tuning.cusum_drift;
-  cusum.threshold = tuning.cusum_threshold;
-  cusum.reference_alpha = tuning.cusum_reference_alpha;
-  cusum.two_sided = false;
-  return cusum;
-}
-
 TEST(Cusum, FiresOnDownwardHitRateStep) {
-  telemetry::CusumDetector cusum = tuned_cusum();
+  telemetry::CusumDetector cusum;
   cusum.arm(0.8);
   util::Rng rng(42);
   // Stationary at the reference: no alarm while the mean matches.
@@ -95,7 +84,7 @@ TEST(Cusum, FiresOnDownwardHitRateStep) {
 
 TEST(Cusum, SilentOnFiftyStationarySeeds) {
   for (std::uint64_t seed = 1; seed <= 50; ++seed) {
-    telemetry::CusumDetector cusum = tuned_cusum();
+    telemetry::CusumDetector cusum;
     cusum.arm(0.5);  // worst case: Bernoulli variance peaks at p = 0.5
     util::Rng rng(seed);
     for (std::size_t i = 0; i < 20'000; ++i)
@@ -108,7 +97,7 @@ TEST(Cusum, AdaptiveReferenceAbsorbsSlowDrift) {
   // Hit rate decaying 0.8 -> 0.6 over 20k samples (cache saturating) must
   // not alarm: the slow-EWMA reference tracks it. The same shift applied
   // abruptly (tested above) fires within tens of samples.
-  telemetry::CusumDetector cusum = tuned_cusum();
+  telemetry::CusumDetector cusum;
   cusum.arm(0.8);
   util::Rng rng(7);
   for (std::size_t i = 0; i < 20'000; ++i) {
@@ -120,122 +109,55 @@ TEST(Cusum, AdaptiveReferenceAbsorbsSlowDrift) {
 }
 
 TEST(Cusum, ObserveBeforeArmIsNoOp) {
-  telemetry::CusumDetector cusum = tuned_cusum();
+  telemetry::CusumDetector cusum;
   for (int i = 0; i < 1'000; ++i) EXPECT_FALSE(cusum.observe(0.0));
   EXPECT_EQ(cusum.alarms, 0u);
   EXPECT_DOUBLE_EQ(cusum.statistic(), 0.0);
 }
 
-// ---------------------------------------------------------------------------
-// Merge associativity — the property the sharded replayer relies on to
-// fold per-shard detector state in shard order.
-
-telemetry::EwmaEstimator ewma_of(std::uint64_t seed, std::size_t n, double p) {
-  telemetry::EwmaEstimator ewma;
-  util::Rng rng(seed);
-  for (std::size_t i = 0; i < n; ++i) ewma.observe(rng.uniform01() < p ? 1.0 : 0.0);
-  return ewma;
-}
-
-TEST(EstimatorMerge, EwmaAssociativeAndIdentityOnEmpty) {
-  using telemetry::EwmaEstimator;
-  const EwmaEstimator a = ewma_of(1, 1'000, 0.2);
-  const EwmaEstimator b = ewma_of(2, 3'000, 0.5);
-  const EwmaEstimator c = ewma_of(3, 500, 0.9);
-  const EwmaEstimator left = EwmaEstimator::merged(EwmaEstimator::merged(a, b), c);
-  const EwmaEstimator right = EwmaEstimator::merged(a, EwmaEstimator::merged(b, c));
-  EXPECT_EQ(left.count, right.count);
-  EXPECT_NEAR(left.value, right.value, 1e-12);
-
-  const EwmaEstimator empty;
-  const EwmaEstimator with_empty = EwmaEstimator::merged(a, empty);
-  EXPECT_EQ(with_empty.count, a.count);
-  EXPECT_DOUBLE_EQ(with_empty.value, a.value);
-}
-
-TEST(EstimatorMerge, CusumExactlyAssociative) {
-  using telemetry::CusumDetector;
-  CusumDetector a = tuned_cusum();
-  CusumDetector b = tuned_cusum();
-  CusumDetector c = tuned_cusum();
-  a.arm(0.7);
-  b.arm(0.4);
-  util::Rng rng(11);
-  for (std::size_t i = 0; i < 2'000; ++i) {
-    a.observe(rng.uniform01() < 0.5 ? 1.0 : 0.0);
-    b.observe(rng.uniform01() < 0.2 ? 1.0 : 0.0);
-  }
-  // Max and sum are exactly associative; reference picks the first armed
-  // side deterministically (c is unarmed, so it never wins).
-  const CusumDetector left = CusumDetector::merged(CusumDetector::merged(a, b), c);
-  const CusumDetector right = CusumDetector::merged(a, CusumDetector::merged(b, c));
-  EXPECT_DOUBLE_EQ(left.pos, right.pos);
-  EXPECT_DOUBLE_EQ(left.neg, right.neg);
-  EXPECT_EQ(left.alarms, right.alarms);
-  EXPECT_DOUBLE_EQ(left.reference, right.reference);
-  EXPECT_EQ(left.armed, right.armed);
-  EXPECT_EQ(left.alarms, a.alarms + b.alarms);
-}
-
-TEST(EstimatorMerge, InterArrivalAssociative) {
-  using telemetry::InterArrivalEstimator;
-  InterArrivalEstimator a, b, c;
+TEST(InterArrival, RegularityCvSeparatesPoissonFromMachinePacing) {
+  telemetry::InterArrivalEstimator poisson, paced;
   util::Rng rng(5);
-  util::SimTime ta = 0, tb = 1'000'000, tc = 2'000'000;
+  util::SimTime tp = 0, tm = 0;
   for (std::size_t i = 0; i < 500; ++i) {
-    a.observe(ta += static_cast<util::SimDuration>(rng.exponential(1e-6)));
-    b.observe(tb += static_cast<util::SimDuration>(rng.exponential(2e-6)));
-    c.observe(tc += static_cast<util::SimDuration>(500));  // machine-paced
+    poisson.observe(tp += static_cast<util::SimDuration>(rng.exponential(1e-6)));
+    paced.observe(tm += static_cast<util::SimDuration>(500));
   }
-  const InterArrivalEstimator left =
-      InterArrivalEstimator::merged(InterArrivalEstimator::merged(a, b), c);
-  const InterArrivalEstimator right =
-      InterArrivalEstimator::merged(a, InterArrivalEstimator::merged(b, c));
-  EXPECT_EQ(left.gaps(), right.gaps());
-  EXPECT_NEAR(left.gap.value, right.gap.value, 1e-6 * left.gap.value);
-  EXPECT_EQ(left.last_arrival, right.last_arrival);
-  // Regularity separation: Poisson CV near 2/e, machine pacing near 0.
-  EXPECT_GT(a.regularity_cv(), 0.5);
-  EXPECT_LT(c.regularity_cv(), 0.01);
+  EXPECT_EQ(poisson.gaps(), 499u);
+  // Poisson CV near 2/e, machine pacing near 0.
+  EXPECT_GT(poisson.regularity_cv(), 0.5);
+  EXPECT_LT(paced.regularity_cv(), 0.01);
 }
 
-TEST(DetectorBank, MergeSumsObservationsAndAlarms) {
-  const telemetry::DetectorTuning tuning;
-  telemetry::DetectorBank a(8, tuning), b(8, tuning);
-  telemetry::AlarmEvent out[telemetry::kDetectorKinds];
-  util::SimTime now = 0;
-  // Machine-paced stream on one bucket of each bank: regularity fires.
-  for (std::size_t i = 0; i < 200; ++i)
-    a.observe(3, core::LookupOutcome::kExposedHit, now += 1'000'000, out);
-  for (std::size_t i = 0; i < 100; ++i)
-    b.observe(3, core::LookupOutcome::kTrueMiss, now += 1'000'000, out);
-  const std::uint64_t alarms_a = a.alarms_total();
-  const std::uint64_t alarms_b = b.alarms_total();
-  EXPECT_GT(alarms_a, 0u) << "machine-paced stream must trip arrival_regularity";
-  a.merge_from(b);
-  EXPECT_EQ(a.observations(), 300u);
-  EXPECT_EQ(a.alarms_total(), alarms_a + alarms_b);
-  telemetry::DetectorBank mismatched(4, tuning);
-  EXPECT_THROW(a.merge_from(mismatched), std::invalid_argument);
-}
+// ---------------------------------------------------------------------------
+// Detector banks.
 
 TEST(DetectorBank, EnableMaskSuppressesAlarmsButKeepsEstimators) {
-  const telemetry::DetectorTuning tuning;
-  telemetry::DetectorBank muted(8, tuning, 0);  // no detector may fire
+  // The same requester hammering protected content: the face bank flags
+  // the delayed-hit share, the prefix bank never fires that detector but
+  // keeps observing (and still fires the others).
+  telemetry::DetectorBank face(telemetry::BankScope::kFace);
+  telemetry::DetectorBank prefix(telemetry::BankScope::kPrefix);
+  EXPECT_EQ(face.buckets(), telemetry::kFaceBuckets);
+  EXPECT_EQ(prefix.buckets(), telemetry::kPrefixBuckets);
   telemetry::AlarmEvent out[telemetry::kDetectorKinds];
   util::SimTime now = 0;
-  for (std::size_t i = 0; i < 500; ++i)
-    muted.observe(1, core::LookupOutcome::kDelayedHit, now += 1'000'000, out);
-  EXPECT_EQ(muted.alarms_total(), 0u);
-  EXPECT_EQ(muted.observations(), 500u);
-  EXPECT_GT(muted.bucket_hit_rate(1) + 1.0, 0.0);  // estimators still updated
+  for (std::size_t i = 0; i < 500; ++i) {
+    now += 1'000'000;
+    face.observe(1, core::LookupOutcome::kDelayedHit, now, out);
+    prefix.observe(1, core::LookupOutcome::kDelayedHit, now, out);
+  }
+  EXPECT_GT(face.alarms(telemetry::DetectorKind::kDelayedHitRatio), 0u);
+  EXPECT_EQ(prefix.alarms(telemetry::DetectorKind::kDelayedHitRatio), 0u);
+  EXPECT_GT(prefix.alarms(telemetry::DetectorKind::kArrivalRegularity), 0u);
+  EXPECT_EQ(prefix.observations(), 500u);
 }
 
 // ---------------------------------------------------------------------------
 // TimeSeriesRecorder: cadence, ring, exports.
 
 TEST(TimeSeries, LazySamplingEmitsOneRowPerCrossedBoundary) {
-  telemetry::TimeSeriesRecorder recorder(util::millis(10), 0);
+  telemetry::TimeSeriesRecorder recorder(util::millis(10));
   double gauge = 0.0;
   recorder.add_probe("gauge", [&] { return gauge; });
 
@@ -261,20 +183,23 @@ TEST(TimeSeries, LazySamplingEmitsOneRowPerCrossedBoundary) {
 }
 
 TEST(TimeSeries, RingKeepsMostRecentRows) {
-  telemetry::TimeSeriesRecorder recorder(util::millis(1), 4);
+  constexpr std::size_t kRows = telemetry::TimeSeriesRecorder::kRingRows;
+  telemetry::TimeSeriesRecorder recorder(util::millis(1));
   recorder.add_probe("t_ms", [] { return 0.0; });
-  for (int i = 1; i <= 10; ++i) recorder.maybe_sample(util::millis(i));
-  EXPECT_EQ(recorder.rows(), 4u);
+  for (std::size_t i = 1; i <= kRows + 6; ++i)
+    recorder.maybe_sample(util::millis(static_cast<std::int64_t>(i)));
+  EXPECT_EQ(recorder.rows(), kRows);
   EXPECT_EQ(recorder.dropped_rows(), 6u);
   const std::string csv = recorder.to_csv();
-  // Oldest-first and only the last four boundaries survive.
-  EXPECT_NE(csv.find("7000000,"), std::string::npos);
-  EXPECT_NE(csv.find("10000000,"), std::string::npos);
-  EXPECT_EQ(csv.find("6000000,"), std::string::npos);
+  // Oldest-first and only the last kRows boundaries survive.
+  EXPECT_EQ(csv.rfind("t_ns,t_ms\n7000000,", 0), 0u) << csv.substr(0, 40);
+  EXPECT_NE(csv.find("\n" + std::to_string((kRows + 6) * 1'000'000) + ",0\n"),
+            std::string::npos);
+  EXPECT_EQ(csv.find("\n6000000,"), std::string::npos);
 }
 
 TEST(TimeSeries, PrometheusExpositionSanitizesNames) {
-  telemetry::TimeSeriesRecorder recorder(util::millis(10), 16);
+  telemetry::TimeSeriesRecorder recorder(util::millis(10));
   recorder.add_probe("cs.occupancy", [] { return 42.0; });
   recorder.sample_at(util::millis(30));
   const std::string prom = recorder.to_prometheus();
@@ -285,7 +210,7 @@ TEST(TimeSeries, PrometheusExpositionSanitizesNames) {
 }
 
 TEST(TimeSeries, ProbeSetFreezesAtFirstSample) {
-  telemetry::TimeSeriesRecorder recorder(util::millis(10), 16);
+  telemetry::TimeSeriesRecorder recorder(util::millis(10));
   recorder.add_probe("a", [] { return 0.0; });
   recorder.sample_at(util::millis(10));
   EXPECT_THROW(recorder.add_probe("b", [] { return 0.0; }), std::logic_error);
@@ -294,6 +219,12 @@ TEST(TimeSeries, ProbeSetFreezesAtFirstSample) {
 // ---------------------------------------------------------------------------
 // Metrics export: the empty snapshot's JSON shape is pinned because
 // replay_tool/chaos_tool --metrics-out consumers key on it.
+
+/// True when `snap` holds no counter under `prefix`.
+bool no_counter_under(const util::MetricsSnapshot& snap, const std::string& prefix) {
+  const auto it = snap.counters.lower_bound(prefix);
+  return it == snap.counters.end() || it->first.compare(0, prefix.size(), prefix) != 0;
+}
 
 TEST(MetricsExport, EmptyRegistrySnapshotJson) {
   const util::MetricsSnapshot snap;
@@ -312,6 +243,8 @@ TEST(MetricsExport, HubPublishesLookupAndAlarmCounters) {
   EXPECT_TRUE(snap.counters.count("telemetry.alarms.hit_rate_shift"));
   EXPECT_TRUE(snap.counters.count("telemetry.alarms.arrival_regularity"));
   EXPECT_TRUE(snap.counters.count("telemetry.alarms.delayed_hit_ratio"));
+  EXPECT_TRUE(no_counter_under(snap, "telemetry.outcome."))
+      << "outcome counts are the engine's export, not the hub's";
 }
 
 // ---------------------------------------------------------------------------
@@ -325,7 +258,7 @@ TEST(TelemetryHub, AlarmsBecomeTraceEvents) {
     util::TracerBinding binding(&tracer);
     util::SimTime now = 0;
     // One face, machine-regular cadence: arrival_regularity must fire on
-    // both banks (face mask and prefix mask include it).
+    // both banks.
     for (std::size_t i = 0; i < 200; ++i)
       hub.on_lookup(7, 13, core::LookupOutcome::kExposedHit, now += 500'000);
   }
@@ -364,7 +297,7 @@ TEST(TelemetryEndToEnd, SequentialProbingRecallFloor) {
     result = attack::run_telemetry_scenario(config, &hub);
   }
   EXPECT_GT(result.probes, 0u);
-  EXPECT_GT(result.delayed_hits, 0u) << "countermeasure must absorb the probe stream";
+  EXPECT_GT(result.router_outcomes.delayed_hits, 0u) << "countermeasure must absorb the probe stream";
 
   const sim::TelemetryScorecard card =
       sim::telemetry_scorecard(sim::flatten(tracer), util::millis(250));
@@ -422,8 +355,10 @@ TEST(TelemetryEndToEnd, DetectorSeriesByteIdenticalAcrossJobs) {
 
 // ---------------------------------------------------------------------------
 // The engine's counters and the hub's detector inputs are two views of the
-// same lookup outcomes; they must agree outcome by outcome. Always-Delay
-// contributes delayed hits, the naive threshold simulated misses.
+// same lookups: the hub must see every lookup the engine counts, and the
+// outcome counts come from the engine alone. Always-Delay contributes
+// delayed hits, the naive threshold simulated misses.
+
 
 std::vector<std::function<std::unique_ptr<core::CachePrivacyPolicy>()>> view_policies() {
   return {[] {
@@ -450,12 +385,11 @@ TEST(TelemetryViews, ReplayHubCountsMatchEngineCounters) {
     const util::MetricsSnapshot snap = trace::replay(trace, config).metrics;
     for (const core::LookupOutcome outcome : core::kLookupOutcomes) {
       const std::string name(core::counter_name(outcome));
-      EXPECT_EQ(snap.counters.at("telemetry.outcome." + name),
-                snap.counters.at("engine." + name))
-          << name;
       seen[static_cast<std::size_t>(outcome)] += snap.counters.at("engine." + name);
     }
     EXPECT_EQ(snap.counters.at("telemetry.lookups"), snap.counters.at("engine.requests"));
+    EXPECT_EQ(hub.lookups(), snap.counters.at("engine.requests"));
+    EXPECT_TRUE(no_counter_under(snap, "telemetry.outcome."));
   }
   for (const std::uint64_t count : seen) EXPECT_GT(count, 0u);
 }
@@ -485,11 +419,11 @@ TEST(TelemetryViews, ForwarderHubCountsMatchForwarderCounters) {
     scenario->router->export_metrics(snap, "R");
     for (const core::LookupOutcome outcome : core::kLookupOutcomes) {
       const std::string name(core::counter_name(outcome));
-      EXPECT_EQ(snap.counters.at("R.telemetry.outcome." + name), snap.counters.at("R." + name))
-          << name;
       seen[static_cast<std::size_t>(outcome)] += snap.counters.at("R." + name);
     }
     EXPECT_EQ(hub.lookups(), scenario->router->engine().stats().requests);
+    EXPECT_EQ(snap.counters.at("R.telemetry.lookups"), hub.lookups());
+    EXPECT_TRUE(no_counter_under(snap, "R.telemetry.outcome."));
   }
   for (const std::uint64_t count : seen) EXPECT_GT(count, 0u);
 }

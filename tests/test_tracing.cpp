@@ -53,7 +53,6 @@ using namespace ndnp;
 
 TEST(Tracing, RecordsEventsWithInternedLabels) {
   util::Tracer tracer;
-  EXPECT_TRUE(tracer.enabled());
   tracer.record(util::TraceEventType::kCsLookup, "R", 100, "/a/1", "result=hit depth=1", 2, 0, 0);
   tracer.record(util::TraceEventType::kInterestTx, "U", 200, "/a/2", "private=0");
   const std::vector<util::TraceEvent> events = tracer.events();
@@ -113,9 +112,10 @@ TEST(Tracing, UnboundPathEvaluatesNothingAndNeverAllocates) {
 }
 
 TEST(Tracing, DisabledTracerEvaluatesNothingAndNeverAllocates) {
+  // Binding nullptr over a bound tracer is how a scope switches tracing off.
   util::Tracer tracer;
-  tracer.set_enabled(false);
   util::TracerBinding binding(&tracer);
+  util::TracerBinding suspended(nullptr);
   std::size_t evaluations = 0;
   const auto expensive_name = [&evaluations]() -> std::string {
     ++evaluations;
@@ -319,10 +319,10 @@ TEST(TraceSinks, ForensicsDistinguishesAllVerdictClasses) {
   EXPECT_EQ(report.probes[2].verdict, core::LookupOutcome::kSimulatedMiss);
   EXPECT_EQ(report.probes[3].verdict, core::LookupOutcome::kTrueMiss);
   EXPECT_FALSE(report.probes[4].verdict.has_value());
-  EXPECT_EQ(report.exposed_hits, 1u);
-  EXPECT_EQ(report.delayed_hits, 1u);
-  EXPECT_EQ(report.simulated_misses, 1u);
-  EXPECT_EQ(report.true_misses, 1u);
+  EXPECT_EQ(report.verdicts.exposed_hits, 1u);
+  EXPECT_EQ(report.verdicts.delayed_hits, 1u);
+  EXPECT_EQ(report.verdicts.simulated_misses, 1u);
+  EXPECT_EQ(report.verdicts.true_misses, 1u);
   EXPECT_EQ(report.unknown, 1u);
   // Probes 0-3 agree with their truth annotation; the unknown one cannot.
   EXPECT_EQ(report.agreements, 4u);
@@ -401,10 +401,10 @@ TEST(TraceSinks, ForensicsAgreesWithTimingAttackCounters) {
   const std::size_t hits = result.hit_rtts_ms.size();
   const std::size_t misses = result.miss_rtts_ms.size();
   ASSERT_EQ(report.probes.size(), hits + misses);
-  EXPECT_EQ(report.exposed_hits, hits);
-  EXPECT_EQ(report.true_misses, misses);
-  EXPECT_EQ(report.delayed_hits, 0u);
-  EXPECT_EQ(report.simulated_misses, 0u);
+  EXPECT_EQ(report.verdicts.exposed_hits, hits);
+  EXPECT_EQ(report.verdicts.true_misses, misses);
+  EXPECT_EQ(report.verdicts.delayed_hits, 0u);
+  EXPECT_EQ(report.verdicts.simulated_misses, 0u);
   EXPECT_EQ(report.unknown, 0u);
   EXPECT_DOUBLE_EQ(report.agreement_rate(), 1.0);
   // Every verdict was decided by the shared first-hop router.
@@ -460,9 +460,9 @@ TEST(TraceSinks, ForensicsSeesDecisionsOfAWrappedPolicy) {
   }
   const sim::ForensicsReport report = sim::probe_forensics(sim::flatten(tracer));
   ASSERT_EQ(report.probes.size(), 12u);
-  EXPECT_EQ(report.delayed_hits, 6u);
-  EXPECT_EQ(report.true_misses, 6u);
-  EXPECT_EQ(report.exposed_hits, 0u);
+  EXPECT_EQ(report.verdicts.delayed_hits, 6u);
+  EXPECT_EQ(report.verdicts.true_misses, 6u);
+  EXPECT_EQ(report.verdicts.exposed_hits, 0u);
   EXPECT_DOUBLE_EQ(report.agreement_rate(), 1.0);
   for (const sim::ProbeForensics& probe : report.probes) EXPECT_EQ(probe.decided_by, "R");
 }

@@ -6,7 +6,7 @@
 //
 // "chaos" episodes exercise a random faulty topology end to end and audit
 // the structural invariants; "diff" episodes cross-check a single Forwarder
-// against the naive reference model op by op (see sim/chaos.hpp). Episodes
+// against the naive reference model op by op (see oracle/differential.hpp). Episodes
 // are distributed over --jobs workers through the deterministic sweep
 // runner, so results (and every digest) are byte-identical for any J.
 //
@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "oracle/differential.hpp"
 #include "runner/runner.hpp"
 #include "sim/chaos.hpp"
 #include "util/cli.hpp"

@@ -19,8 +19,8 @@
 // With several --trace files the replays fan across --jobs threads on the
 // deterministic runner (each trace gets its own engine and RNG); results
 // print in trace order, identical for any jobs count. --json replaces the
-// human-readable tables with the merged metrics JSON (per-trace snapshots +
-// cross-trace aggregate), so stdout is directly machine-parseable.
+// human-readable tables with the metrics JSON ({"runs":[...]}, one snapshot
+// per trace), so stdout is directly machine-parseable.
 //
 // --shards N switches to the sharded replayer (docs/SCALE.md): each trace
 // goes through N independent edge-router shards (users pinned by stable
@@ -342,11 +342,16 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  runner::SweepResult sweep;
-  for (const trace::ReplayResult& r : results) sweep.runs.push_back(r.metrics);
+  // Canonical JSON of the per-trace snapshots, in trace order.
+  std::string runs_json = "{\"runs\":[";
+  for (std::size_t t = 0; t < results.size(); ++t) {
+    if (t != 0) runs_json += ',';
+    runs_json += results[t].metrics.to_json();
+  }
+  runs_json += "]}";
   if (!metrics_out.empty()) {
     std::ofstream out(metrics_out);
-    out << sweep.merged_json() << '\n';
+    out << runs_json << '\n';
     if (!out) {
       std::fprintf(stderr, "%s: cannot write %s\n", argv[0], metrics_out.c_str());
       return 1;
@@ -354,7 +359,7 @@ int main(int argc, char** argv) {
   }
   if (emit_json) {
     // Pure JSON on stdout so the output pipes straight into a parser.
-    std::printf("%s\n", sweep.merged_json().c_str());
+    std::printf("%s\n", runs_json.c_str());
     return 0;
   }
 

@@ -164,8 +164,8 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(result.probes),
                 static_cast<unsigned long long>(result.probe_data));
     std::printf("router: %llu exposed hits, %llu delayed hits, %llu lookups into telemetry\n",
-                static_cast<unsigned long long>(result.exposed_hits),
-                static_cast<unsigned long long>(result.delayed_hits),
+                static_cast<unsigned long long>(result.router_outcomes.exposed_hits),
+                static_cast<unsigned long long>(result.router_outcomes.delayed_hits),
                 static_cast<unsigned long long>(hub.lookups()));
 
     const std::vector<sim::FlatEvent> events = sim::flatten(tracer);
