@@ -10,6 +10,7 @@
 // BENCH_micro_ops.json in the current directory, next to the pre-rewrite
 // baseline numbers (see EXPERIMENTS.md, "Micro-op hot-path baseline").
 #include <benchmark/benchmark.h>
+#include <malloc.h>
 
 #include <algorithm>
 #include <chrono>
@@ -65,6 +66,25 @@ void BM_NameToUri(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(name.to_uri());
 }
 BENCHMARK(BM_NameToUri);
+
+void BM_NameCopy(benchmark::State& state) {
+  const ndn::Name name("/youtube/alice/video-749.avi/137");
+  for (auto _ : state) {
+    ndn::Name copy = name;
+    benchmark::DoNotOptimize(copy);
+  }
+}
+BENCHMARK(BM_NameCopy);
+
+// The probe name fib_lookup and Consumer::receive_data build per depth.
+void BM_NamePrefixSlice(benchmark::State& state) {
+  const ndn::Name name("/youtube/alice/video-749.avi/137");
+  for (auto _ : state) {
+    ndn::Name prefix = name.prefix(2);
+    benchmark::DoNotOptimize(prefix);
+  }
+}
+BENCHMARK(BM_NamePrefixSlice);
 
 void BM_TlvEncodeInterest(benchmark::State& state) {
   ndn::Interest interest;
@@ -567,6 +587,22 @@ double run_scheduler_ticker(int outstanding, std::uint64_t ops, std::size_t* fal
   return static_cast<double>(ops) / secs / 1e6;
 }
 
+/// Heap bytes per resident entry of a full 8000-entry LRU CS of the
+/// replay's 3-component names, read from the allocator's in-use count:
+/// the store's node, its index slots and the Data's own buffers.
+double cs_bytes_per_entry() {
+  constexpr std::size_t kEntries = 8'000;
+  const std::size_t before = mallinfo2().uordblks;
+  cache::ContentStore cs(kEntries, cache::EvictionPolicy::kLru, 1);
+  for (std::size_t i = 0; i < kEntries; ++i) {
+    ndn::Data data;
+    data.name = true_miss_name(i);
+    data.producer = "origin";
+    cs.insert(std::move(data), {});
+  }
+  return static_cast<double>(mallinfo2().uordblks - before) / kEntries;
+}
+
 void write_hot_path_report(const char* path) {
   constexpr std::uint64_t kLookupOps = 1'310'720;   // 20 x 65536
   constexpr std::uint64_t kInsertOps = 400'000;
@@ -625,6 +661,10 @@ void write_hot_path_report(const char* path) {
                 depth.outstanding, wheel_mops, heap_mops, wheel_mops / heap_mops, fallbacks,
                 chunks);
   }
+  const double bytes_per_entry = cs_bytes_per_entry();
+  snap.gauges["cs.bytes_per_entry"] = bytes_per_entry;
+  std::printf("CS heap bytes per entry (8000-entry LRU, 3-component names): %.1f\n",
+              bytes_per_entry);
   std::ofstream out(path);
   out << snap.to_json() << '\n';
 }

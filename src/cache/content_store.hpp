@@ -17,7 +17,7 @@
 //    string-vector comparisons;
 //  - prefix matches go through a per-prefix-depth hash index: an entry of
 //    depth D registers under the hashes of its strict prefixes (one FNV
-//    pass, see Name::prefix_hashes), and an interest of depth p probes
+//    pass, see Name::visit_prefix_hashes), and an interest of depth p probes
 //    exactly the depth-p bucket — a depth-p entry named exactly like the
 //    interest is covered by the exact index, so full-depth buckets are
 //    never created;

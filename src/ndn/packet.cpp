@@ -12,7 +12,7 @@ std::size_t Interest::wire_size() const noexcept {
   // TLV framing (~8 bytes) + name components (1 byte framing each) +
   // nonce (8) + optional scope (2) + optional lifetime (4) + flags (1).
   std::size_t size = 8 + 8 + 1 + (scope ? 2 : 0) + (lifetime ? 4 : 0);
-  for (const auto& c : name.components()) size += 1 + c.size();
+  for (const std::string_view c : name.components()) size += 1 + c.size();
   return size;
 }
 
@@ -23,7 +23,7 @@ bool Data::satisfies(const Interest& interest) const noexcept {
 
 std::size_t Data::wire_size() const noexcept {
   std::size_t size = 16 + payload.size() + producer.size() + signature.size() + 2;
-  for (const auto& c : name.components()) size += 1 + c.size();
+  for (const std::string_view c : name.components()) size += 1 + c.size();
   return size;
 }
 

@@ -97,7 +97,7 @@ std::uint64_t decode_number(std::span<const std::uint8_t> value) {
 
 Buffer encode(const Name& name) {
   Buffer inner;
-  for (const auto& component : name.components())
+  for (const std::string_view component : name.components())
     append_tlv(inner, TlvType::kNameComponent, as_bytes(component));
   Buffer out;
   append_tlv(out, TlvType::kName, inner);

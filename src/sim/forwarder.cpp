@@ -1,6 +1,8 @@
 #include "sim/forwarder.hpp"
 
 #include <algorithm>
+#include <array>
+#include <span>
 
 #include "core/policies.hpp"
 #include "util/invariant.hpp"
@@ -232,18 +234,30 @@ void Forwarder::handle_data(const ndn::Data& data, FaceId) {
   // names, which must be prefixes of the data name, so only the
   // size()+1 prefixes of data.name are candidates. One FNV pass yields
   // all candidate hashes; the probe compares against the stored interest
-  // name in place, so no prefix Name is ever materialized.
-  const std::vector<std::uint64_t> prefix_hashes = data.name.prefix_hashes();
-  std::vector<std::pair<std::uint64_t, PitEntry*>> matches;
-  for (std::size_t len = 0; len <= data.name.size(); ++len) {
-    PitEntry* entry =
-        pit_.find(prefix_hashes[len], [&data, len](const PitEntry& candidate) {
-          return candidate.first_interest.name.size() == len &&
-                 candidate.first_interest.name.is_prefix_of(data.name);
-        });
-    if (entry != nullptr && data.satisfies(entry->first_interest))
-      matches.push_back({prefix_hashes[len], entry});
-  }
+  // name in place, so no prefix Name is ever materialized. At most one
+  // entry matches per depth; names of up to kInlineDepths - 1 components
+  // keep the matches on the stack.
+  struct PitMatch {
+    std::uint64_t hash;
+    PitEntry* entry;
+  };
+  constexpr std::size_t kInlineDepths = 8;
+  std::array<PitMatch, kInlineDepths> inline_matches{};
+  std::vector<PitMatch> spilled_matches;
+  if (data.name.size() + 1 > kInlineDepths) spilled_matches.resize(data.name.size() + 1);
+  PitMatch* const first =
+      spilled_matches.empty() ? inline_matches.data() : spilled_matches.data();
+  PitMatch* last = first;
+  std::size_t len = 0;
+  data.name.visit_prefix_hashes([&](std::uint64_t hash) {
+    PitEntry* entry = pit_.find(hash, [&data, len](const PitEntry& candidate) {
+      return candidate.first_interest.name.size() == len &&
+             candidate.first_interest.name.is_prefix_of(data.name);
+    });
+    if (entry != nullptr && data.satisfies(entry->first_interest)) *last++ = {hash, entry};
+    ++len;
+  });
+  const std::span<const PitMatch> matches(first, last);
   if (matches.empty()) {
     // NDN rule: content is never forwarded (nor cached) without a
     // preceding interest.
@@ -256,8 +270,8 @@ void Forwarder::handle_data(const ndn::Data& data, FaceId) {
   // draws from this node's stream.
   const PitEntry* earliest =
       std::min_element(matches.begin(), matches.end(), [](const auto& a, const auto& b) {
-        return a.second->created_at < b.second->created_at;
-      })->second;
+        return a.entry->created_at < b.entry->created_at;
+      })->entry;
   if (!engine_.admit(data, earliest->first_interest, now() - earliest->created_at, now(),
                      rng()))
     ++stats_.admission_skips;

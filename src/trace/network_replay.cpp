@@ -98,9 +98,11 @@ struct DeploymentTree {
     sim::Consumer* consumer = edge.consumer.get();
     const bool is_private =
         is_private_content(record.name, config_.private_fraction, config_.seed);
-    const ndn::Name name = record.name;
     NetworkReplayResult* result = &result_;
-    sched_.schedule_at(when, [consumer, name, is_private, result] {
+    // The name is captured by value and non-const: a const member would
+    // make the closure not nothrow-movable, and every request would then
+    // take the scheduler's heap fallback.
+    auto request = [consumer, name = record.name, is_private, result] {
       ndn::Interest interest;
       interest.name = name;
       interest.private_req = is_private;
@@ -109,7 +111,10 @@ struct DeploymentTree {
                                    ++result->completed;
                                    result->rtt_ms.add(util::to_millis(rtt));
                                  });
-    });
+    };
+    static_assert(sim::EventFn::fits_inline<decltype(request)>,
+                  "the per-request event must fit the scheduler's inline buffer");
+    sched_.schedule_at(when, std::move(request));
   }
 
   /// Drain the event queue and collect the tier accounting.

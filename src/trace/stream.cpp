@@ -397,8 +397,8 @@ bool SyntheticTraceSource::next_chunk(std::vector<TraceRecord>& out,
                                       std::size_t max_records) {
   const TraceGenConfig& config = workload_->config();
   const double rate = static_cast<double>(config.num_requests) / config.duration_s;
-  // The caller's previous chunk is overwritten in place, so each name
-  // reuses its component storage instead of allocating.
+  // The caller's previous chunk is overwritten in place, and each name is
+  // assigned from stack buffers into its inline storage: no allocation.
   std::array<char, 24> domain{};
   std::array<char, 24> object_id{};
   const std::size_t shard = shard_;

@@ -12,10 +12,10 @@
 //  - `ObjectPool<T>` + `PoolRef<T>`: a recycling pool of *constructed*
 //    objects with intrusive reference-counted handles. Releasing a handle
 //    returns the object to the free list WITHOUT destroying it, so its
-//    internal buffers (a packet Name's component vector) keep their
-//    capacity and the next acquire/assign cycle reuses them. This is what
-//    makes pooled Interest/Data copies on the link/forwarder hot paths
-//    allocation-free for SSO-sized components.
+//    internal buffers (a Data's signature string) keep their capacity and
+//    the next acquire/assign cycle reuses them. With names stored inline,
+//    this is what makes pooled Interest/Data copies on the link/forwarder
+//    hot paths allocation-free.
 //    PoolRef keeps the pool alive via shared_ptr, so handles captured in
 //    scheduled events stay valid under any node/scheduler destruction
 //    order.

@@ -56,6 +56,12 @@ class SmallFunction {
     }
   }
 
+  /// True when a callable of type D is stored inline, never on the heap.
+  template <typename D>
+  static constexpr bool fits_inline =
+      sizeof(D) <= Capacity && alignof(D) <= alignof(std::max_align_t) &&
+      std::is_nothrow_move_constructible_v<D>;
+
  private:
   struct Ops {
     void (*invoke)(void*);
@@ -63,11 +69,6 @@ class SmallFunction {
     void (*destroy)(void*);
     bool heap;
   };
-
-  template <typename D>
-  static constexpr bool fits_inline =
-      sizeof(D) <= Capacity && alignof(D) <= alignof(std::max_align_t) &&
-      std::is_nothrow_move_constructible_v<D>;
 
   template <typename D>
   static constexpr Ops kInlineOps = {

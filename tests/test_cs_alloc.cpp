@@ -1,5 +1,6 @@
-// Steady-state allocation proofs: the ContentStore LFU index, and the
-// zero-copy Data payload on the forwarding path.
+// Steady-state allocation proofs: the ContentStore LFU index, the
+// zero-copy Data payload on the forwarding path, and the allocations a
+// whole fetch over that path makes.
 //
 // Regression test for the FreqBucket churn bug surfaced by the
 // alloc-naked-new lint rule: index_access() used to `new` a FreqBucket on
@@ -18,7 +19,9 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <string>
 #include <vector>
 
 #include "sim/topology.hpp"
@@ -120,31 +123,66 @@ TEST(ContentStoreAlloc, LruSteadyStateHitChurnDoesNotAllocate) {
   EXPECT_EQ(cs.size(), kEntries);
 }
 
+/// Consumer U -> edge R -> core X1 -> producer P, whose auto-generated
+/// responses carry kPayloadBytes each. Each fetch runs the network until
+/// it is idle, and bounded stores keep every table at its warmed-up size,
+/// so what a fetch allocates after warm-up is its steady-state cost.
+class ChainFetches {
+ public:
+  static constexpr int kWarmup = 64;
+  static constexpr int kMeasured = 256;
+
+  ChainFetches() : chain_(sim::make_probe_scenario(params())) {
+    for (int i = 0; i < kWarmup; ++i) fetch(i);
+  }
+
+  /// Runs the measured fetches; returns how many allocations `counter`
+  /// saw during them.
+  std::size_t measure(const std::atomic<std::size_t>& counter) {
+    const std::size_t before = counter.load(std::memory_order_relaxed);
+    for (int i = kWarmup; i < kWarmup + kMeasured; ++i) fetch(i);
+    return counter.load(std::memory_order_relaxed) - before;
+  }
+
+  [[nodiscard]] std::uint64_t data_received() const { return chain_->user->data_received(); }
+
+ private:
+  static sim::ScenarioParams params() {
+    sim::ScenarioParams p = sim::lan_scenario_params(/*seed=*/5);
+    p.router_config.cs_capacity = 16;
+    p.producer_config.payload_size = kPayloadBytes;
+    return p;
+  }
+
+  void fetch(int i) {
+    chain_->user->fetch(chain_->producer->prefix().append("obj" + std::to_string(i)),
+                        [](const ndn::Data&, util::SimDuration) {});
+    chain_->topology.scheduler().run();
+  }
+
+  std::unique_ptr<sim::ProbeScenario> chain_;
+};
+
 TEST(PayloadAlloc, ForwardingOverHopsCopiesNoPayload) {
-  // Consumer U -> edge R -> core X1 -> producer P, whose auto-generated
-  // responses carry kPayloadBytes each. Each fetch runs the network until
-  // it is idle, and bounded stores keep every table at its warmed-up size,
-  // so any payload-sized allocation after warm-up is a copy of payload
-  // bytes somewhere on the path.
-  sim::ScenarioParams params = sim::lan_scenario_params(/*seed=*/5);
-  params.router_config.cs_capacity = 16;
-  params.producer_config.payload_size = kPayloadBytes;
-  const auto chain = sim::make_probe_scenario(params);
-  const auto fetch = [&chain](int i) {
-    chain->user->fetch(chain->producer->prefix().append("obj" + std::to_string(i)),
-                       [](const ndn::Data&, util::SimDuration) {});
-    chain->topology.scheduler().run();
-  };
+  // Any payload-sized allocation after warm-up is a copy of payload bytes
+  // somewhere on the path.
+  ChainFetches chain;
+  EXPECT_EQ(chain.measure(g_payload_sized_allocations), 0u)
+      << "a Data forwarded over the chain copied its payload";
+  EXPECT_EQ(chain.data_received(),
+            static_cast<std::uint64_t>(ChainFetches::kWarmup + ChainFetches::kMeasured));
+}
 
-  constexpr int kWarmup = 64;
-  constexpr int kMeasured = 256;
-  for (int i = 0; i < kWarmup; ++i) fetch(i);
-  const std::size_t before = g_payload_sized_allocations.load(std::memory_order_relaxed);
-  for (int i = kWarmup; i < kWarmup + kMeasured; ++i) fetch(i);
-  const std::size_t after = g_payload_sized_allocations.load(std::memory_order_relaxed);
-
-  EXPECT_EQ(after - before, 0u) << "a Data forwarded over the chain copied its payload";
-  EXPECT_EQ(chain->user->data_received(), static_cast<std::uint64_t>(kWarmup + kMeasured));
+TEST(PayloadAlloc, ChainFetchAllocationsStayUnderCeiling) {
+  // Names are flat and fit inline, the forwarder keeps its PIT matches on
+  // the stack and payloads are shared, so what a fetch still allocates is
+  // table nodes, the consumer's bookkeeping and the URI string the
+  // producer signs: 10.02 per fetch measured.
+  constexpr std::size_t kCeilingPerFetch = 11;
+  ChainFetches chain;
+  const std::size_t allocations = chain.measure(g_allocations);
+  EXPECT_LE(allocations, kCeilingPerFetch * ChainFetches::kMeasured)
+      << "per fetch: " << static_cast<double>(allocations) / ChainFetches::kMeasured;
 }
 
 }  // namespace

@@ -28,7 +28,7 @@ TEST(UnpredictableNames, NameStructureIsBaseSeqRand) {
 TEST(UnpredictableNames, TokensDifferAcrossSequences) {
   const UnpredictableNameSession session(ndn::Name("/a"), "s", "l");
   std::unordered_set<std::string> tokens;
-  for (std::uint64_t seq = 0; seq < 200; ++seq) tokens.insert(session.name_for(seq).last());
+  for (std::uint64_t seq = 0; seq < 200; ++seq) tokens.insert(std::string(session.name_for(seq).last()));
   EXPECT_EQ(tokens.size(), 200u);
 }
 

@@ -242,5 +242,26 @@ TEST(TlvRobustness, HugeLengthClaimsThrow) {
   }
 }
 
+/// A Name whose byte length or component count passes what the name's
+/// 16-bit offsets hold is rejected with TlvError, never wrapped.
+TEST(TlvRobustness, NamesPastTheOffsetWidthThrow) {
+  const auto name_wire = [](const std::vector<std::string>& components) {
+    Buffer inner;
+    for (const std::string& c : components)
+      append_tlv(inner, TlvType::kNameComponent,
+                 {reinterpret_cast<const std::uint8_t*>(c.data()), c.size()});
+    Buffer out;
+    append_tlv(out, TlvType::kName, inner);
+    return out;
+  };
+  const std::string most(Name::kMaxBytes, 'x');
+  const Buffer widest = name_wire({most});
+  EXPECT_EQ(encode(decode_name(widest)), widest);
+  EXPECT_THROW((void)decode_name(name_wire({most + "x"})), TlvError);
+  EXPECT_THROW((void)decode_name(name_wire({most, "y"})), TlvError);
+  EXPECT_THROW((void)decode_name(name_wire(std::vector<std::string>(Name::kMaxBytes + 1, "x"))),
+               TlvError);
+}
+
 }  // namespace
 }  // namespace ndnp::ndn

@@ -102,8 +102,8 @@ TEST(TraceGen, SameObjectAlwaysSameDomain) {
   const Trace trace = generate_trace(small_config());
   std::map<std::string, std::string> object_domain;
   for (const TraceRecord& record : trace.records) {
-    const std::string obj = record.name.at(2);
-    const std::string dom = record.name.at(1);
+    const std::string obj(record.name.at(2));
+    const std::string dom(record.name.at(1));
     const auto [it, inserted] = object_domain.emplace(obj, dom);
     EXPECT_EQ(it->second, dom) << "object moved domains";
   }
@@ -248,7 +248,7 @@ TEST(TraceGenLocality, AffinityConcentratesUsersOnDomains) {
   const auto top_domain_share = [](const Trace& trace_in) {
     std::map<std::uint32_t, std::map<std::string, std::size_t>> counts;
     for (const TraceRecord& record : trace_in.records)
-      ++counts[record.user_id][record.name.at(1)];
+      ++counts[record.user_id][std::string(record.name.at(1))];
     double share_sum = 0.0;
     std::size_t users = 0;
     for (const auto& [user, domains] : counts) {
