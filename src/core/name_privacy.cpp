@@ -30,9 +30,9 @@ ndn::Interest UnpredictableNameSession::interest_for(std::uint64_t seq,
 
 ndn::Data UnpredictableNameSession::data_for(std::uint64_t seq, std::string payload,
                                              std::string producer,
-                                             std::string_view producer_key) const {
-  ndn::Data data =
-      ndn::make_data(name_for(seq), std::move(payload), std::move(producer), producer_key);
+                                             ndn::SigningKey producer_key) const {
+  ndn::Data data = ndn::make_data(name_for(seq), std::move(payload), std::move(producer),
+                                  std::move(producer_key));
   data.exact_match_only = true;
   return data;
 }

@@ -42,7 +42,7 @@ class UnpredictableNameSession {
   /// unpredictable name, flagged exact-match-only so routers never return
   /// it for shorter-prefix interests.
   [[nodiscard]] ndn::Data data_for(std::uint64_t seq, std::string payload,
-                                   std::string producer, std::string_view producer_key) const;
+                                   std::string producer, ndn::SigningKey producer_key) const;
 
   [[nodiscard]] const ndn::Name& base() const noexcept { return base_; }
 

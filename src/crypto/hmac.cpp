@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <charconv>
 
 namespace ndnp::crypto {
@@ -11,6 +12,8 @@ namespace {
 [[nodiscard]] std::span<const std::uint8_t> as_bytes(std::string_view s) noexcept {
   return {reinterpret_cast<const std::uint8_t*>(s.data()), s.size()};
 }
+
+std::atomic<std::uint64_t> g_signatures_computed{0};
 
 }  // namespace
 
@@ -66,8 +69,13 @@ std::string Prf::derive_token(std::string_view label, std::uint64_t counter,
   return digest_prefix_hex(derive(label, counter), hex_chars);
 }
 
+std::uint64_t signatures_computed() noexcept {
+  return g_signatures_computed.load(std::memory_order_relaxed);
+}
+
 Sha256Digest sign_content(std::string_view producer_key, std::string_view name,
                           std::string_view payload) noexcept {
+  g_signatures_computed.fetch_add(1, std::memory_order_relaxed);
   // "<name_len>:" prefix gives an injective encoding of (name, payload).
   std::array<char, 24> prefix{};
   char* end = std::to_chars(prefix.data(), prefix.data() + prefix.size() - 1, name.size()).ptr;

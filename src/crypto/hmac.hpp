@@ -70,6 +70,11 @@ class Prf {
 [[nodiscard]] Sha256Digest sign_content(std::string_view producer_key, std::string_view name,
                                         std::string_view payload) noexcept;
 
+/// How many times sign_content has run in this process (verify_content
+/// included), counted with a relaxed atomic from any thread. Lets tests and
+/// benches see how many signatures were actually computed; feeds no output.
+[[nodiscard]] std::uint64_t signatures_computed() noexcept;
+
 /// Verify a simulated signature.
 [[nodiscard]] bool verify_content(std::string_view producer_key, std::string_view name,
                                   std::string_view payload, const Sha256Digest& sig) noexcept;

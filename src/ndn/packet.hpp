@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -57,21 +58,18 @@ struct Interest {
   [[nodiscard]] std::size_t wire_size() const noexcept;
 };
 
-/// Immutable Data content bytes, shared by every copy. Copying a Payload
-/// (and so a Data) adds a reference instead of copying the bytes: a Data
-/// forwarded over k hops and cached at every tier holds its producer's
-/// buffer exactly once, as routers caching whole signed packets would.
-/// An empty payload owns no buffer.
-class Payload {
+/// Immutable bytes shared by every copy: copying adds a reference instead
+/// of copying the bytes. An empty value owns no buffer.
+class SharedBytes {
  public:
-  Payload() noexcept = default;
+  SharedBytes() noexcept = default;
   // Implicit conversions both ways, so `data.payload = "bytes"` and
   // passing a payload where bytes are read stay plain.
-  Payload(std::string bytes)  // NOLINT(google-explicit-constructor)
+  SharedBytes(std::string bytes)  // NOLINT(google-explicit-constructor)
       : bytes_(bytes.empty() ? nullptr
                              : std::make_shared<const std::string>(std::move(bytes))) {}
-  Payload(const char* bytes)  // NOLINT(google-explicit-constructor)
-      : Payload(std::string(bytes)) {}
+  SharedBytes(const char* bytes)  // NOLINT(google-explicit-constructor)
+      : SharedBytes(std::string(bytes)) {}
   operator std::string_view() const noexcept {  // NOLINT(google-explicit-constructor)
     return view();
   }
@@ -81,13 +79,65 @@ class Payload {
   }
   [[nodiscard]] std::size_t size() const noexcept { return bytes_ ? bytes_->size() : 0; }
 
-  /// Content equality: two payloads are equal when their bytes are.
-  friend bool operator==(const Payload& a, const Payload& b) noexcept {
+  /// Content equality: two values are equal when their bytes are.
+  friend bool operator==(const SharedBytes& a, const SharedBytes& b) noexcept {
     return a.view() == b.view();
   }
 
  private:
   std::shared_ptr<const std::string> bytes_;
+};
+
+/// Data content bytes. A Data forwarded over k hops and cached at every
+/// tier holds its producer's buffer exactly once, as routers caching whole
+/// signed packets would.
+using Payload = SharedBytes;
+
+/// A producer's signing key. A producer builds it once and every Data it
+/// makes shares it, so a Data's deferred signature holds no key copy.
+using SigningKey = SharedBytes;
+
+/// A Data's simulated signature: HMAC-SHA-256 over (name URI, payload)
+/// under the producer's key (crypto::sign_content).
+///
+/// A produced signature is computed on first read, exactly once, from
+/// copies of the inputs frozen when the Data was made; every copy of the
+/// Data shares that state and its result, so a Data no one verifies or
+/// encodes is never signed. Changing a Data's name or payload afterwards
+/// leaves its signature over the original bytes, so tampering stays
+/// detectable. A default signature reads as 32 zero bytes and owns
+/// nothing; a decoded one carries the bytes it was decoded from.
+class Signature {
+ public:
+  Signature() noexcept = default;
+  /// Bytes read off the wire.
+  explicit Signature(const crypto::Sha256Digest& bytes);
+  /// Deferred: signs (name, payload) with `key` on first read.
+  Signature(Name name, Payload payload, SigningKey key);
+
+  /// The signature bytes; the first read of a produced signature signs.
+  /// Safe to call from several threads at once.
+  [[nodiscard]] const crypto::Sha256Digest& value() const;
+
+  operator const crypto::Sha256Digest&() const {  // NOLINT(google-explicit-constructor)
+    return value();
+  }
+  operator std::span<const std::uint8_t>() const {  // NOLINT(google-explicit-constructor)
+    return value();
+  }
+  [[nodiscard]] std::uint8_t operator[](std::size_t i) const { return value()[i]; }
+  [[nodiscard]] static constexpr std::size_t size() noexcept {
+    return crypto::kSha256DigestSize;
+  }
+
+  friend bool operator==(const Signature& a, const Signature& b) {
+    return a.value() == b.value();
+  }
+
+ private:
+  struct State;
+  /// Null for the default (all-zero) signature.
+  std::shared_ptr<State> state_;
 };
 
 struct Data {
@@ -98,8 +148,9 @@ struct Data {
   /// Producer identity — NDN content is signed, which is precisely why the
   /// paper notes producers are identifiable from cached content.
   std::string producer;
-  /// Simulated signature over (producer, name, payload).
-  crypto::Sha256Digest signature{};
+  /// Simulated signature over (name, payload) with the producer's key,
+  /// computed when first read (see Signature).
+  Signature signature;
 
   /// Producer-driven privacy bit in the content header (Section V).
   bool producer_private = false;
@@ -127,12 +178,13 @@ struct Data {
   [[nodiscard]] std::size_t wire_size() const noexcept;
 };
 
-/// Build a signed Data packet (signature computed over producer/name/
-/// payload with the producer's key). The Data shares `payload`'s buffer, so
-/// a producer that answers every request with the same bytes builds them
-/// once and still signs each response.
+/// Build a signed Data packet: its signature over (name, payload) with the
+/// producer's key is computed when something first reads it, which on the
+/// simulated network path is never. The Data shares `payload`'s buffer and
+/// `producer_key`, so a producer that answers every request with the same
+/// bytes builds them and its key once.
 [[nodiscard]] Data make_data(Name name, Payload payload, std::string producer,
-                             std::string_view producer_key, bool producer_private = false);
+                             SigningKey producer_key, bool producer_private = false);
 
 /// Why a network element refused to satisfy an interest.
 enum class NackReason {

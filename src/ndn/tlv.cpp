@@ -184,7 +184,7 @@ Buffer encode(const Data& data) {
   Buffer inner = encode(data.name);
   append_tlv(inner, TlvType::kContent, as_bytes(data.payload.view()));
   append_tlv(inner, TlvType::kProducer, as_bytes(data.producer));
-  append_tlv(inner, TlvType::kSignatureValue, data.signature);
+  append_tlv(inner, TlvType::kSignatureValue, data.signature.value());
   if (data.producer_private) append_tlv(inner, TlvType::kProducerPrivate, {});
   if (data.exact_match_only) append_tlv(inner, TlvType::kExactMatchOnly, {});
   if (!data.group_id.empty()) append_tlv(inner, TlvType::kGroupId, as_bytes(data.group_id));
@@ -217,10 +217,13 @@ Data decode_data(std::span<const std::uint8_t> wire) {
       case TlvType::kProducer:
         data.producer.assign(field.value.begin(), field.value.end());
         break;
-      case TlvType::kSignatureValue:
-        require(field.value.size() == data.signature.size(), "bad signature length");
-        std::memcpy(data.signature.data(), field.value.data(), field.value.size());
+      case TlvType::kSignatureValue: {
+        require(field.value.size() == Signature::size(), "bad signature length");
+        crypto::Sha256Digest bytes;
+        std::memcpy(bytes.data(), field.value.data(), field.value.size());
+        data.signature = Signature(bytes);
         break;
+      }
       case TlvType::kProducerPrivate:
         data.producer_private = true;
         break;

@@ -1,6 +1,7 @@
 #include "sim/apps.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "util/logging.hpp"
 
@@ -65,14 +66,21 @@ void Consumer::receive_interest(const ndn::Interest& interest, FaceId) {
 void Consumer::receive_data(const ndn::Data& data, FaceId) {
   ++data_received_;
   // Candidate pending interests are exactly the prefixes of the data name.
-  std::vector<Pending> satisfied;
+  // Matches are collected first and their callbacks run after the walk, in
+  // match order. One match is the common case: it waits in `first`, and
+  // only a second one starts the `more` list, so it allocates nothing.
+  std::optional<Pending> first;
+  std::vector<Pending> more;
   for (std::size_t len = 0; len <= data.name.size(); ++len) {
     const auto map_it = pending_.find(data.name.prefix(len));
     if (map_it == pending_.end()) continue;
     auto& list = map_it->second;
     for (auto it = list.begin(); it != list.end();) {
       if (data.satisfies(it->interest)) {
-        satisfied.push_back(std::move(*it));
+        if (first)
+          more.push_back(std::move(*it));
+        else
+          first.emplace(std::move(*it));
         it = list.erase(it);
         --pending_count_;
       } else {
@@ -81,7 +89,9 @@ void Consumer::receive_data(const ndn::Data& data, FaceId) {
     }
     if (list.empty()) pending_.erase(map_it);
   }
-  for (Pending& pending : satisfied)
+  if (!first) return;
+  if (first->on_data) first->on_data(data, now() - first->sent_at);
+  for (Pending& pending : more)
     if (pending.on_data) pending.on_data(data, now() - pending.sent_at);
 }
 

@@ -104,10 +104,11 @@ class Producer final : public Node {
   [[nodiscard]] const ndn::Data* lookup_repo(const ndn::Interest& interest) const;
 
   ndn::Name prefix_;
-  std::string signing_key_;
+  /// Shared by every response, which signs with it only if read.
+  ndn::SigningKey signing_key_;
   ProducerConfig config_;
   /// Content of every auto-generated response, built once: responses share
-  /// it (each is still signed), so serving costs no payload copy.
+  /// it, so serving costs no payload copy.
   ndn::Payload auto_payload_;
   std::map<ndn::Name, ndn::Data> repo_;
   std::uint64_t interests_served_ = 0;
