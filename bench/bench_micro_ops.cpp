@@ -242,6 +242,30 @@ BENCHMARK(BM_ContentStoreInsertEvict64k)
     ->Arg(static_cast<int>(cache::EvictionPolicy::kLfu))
     ->Arg(static_cast<int>(cache::EvictionPolicy::kRandom));
 
+// A strict-prefix interest against a large store: depth-2 interests
+// (/bench/<g>) over 64k 3-component names (/bench/<g>/<i>) in 256 groups,
+// so each interest matches 256 entries. The store answers it by scanning
+// every entry.
+void BM_ContentStorePrefixLookup64k(benchmark::State& state) {
+  constexpr std::uint64_t kEntries = 65536;
+  constexpr std::uint64_t kGroups = 256;
+  cache::ContentStore cs(0, cache::EvictionPolicy::kLru, 1);
+  for (std::uint64_t i = 0; i < kEntries; ++i) {
+    ndn::Data data;
+    data.name = ndn::Name("/bench").append_number(i % kGroups).append_number(i);
+    cs.insert(std::move(data), {});
+  }
+  std::vector<ndn::Interest> interests(kGroups);
+  for (std::uint64_t g = 0; g < kGroups; ++g)
+    interests[g].name = ndn::Name("/bench").append_number(g * 97 % kGroups);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cs.find(interests[i]));
+    if (++i == interests.size()) i = 0;
+  }
+}
+BENCHMARK(BM_ContentStorePrefixLookup64k);
+
 void BM_EngineRequest(benchmark::State& state) {
   core::CachePrivacyEngine engine(4096, cache::EvictionPolicy::kLru,
                                   core::RandomCachePolicy::exponential(0.999, 1024, 1));

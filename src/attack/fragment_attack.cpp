@@ -24,7 +24,7 @@ FragmentAttackResult run_fragment_attack(const FragmentAttackConfig& config) {
         sim::make_probe_scenario(config.scenario_params(config.seed + trial));
     sim::Consumer& adversary = *scenario->adversary;
     const ndn::Name base =
-        scenario->producer->prefix().append("t" + std::to_string(trial));
+        scenario->producer->prefix().append(std::string("t").append(std::to_string(trial)));
 
     // Calibration: the decision threshold is the midpoint of the mean miss
     // and mean hit reference RTTs.

@@ -36,7 +36,7 @@ PitProbeResult run_pit_collapse_attack(const PitProbeConfig& config) {
         sim::make_probe_scenario(pit_probe_scenario(config.seed + trial, config));
     sim::Scheduler& sched = scenario->topology.scheduler();
     sim::Consumer& adversary = *scenario->adversary;
-    const ndn::Name base = scenario->producer->prefix().append("t" + std::to_string(trial));
+    const ndn::Name base = scenario->producer->prefix().append(std::string("t").append(std::to_string(trial)));
 
     // Calibrate the full-fetch RTT on a throwaway name.
     const double full_ms =

@@ -128,7 +128,7 @@ TimingAttackResult run_timing_attack(const TimingAttackConfig& config) {
         sim::make_probe_scenario(config.scenario_params(config.seed + trial));
     sim::Consumer& adversary = *scenario->adversary;
     const ndn::Name base =
-        scenario->producer->prefix().append("t" + std::to_string(trial));
+        scenario->producer->prefix().append(std::string("t").append(std::to_string(trial)));
 
     // The adversary probes `name`; its RTT is a hit or a miss sample.
     const auto probe = [&](const ndn::Name& name, bool hit) {
@@ -177,7 +177,7 @@ double run_decision_protocol(const TimingAttackConfig& config) {
         sim::make_probe_scenario(config.scenario_params(config.seed + trial));
     sim::Consumer& adversary = *scenario->adversary;
     const ndn::Name base =
-        scenario->producer->prefix().append("t" + std::to_string(trial));
+        scenario->producer->prefix().append(std::string("t").append(std::to_string(trial)));
 
     const References refs = calibrate_references(adversary, base, kCalibrationProbes, kAttack);
     // The victim requests the target with probability 1/2, unknown to Adv.

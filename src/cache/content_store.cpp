@@ -46,16 +46,16 @@ ContentStore::Node* ContentStore::exact_find(std::uint64_t hash,
   return slot ? slot->get() : nullptr;
 }
 
+bool ContentStore::caches_deeper_than(std::size_t depth) const noexcept {
+  for (std::size_t d = depth + 1; d < entries_at_depth_.size(); ++d)
+    if (entries_at_depth_[d] != 0) return true;
+  return false;
+}
+
 InsertHint ContentStore::prepare(const ndn::Name& name) {
   InsertHint hint;
-  hint.count_ = name.size() + 1;
-  std::uint64_t* out = hint.inline_.data();
-  if (hint.count_ > InsertHint::kInlineHashes) {
-    hint.spill_.resize(hint.count_);
-    out = hint.spill_.data();
-  }
-  name.visit_prefix_hashes([&out](std::uint64_t h) { *out++ = h; });
-  const auto probe = entries_.probe(hint.name_hash(), [&name](const std::unique_ptr<Node>& node) {
+  hint.name_hash_ = name.hash64();
+  const auto probe = entries_.probe(hint.name_hash_, [&name](const std::unique_ptr<Node>& node) {
     return node->data.name == name;
   });
   hint.existing_ = probe.found ? probe.found->get() : nullptr;
@@ -69,7 +69,7 @@ Entry& ContentStore::insert(ndn::Data data, EntryMeta meta) {
 }
 
 Entry& ContentStore::insert(ndn::Data data, EntryMeta meta, const InsertHint& hint) {
-  assert(hint.count_ == data.name.size() + 1);
+  assert(hint.name_hash_ == data.name.hash64());
   ++stats_.inserts;
   if (Entry* existing = hint.existing_) {
     // Overwrite in place; keep eviction position (refresh handled by
@@ -92,32 +92,13 @@ Entry& ContentStore::insert(ndn::Data data, EntryMeta meta, const InsertHint& hi
   Node* raw = node.get();
   raw->data = std::move(data);
   raw->meta = meta;
-  raw->name_hash = hint.name_hash();
-  // resize() reuses a recycled node's capacity.
-  raw->prefixes.resize(hint.count_);
-  for (std::size_t d = 0; d < hint.count_; ++d)
-    raw->prefixes[d] = {.hash = hint.prefix_hash(d)};
-
+  raw->name_hash = hint.name_hash_;
   index_insert(raw);
-
-  // Register under every *strict* prefix depth. Depth 0 is all_entries_
-  // (shared with the random-eviction index); depths 1..depth-1 live in the
-  // per-depth hash tables. The entry's own full depth is deliberately not
-  // registered: an interest at that depth naming this entry exactly is
-  // served by the exact-match fast path in find(), so a full-depth bucket
-  // (one per unique name — pure alloc/probe churn) would never decide a
-  // lookup.
-  raw->prefixes[0].pos = static_cast<std::uint32_t>(all_entries_.size());
+  raw->pos = static_cast<std::uint32_t>(all_entries_.size());
   all_entries_.push_back(raw);
-  if (raw->depth() >= 2 && prefix_index_.size() < raw->depth())
-    prefix_index_.resize(raw->depth());
-  for (std::size_t d = 1; d < raw->depth(); ++d) {
-    auto [bucket, created] = prefix_index_[d].emplace(
-        raw->prefixes[d].hash, {}, [](const std::vector<Node*>&) { return true; });
-    (void)created;
-    raw->prefixes[d].pos = static_cast<std::uint32_t>(bucket->size());
-    bucket->push_back(raw);
-  }
+  const std::size_t depth = raw->data.name.size();
+  if (depth >= entries_at_depth_.size()) entries_at_depth_.resize(depth + 1);
+  ++entries_at_depth_[depth];
 
   entries_.emplace_at(hint.slot_, raw->name_hash, std::move(node));
   NDNP_TRACE_EVENT(util::TraceEventType::kCsInsert, trace_label_, meta.inserted_at,
@@ -139,12 +120,11 @@ Entry* ContentStore::find_impl(const ndn::Interest& interest, util::SimTime now,
                                bool& saw_stale) {
   ++stats_.lookups;
   const bool check_freshness = interest.must_be_fresh && now != util::kTimeUnset;
-  const std::uint64_t hash = interest.name.hash64();
 
   // Exact fast path: an entry named exactly interest.name always satisfies
   // (prefix trivially, exact-only by equality) and — having the empty
   // suffix — is the lexicographically smallest possible match.
-  if (Node* node = exact_find(hash, interest.name)) {
+  if (Node* node = exact_find(interest.name.hash64(), interest.name)) {
     if (!check_freshness || node->fresh_at(now)) {
       ++stats_.matches;
       return node;
@@ -152,24 +132,14 @@ Entry* ContentStore::find_impl(const ndn::Interest& interest, util::SimTime now,
     saw_stale = true;
   }
 
-  // Prefix path: every *strictly deeper* candidate sits in the bucket
-  // keyed by the interest name's own hash at its own depth (a depth-p
-  // entry named exactly interest.name was already handled above). Among
-  // the eligible ones, return the lexicographically smallest
-  // (canonical-order selector).
-  const std::size_t depth = interest.name.size();
-  const std::vector<Node*>* bucket = nullptr;
-  if (depth == 0) {
-    bucket = &all_entries_;
-  } else if (depth < prefix_index_.size()) {
-    bucket = prefix_index_[depth].find(hash, [](const std::vector<Node*>&) { return true; });
-  }
-  if (!bucket) return nullptr;
+  // Prefix path: only a strictly deeper name can still match (one named
+  // exactly interest.name was handled above). Scan every entry, and return
+  // the lexicographically smallest eligible one (canonical-order
+  // selector), so the scan order does not matter.
+  if (!caches_deeper_than(interest.name.size())) return nullptr;
 
   Node* best = nullptr;
-  for (Node* node : *bucket) {
-    // satisfies() re-checks the prefix relation, which also screens out
-    // hash-collision strangers sharing this bucket.
+  for (Node* node : all_entries_) {
     if (!node->data.satisfies(interest)) continue;
     if (check_freshness && !node->fresh_at(now)) {
       saw_stale = true;
@@ -189,8 +159,7 @@ const Entry* ContentStore::find(const ndn::Interest& interest, util::SimTime now
 void ContentStore::touch(Entry& entry, util::SimTime now) {
   entry.meta.last_access = now;
   Node* node = static_cast<Node*>(&entry);
-  assert(node->prefixes[0].pos < all_entries_.size() &&
-         all_entries_[node->prefixes[0].pos] == node);
+  assert(node->pos < all_entries_.size() && all_entries_[node->pos] == node);
   index_access(node);
 }
 
@@ -210,31 +179,13 @@ bool ContentStore::erase(const ndn::Name& name) {
 void ContentStore::remove_node(Node* node) {
   index_erase(node);
 
-  // Unregister from every prefix bucket: swap-and-pop, fixing the moved
-  // node's back-pointer for that depth. Depth 0 is all_entries_.
-  {
-    const std::size_t idx = node->prefixes[0].pos;
-    if (idx + 1 != all_entries_.size()) {
-      all_entries_[idx] = all_entries_.back();
-      all_entries_[idx]->prefixes[0].pos = static_cast<std::uint32_t>(idx);
-    }
-    all_entries_.pop_back();
+  const std::size_t idx = node->pos;
+  if (idx + 1 != all_entries_.size()) {
+    all_entries_[idx] = all_entries_.back();
+    all_entries_[idx]->pos = static_cast<std::uint32_t>(idx);
   }
-  for (std::size_t d = 1; d < node->depth(); ++d) {
-    std::vector<Node*>* bucket =
-        prefix_index_[d].find(node->prefixes[d].hash, [](const std::vector<Node*>&) { return true; });
-    assert(bucket != nullptr);
-    const std::size_t idx = node->prefixes[d].pos;
-    assert(idx < bucket->size() && (*bucket)[idx] == node);
-    if (idx + 1 != bucket->size()) {
-      (*bucket)[idx] = bucket->back();
-      (*bucket)[idx]->prefixes[d].pos = static_cast<std::uint32_t>(idx);
-    }
-    bucket->pop_back();
-    if (bucket->empty())
-      prefix_index_[d].erase(node->prefixes[d].hash,
-                             [](const std::vector<Node*>&) { return true; });
-  }
+  all_entries_.pop_back();
+  --entries_at_depth_[node->data.name.size()];
 
   bool erased = false;
   std::unique_ptr<Node> owned = entries_.extract(
@@ -255,7 +206,7 @@ std::unique_ptr<ContentStore::Node> ContentStore::acquire_node() {
 void ContentStore::clear() {
   stats_.wiped += all_entries_.size();
   entries_.clear();
-  for (auto& table : prefix_index_) table.clear();
+  entries_at_depth_.clear();
   all_entries_.clear();
   order_head_ = order_tail_ = nullptr;
   lfu_free_all();

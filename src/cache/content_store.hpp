@@ -15,25 +15,23 @@
 //  - exact matches go through an open-addressing hash index keyed on
 //    Name::hash64(), computed once per entry and cached — no ordered
 //    string-vector comparisons;
-//  - prefix matches go through a per-prefix-depth hash index: an entry of
-//    depth D registers under the hashes of its strict prefixes (one FNV
-//    pass, see Name::visit_prefix_hashes), and an interest of depth p probes
-//    exactly the depth-p bucket — a depth-p entry named exactly like the
-//    interest is covered by the exact index, so full-depth buckets are
-//    never created;
+//  - a strict-prefix interest (one naming no cached entry exactly, or only
+//    a stale one) scans every entry, but only when some cached name has
+//    more components than the interest: a count of entries per name depth
+//    answers that, so a store probed only by full names never scans. Among
+//    the paper's experiments only conversation detection (Section I) asks
+//    for prefixes, over stores of a few hundred entries;
 //  - eviction order is an intrusive doubly-linked list over entry nodes
 //    (LRU/FIFO) or intrusive per-frequency FIFO buckets (LFU) — no
 //    std::list<Name> of name copies;
-//  - the random-eviction index is the depth-0 prefix bucket (the list of
-//    all entries in insertion order with swap-and-pop removal), folded
-//    into the same node storage.
+//  - the random-eviction index is the list of all entries in insertion
+//    order with swap-and-pop removal, the same list the prefix scan walks.
 // The externally observable behavior (match selection, victim choice,
 // stats, RNG consumption) is bit-identical to the original ordered-map
 // implementation; tests/test_cs_differential.cpp proves it against a
 // naive reference model over randomized op streams.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -98,7 +96,7 @@ struct Entry {
 /// Raw cache counters (mechanical; privacy-visible hit/miss accounting is
 /// done a layer up where the policy decides what to expose). Each find()
 /// bumps `lookups` exactly once — the internal exact-index fast path and
-/// the prefix-bucket fallback are one lookup, not two.
+/// the prefix scan are one lookup, not two.
 struct CacheStats {
   std::uint64_t lookups = 0;
   std::uint64_t matches = 0;
@@ -121,23 +119,11 @@ class InsertHint {
  private:
   friend class ContentStore;
 
-  /// Names of up to kInlineHashes - 1 components keep their prefix hashes
-  /// inline; deeper names spill them to the heap.
-  static constexpr std::size_t kInlineHashes = 8;
-
-  /// Hash of the depth-d prefix, d in [0, name depth].
-  [[nodiscard]] std::uint64_t prefix_hash(std::size_t d) const noexcept {
-    return count_ <= kInlineHashes ? inline_[d] : spill_[d];
-  }
-  [[nodiscard]] std::uint64_t name_hash() const noexcept { return prefix_hash(count_ - 1); }
-
   Entry* existing_ = nullptr;
+  /// Name::hash64() of the prepared name.
+  std::uint64_t name_hash_ = 0;
   /// Exact-index slot a new entry for this name takes.
   std::size_t slot_ = 0;
-  /// Number of prefix hashes: name depth + 1.
-  std::size_t count_ = 0;
-  std::array<std::uint64_t, kInlineHashes> inline_{};
-  std::vector<std::uint64_t> spill_;
 };
 
 class ContentStore {
@@ -152,10 +138,10 @@ class ContentStore {
 
   ~ContentStore();
 
-  /// Probe for `name` before caching Data under it: one pass over the
-  /// name's prefix hashes and one exact-index probe. The hint names the
-  /// entry already cached under exactly `name`, if any, and otherwise
-  /// carries what insert() needs. Not a lookup: no stats change.
+  /// Probe for `name` before caching Data under it: one name hash and one
+  /// exact-index probe. The hint names the entry already cached under
+  /// exactly `name`, if any, and otherwise carries what insert() needs. Not
+  /// a lookup: no stats change.
   [[nodiscard]] InsertHint prepare(const ndn::Name& name);
 
   /// Insert (or overwrite) content, given the hint prepare(data.name)
@@ -224,22 +210,12 @@ class ContentStore {
  private:
   struct FreqBucket;
 
-  /// Per-depth registration record: the hash of the entry name's depth-d
-  /// prefix (computed once at insert, one FNV pass for all depths) and the
-  /// node's current index inside that depth's bucket (maintained by
-  /// swap-and-pop; pos of depth 0 indexes all_entries_).
-  struct PrefixRef {
-    std::uint64_t hash = 0;
-    std::uint32_t pos = 0;
-  };
-
   /// An entry plus its index bookkeeping. Every Entry the store hands out
   /// is the base of a Node, so touch() gets from one to the other with a
   /// static_cast.
   struct Node : Entry {
-    /// prefixes[d] for d in [0, depth]; prefixes.back().hash duplicates
-    /// name_hash.
-    std::vector<PrefixRef> prefixes;
+    /// Index of this node in all_entries_ (maintained by swap-and-pop).
+    std::uint32_t pos = 0;
     // Intrusive LRU/FIFO list (head = MRU / newest insertion).
     Node* order_prev = nullptr;
     Node* order_next = nullptr;
@@ -248,8 +224,6 @@ class ContentStore {
     Node* freq_next = nullptr;
     FreqBucket* freq_bucket = nullptr;
     std::uint64_t freq = 0;
-
-    [[nodiscard]] std::size_t depth() const noexcept { return prefixes.size() - 1; }
   };
 
   /// LFU frequency buckets, ascending by freq, each holding its nodes in
@@ -267,6 +241,7 @@ class ContentStore {
   [[nodiscard]] Entry* find_impl(const ndn::Interest& interest, util::SimTime now,
                                  bool& saw_stale);
   [[nodiscard]] Node* exact_find(std::uint64_t hash, const ndn::Name& name) const noexcept;
+  [[nodiscard]] bool caches_deeper_than(std::size_t depth) const noexcept;
   void index_insert(Node* node);
   void index_access(Node* node);
   void index_erase(Node* node);
@@ -288,22 +263,16 @@ class ContentStore {
   /// Exact-match index and owner of all nodes, keyed by full-name hash.
   util::OpenHashTable<std::unique_ptr<Node>> entries_;
   /// Recycled nodes (bounded by the historical peak entry count): the
-  /// steady-state insert+evict loop reuses the victim's allocation —
-  /// including its PrefixRef vector capacity — instead of hitting the
-  /// allocator every cycle.
+  /// steady-state insert+evict loop reuses the victim's allocation instead
+  /// of hitting the allocator every cycle.
   std::vector<std::unique_ptr<Node>> free_nodes_;
-  /// prefix_index_[d] (d >= 1): hash-of-depth-d-prefix -> bucket of nodes
-  /// whose name has that *strict* prefix (entries of depth exactly d are
-  /// only in entries_; the exact fast path finds them). Hash collisions
-  /// may mix prefixes in one bucket; find() filters candidates through
-  /// Data::satisfies, so a collision costs a comparison, never a wrong
-  /// answer.
-  std::vector<util::OpenHashTable<std::vector<Node*>>> prefix_index_;
-  /// Every node, in insertion order with swap-and-pop removal. Serves the
-  /// depth-0 (root prefix) lookups and doubles as the random-eviction
-  /// index — identical order and RNG consumption to the historical
-  /// by_index_ vector.
+  /// Every node, in insertion order with swap-and-pop removal. The prefix
+  /// scan walks it, and it doubles as the random-eviction index — identical
+  /// order and RNG consumption to the historical by_index_ vector.
   std::vector<Node*> all_entries_;
+  /// entries_at_depth_[d]: cached names of exactly d components. A prefix
+  /// interest of depth p scans only if some count past p is nonzero.
+  std::vector<std::size_t> entries_at_depth_;
   Node* order_head_ = nullptr;  // LRU/FIFO: front = MRU / newest
   Node* order_tail_ = nullptr;  // LRU tail = least recent; FIFO tail = oldest
   FreqBucket* freq_head_ = nullptr;  // LFU: lowest frequency bucket

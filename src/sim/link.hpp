@@ -10,15 +10,12 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
 
 #include "sim/faults.hpp"
 #include "util/rng.hpp"
 #include "util/sim_time.hpp"
 
 namespace ndnp::sim {
-
-class PacketTap;
 
 enum class JitterKind {
   kNone,
@@ -47,10 +44,6 @@ struct LinkConfig {
   /// finite bandwidth): later packets wait for earlier ones, so
   /// cross-traffic adds genuine queueing delay instead of iid jitter.
   bool fifo_queue = false;
-  /// Optional capture tap (see sim/capture.hpp): every packet transmitted
-  /// over the link, in either direction, is recorded (including packets
-  /// the link then loses — the tap sits at the sender).
-  std::shared_ptr<PacketTap> tap;
   /// Deterministic fault injection (sim/faults.hpp). Disabled by default;
   /// a disabled config adds zero overhead and zero RNG draws, so existing
   /// experiments are bit-identical with or without this field.

@@ -1,7 +1,5 @@
 #include "sim/node.hpp"
 
-#include "sim/capture.hpp"
-
 #include <algorithm>
 #include <stdexcept>
 
@@ -177,16 +175,6 @@ void Node::transmit_packet(FaceId face, const Packet& packet, const char* kind) 
 }
 
 void Node::send_interest(FaceId face, const ndn::Interest& interest) {
-  Node* peer = faces_.at(face).peer;
-  if (const auto& tap = faces_.at(face).config.tap) {
-    tap->record({.sent_at = scheduler_.now(),
-                 .kind = PacketKind::kInterest,
-                 .sender = name_,
-                 .receiver = peer->name(),
-                 .name = interest.name,
-                 .wire_bytes = interest.wire_size(),
-                 .wire = ndn::encode(interest)});
-  }
   NDNP_TRACE_EVENT(util::TraceEventType::kInterestTx, name_, scheduler_.now(),
                    interest.name.to_uri(), interest.private_req ? "private=1" : "private=0",
                    static_cast<std::int64_t>(face));
@@ -194,16 +182,6 @@ void Node::send_interest(FaceId face, const ndn::Interest& interest) {
 }
 
 void Node::send_data(FaceId face, const ndn::Data& data) {
-  Node* peer = faces_.at(face).peer;
-  if (const auto& tap = faces_.at(face).config.tap) {
-    tap->record({.sent_at = scheduler_.now(),
-                 .kind = PacketKind::kData,
-                 .sender = name_,
-                 .receiver = peer->name(),
-                 .name = data.name,
-                 .wire_bytes = data.wire_size(),
-                 .wire = ndn::encode(data)});
-  }
   NDNP_TRACE_EVENT(util::TraceEventType::kDataTx, name_, scheduler_.now(), data.name.to_uri(),
                    {}, static_cast<std::int64_t>(face),
                    static_cast<std::int64_t>(data.wire_size()));
@@ -211,16 +189,6 @@ void Node::send_data(FaceId face, const ndn::Data& data) {
 }
 
 void Node::send_nack(FaceId face, const ndn::Nack& nack) {
-  Node* peer = faces_.at(face).peer;
-  if (const auto& tap = faces_.at(face).config.tap) {
-    tap->record({.sent_at = scheduler_.now(),
-                 .kind = PacketKind::kNack,
-                 .sender = name_,
-                 .receiver = peer->name(),
-                 .name = nack.interest.name,
-                 .wire_bytes = nack.wire_size(),
-                 .wire = ndn::encode(nack.interest)});
-  }
   NDNP_TRACE_EVENT(util::TraceEventType::kNackTx, name_, scheduler_.now(),
                    nack.interest.name.to_uri(), {}, static_cast<std::int64_t>(face));
   transmit_packet(face, nack, "nack");

@@ -60,7 +60,7 @@ std::unique_ptr<ProbeScenario> make_probe_scenario(const ScenarioParams& params)
     ForwarderConfig core_config = params.router_config;
     core_config.honor_scope = false;
     Forwarder& next =
-        topo.add_router("X" + std::to_string(hop), core_config,
+        topo.add_router(std::string("X").append(std::to_string(hop)), core_config,
                         params.core_router_policy ? params.core_router_policy() : nullptr);
     const auto [up_face, down_face] = topo.link(*upstream, next, params.core_link);
     (void)down_face;

@@ -234,7 +234,7 @@ TEST_P(CounterAttackSweep, RecoversExactPriorCount) {
 }
 
 INSTANTIATE_TEST_SUITE_P(PriorRequests, CounterAttackSweep, ::testing::Values(0, 1, 2, 3, 4, 5),
-                         [](const auto& info) { return "x" + std::to_string(info.param); });
+                         [](const auto& info) { return std::string("x").append(std::to_string(info.param)); });
 
 TEST(CounterAttack, SaturatesBeyondK) {
   const CounterAttackResult result = run_naive_counter_attack(5, 9);

@@ -1,16 +1,30 @@
-#include "sim/capture.hpp"
-
+// Packet capture on simulated links, read from the flight recorder. Every
+// packet a node sends leaves an interest_tx / data_tx / nack_tx event at the
+// sender, then link_enqueue (or link_drop when the link loses it) at the
+// sender and link_dequeue at the receiver.
 #include <gtest/gtest.h>
 
-#include <optional>
-#include <sstream>
+#include <string>
+#include <vector>
 
 #include "sim/apps.hpp"
 #include "sim/fetch_util.hpp"
 #include "sim/forwarder.hpp"
+#include "util/tracing.hpp"
 
 namespace ndnp::sim {
 namespace {
+
+using util::TraceEvent;
+using util::TraceEventType;
+
+/// The events of one type, in recording order.
+std::vector<TraceEvent> events_of(const util::Tracer& tracer, TraceEventType type) {
+  std::vector<TraceEvent> out;
+  for (const TraceEvent& event : tracer.events())
+    if (event.type == type) out.push_back(event);
+  return out;
+}
 
 TEST(PacketTap, RecordsBothDirections) {
   Scheduler sched;
@@ -18,50 +32,31 @@ TEST(PacketTap, RecordsBothDirections) {
   Producer producer(sched, "P", ndn::Name("/p"), "key", {}, 2);
   LinkConfig link;
   link.latency = util::millis(1);
-  link.tap = std::make_shared<PacketTap>();
   connect(consumer, producer, link);
 
+  util::Tracer tracer;
+  util::TracerBinding binding(&tracer);
   ASSERT_TRUE(fetch_blocking(consumer, {.name = ndn::Name("/p/x")}));
 
-  ASSERT_EQ(link.tap->size(), 2u);
-  EXPECT_EQ(link.tap->count(PacketKind::kInterest), 1u);
-  EXPECT_EQ(link.tap->count(PacketKind::kData), 1u);
+  const std::vector<TraceEvent> interests = events_of(tracer, TraceEventType::kInterestTx);
+  ASSERT_EQ(interests.size(), 1u);
+  EXPECT_EQ(tracer.label(interests[0].node), "C");
+  EXPECT_EQ(interests[0].name, "/p/x");
+  EXPECT_EQ(interests[0].time, 0);
 
-  const CapturedPacket& interest = link.tap->packets()[0];
-  EXPECT_EQ(interest.sender, "C");
-  EXPECT_EQ(interest.receiver, "P");
-  EXPECT_EQ(interest.name.to_uri(), "/p/x");
-  EXPECT_EQ(interest.sent_at, 0);
+  const std::vector<TraceEvent> data = events_of(tracer, TraceEventType::kDataTx);
+  ASSERT_EQ(data.size(), 1u);
+  EXPECT_EQ(tracer.label(data[0].node), "P");
+  EXPECT_EQ(data[0].name, "/p/x");
+  EXPECT_GT(data[0].time, util::millis(1) - 1);
 
-  const CapturedPacket& data = link.tap->packets()[1];
-  EXPECT_EQ(data.sender, "P");
-  EXPECT_EQ(data.receiver, "C");
-  EXPECT_GT(data.sent_at, util::millis(1) - 1);
-}
-
-TEST(PacketTap, WireBytesDecodeBackToPackets) {
-  Scheduler sched;
-  Consumer consumer(sched, "C", 1);
-  Producer producer(sched, "P", ndn::Name("/p"), "key", {}, 2);
-  LinkConfig link;
-  link.latency = util::millis(1);
-  link.tap = std::make_shared<PacketTap>();
-  connect(consumer, producer, link);
-
-  ndn::Interest probe;
-  probe.name = ndn::Name("/p/doc");
-  probe.must_be_fresh = true;
-  consumer.express_interest(probe, [](const ndn::Data&, util::SimDuration) {});
-  sched.run();
-
-  const ndn::Interest decoded_interest =
-      ndn::decode_interest(link.tap->packets()[0].wire);
-  EXPECT_EQ(decoded_interest.name.to_uri(), "/p/doc");
-  EXPECT_TRUE(decoded_interest.must_be_fresh);
-
-  const ndn::Data decoded_data = ndn::decode_data(link.tap->packets()[1].wire);
-  EXPECT_EQ(decoded_data.name.to_uri(), "/p/doc");
-  EXPECT_EQ(decoded_data.producer, "P");
+  // Each crossing arrives at the other end.
+  const std::vector<TraceEvent> arrivals = events_of(tracer, TraceEventType::kLinkDequeue);
+  ASSERT_EQ(arrivals.size(), 2u);
+  EXPECT_EQ(tracer.label(arrivals[0].node), "P");
+  EXPECT_EQ(arrivals[0].detail, "kind=interest");
+  EXPECT_EQ(tracer.label(arrivals[1].node), "C");
+  EXPECT_EQ(arrivals[1].detail, "kind=data");
 }
 
 TEST(PacketTap, RecordsNacks) {
@@ -70,12 +65,21 @@ TEST(PacketTap, RecordsNacks) {
   Forwarder router(sched, "R", {});  // no routes: NACK
   LinkConfig link;
   link.latency = util::millis(1);
-  link.tap = std::make_shared<PacketTap>();
   connect(consumer, router, link);
+
+  util::Tracer tracer;
+  util::TracerBinding binding(&tracer);
   consumer.fetch(ndn::Name("/nowhere"), [](const ndn::Data&, util::SimDuration) {});
   sched.run();
-  EXPECT_EQ(link.tap->count(PacketKind::kNack), 1u);
-  EXPECT_EQ(link.tap->packets().back().sender, "R");
+
+  const std::vector<TraceEvent> nacks = events_of(tracer, TraceEventType::kNackTx);
+  ASSERT_EQ(nacks.size(), 1u);
+  EXPECT_EQ(tracer.label(nacks[0].node), "R");
+  EXPECT_EQ(nacks[0].name, "/nowhere");
+  const std::vector<TraceEvent> arrivals = events_of(tracer, TraceEventType::kLinkDequeue);
+  ASSERT_FALSE(arrivals.empty());
+  EXPECT_EQ(tracer.label(arrivals.back().node), "C");
+  EXPECT_EQ(arrivals.back().detail, "kind=nack");
 }
 
 TEST(PacketTap, SeesPacketsTheLinkLoses) {
@@ -85,37 +89,26 @@ TEST(PacketTap, SeesPacketsTheLinkLoses) {
   LinkConfig link;
   link.latency = util::millis(1);
   link.loss_probability = 1.0;  // everything dropped in flight
-  link.tap = std::make_shared<PacketTap>();
   connect(consumer, producer, link);
+
+  util::Tracer tracer;
+  util::TracerBinding binding(&tracer);
   consumer.fetch(ndn::Name("/p/x"), [](const ndn::Data&, util::SimDuration) {});
   sched.run();
-  EXPECT_EQ(link.tap->count(PacketKind::kInterest), 1u);  // tap sits at the sender
+
+  // The sender's event is recorded even though the link loses the packet.
+  EXPECT_EQ(events_of(tracer, TraceEventType::kInterestTx).size(), 1u);
+  const std::vector<TraceEvent> drops = events_of(tracer, TraceEventType::kLinkDrop);
+  ASSERT_EQ(drops.size(), 1u);
+  EXPECT_EQ(tracer.label(drops[0].node), "C");
+  EXPECT_EQ(drops[0].name, "/p/x");
+  EXPECT_EQ(drops[0].detail, "kind=interest");
+  EXPECT_TRUE(events_of(tracer, TraceEventType::kLinkDequeue).empty());
   EXPECT_EQ(producer.interests_served(), 0u);
 }
 
-TEST(PacketTap, DumpFormat) {
-  Scheduler sched;
-  Consumer consumer(sched, "C", 1);
-  Producer producer(sched, "P", ndn::Name("/p"), "key", {}, 2);
-  LinkConfig link;
-  link.latency = util::millis(1);
-  link.tap = std::make_shared<PacketTap>();
-  connect(consumer, producer, link);
-  consumer.fetch(ndn::Name("/p/x"), [](const ndn::Data&, util::SimDuration) {});
-  sched.run();
-
-  std::ostringstream out;
-  link.tap->dump(out);
-  const std::string text = out.str();
-  EXPECT_NE(text.find("C > P INTEREST /p/x"), std::string::npos);
-  EXPECT_NE(text.find("P > C DATA /p/x"), std::string::npos);
-
-  link.tap->clear();
-  EXPECT_EQ(link.tap->size(), 0u);
-}
-
 TEST(PacketTap, NoTapNoOverheadPathStillWorks) {
-  // Links without taps behave exactly as before (smoke check).
+  // With no tracer bound, links behave exactly as before (smoke check).
   Scheduler sched;
   Consumer consumer(sched, "C", 1);
   Producer producer(sched, "P", ndn::Name("/p"), "key", {}, 2);

@@ -4,8 +4,10 @@
 
 #include <set>
 #include <string>
+#include <vector>
 
 #include "util/rng.hpp"
+#include "util/tracing.hpp"
 
 namespace ndnp::cache {
 namespace {
@@ -287,7 +289,7 @@ TEST(ContentStore, UnboundedInsertsThroughHintsSurviveTableGrowth) {
   cs.check_integrity();
 }
 
-TEST(ContentStore, DeepNamesSpillTheirPrefixHashes) {
+TEST(ContentStore, PrefixInterestFindsADeepNameUntilItIsEvicted) {
   std::string uri;
   for (int d = 0; d < 12; ++d) uri += "/c" + std::to_string(d);
   ContentStore cs(2);
@@ -301,6 +303,33 @@ TEST(ContentStore, DeepNamesSpillTheirPrefixHashes) {
   EXPECT_FALSE(cs.contains(ndn::Name(uri)));
   EXPECT_EQ(cs.find(interest_for("/c0/c1/c2/c3/c4/c5")), nullptr);
   cs.check_integrity();
+}
+
+TEST(ContentStore, StaleDeeperEntryTracesAnExpiredPrefixLookup) {
+  // Only a stale deeper entry matches the MustBeFresh prefix interest: the
+  // lookup misses, and its cs_lookup event says the match had expired.
+  ContentStore cs(4);
+  ndn::Data stale = make_content("/a/b/c");
+  stale.freshness_period = 5;  // fresh until t=6 (inserted at t=1)
+  cs.insert(std::move(stale), meta_at(1));
+  cs.insert(make_content("/x/y"), meta_at(2));
+  ndn::Interest interest = interest_for("/a/b");
+  interest.must_be_fresh = true;
+
+  util::Tracer tracer;
+  util::TracerBinding binding(&tracer);
+  EXPECT_NE(cs.find(interest, /*now=*/3), nullptr);
+  EXPECT_EQ(cs.find(interest, /*now=*/10), nullptr);
+  const Entry* shallow = cs.find(interest_for("/x"), /*now=*/10);
+  ASSERT_NE(shallow, nullptr);
+  EXPECT_EQ(shallow->data.name, ndn::Name("/x/y"));
+
+  std::vector<std::string> details;
+  for (const util::TraceEvent& event : tracer.events())
+    if (event.type == util::TraceEventType::kCsLookup) details.push_back(event.detail);
+  EXPECT_EQ(details, (std::vector<std::string>{"result=hit depth=2 policy=LRU",
+                                               "result=expired depth=2 policy=LRU",
+                                               "result=hit depth=1 policy=LRU"}));
 }
 
 // Property sweep: every policy must respect capacity, keep find() coherent

@@ -12,9 +12,10 @@
 // counters. Random eviction is aligned by construction: both stores are
 // seeded identically and draw from util::Rng only when picking a victim.
 //
-// If the optimized store's open-addressing exact index, per-depth prefix
-// index, intrusive eviction lists or node recycling ever diverge from
-// plain NDN cache semantics, some op in these streams will catch it.
+// If the optimized store's open-addressing exact index, its prefix scan
+// (taken only while a deeper name is cached), intrusive eviction lists or
+// node recycling ever diverge from plain NDN cache semantics, some op in
+// these streams will catch it.
 #include "cache/content_store.hpp"
 
 #include <gtest/gtest.h>
@@ -107,6 +108,11 @@ class ReferenceContentStore {
   }
 
   [[nodiscard]] bool contains(const ndn::Name& name) const { return entries_.contains(name); }
+  [[nodiscard]] std::size_t count_at_depth(std::size_t depth) const {
+    std::size_t n = 0;
+    for (const auto& [name, node] : entries_) n += name.size() == depth ? 1 : 0;
+    return n;
+  }
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
   [[nodiscard]] const CacheStats& stats() const noexcept { return stats_; }
   /// Name evicted by the most recent insert(), if that insert evicted.
@@ -220,12 +226,25 @@ class ReferenceContentStore {
 constexpr std::size_t kOpsPerPolicy = 120'000;
 constexpr std::size_t kCapacity = 64;
 
-/// Hierarchical names over a small alphabet so prefixes collide heavily:
-/// depth 1..4, six choices per component (plus an occasional reserved
-/// deep branch). ~1.6k distinct names vs a capacity-64 cache.
-ndn::Name random_name(util::Rng& rng) {
+enum class NameMix { kUniform, kDepthSkewed };
+
+/// The deepest depth of the kDepthSkewed mix.
+constexpr std::size_t kSkewedDeepDepth = 5;
+
+/// kUniform: hierarchical names over a small alphabet so prefixes collide
+/// heavily: depth 1..4, six choices per component. ~1.6k distinct names vs
+/// a capacity-64 cache.
+/// kDepthSkewed: depth 1..2 over the same alphabet, except 1 draw in 32
+/// from a two-name depth-5 branch (/a/a/a/a/{a,b}). So few deep names are
+/// cached that the deepest depth keeps emptying (through eviction, erase
+/// and clear) and refilling, and prefix interests arrive on both sides of
+/// that boundary.
+ndn::Name random_name(util::Rng& rng, NameMix mix = NameMix::kUniform) {
   static const std::string kAlphabet[] = {"a", "b", "c", "d", "e", "f"};
-  const std::size_t depth = 1 + rng.uniform_u64(4);
+  if (mix == NameMix::kDepthSkewed && rng.uniform_u64(32) == 0)
+    return ndn::Name(
+        std::vector<std::string>{"a", "a", "a", "a", kAlphabet[rng.uniform_u64(2)]});
+  const std::size_t depth = 1 + rng.uniform_u64(mix == NameMix::kDepthSkewed ? 2 : 4);
   std::vector<std::string> components;
   components.reserve(depth);
   for (std::size_t i = 0; i < depth; ++i)
@@ -249,10 +268,23 @@ void expect_same_contents(const ReferenceContentStore& ref, const ContentStore& 
   ASSERT_EQ(ref.sorted_names(), opt_names) << "op " << op;
 }
 
+/// How often the deepest kDepthSkewed depth went from cached to empty, by
+/// the operation that emptied it; filled in when run_differential gets one.
+struct DeepEmptied {
+  std::size_t by_eviction = 0;
+  std::size_t by_erase = 0;
+  std::size_t by_clear = 0;
+};
+
 void run_differential(EvictionPolicy policy, std::uint64_t seed,
-                      std::size_t capacity = kCapacity) {
+                      std::size_t capacity = kCapacity, NameMix mix = NameMix::kUniform,
+                      DeepEmptied* emptied = nullptr) {
   SCOPED_TRACE(std::string("policy=") + std::string(to_string(policy)) +
-               " seed=" + std::to_string(seed));
+               " seed=" + std::to_string(seed) +
+               (mix == NameMix::kDepthSkewed ? " depth-skewed" : ""));
+  // Rolls from here up clear the store. The skewed mix clears ten times as
+  // often, so clear empties the deep depth too.
+  const double clear_from = mix == NameMix::kDepthSkewed ? 0.995 : 0.9995;
   util::Rng op_rng(seed);
   const std::uint64_t cs_seed = seed ^ 0x9e3779b97f4a7c15ULL;
   ReferenceContentStore ref(capacity, policy, cs_seed);
@@ -260,6 +292,7 @@ void run_differential(EvictionPolicy policy, std::uint64_t seed,
 
   util::SimTime now = 0;
   for (std::size_t op = 0; op < kOpsPerPolicy; ++op) {
+    const bool deep_cached = emptied != nullptr && ref.count_at_depth(kSkewedDeepDepth) != 0;
     now += static_cast<util::SimTime>(op_rng.uniform_u64(4));
     const double roll = op_rng.uniform01();
 
@@ -268,8 +301,8 @@ void run_differential(EvictionPolicy policy, std::uint64_t seed,
       // entries go stale while cached), ~15% is exact-match-only
       // (unpredictable-name content, footnote 5 of the paper).
       ndn::Data data;
-      data.name = random_name(op_rng);
-      data.payload = "p" + std::to_string(op);
+      data.name = random_name(op_rng, mix);
+      data.payload = std::string("p").append(std::to_string(op));
       if (op_rng.bernoulli(0.30))
         data.freshness_period = static_cast<std::int64_t>(op_rng.uniform_u64(30));
       if (op_rng.bernoulli(0.15)) data.exact_match_only = true;
@@ -290,7 +323,7 @@ void run_differential(EvictionPolicy policy, std::uint64_t seed,
       // everything); 40% MustBeFresh. A hit is touched half the time so
       // recency/frequency structures stay under churn.
       ndn::Interest interest;
-      const ndn::Name full = random_name(op_rng);
+      const ndn::Name full = random_name(op_rng, mix);
       interest.name = full.prefix(op_rng.uniform_u64(full.size() + 1));
       interest.must_be_fresh = op_rng.bernoulli(0.40);
       const bool touch_hit = op_rng.bernoulli(0.50);
@@ -309,7 +342,7 @@ void run_differential(EvictionPolicy policy, std::uint64_t seed,
       }
     } else if (roll < 0.85) {
       // Exact find (no stats side effects in either implementation).
-      const ndn::Name name = random_name(op_rng);
+      const ndn::Name name = random_name(op_rng, mix);
       Entry* ref_hit = ref.find_exact(name);
       Entry* opt_hit = opt.prepare(name).existing();
       ASSERT_EQ(ref_hit != nullptr, opt_hit != nullptr) << "op " << op;
@@ -318,10 +351,10 @@ void run_differential(EvictionPolicy policy, std::uint64_t seed,
         ASSERT_EQ(ref_hit->meta.last_access, opt_hit->meta.last_access) << "op " << op;
       }
     } else if (roll < 0.93) {
-      const ndn::Name name = random_name(op_rng);
+      const ndn::Name name = random_name(op_rng, mix);
       ASSERT_EQ(ref.erase(name), opt.erase(name)) << "op " << op;
-    } else if (roll < 0.9995) {
-      const ndn::Name name = random_name(op_rng);
+    } else if (roll < clear_from) {
+      const ndn::Name name = random_name(op_rng, mix);
       ASSERT_EQ(ref.contains(name), opt.contains(name)) << "op " << op;
     } else {
       // Rare full clear (stats are preserved across clear in both).
@@ -332,6 +365,14 @@ void run_differential(EvictionPolicy policy, std::uint64_t seed,
     ASSERT_EQ(ref.size(), opt.size()) << "op " << op;
     expect_same_stats(ref.stats(), opt.stats(), op);
     if (op % 4096 == 0) expect_same_contents(ref, opt, op);
+    if (deep_cached && ref.count_at_depth(kSkewedDeepDepth) == 0) {
+      if (roll < 0.45)
+        ++emptied->by_eviction;
+      else if (roll < 0.93)
+        ++emptied->by_erase;
+      else
+        ++emptied->by_clear;
+    }
   }
   expect_same_contents(ref, opt, kOpsPerPolicy);
 }
@@ -347,6 +388,23 @@ TEST(CsDifferential, SecondSeedSweep) {
   for (const auto policy : {EvictionPolicy::kLru, EvictionPolicy::kFifo,
                             EvictionPolicy::kLfu, EvictionPolicy::kRandom})
     run_differential(policy, 0xfeedULL + static_cast<std::uint64_t>(policy), 32);
+}
+
+// Mostly shallow names and a rare deep branch: the store keeps switching
+// between scanning for a prefix interest (a deeper name is cached) and
+// answering it from the exact index alone (none is), and every switch back
+// comes from an eviction, an erase or a clear. The 16-entry cache is
+// smaller than the mix's 44 names, so evictions are frequent.
+TEST(CsDifferential, DepthSkewedNames) {
+  for (const auto policy : {EvictionPolicy::kLru, EvictionPolicy::kFifo,
+                            EvictionPolicy::kLfu, EvictionPolicy::kRandom}) {
+    DeepEmptied emptied;
+    run_differential(policy, 0x5eedULL + static_cast<std::uint64_t>(policy), 16,
+                     NameMix::kDepthSkewed, &emptied);
+    EXPECT_GT(emptied.by_eviction, 0u) << to_string(policy);
+    EXPECT_GT(emptied.by_erase, 0u) << to_string(policy);
+    EXPECT_GT(emptied.by_clear, 0u) << to_string(policy);
+  }
 }
 
 }  // namespace

@@ -40,7 +40,7 @@ StressResult run_stress(std::uint64_t seed, std::size_t consumers, std::size_t c
   std::vector<std::unique_ptr<Consumer>> apps;
   for (std::size_t i = 0; i < consumers; ++i) {
     apps.push_back(
-        std::make_unique<Consumer>(sched, "C" + std::to_string(i), seed + 10 + i));
+        std::make_unique<Consumer>(sched, std::string("C").append(std::to_string(i)), seed + 10 + i));
     connect(*apps.back(), router, access);
   }
   const auto [r_up, x_down] = connect(router, core, backbone);

@@ -276,8 +276,10 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(Fig4Params{1, 0.01}, Fig4Params{1, 0.03}, Fig4Params{1, 0.05},
                       Fig4Params{5, 0.01}, Fig4Params{5, 0.03}, Fig4Params{5, 0.05}),
     [](const auto& info) {
-      return "k" + std::to_string(info.param.k) + "_delta" +
-             std::to_string(static_cast<int>(info.param.delta * 100));
+      return std::string("k")
+          .append(std::to_string(info.param.k))
+          .append("_delta")
+          .append(std::to_string(static_cast<int>(info.param.delta * 100)));
     });
 
 }  // namespace

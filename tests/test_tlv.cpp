@@ -223,7 +223,7 @@ TEST_P(TlvFuzzRoundTrip, RandomPacketsRoundTrip) {
     Name name;
     const std::size_t depth = 1 + rng.uniform_u64(5);
     for (std::size_t i = 0; i < depth; ++i)
-      name = name.append("c" + std::to_string(rng.uniform_u64(1000)));
+      name = name.append(std::string("c").append(std::to_string(rng.uniform_u64(1000))));
 
     Interest interest;
     interest.name = name;
@@ -242,10 +242,11 @@ TEST_P(TlvFuzzRoundTrip, RandomPacketsRoundTrip) {
     EXPECT_EQ(decoded_interest.private_req, interest.private_req);
 
     Data data = make_data(name, std::string(rng.uniform_u64(300), 'q'),
-                          "p" + std::to_string(rng.uniform_u64(10)), "key",
+                          std::string("p").append(std::to_string(rng.uniform_u64(10))), "key",
                           rng.bernoulli(0.3));
     data.exact_match_only = rng.bernoulli(0.3);
-    if (rng.bernoulli(0.4)) data.group_id = "g" + std::to_string(rng.uniform_u64(50));
+    if (rng.bernoulli(0.4))
+      data.group_id = std::string("g").append(std::to_string(rng.uniform_u64(50)));
     if (rng.bernoulli(0.4))
       data.freshness_period = static_cast<std::int64_t>(rng.uniform_u64(1'000'000'000));
     const Data decoded_data = decode_data(encode(data));

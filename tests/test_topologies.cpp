@@ -154,7 +154,7 @@ TEST(TreeTopology, CollapsingAggregatesAcrossBranches) {
     edge->add_route(ndn::Name("/p"), e_c);
   }
   for (int i = 0; i < 4; ++i) {
-    leaves.push_back(std::make_unique<Consumer>(sched, "L" + std::to_string(i),
+    leaves.push_back(std::make_unique<Consumer>(sched, std::string("L").append(std::to_string(i)),
                                                 static_cast<std::uint64_t>(10 + i)));
     connect(*leaves.back(), i < 2 ? edge1 : edge2, fixed_link(0.3));
   }
