@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
   std::printf("trace: %zu requests, %zu users, %zu distinct objects (synthetic IRCache-like)\n",
               result.trace_size, trace::TraceGenConfig{}.num_users, result.trace_distinct);
   std::printf("k=%lld eps=%.3f delta=%.2f -> Uniform K=%lld; Expo alpha=%.6f K=%lld\n",
-              static_cast<long long>(config.anonymity_k), config.epsilon, config.delta,
+              static_cast<long long>(runner::kFig5AnonymityK), config.epsilon, config.delta,
               static_cast<long long>(result.uniform_domain), result.expo.alpha,
               static_cast<long long>(result.expo.domain));
   std::printf("private fraction: %.2f, eviction: LRU\n", config.private_fraction);

@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
 
   const runner::Fig5bResult result = runner::run_fig5b(config);
   std::printf("trace: %zu requests; k=%lld eps=%.3f -> alpha=%.6f K=%lld; eviction: LRU\n\n",
-              result.trace_size, static_cast<long long>(config.anonymity_k), config.epsilon,
+              result.trace_size, static_cast<long long>(runner::kFig5AnonymityK), config.epsilon,
               result.expo.alpha, static_cast<long long>(result.expo.domain));
   std::fputs(result.format_table().c_str(), stdout);
   bench::report_jobs(config.jobs, result.wall_seconds);

@@ -12,6 +12,11 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// Probe budget cap: stop undecided after this many probes (the oracle for
+/// one content is consumed monotonically — after the miss-run ends no
+/// further information arrives, so the cap rarely binds).
+constexpr std::int64_t kMaxProbes = 4'096;
+
 /// Pr[miss-run >= i] under x prior requests: the run is still alive after
 /// i misses iff k >= x + i - 1.
 double tail_prob(const core::KDistribution& dist, std::int64_t x, std::int64_t i) {
@@ -43,8 +48,7 @@ SprtResult run_sprt_attack(const core::KDistribution& dist, const SprtConfig& co
   if (!(config.alpha_error > 0.0) || config.alpha_error >= 0.5 ||
       !(config.beta_error > 0.0) || config.beta_error >= 0.5)
     throw std::invalid_argument("run_sprt_attack: error rates must be in (0, 0.5)");
-  if (config.rounds == 0 || config.max_probes < 1)
-    throw std::invalid_argument("run_sprt_attack: bad configuration");
+  if (config.rounds == 0) throw std::invalid_argument("run_sprt_attack: rounds must be > 0");
 
   const double log_a = std::log((1.0 - config.beta_error) / config.alpha_error);
   const double log_b = std::log(config.beta_error / (1.0 - config.alpha_error));
@@ -74,7 +78,7 @@ SprtResult run_sprt_attack(const core::KDistribution& dist, const SprtConfig& co
     double llr = 0.0;
     int verdict = -1;  // -1 undecided, 0 not requested, 1 requested
     std::int64_t probes = 0;
-    for (; probes < config.max_probes; ) {
+    for (; probes < kMaxProbes; ) {
       const bool miss = probe_is_miss();
       ++probes;
       if (miss) {

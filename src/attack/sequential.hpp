@@ -34,10 +34,6 @@ struct SprtConfig {
   /// Target error rates (false positive / false negative).
   double alpha_error = 0.05;
   double beta_error = 0.05;
-  /// Probe budget cap: stop undecided after this many probes (the oracle
-  /// for one content is consumed monotonically — after the miss-run ends
-  /// no further information arrives, so the cap rarely binds).
-  std::int64_t max_probes = 4'096;
   std::size_t rounds = 20'000;
   std::uint64_t seed = 21;
 };

@@ -13,10 +13,8 @@ namespace ndnp::attack {
 
 TelemetryScenarioResult run_telemetry_scenario(const TelemetryScenarioConfig& config,
                                                telemetry::TelemetryHub* hub) {
-  if (config.catalogue == 0 || config.probe_targets == 0)
-    throw std::invalid_argument("telemetry_scenario: catalogue and probe_targets must be > 0");
-  if (config.probe_period <= 0 || config.honest_mean_gap <= 0)
-    throw std::invalid_argument("telemetry_scenario: periods must be positive");
+  if (config.probe_period <= 0)
+    throw std::invalid_argument("telemetry_scenario: probe_period must be positive");
   if (config.attack_start < 0 || config.attack_start >= config.duration)
     throw std::invalid_argument("telemetry_scenario: attack_start outside the run");
 
@@ -36,26 +34,31 @@ TelemetryScenarioResult run_telemetry_scenario(const TelemetryScenarioConfig& co
 
   // Shared depth-2 namespace: honest objects and probe targets both live
   // under /producer/web, so the prefix-bucket detectors see one stream.
+  // The honest catalogue has kCatalogue Zipf-popular objects; the adversary
+  // cycles over kProbeTargets privately requested ones.
+  constexpr std::size_t kCatalogue = 256;
+  constexpr std::size_t kProbeTargets = 4;
   const ndn::Name base = scenario->producer->prefix().append("web");
   std::vector<ndn::Name> honest;
-  honest.reserve(config.catalogue);
-  for (std::size_t i = 0; i < config.catalogue; ++i)
+  honest.reserve(kCatalogue);
+  for (std::size_t i = 0; i < kCatalogue; ++i)
     honest.push_back(base.append("obj" + std::to_string(i)));
   std::vector<ndn::Name> targets;
-  targets.reserve(config.probe_targets);
-  for (std::size_t i = 0; i < config.probe_targets; ++i)
+  targets.reserve(kProbeTargets);
+  for (std::size_t i = 0; i < kProbeTargets; ++i)
     targets.push_back(base.append("priv" + std::to_string(i)));
 
   // Honest user: Zipf-popular fetches at exponential intervals, all
   // scheduled up front (the draw order fixes the arrival pattern per seed).
+  constexpr util::SimDuration kHonestMeanGap = util::millis(2);
   util::Rng rng(config.seed ^ 0x7e1e7e1e5ca1ab1eULL);
-  const util::ZipfSampler zipf(config.catalogue, config.zipf_exponent);
+  const util::ZipfSampler zipf(kCatalogue, config.zipf_exponent);
   sim::Consumer* user = scenario->user;
   util::SimTime t = 0;
   while (true) {
     const double gap_scale = rng.exponential(1.0);
     auto gap = static_cast<util::SimDuration>(
-        static_cast<double>(config.honest_mean_gap) * gap_scale);
+        static_cast<double>(kHonestMeanGap) * gap_scale);
     if (gap < 1) gap = 1;
     t += gap;
     if (t >= config.duration) break;

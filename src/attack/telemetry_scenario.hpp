@@ -33,17 +33,12 @@
 namespace ndnp::attack {
 
 struct TelemetryScenarioConfig {
-  /// Honest catalogue: objects /producer/web/obj<i> with Zipf(s) popularity.
-  std::size_t catalogue = 256;
+  /// Zipf exponent of the honest catalogue's popularity.
   double zipf_exponent = 0.8;
-  /// Mean of the honest user's exponential inter-request gap.
-  util::SimDuration honest_mean_gap = util::millis(2);
   /// Total run length (honest traffic spans all of it).
   util::SimDuration duration = util::seconds(30);
   /// When the adversary's probe loop starts.
   util::SimTime attack_start = util::seconds(10);
-  /// Privately requested objects the adversary cycles over.
-  std::size_t probe_targets = 4;
   /// Fixed probe cadence (the machine-regular signature).
   util::SimDuration probe_period = util::millis(5);
   std::uint64_t seed = 7;

@@ -9,6 +9,14 @@ namespace ndnp::core {
 
 namespace {
 
+/// Epsilon slack used for the near-zero-epsilon delta estimate: exact
+/// epsilon = 0 is degenerate against empirical distributions (sampling
+/// noise makes every probability ratio differ from 1, sending all mass to
+/// Omega_2), so the one-sided leakage is measured at this small epsilon
+/// instead. Should comfortably exceed the per-outcome log-ratio noise
+/// ~ sqrt(2 / (rounds * p_outcome)).
+constexpr double kZeroEpsilonSlack = 0.15;
+
 /// One game round: run x prior requests then `probes` probes against a
 /// fresh engine; return the observed miss-run length.
 std::size_t observe_miss_run(const std::function<std::unique_ptr<CachePrivacyPolicy>()>& factory,
@@ -71,7 +79,7 @@ AuditReport audit_policy(
   report.epsilon_at_delta =
       min_epsilon_for_delta(report.never_requested, report.requested_x, config.delta);
   report.delta_near_zero_epsilon = delta_for_epsilon(
-      report.never_requested, report.requested_x, config.zero_epsilon_slack);
+      report.never_requested, report.requested_x, kZeroEpsilonSlack);
   return report;
 }
 

@@ -31,13 +31,6 @@ struct AuditConfig {
   std::size_t rounds = 20'000;
   /// Delta budget at which min-epsilon is reported.
   double delta = 0.05;
-  /// Epsilon slack used for the near-zero-epsilon delta estimate: exact
-  /// epsilon = 0 is degenerate against empirical distributions (sampling
-  /// noise makes every probability ratio differ from 1, sending all mass
-  /// to Omega_2), so the one-sided leakage is measured at this small
-  /// epsilon instead. Should comfortably exceed the per-outcome log-ratio
-  /// noise ~ sqrt(2 / (rounds * p_outcome)).
-  double zero_epsilon_slack = 0.15;
   /// Content is producer-marked private during the audit.
   bool producer_private = true;
   std::uint64_t seed = 1;

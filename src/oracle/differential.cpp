@@ -63,8 +63,8 @@ class RecorderNode final : public Node {
 
 /// Naive model of the forwarder: plain std::map PIT and LRU CS, no hash
 /// indices, no timers — expiry is evaluated lazily by advance_to(). Scoped
-/// to the differential harness's fixed setup: NoPrivacy policy, best-route
-/// with one upstream (face 1), admission 1.0, padding off.
+/// to the differential harness's fixed setup: NoPrivacy policy, one
+/// upstream (face 1), admission 1.0, padding off.
 class ReferenceForwarder {
  public:
   ReferenceForwarder(std::size_t cs_capacity, std::size_t pit_capacity,

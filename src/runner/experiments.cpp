@@ -1,5 +1,6 @@
 #include "runner/experiments.hpp"
 
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <cstdarg>
@@ -48,6 +49,9 @@ core::ExpoParams solve_fig5_expo(std::int64_t k, double epsilon, double delta,
   return *expo;
 }
 
+/// Seed of the trace both Figure 5 panels replay.
+constexpr std::uint64_t kFig5TraceSeed = 2013;
+
 struct Fig5Grid {
   /// cells[row][size]: the replay's metrics snapshot.
   std::vector<std::vector<util::MetricsSnapshot>> cells;
@@ -64,7 +68,7 @@ Fig5Grid run_fig5_grid(const Config& config, const std::vector<trace::ReplayConf
   trace::TraceGenConfig gen;
   gen.num_requests = config.trace_requests;
   gen.num_objects = config.trace_objects;
-  gen.seed = config.trace_seed;
+  gen.seed = kFig5TraceSeed;
   const trace::Trace tr = trace::generate_trace(gen);
 
   const std::size_t num_sizes = config.cache_sizes.size();
@@ -107,9 +111,9 @@ Fig5aResult run_fig5a(const Fig5aConfig& config) {
 
   Fig5aResult result;
   result.cache_sizes = config.cache_sizes;
-  result.uniform_domain = core::uniform_domain_for_delta(config.anonymity_k, config.delta);
+  result.uniform_domain = core::uniform_domain_for_delta(kFig5AnonymityK, config.delta);
   const core::ExpoParams expo = result.expo =
-      solve_fig5_expo(config.anonymity_k, config.epsilon, config.delta, "run_fig5a");
+      solve_fig5_expo(kFig5AnonymityK, config.epsilon, config.delta, "run_fig5a");
 
   // Policy seeds match the original serial bench (5 for the Random-Cache
   // schemes) so the golden vectors carry over unchanged.
@@ -179,7 +183,7 @@ Fig5bResult run_fig5b(const Fig5bConfig& config) {
   result.private_fractions = config.private_fractions;
   result.cache_sizes = config.cache_sizes;
   const core::ExpoParams expo = result.expo =
-      solve_fig5_expo(config.anonymity_k, config.epsilon, config.delta, "run_fig5b");
+      solve_fig5_expo(kFig5AnonymityK, config.epsilon, config.delta, "run_fig5b");
 
   std::vector<trace::ReplayConfig> rows(config.private_fractions.size());
   for (std::size_t f = 0; f < rows.size(); ++f) {
@@ -219,8 +223,13 @@ Fig4aResult run_fig4a(const Fig4aConfig& config) {
   // NDNP-LINT-ALLOW(determinism-wallclock): wall_seconds reporting gauge, excluded from golden output
   const auto start = std::chrono::steady_clock::now();
 
+  // One table block per anonymity k; rows for c = 5, 10, ..., 100 requests.
+  constexpr std::array<std::int64_t, 2> kKs = {1, 5};
+  constexpr std::int64_t kCMin = 5;
+  constexpr std::int64_t kCMax = 100;
+  constexpr std::int64_t kCStep = 5;
   Fig4aResult result;
-  for (const std::int64_t k : config.ks) {
+  for (const std::int64_t k : kKs) {
     Fig4aBlock block;
     block.k = k;
     block.uniform_domain = core::uniform_domain_for_delta(k, config.delta);
@@ -235,7 +244,7 @@ Fig4aResult run_fig4a(const Fig4aConfig& config) {
   }
 
   std::vector<std::int64_t> c_values;
-  for (std::int64_t c = config.c_min; c <= config.c_max; c += config.c_step)
+  for (std::int64_t c = kCMin; c <= kCMax; c += kCStep)
     c_values.push_back(c);
 
   SweepOptions options;
@@ -308,6 +317,10 @@ constexpr std::int64_t kUtilityDomain = 50;
 constexpr double kUtilityAlpha = 0.9;
 constexpr std::int64_t kPrivacyDomain = 200;
 constexpr double kPrivacyAlpha = 0.99;
+/// Request counts c of the utility section and prior requests x of the
+/// privacy section, one row pair (uniform, expo) each.
+constexpr std::array<std::int64_t, 3> kUtilityCs = {5, 20, 80};
+constexpr std::array<std::int64_t, 3> kPrivacyXs = {1, 3, 5};
 
 }  // namespace
 
@@ -323,9 +336,9 @@ TheoryValidationResult run_theory_validation(const TheoryValidationConfig& confi
   // Utility rows, interleaved (uniform, expo) per c with the original
   // bench's per-row seeds: row r draws from seed (r odd ? 2000 : 1000) + r.
   result.utility = run_sweep<TheoryUtilityRow>(
-      2 * config.cs.size(), options, [&](const RunContext& ctx) {
+      2 * kUtilityCs.size(), options, [&](const RunContext& ctx) {
         const std::size_t r = ctx.run_index;
-        const std::int64_t c = config.cs[r / 2];
+        const std::int64_t c = kUtilityCs[r / 2];
         const bool expo = (r % 2) != 0;
         const std::uint64_t seed =
             config.seed_base + (expo ? 2000 : 1000) + static_cast<std::uint64_t>(r);
@@ -352,9 +365,9 @@ TheoryValidationResult run_theory_validation(const TheoryValidationConfig& confi
   // Privacy rows: exact output distributions, deterministic closed forms.
   const std::int64_t probes = kPrivacyDomain + 8;
   result.privacy = run_sweep<TheoryPrivacyRow>(
-      2 * config.xs.size(), options, [&](const RunContext& ctx) {
+      2 * kPrivacyXs.size(), options, [&](const RunContext& ctx) {
         const std::size_t r = ctx.run_index;
-        const std::int64_t x = config.xs[r / 2];
+        const std::int64_t x = kPrivacyXs[r / 2];
         const bool expo = (r % 2) != 0;
         TheoryPrivacyRow row;
         row.x = x;

@@ -28,13 +28,15 @@ namespace ndnp::runner {
 // ---------------------------------------------------------------------------
 // Figure 5(a): hit rate by scheme and cache size (trace replay grid).
 
+/// Anonymity parameter k the Random-Cache schemes of both Figure 5 panels
+/// are parameterized for.
+inline constexpr std::int64_t kFig5AnonymityK = 5;
+
 struct Fig5aConfig {
   std::size_t trace_requests = 200'000;
   std::size_t trace_objects = 200'000;
-  std::uint64_t trace_seed = 2013;
   /// Replay seed used by *every* grid cell (the paper reproduction fixes it).
   std::uint64_t replay_seed = 99;
-  std::int64_t anonymity_k = 5;
   double epsilon = 0.005;
   double delta = 0.05;
   double private_fraction = 0.2;
@@ -87,10 +89,8 @@ struct Fig5aResult {
 struct Fig5bConfig {
   std::size_t trace_requests = 200'000;
   std::size_t trace_objects = 200'000;
-  std::uint64_t trace_seed = 2013;
   /// Replay seed used by every grid cell (matches the original serial bench).
   std::uint64_t replay_seed = 99;
-  std::int64_t anonymity_k = 5;
   double epsilon = 0.005;
   double delta = 0.05;
   /// Fraction of content marked private, one table row each.
@@ -130,10 +130,6 @@ struct Fig5bResult {
 struct Fig4aConfig {
   double delta = 0.05;
   std::vector<double> epsilons = {0.03, 0.04, 0.05};
-  std::vector<std::int64_t> ks = {1, 5};
-  std::int64_t c_min = 5;
-  std::int64_t c_max = 100;
-  std::int64_t c_step = 5;
   std::size_t jobs = 1;
   /// Optional per-cell flight-recorder capture (not owned).
   SweepTraceCapture* capture = nullptr;
@@ -172,8 +168,6 @@ struct TheoryValidationConfig {
   /// seed_base + (expo ? 2000 : 1000) + r). 0 reproduces the original
   /// serial bench; golden vectors pin several bases.
   std::uint64_t seed_base = 0;
-  std::vector<std::int64_t> cs = {5, 20, 80};  // utility section
-  std::vector<std::int64_t> xs = {1, 3, 5};    // privacy section
   std::size_t jobs = 1;
   /// Optional per-run flight-recorder capture (not owned).
   SweepTraceCapture* capture = nullptr;

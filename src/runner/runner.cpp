@@ -12,7 +12,7 @@ void SweepTraceCapture::prepare(std::size_t num_runs) {
   runs.clear();
   runs.reserve(num_runs);
   for (std::size_t i = 0; i < num_runs; ++i) {
-    auto tracer = std::make_unique<util::Tracer>(ring_capacity);
+    auto tracer = std::make_unique<util::Tracer>(kRingCapacity);
     tracer->set_filter(filter);
     runs.push_back(std::move(tracer));
   }

@@ -64,10 +64,8 @@ struct SweepTraceCapture {
   std::string out_path;
   /// Name-prefix filter forwarded to every run's tracer (--trace-filter).
   std::string filter;
-  /// Default ring capacity, also used by single-run captures outside a sweep.
+  /// Ring capacity of every run's tracer and of single-run captures.
   static constexpr std::size_t kRingCapacity = 1u << 20;
-  /// Ring capacity per run (0 = keep every event).
-  std::size_t ring_capacity = kRingCapacity;
   /// One tracer per run, in run-index order; populated by prepare().
   std::vector<std::unique_ptr<util::Tracer>> runs;
 

@@ -16,6 +16,10 @@ namespace ndnp::sim {
 
 namespace {
 
+/// Workload injection window: interests and node faults land at instants in
+/// (0, kHorizon]; the episode then runs to quiescence.
+constexpr util::SimDuration kHorizon = util::millis(200);
+
 // ------------------------------------------------------------------ digest
 
 /// FNV-1a over little-endian u64 words: cheap, stable across platforms.
@@ -146,9 +150,8 @@ ChaosEpisodeResult run_chaos_episode(const ChaosEpisodeOptions& options) {
 
   // --- node faults: CS wipes and PIT squeezes at random instants ---
   NodeFaultCounters node_fault_counters;
-  const auto random_instant = [&rng, &options] {
-    return static_cast<util::SimTime>(
-        1 + rng.uniform_u64(static_cast<std::uint64_t>(options.horizon)));
+  const auto random_instant = [&rng] {
+    return static_cast<util::SimTime>(1 + rng.uniform_u64(static_cast<std::uint64_t>(kHorizon)));
   };
   for (std::size_t i = 0; i < num_forwarders; ++i) {
     std::vector<NodeFaultEvent> events;

@@ -25,10 +25,8 @@ namespace ndnp::sim {
 
 struct ChaosEpisodeOptions {
   std::uint64_t seed = 1;
-  /// Interests the consumer expresses over the horizon.
+  /// Interests the consumer expresses over the workload window.
   std::size_t interests = 400;
-  /// Workload injection window; the episode then runs to quiescence.
-  util::SimDuration horizon = util::millis(200);
 };
 
 struct ChaosEpisodeResult {

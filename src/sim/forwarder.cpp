@@ -21,15 +21,6 @@ Forwarder::Forwarder(Scheduler& scheduler, std::string name, ForwarderConfig con
   engine_.set_trace_label(this->name());
 }
 
-std::string_view to_string(ForwardingStrategy strategy) noexcept {
-  switch (strategy) {
-    case ForwardingStrategy::kBestRoute: return "best-route";
-    case ForwardingStrategy::kRoundRobin: return "round-robin";
-    case ForwardingStrategy::kMulticast: return "multicast";
-  }
-  return "?";
-}
-
 void Forwarder::arm_telemetry(telemetry::TelemetryHub* hub) {
   telemetry_ = hub;
   if (hub == nullptr) return;
@@ -46,9 +37,7 @@ void Forwarder::arm_telemetry(telemetry::TelemetryHub* hub) {
 }
 
 void Forwarder::add_route(const ndn::Name& prefix, FaceId next_hop) {
-  auto& next_hops = fib_[prefix].next_hops;
-  if (std::find(next_hops.begin(), next_hops.end(), next_hop) == next_hops.end())
-    next_hops.push_back(next_hop);
+  fib_.try_emplace(prefix, next_hop);
 }
 
 void Forwarder::receive_interest(const ndn::Interest& interest, FaceId in_face) {
@@ -162,32 +151,28 @@ void Forwarder::forward_interest(const ndn::Interest& interest, FaceId in_face,
   ndn::Interest upstream = interest;
   if (config_.honor_scope && interest.scope) {
     if (*interest.scope <= 2) {
+      // Dropped without a NACK: an honoring router reveals nothing extra to
+      // scope probes.
       ++stats_.scope_drops;
       return;
     }
     upstream.scope = *interest.scope - 1;
   }
 
-  FibEntry* fib_entry = fib_lookup(interest.name);
-  const std::vector<FaceId> next_hops =
-      fib_entry ? select_next_hops(*fib_entry, in_face) : std::vector<FaceId>{};
-  if (next_hops.empty()) {
+  const std::optional<FaceId> next_hop = fib_lookup(interest.name, in_face);
+  if (!next_hop) {
     ++stats_.no_route_drops;
     util::log(util::LogLevel::kDebug, "%s: no route for %s", name().c_str(),
               interest.name.to_uri().c_str());
-    if (config_.send_nacks) {
-      ++stats_.nacks_sent;
-      send_nack(in_face, {.interest = interest, .reason = ndn::NackReason::kNoRoute});
-    }
+    ++stats_.nacks_sent;
+    send_nack(in_face, {.interest = interest, .reason = ndn::NackReason::kNoRoute});
     return;
   }
 
   if (config_.pit_capacity != 0 && pit_.size() >= config_.pit_capacity) {
     ++stats_.pit_overflows;
-    if (config_.send_nacks) {
-      ++stats_.nacks_sent;
-      send_nack(in_face, {.interest = interest, .reason = ndn::NackReason::kPitOverflow});
-    }
+    ++stats_.nacks_sent;
+    send_nack(in_face, {.interest = interest, .reason = ndn::NackReason::kPitOverflow});
     return;
   }
 
@@ -222,10 +207,8 @@ void Forwarder::forward_interest(const ndn::Interest& interest, FaceId in_face,
                    {}, static_cast<std::int64_t>(in_face));
   schedule_pit_timeout(interest.name, name_hash, version, lifetime);
 
-  for (const FaceId next_hop : next_hops) {
-    ++stats_.forwarded_interests;
-    send_interest(next_hop, upstream);
-  }
+  ++stats_.forwarded_interests;
+  send_interest(*next_hop, upstream);
 }
 
 void Forwarder::handle_data(const ndn::Data& data, FaceId) {
@@ -322,9 +305,7 @@ void Forwarder::handle_data(const ndn::Data& data, FaceId) {
 
 void Forwarder::handle_nack(const ndn::Nack& nack, FaceId) {
   // A NACK from upstream kills the pending interest: propagate it to every
-  // downstream face and flush the PIT entry. (With multicast strategies a
-  // sibling next hop may still answer; we keep the simple semantics of
-  // first-signal-wins, which matches best-route.)
+  // downstream face and flush the PIT entry.
   const std::uint64_t name_hash = nack.interest.name.hash64();
   PitEntry* entry = pit_find(name_hash, nack.interest.name);
   if (!entry) return;
@@ -336,41 +317,15 @@ void Forwarder::handle_nack(const ndn::Nack& nack, FaceId) {
   ++stats_.pit_nack_erased;
 }
 
-Forwarder::FibEntry* Forwarder::fib_lookup(const ndn::Name& name) {
+std::optional<FaceId> Forwarder::fib_lookup(const ndn::Name& name, FaceId in_face) const {
   for (std::size_t len = name.size() + 1; len-- > 0;) {
     const auto it = fib_.find(name.prefix(len));
-    if (it != fib_.end()) return &it->second;
+    if (it == fib_.end()) continue;
+    // Sending an interest back out of its arrival face would loop it.
+    if (it->second == in_face) return std::nullopt;
+    return it->second;
   }
-  return nullptr;
-}
-
-std::vector<FaceId> Forwarder::select_next_hops(FibEntry& entry, FaceId in_face) {
-  std::vector<FaceId> out;
-  switch (config_.strategy) {
-    case ForwardingStrategy::kBestRoute:
-      for (const FaceId face : entry.next_hops) {
-        if (face == in_face) continue;
-        out.push_back(face);
-        break;
-      }
-      break;
-    case ForwardingStrategy::kRoundRobin:
-      for (std::size_t i = 0; i < entry.next_hops.size(); ++i) {
-        const FaceId face =
-            entry.next_hops[(entry.round_robin_cursor + i) % entry.next_hops.size()];
-        if (face == in_face) continue;
-        out.push_back(face);
-        entry.round_robin_cursor =
-            (entry.round_robin_cursor + i + 1) % entry.next_hops.size();
-        break;
-      }
-      break;
-    case ForwardingStrategy::kMulticast:
-      for (const FaceId face : entry.next_hops)
-        if (face != in_face) out.push_back(face);
-      break;
-  }
-  return out;
+  return std::nullopt;
 }
 
 void Forwarder::schedule_pit_timeout(const ndn::Name& name, std::uint64_t name_hash,

@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -31,15 +32,6 @@
 #include "util/open_hash.hpp"
 
 namespace ndnp::sim {
-
-/// How interests are spread over multiple FIB next hops.
-enum class ForwardingStrategy {
-  kBestRoute,   // always the first registered next hop
-  kRoundRobin,  // rotate per prefix
-  kMulticast,   // all next hops at once (PIT dedups the replies)
-};
-
-[[nodiscard]] std::string_view to_string(ForwardingStrategy strategy) noexcept;
 
 struct ForwarderConfig {
   std::size_t cs_capacity = 10'000;  // 0 = unlimited
@@ -54,14 +46,10 @@ struct ForwarderConfig {
   std::size_t pit_capacity = 0;
   /// Per-packet processing latency (lookup + forwarding decision).
   util::SimDuration processing_delay = util::micros(20);
-  ForwardingStrategy strategy = ForwardingStrategy::kBestRoute;
   /// Probability of admitting arriving Data into the CS (1 = cache all,
   /// the paper's setting; lower values are the classic cache-pollution
   /// mitigation the admission ablation explores).
   double cache_admission_probability = 1.0;
-  /// Send NACKs downstream on no-route / PIT-overflow (scope drops stay
-  /// silent: an honoring router reveals nothing extra to scope probes).
-  bool send_nacks = true;
   /// Countermeasure to the PIT-collapse side channel (see
   /// attack/pit_probe.hpp): when an interest for *private* content
   /// collapses onto a pending entry, delay its Data copy so the collapsed
@@ -104,9 +92,8 @@ class Forwarder final : public Node {
             std::unique_ptr<core::CachePrivacyPolicy> policy = nullptr);
 
   /// Route interests under `prefix` out of `next_hop`. An empty prefix is
-  /// the default route. Longest prefix wins. Registering several next hops
-  /// for one prefix enables the configured multipath strategy; duplicate
-  /// registrations are ignored.
+  /// the default route. Longest prefix wins. A prefix has one next hop: the
+  /// first registration wins and later ones are ignored.
   void add_route(const ndn::Name& prefix, FaceId next_hop);
 
   void receive_interest(const ndn::Interest& interest, FaceId in_face) override;
@@ -168,11 +155,6 @@ class Forwarder final : public Node {
     std::uint64_t version = 0;  // guards the timeout event against reuse
   };
 
-  struct FibEntry {
-    std::vector<FaceId> next_hops;
-    std::size_t round_robin_cursor = 0;
-  };
-
   void handle_interest(const ndn::Interest& interest, FaceId in_face);
   void handle_data(const ndn::Data& data, FaceId in_face);
   void handle_nack(const ndn::Nack& nack, FaceId in_face);
@@ -183,9 +165,9 @@ class Forwarder final : public Node {
   /// Exact-name PIT lookup/erase by cached hash.
   [[nodiscard]] PitEntry* pit_find(std::uint64_t name_hash, const ndn::Name& name) noexcept;
   bool pit_erase(std::uint64_t name_hash, const ndn::Name& name) noexcept;
-  [[nodiscard]] FibEntry* fib_lookup(const ndn::Name& name);
-  /// Pick outgoing faces per the strategy, excluding the arrival face.
-  [[nodiscard]] std::vector<FaceId> select_next_hops(FibEntry& entry, FaceId in_face);
+  /// Next hop of the longest registered prefix of `name`; none when there
+  /// is no such prefix or its hop is the arrival face `in_face`.
+  [[nodiscard]] std::optional<FaceId> fib_lookup(const ndn::Name& name, FaceId in_face) const;
   void schedule_pit_timeout(const ndn::Name& name, std::uint64_t name_hash,
                             std::uint64_t version, util::SimDuration lifetime);
 
@@ -193,7 +175,7 @@ class Forwarder final : public Node {
   telemetry::TelemetryHub* telemetry_ = nullptr;
   core::CachePrivacyEngine engine_;
   util::OpenHashTable<PitEntry> pit_;
-  std::map<ndn::Name, FibEntry> fib_;
+  std::map<ndn::Name, FaceId> fib_;
   std::uint64_t next_pit_version_ = 0;
   ForwarderStats stats_;
 };

@@ -41,12 +41,13 @@ std::unique_ptr<ProbeScenario> make_probe_scenario(const ScenarioParams& params)
 
   auto scenario = std::make_unique<ProbeScenario>(params.seed);
   Topology& topo = scenario->topology;
+  const ndn::Name producer_prefix("/producer");
 
   scenario->router = &topo.add_router(
       "R", params.router_config, params.router_policy ? params.router_policy() : nullptr);
   scenario->user = &topo.add_consumer("U");
   scenario->adversary = &topo.add_consumer("Adv");
-  scenario->producer = &topo.add_producer("P", params.producer_prefix, params.producer_config);
+  scenario->producer = &topo.add_producer("P", producer_prefix, params.producer_config);
 
   // Access links: U and Adv each have face 0 toward R.
   topo.link(*scenario->user, *scenario->router, params.access_link);
@@ -64,14 +65,14 @@ std::unique_ptr<ProbeScenario> make_probe_scenario(const ScenarioParams& params)
                         params.core_router_policy ? params.core_router_policy() : nullptr);
     const auto [up_face, down_face] = topo.link(*upstream, next, params.core_link);
     (void)down_face;
-    upstream->add_route(params.producer_prefix, up_face);
+    upstream->add_route(producer_prefix, up_face);
     scenario->core.push_back(&next);
     upstream = &next;
   }
   const auto [last_face, producer_face] =
       topo.link(*upstream, *scenario->producer, params.core_link);
   (void)producer_face;
-  upstream->add_route(params.producer_prefix, last_face);
+  upstream->add_route(producer_prefix, last_face);
 
   return scenario;
 }

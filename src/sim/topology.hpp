@@ -84,12 +84,10 @@ struct ScenarioParams {
   /// simulated-miss scheme at R alone leaks through the unprotected
   /// next-hop cache (the "miss" returns at neighbor-cache speed).
   std::function<std::unique_ptr<core::CachePrivacyPolicy>()> core_router_policy;
-  /// Producer namespace.
-  ndn::Name producer_prefix = ndn::Name("/producer");
   std::uint64_t seed = 1;
 };
 
-/// Generic builder used by all four canned scenarios.
+/// Generic builder used by all four canned scenarios; P serves /producer.
 [[nodiscard]] std::unique_ptr<ProbeScenario> make_probe_scenario(const ScenarioParams& params);
 
 /// Figure 3(a): LAN. Fast-Ethernet access, P two WAN hops past R.

@@ -50,9 +50,12 @@ ReplaySession::ReplaySession(const ReplayConfig& config)
       upstream_chain_(config.upstream_loss),
       loss_rng_(config.seed ^ 0xbb67ae8584caa73bULL) {
   fetch_ = [this](const ndn::Interest& interest) {
+    // Mean upstream fetch delay on a true miss, scaled by a spread drawn
+    // uniformly from [0.5, 1.5].
+    constexpr util::SimDuration kUpstreamDelay = util::millis(40);
     const double spread = rng_.uniform(0.5, 1.5);
     auto delay = static_cast<util::SimDuration>(
-        static_cast<double>(config_.upstream_delay) * spread);
+        static_cast<double>(kUpstreamDelay) * spread);
     if (config_.upstream_loss.enabled()) {
       util::SimDuration penalty = 0;
       // Retry cap: a loss=1 chain would otherwise never deliver.

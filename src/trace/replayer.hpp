@@ -31,9 +31,6 @@ struct ReplayConfig {
   double private_fraction = 0.2;
   /// Factory for the router's privacy policy (fresh instance per replay).
   std::function<std::unique_ptr<core::CachePrivacyPolicy>()> policy_factory;
-  /// Upstream fetch delay presented on true misses (mean, with a spread
-  /// sampled uniformly in [0.5, 1.5] of it).
-  util::SimDuration upstream_delay = util::millis(40);
   /// Probability of admitting fetched content into the cache (1 = always).
   double cache_admission_probability = 1.0;
   /// Degraded-network ablation: a Gilbert–Elliott chain runs against the

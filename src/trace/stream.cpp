@@ -361,11 +361,6 @@ SyntheticWorkload::SyntheticWorkload(const TraceGenConfig& config)
       domain_popularity_(config.num_domains, 0.9) {
   if (config.num_users == 0 || config.num_objects == 0 || config.num_domains == 0)
     throw std::invalid_argument("SyntheticWorkload: counts must be positive");
-  if (config.temporal_locality != 0.0 || config.user_affinity != 0.0)
-    throw std::invalid_argument(
-        "SyntheticWorkload: streaming generation supports only the pure-Zipf mode "
-        "(temporal_locality == user_affinity == 0); use generate_trace for the "
-        "locality/affinity modes");
   if (!(config.duration_s > 0.0))
     throw std::invalid_argument("SyntheticWorkload: duration must be positive");
 }
@@ -420,7 +415,7 @@ bool SyntheticTraceSource::next_chunk(std::vector<TraceRecord>& out,
     record.user_id = user;
     record.name.assign({"web", numbered(domain, "dom", workload_->domain_of(object)),
                         numbered(object_id, "obj", object)});
-    record.size_bytes = config.object_size;
+    record.size_bytes = kObjectSize;
   }
   out.resize(filled);
   return filled > 0;

@@ -248,9 +248,7 @@ ParseStats convert_trace(TraceSource& source, TraceWriter& sink,
 /// The immutable tables of a synthetic workload (Zipf CDFs), built once
 /// and shared — const and thread-safe, so concurrent shards can each open
 /// their own streaming pass without replicating an O(catalogue) CDF per
-/// shard. Requires temporal_locality == user_affinity == 0 (the paper
-/// reproduction default): those modes keep per-user history and are served
-/// by the in-memory generate_trace.
+/// shard.
 ///
 /// The stream differs from generate_trace in one documented way: arrivals
 /// come from an exponential inter-arrival process (rate num_requests /

@@ -22,11 +22,6 @@ std::size_t Trace::distinct_names() const {
 Trace generate_trace(const TraceGenConfig& config) {
   if (config.num_users == 0 || config.num_objects == 0 || config.num_domains == 0)
     throw std::invalid_argument("generate_trace: counts must be positive");
-  if (config.temporal_locality < 0.0 || config.temporal_locality > 1.0 ||
-      config.user_affinity < 0.0 || config.user_affinity > 1.0)
-    throw std::invalid_argument("generate_trace: locality/affinity must be in [0,1]");
-  if (config.temporal_locality > 0.0 && config.locality_depth == 0)
-    throw std::invalid_argument("generate_trace: locality_depth must be positive");
 
   util::Rng rng(config.seed);
   util::Rng domain_rng = rng.fork();
@@ -42,21 +37,6 @@ Trace generate_trace(const TraceGenConfig& config) {
   for (auto& domain : object_domain)
     domain = static_cast<std::uint32_t>(domain_popularity.sample(domain_rng) - 1);
 
-  // Per-user preferred domains (for affinity) and per-domain object lists.
-  std::vector<std::vector<std::size_t>> domain_objects(config.num_domains);
-  for (std::size_t object = 0; object < config.num_objects; ++object)
-    domain_objects[object_domain[object]].push_back(object);
-  std::vector<std::uint32_t> preferred_domain(config.num_users);
-  for (auto& domain : preferred_domain) {
-    // Pick a non-empty preferred domain for each user.
-    do {
-      domain = static_cast<std::uint32_t>(domain_popularity.sample(domain_rng) - 1);
-    } while (domain_objects[domain].empty());
-  }
-
-  // Per-user recent-history ring for temporal locality.
-  std::vector<std::vector<std::size_t>> history(config.num_users);
-
   Trace trace;
   trace.catalogue_size = config.num_objects;
   trace.records.reserve(config.num_requests);
@@ -69,30 +49,14 @@ Trace generate_trace(const TraceGenConfig& config) {
 
   for (std::size_t i = 0; i < config.num_requests; ++i) {
     const auto user = static_cast<std::uint32_t>(user_activity.sample(rng) - 1);
-    std::size_t object;
-    auto& recent = history[user];
-    if (!recent.empty() && rng.bernoulli(config.temporal_locality)) {
-      // Re-request something from this user's recent past.
-      object = recent[recent.size() - 1 - rng.uniform_u64(recent.size())];
-    } else if (config.user_affinity > 0.0 && rng.bernoulli(config.user_affinity)) {
-      // Draw from the user's preferred domain.
-      const auto& pool = domain_objects[preferred_domain[user]];
-      object = pool[rng.uniform_u64(pool.size())];
-    } else {
-      object = object_popularity.sample(rng) - 1;  // global Zipf
-    }
-    if (config.temporal_locality > 0.0) {
-      recent.push_back(object);
-      if (recent.size() > config.locality_depth)
-        recent.erase(recent.begin());  // depth is small; O(depth) shift is fine
-    }
+    const std::size_t object = object_popularity.sample(rng) - 1;
 
     TraceRecord record;
     record.timestamp_s = times[i];
     record.user_id = user;
     record.name = ndn::Name{"web", "dom" + std::to_string(object_domain[object]),
                             "obj" + std::to_string(object)};
-    record.size_bytes = config.object_size;
+    record.size_bytes = kObjectSize;
     trace.records.push_back(std::move(record));
   }
   return trace;

@@ -48,6 +48,10 @@ struct Trace {
   [[nodiscard]] std::size_t distinct_names() const;
 };
 
+/// Size of every generated object ("without loss of generality, we assume
+/// that all content has the same size").
+inline constexpr std::size_t kObjectSize = 8'192;
+
 struct TraceGenConfig {
   /// Users in the 2007 IRCache RTP trace.
   std::size_t num_users = 185;
@@ -64,19 +68,6 @@ struct TraceGenConfig {
   /// /web/dom<d>/obj<j>, giving the namespace structure the correlation-
   /// grouping experiments need.
   std::size_t num_domains = 500;
-  /// Constant object size ("without loss of generality, we assume that all
-  /// content has the same size").
-  std::size_t object_size = 8'192;
-  /// Probability that a request re-draws from the requester's recent
-  /// history instead of the global popularity distribution (LRU-stack
-  /// temporal locality; 0 = pure Zipf, the default used by the paper
-  /// reproduction benches).
-  double temporal_locality = 0.0;
-  /// Probability that a user draws from its own preferred domains instead
-  /// of the global catalogue (0 = no per-user affinity).
-  double user_affinity = 0.0;
-  /// Per-user recent-history depth for temporal locality.
-  std::size_t locality_depth = 32;
   std::uint64_t seed = 1;
 };
 

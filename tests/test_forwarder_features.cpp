@@ -1,5 +1,5 @@
 // Tests for the extended forwarder features: freshness/MustBeFresh,
-// per-interest lifetimes, PIT capacity, multipath strategies and cache
+// per-interest lifetimes, PIT capacity, FIB registration, NACKs and cache
 // admission control.
 #include <gtest/gtest.h>
 
@@ -170,62 +170,25 @@ TEST(Admission, PartialProbabilityCachesSome) {
   EXPECT_EQ(net.router->cs().size() + net.router->stats().admission_skips, 40u);
 }
 
-struct TwoPathNet {
+TEST(AddRoute, FirstRegisteredHopWins) {
   Scheduler sched;
-  std::optional<Consumer> consumer;
-  std::optional<Forwarder> router;
-  std::optional<Producer> producer_a;
-  std::optional<Producer> producer_b;
-
-  explicit TwoPathNet(ForwardingStrategy strategy) {
-    ForwarderConfig cfg;
-    cfg.cs_capacity = 0;
-    cfg.strategy = strategy;
-    consumer.emplace(sched, "C", 1);
-    router.emplace(sched, "R", cfg);
-    producer_a.emplace(sched, "PA", ndn::Name("/p"), "key-a", ProducerConfig{}, 2);
-    producer_b.emplace(sched, "PB", ndn::Name("/p"), "key-b", ProducerConfig{}, 3);
-    connect(*consumer, *router, fixed_link(1.0));
-    const auto [ra, af] = connect(*router, *producer_a, fixed_link(2.0));
-    const auto [rb, bf] = connect(*router, *producer_b, fixed_link(2.0));
-    (void)af;
-    (void)bf;
-    router->add_route(ndn::Name("/p"), ra);
-    router->add_route(ndn::Name("/p"), rb);
-  }
-};
-
-TEST(Strategy, BestRouteUsesFirstRegisteredHop) {
-  TwoPathNet net(ForwardingStrategy::kBestRoute);
+  ForwarderConfig cfg;
+  cfg.cs_capacity = 0;
+  Consumer consumer(sched, "C", 1);
+  Forwarder router(sched, "R", cfg);
+  Producer producer_a(sched, "PA", ndn::Name("/p"), "key-a", ProducerConfig{}, 2);
+  Producer producer_b(sched, "PB", ndn::Name("/p"), "key-b", ProducerConfig{}, 3);
+  connect(consumer, router, fixed_link(1.0));
+  const auto [ra, af] = connect(router, producer_a, fixed_link(2.0));
+  const auto [rb, bf] = connect(router, producer_b, fixed_link(2.0));
+  (void)af;
+  (void)bf;
+  router.add_route(ndn::Name("/p"), ra);
+  router.add_route(ndn::Name("/p"), rb);  // ignored: /p already has a hop
   for (int i = 0; i < 5; ++i)
-    (void)fetch(*net.consumer, plain("/p/x" + std::to_string(i)));
-  EXPECT_EQ(net.producer_a->interests_served(), 5u);
-  EXPECT_EQ(net.producer_b->interests_served(), 0u);
-}
-
-TEST(Strategy, RoundRobinAlternatesHops) {
-  TwoPathNet net(ForwardingStrategy::kRoundRobin);
-  for (int i = 0; i < 6; ++i)
-    (void)fetch(*net.consumer, plain("/p/x" + std::to_string(i)));
-  EXPECT_EQ(net.producer_a->interests_served(), 3u);
-  EXPECT_EQ(net.producer_b->interests_served(), 3u);
-}
-
-TEST(Strategy, MulticastAsksEveryHopOnce) {
-  TwoPathNet net(ForwardingStrategy::kMulticast);
-  (void)fetch(*net.consumer, plain("/p/x"));
-  net.sched.run();  // drain the second (late) reply
-  EXPECT_EQ(net.producer_a->interests_served(), 1u);
-  EXPECT_EQ(net.producer_b->interests_served(), 1u);
-  // The second copy arrives after the PIT entry was consumed: unsolicited.
-  EXPECT_EQ(net.router->stats().unsolicited_data, 1u);
-  EXPECT_EQ(net.consumer->data_received(), 1u);
-}
-
-TEST(Strategy, Names) {
-  EXPECT_EQ(to_string(ForwardingStrategy::kBestRoute), "best-route");
-  EXPECT_EQ(to_string(ForwardingStrategy::kRoundRobin), "round-robin");
-  EXPECT_EQ(to_string(ForwardingStrategy::kMulticast), "multicast");
+    (void)fetch(consumer, plain("/p/x" + std::to_string(i)));
+  EXPECT_EQ(producer_a.interests_served(), 5u);
+  EXPECT_EQ(producer_b.interests_served(), 0u);
 }
 
 TEST(AddRoute, DuplicateRegistrationIgnored) {
@@ -239,9 +202,31 @@ TEST(AddRoute, DuplicateRegistrationIgnored) {
   router.add_route(ndn::Name("/p"), rp);  // duplicate
   Consumer consumer(sched, "C", 2);
   connect(consumer, router, fixed_link(1.0));
-  // Multicast over the deduplicated FIB still sends exactly one interest.
   (void)fetch(consumer, plain("/p/x"));
   EXPECT_EQ(producer.interests_served(), 1u);
+}
+
+TEST(AddRoute, RouteBackToArrivalFaceIsNoRoute) {
+  // The only route for /p leads out of the face the interest arrived on:
+  // forwarding it would send it straight back, so the router NACKs instead.
+  Scheduler sched;
+  Consumer consumer(sched, "C", 1);
+  Forwarder router(sched, "R", {});
+  const auto [cr, rc] = connect(consumer, router, fixed_link(1.0));
+  (void)cr;
+  router.add_route(ndn::Name("/p"), rc);
+
+  std::optional<ndn::NackReason> reason;
+  consumer.express_interest(
+      plain("/p/x"), [](const ndn::Data&, util::SimDuration) { FAIL() << "no data expected"; },
+      0, 0, {}, [&reason](const ndn::Nack& nack) { reason = nack.reason; });
+  sched.run();
+  ASSERT_TRUE(reason.has_value());
+  EXPECT_EQ(*reason, ndn::NackReason::kNoRoute);
+  EXPECT_EQ(router.stats().no_route_drops, 1u);
+  EXPECT_EQ(router.stats().forwarded_interests, 0u);
+  EXPECT_EQ(router.stats().nacks_sent, 1u);
+  EXPECT_EQ(router.pit_size(), 0u);
 }
 
 TEST(Nack, NoRouteNackReachesConsumer) {
@@ -311,24 +296,6 @@ TEST(Nack, PropagatesThroughIntermediateRouter) {
   EXPECT_EQ(r1.pit_size(), 0u);
   EXPECT_EQ(r1.stats().nacks_received, 1u);
   EXPECT_GE(r1.stats().nacks_sent, 1u);
-}
-
-TEST(Nack, DisabledNacksStaySilent) {
-  Scheduler sched;
-  Consumer consumer(sched, "C", 1);
-  ForwarderConfig cfg;
-  cfg.send_nacks = false;
-  Forwarder router(sched, "R", cfg);
-  connect(consumer, router, fixed_link(1.0));
-
-  bool nacked = false;
-  consumer.express_interest(
-      plain("/nowhere/x"), [](const ndn::Data&, util::SimDuration) {}, 0, 0, {},
-      [&nacked](const ndn::Nack&) { nacked = true; });
-  sched.run();
-  EXPECT_FALSE(nacked);
-  EXPECT_EQ(router.stats().no_route_drops, 1u);
-  EXPECT_EQ(router.stats().nacks_sent, 0u);
 }
 
 TEST(Nack, ReasonNames) {

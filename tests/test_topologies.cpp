@@ -1,6 +1,5 @@
 // Routing-topology integration tests beyond simple chains: rings (loop
-// suppression), diamonds (multipath + duplicate handling) and trees
-// (aggregation + collapsing across branches).
+// suppression) and trees (aggregation + collapsing across branches).
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -55,84 +54,6 @@ TEST(RingTopology, LoopingInterestSuppressedByNonce) {
   EXPECT_EQ(r1.pit_size(), 0u);
   EXPECT_EQ(r2.pit_size(), 0u);
   EXPECT_EQ(r3.pit_size(), 0u);
-}
-
-TEST(DiamondTopology, MulticastFetchesViaBothArmsAndConsumerGetsOneCopy) {
-  //        .-- A --.
-  //  C -- R          P
-  //        '-- B --' 
-  Scheduler sched;
-  ForwarderConfig ingress_cfg = router_config(1);
-  ingress_cfg.strategy = ForwardingStrategy::kMulticast;
-  Forwarder ingress(sched, "R", ingress_cfg);
-  Forwarder arm_a(sched, "A", router_config(2));
-  Forwarder arm_b(sched, "B", router_config(3));
-  Consumer consumer(sched, "C", 4);
-  Producer producer(sched, "P", ndn::Name("/p"), "key", {}, 5);
-
-  connect(consumer, ingress, fixed_link(0.5));
-  const auto [r_a, a_r] = connect(ingress, arm_a, fixed_link(1.0));
-  const auto [r_b, b_r] = connect(ingress, arm_b, fixed_link(3.0));  // slower arm
-  const auto [a_p, p_a] = connect(arm_a, producer, fixed_link(1.0));
-  const auto [b_p, p_b] = connect(arm_b, producer, fixed_link(1.0));
-  (void)a_r;
-  (void)b_r;
-  (void)p_a;
-  (void)p_b;
-  ingress.add_route(ndn::Name("/p"), r_a);
-  ingress.add_route(ndn::Name("/p"), r_b);
-  arm_a.add_route(ndn::Name("/p"), a_p);
-  arm_b.add_route(ndn::Name("/p"), b_p);
-
-  int copies = 0;
-  util::SimDuration rtt = 0;
-  consumer.fetch(ndn::Name("/p/x"), [&](const ndn::Data&, util::SimDuration r) {
-    ++copies;
-    rtt = r;
-  });
-  sched.run();
-
-  EXPECT_EQ(copies, 1);                           // PIT dedups the second copy
-  EXPECT_EQ(producer.interests_served(), 2u);     // both arms asked
-  EXPECT_LE(rtt, util::millis(6));                // served via the fast arm
-  EXPECT_EQ(ingress.stats().unsolicited_data, 1u);  // late copy dropped
-}
-
-TEST(DiamondTopology, BestRouteFailoverViaSecondArmAfterNack) {
-  // Arm A has no route to P (NACKs); with round-robin the retry lands on
-  // arm B and succeeds — NACK + multipath gives cheap failover.
-  Scheduler sched;
-  ForwarderConfig ingress_cfg = router_config(1);
-  ingress_cfg.strategy = ForwardingStrategy::kRoundRobin;
-  Forwarder ingress(sched, "R", ingress_cfg);
-  Forwarder arm_a(sched, "A", router_config(2));  // no route added: dead end
-  Forwarder arm_b(sched, "B", router_config(3));
-  Consumer consumer(sched, "C", 4);
-  Producer producer(sched, "P", ndn::Name("/p"), "key", {}, 5);
-
-  connect(consumer, ingress, fixed_link(0.5));
-  const auto [r_a, a_r] = connect(ingress, arm_a, fixed_link(1.0));
-  const auto [r_b, b_r] = connect(ingress, arm_b, fixed_link(1.0));
-  const auto [b_p, p_b] = connect(arm_b, producer, fixed_link(1.0));
-  (void)a_r;
-  (void)b_r;
-  (void)p_b;
-  ingress.add_route(ndn::Name("/p"), r_a);
-  ingress.add_route(ndn::Name("/p"), r_b);
-  arm_b.add_route(ndn::Name("/p"), b_p);
-
-  // First fetch goes via arm A and gets NACKed back.
-  bool nacked = false;
-  consumer.express_interest(
-      []{ ndn::Interest i; i.name = ndn::Name("/p/x"); return i; }(),
-      [](const ndn::Data&, util::SimDuration) { FAIL() << "arm A cannot deliver"; }, 0, 0, {},
-      [&nacked](const ndn::Nack&) { nacked = true; });
-  sched.run();
-  EXPECT_TRUE(nacked);
-
-  // Retry rotates to arm B.
-  EXPECT_TRUE(fetch_blocking(consumer, {.name = ndn::Name("/p/x")}));
-  EXPECT_EQ(producer.interests_served(), 1u);
 }
 
 TEST(TreeTopology, CollapsingAggregatesAcrossBranches) {

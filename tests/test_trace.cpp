@@ -10,8 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "core/policies.hpp"
-#include "trace/replayer.hpp"
 #include "trace/stream.hpp"
 
 namespace ndnp::trace {
@@ -203,114 +201,6 @@ TEST(TraceIo, ParserToleratesMalformedLinesUpToThreshold) {
   EXPECT_EQ(stats.lines, 5u);
 
   EXPECT_THROW((void)read_text(corpus, /*max_malformed=*/1), TraceParseError);
-}
-
-}  // namespace
-}  // namespace ndnp::trace
-
-namespace ndnp::trace {
-namespace {
-
-TEST(TraceGenLocality, TemporalLocalityRaisesRepeatRate) {
-  TraceGenConfig base = small_config();
-  base.num_requests = 30'000;
-  const Trace plain = generate_trace(base);
-
-  TraceGenConfig local = base;
-  local.temporal_locality = 0.5;
-  const Trace sticky = generate_trace(local);
-
-  // Repeat rate: fraction of requests whose name appeared in the same
-  // user's previous 32 requests.
-  const auto repeat_rate = [](const Trace& trace) {
-    std::map<std::uint32_t, std::vector<std::uint64_t>> recent;
-    std::size_t repeats = 0;
-    for (const TraceRecord& record : trace.records) {
-      auto& window = recent[record.user_id];
-      const std::uint64_t h = record.name.hash64();
-      if (std::find(window.begin(), window.end(), h) != window.end()) ++repeats;
-      window.push_back(h);
-      if (window.size() > 32) window.erase(window.begin());
-    }
-    return static_cast<double>(repeats) / static_cast<double>(trace.size());
-  };
-
-  EXPECT_GT(repeat_rate(sticky), repeat_rate(plain) + 0.2);
-}
-
-TEST(TraceGenLocality, AffinityConcentratesUsersOnDomains) {
-  TraceGenConfig base = small_config();
-  base.num_requests = 30'000;
-  base.user_affinity = 0.8;
-  const Trace trace = generate_trace(base);
-
-  // Top-domain share per user should be much higher than without affinity.
-  const auto top_domain_share = [](const Trace& trace_in) {
-    std::map<std::uint32_t, std::map<std::string, std::size_t>> counts;
-    for (const TraceRecord& record : trace_in.records)
-      ++counts[record.user_id][std::string(record.name.at(1))];
-    double share_sum = 0.0;
-    std::size_t users = 0;
-    for (const auto& [user, domains] : counts) {
-      std::size_t total = 0;
-      std::size_t top = 0;
-      for (const auto& [domain, count] : domains) {
-        total += count;
-        top = std::max(top, count);
-      }
-      if (total < 50) continue;  // skip low-activity users (noisy shares)
-      share_sum += static_cast<double>(top) / static_cast<double>(total);
-      ++users;
-    }
-    return users ? share_sum / static_cast<double>(users) : 0.0;
-  };
-
-  TraceGenConfig plain_cfg = small_config();
-  plain_cfg.num_requests = 30'000;
-  const Trace plain = generate_trace(plain_cfg);
-  EXPECT_GT(top_domain_share(trace), top_domain_share(plain) + 0.3);
-}
-
-TEST(TraceGenLocality, DefaultsPreserveLegacyOutput) {
-  // The locality knobs default to off; byte-identical output with the old
-  // generator keeps every bench reproducible.
-  TraceGenConfig config = small_config();
-  const Trace a = generate_trace(config);
-  config.temporal_locality = 0.0;
-  config.user_affinity = 0.0;
-  const Trace b = generate_trace(config);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); i += 97) EXPECT_EQ(a.records[i].name, b.records[i].name);
-}
-
-TEST(TraceGenLocality, RejectsBadKnobs) {
-  TraceGenConfig config = small_config();
-  config.temporal_locality = 1.5;
-  EXPECT_THROW((void)generate_trace(config), std::invalid_argument);
-  config.temporal_locality = 0.5;
-  config.locality_depth = 0;
-  EXPECT_THROW((void)generate_trace(config), std::invalid_argument);
-  config.locality_depth = 8;
-  config.user_affinity = -0.1;
-  EXPECT_THROW((void)generate_trace(config), std::invalid_argument);
-}
-
-TEST(TraceGenLocality, LocalityRaisesSmallCacheHitRates) {
-  // Sanity link to the replayer: temporal locality should help a small
-  // LRU cache disproportionately.
-  TraceGenConfig config = small_config();
-  config.num_requests = 20'000;
-  const Trace plain = generate_trace(config);
-  config.temporal_locality = 0.5;
-  const Trace sticky = generate_trace(config);
-
-  ReplayConfig replay_config;
-  replay_config.cache_capacity = 100;
-  replay_config.private_fraction = 0.0;
-  replay_config.policy_factory = [] { return std::make_unique<core::NoPrivacyPolicy>(); };
-  replay_config.seed = 3;
-  EXPECT_GT(replay(sticky, replay_config).hit_rate_pct(),
-            replay(plain, replay_config).hit_rate_pct() + 5.0);
 }
 
 }  // namespace

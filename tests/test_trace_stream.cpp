@@ -462,15 +462,6 @@ TEST(TraceStream, SyntheticSourceIsDeterministicAcrossPassesAndChunkSizes) {
   expect_records_equal(drain(*a, 113), pass_a, 0.0);
 }
 
-TEST(TraceStream, SyntheticWorkloadRejectsStatefulLocalityModes) {
-  TraceGenConfig config = synthetic_config();
-  config.temporal_locality = 0.1;
-  EXPECT_THROW(SyntheticWorkload{config}, std::invalid_argument);
-  config.temporal_locality = 0.0;
-  config.user_affinity = 0.2;
-  EXPECT_THROW(SyntheticWorkload{config}, std::invalid_argument);
-}
-
 TEST(TraceStream, SyntheticDomainAssignmentIsStable) {
   const SyntheticWorkload workload(synthetic_config());
   for (const std::size_t object : {std::size_t{0}, std::size_t{17}, std::size_t{9'999}}) {

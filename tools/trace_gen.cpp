@@ -7,13 +7,13 @@
 //   trace_gen --convert IN --out OUT [--format text|binary]
 //             [--max-malformed N]
 //
-// The default path materializes the trace in memory (generate_trace: full
-// locality/affinity model). --stream switches to the bounded-memory
-// generator (trace/stream.hpp): records go straight to the sink chunk by
-// chunk, so millions of users and a ~10M-name catalogue fit in a fixed
-// footprint — the scale mode used by the CI scale smoke. Without --out the
-// text trace goes to stdout. --format binary (which needs --out) writes the
-// "NDNPTRB1" chunked format, which replays parse ~10x faster than text.
+// The default path materializes the trace in memory (generate_trace).
+// --stream switches to the bounded-memory generator (trace/stream.hpp):
+// records go straight to the sink chunk by chunk, so millions of users and
+// a ~10M-name catalogue fit in a fixed footprint — the scale mode used by
+// the CI scale smoke. Without --out the text trace goes to stdout.
+// --format binary (which needs --out) writes the "NDNPTRB1" chunked
+// format, which replays parse ~10x faster than text.
 // --convert streams an existing trace (either format, sniffed by magic)
 // into --out under --format, counting — and bounding, per --max-malformed —
 // malformed input lines.
