@@ -1,10 +1,11 @@
 // HeapScheduler: the original binary-heap discrete-event scheduler, kept as
 // the obviously-correct reference for sim::WheelScheduler. It honours the
 // same contract (strict (time, sequence) dispatch order, FIFO among
-// equal-time events, no scheduling in the past) with a std::priority_queue
-// instead of a timer wheel. tests/test_scheduler_differential.cpp replays
-// seeded random workloads through both and requires identical dispatch;
-// bench_micro_ops times the wheel against it. The simulation never uses it,
+// equal-time events, no scheduling in the past, reserved sequence numbers)
+// with a std::priority_queue instead of a timer wheel.
+// tests/test_scheduler_differential.cpp replays seeded random workloads
+// through both and requires identical dispatch; bench_micro_ops times the
+// wheel against it. The simulation never uses it,
 // so it lives in the ndnp_oracle target, outside the shipped libraries.
 #pragma once
 
@@ -31,6 +32,19 @@ class HeapScheduler {
   void schedule_in(util::SimDuration delay, F&& event) {
     detail::throw_if_negative(delay);
     schedule_at(now_ + delay, std::forward<F>(event));
+  }
+
+  std::uint64_t reserve_sequence(std::uint64_t n) noexcept {
+    const std::uint64_t first = next_seq_;
+    next_seq_ += n;
+    return first;
+  }
+
+  template <typename F>
+  void schedule_reserved(util::SimTime when, std::uint64_t seq, F&& event) {
+    detail::throw_if_unusable_reservation(when, seq, now_, next_seq_, last_seq_, processed_);
+    detail::throw_if_null_event(event);
+    queue_.push(Item{when, seq, EventFn(std::forward<F>(event))});
   }
 
   [[nodiscard]] util::SimTime now() const noexcept { return now_; }

@@ -32,9 +32,9 @@ WheelScheduler::~WheelScheduler() {
   }
 }
 
-void WheelScheduler::enqueue(util::SimTime when, EventFn fn) {
+void WheelScheduler::enqueue(util::SimTime when, std::uint64_t seq, EventFn fn) {
   if (fn.heap_allocated()) ++heap_fallback_events_;
-  EventNode* node = slab_.create(when, next_seq_++, std::move(fn));
+  EventNode* node = slab_.create(when, seq, std::move(fn));
   ++live_;
   place(node);
 }

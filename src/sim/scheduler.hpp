@@ -11,7 +11,10 @@
 //
 // The contract, which makes runs byte-identical across --jobs: events
 // dispatch in strict (time, sequence) order — time never runs backwards,
-// and equal-time events run in schedule (FIFO) order. The binary-heap
+// and equal-time events run in schedule (FIFO) order. A caller may take
+// sequence numbers early (reserve_sequence) and place the events later
+// (schedule_reserved); such an event dispatches where it would have had it
+// been scheduled at reservation time. The binary-heap
 // reference implementation, oracle/heap_scheduler.hpp, lives outside the
 // shipped library; tests/test_scheduler_differential.cpp proves the two
 // dispatch identically over seeded random workloads. Single-threaded by
@@ -59,6 +62,18 @@ inline void throw_if_negative(util::SimDuration delay) {
   if (delay < 0) throw std::logic_error("Scheduler: negative delay");
 }
 
+/// schedule_reserved's checks: `seq` must have come from reserve_sequence
+/// (below `next_seq`), and (when, seq) must not dispatch before the last
+/// dispatched event (`now`, `last_seq`; none yet when `processed` is 0).
+inline void throw_if_unusable_reservation(util::SimTime when, std::uint64_t seq,
+                                          util::SimTime now, std::uint64_t next_seq,
+                                          std::uint64_t last_seq, std::uint64_t processed) {
+  if (seq >= next_seq) throw std::logic_error("Scheduler: sequence number was never reserved");
+  throw_if_past(when, now);
+  if (when == now && processed != 0 && seq <= last_seq)
+    throw std::logic_error("Scheduler: reserved event would dispatch before the last one");
+}
+
 }  // namespace detail
 
 // ---------------------------------------------------------------------------
@@ -76,7 +91,7 @@ class WheelScheduler {
   void schedule_at(util::SimTime when, F&& event) {
     detail::throw_if_past(when, now_);
     detail::throw_if_null_event(event);
-    enqueue(when, EventFn(std::forward<F>(event)));
+    enqueue(when, next_seq_++, EventFn(std::forward<F>(event)));
   }
 
   /// Schedule `delay` after the current time (delay >= 0).
@@ -84,6 +99,28 @@ class WheelScheduler {
   void schedule_in(util::SimDuration delay, F&& event) {
     detail::throw_if_negative(delay);
     schedule_at(now_ + delay, std::forward<F>(event));
+  }
+
+  /// Reserve `n` consecutive sequence numbers and return the first. An
+  /// event later scheduled under one of them with schedule_reserved
+  /// dispatches exactly where a schedule_at call made at reservation time
+  /// would have: dispatch order is (time, seq), not insertion order.
+  std::uint64_t reserve_sequence(std::uint64_t n) noexcept {
+    const std::uint64_t first = next_seq_;
+    next_seq_ += n;
+    return first;
+  }
+
+  /// Schedule at `when` under a number from reserve_sequence. Throws
+  /// std::logic_error if `seq` was never reserved, or if (when, seq) would
+  /// dispatch before the last dispatched event (in the past, or at the
+  /// current time with a seq at or below the last one). Each reserved
+  /// number is used at most once; that is the caller's to keep.
+  template <typename F>
+  void schedule_reserved(util::SimTime when, std::uint64_t seq, F&& event) {
+    detail::throw_if_unusable_reservation(when, seq, now_, next_seq_, last_seq_, processed_);
+    detail::throw_if_null_event(event);
+    enqueue(when, seq, EventFn(std::forward<F>(event)));
   }
 
   /// Current simulation time: the timestamp of the event being processed,
@@ -154,7 +191,7 @@ class WheelScheduler {
     return static_cast<std::uint64_t>(when) >> kTickShift;
   }
 
-  void enqueue(util::SimTime when, EventFn fn);
+  void enqueue(util::SimTime when, std::uint64_t seq, EventFn fn);
   void place(EventNode* node);
   void ready_push(EventNode* node);
   bool ensure_ready();

@@ -1,7 +1,11 @@
 #include "trace/network_replay.hpp"
 
+#include <algorithm>
+#include <numeric>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/policies.hpp"
@@ -22,7 +26,7 @@ std::string_view to_string(Deployment deployment) noexcept {
 
 namespace {
 
-/// The two-tier deployment tree plus the per-record issue path, shared by
+/// The two-tier deployment tree plus the arrival feeder, shared by
 /// the in-memory and streaming overloads.
 struct DeploymentTree {
   explicit DeploymentTree(const NetworkReplayConfig& config) : config_(config) {
@@ -90,31 +94,24 @@ struct DeploymentTree {
     return static_cast<util::SimTime>(record.timestamp_s * 1e9 / config_.time_compression);
   }
 
-  /// Schedule one request at its compressed timestamp.
-  void issue(const TraceRecord& record) {
-    const util::SimTime when = at(record);
+  /// Count one record as a request once its timestamp is known to replay.
+  void validate(const TraceRecord& record) {
+    (void)at(record);
     ++result_.requests;
-    Edge& edge = edges_[record.user_id % config_.edge_routers];
-    sim::Consumer* consumer = edge.consumer.get();
-    const bool is_private =
-        is_private_content(record.name, config_.private_fraction, config_.seed);
-    NetworkReplayResult* result = &result_;
-    // The name is captured by value and non-const: a const member would
-    // make the closure not nothrow-movable, and every request would then
-    // take the scheduler's heap fallback.
-    auto request = [consumer, name = record.name, is_private, result] {
-      ndn::Interest interest;
-      interest.name = name;
-      interest.private_req = is_private;
-      consumer->express_interest(interest,
-                                 [result](const ndn::Data&, util::SimDuration rtt) {
-                                   ++result->completed;
-                                   result->rtt_ms.add(util::to_millis(rtt));
-                                 });
-    };
-    static_assert(sim::EventFn::fits_inline<decltype(request)>,
-                  "the per-request event must fit the scheduler's inline buffer");
-    sched_.schedule_at(when, std::move(request));
+  }
+
+  /// Feed validated `records` to the network one arrival at a time. Record
+  /// k gets reserved sequence number base + k, the number scheduling every
+  /// record now would have given it, so each arrival dispatches exactly
+  /// where that eager schedule would put it, while the scheduler holds only
+  /// the next one. `order` lists the records in (time, index) order; empty
+  /// means they already are. Both must outlive the last arrival.
+  void feed(std::span<const TraceRecord> records, std::span<const std::size_t> order = {}) {
+    feed_ = records;
+    feed_order_ = order;
+    feed_pos_ = 0;
+    feed_seq_ = sched_.reserve_sequence(records.size());
+    feed_next();
   }
 
   /// Drain the event queue and collect the tier accounting.
@@ -135,18 +132,61 @@ struct DeploymentTree {
     std::unique_ptr<sim::Consumer> consumer;
   };
 
+  /// Schedule the next record's arrival; it schedules the one after.
+  void feed_next() {
+    if (feed_pos_ == feed_.size()) return;
+    const std::size_t k = feed_order_.empty() ? feed_pos_ : feed_order_[feed_pos_];
+    ++feed_pos_;
+    auto arrival = [this, k] {
+      feed_next();
+      issue(feed_[k]);
+    };
+    static_assert(sim::EventFn::fits_inline<decltype(arrival)>,
+                  "the arrival event must fit the scheduler's inline buffer");
+    sched_.schedule_reserved(at(feed_[k]), feed_seq_ + k, std::move(arrival));
+  }
+
+  /// Express one request's Interest from its user's edge consumer.
+  void issue(const TraceRecord& record) {
+    ndn::Interest interest;
+    interest.name = record.name;
+    interest.private_req =
+        is_private_content(record.name, config_.private_fraction, config_.seed);
+    NetworkReplayResult* result = &result_;
+    edges_[record.user_id % config_.edge_routers].consumer->express_interest(
+        interest, [result](const ndn::Data&, util::SimDuration rtt) {
+          ++result->completed;
+          result->rtt_ms.add(util::to_millis(rtt));
+        });
+  }
+
   NetworkReplayConfig config_;
   std::unique_ptr<sim::Forwarder> core_;
   std::unique_ptr<sim::Producer> producer_;
   std::vector<Edge> edges_;
   NetworkReplayResult result_;
+  std::span<const TraceRecord> feed_;
+  std::span<const std::size_t> feed_order_;
+  std::size_t feed_pos_ = 0;
+  std::uint64_t feed_seq_ = 0;
 };
 
 }  // namespace
 
 NetworkReplayResult replay_over_network(const Trace& tr, const NetworkReplayConfig& config) {
   DeploymentTree tree(config);
-  for (const TraceRecord& record : tr.records) tree.issue(record);
+  for (const TraceRecord& record : tr.records) tree.validate(record);
+  // Records scheduled all at once would dispatch in (time, index) order;
+  // an unsorted trace is fed in that order.
+  const auto when = [&tree](const TraceRecord& record) { return tree.at(record); };
+  std::vector<std::size_t> order;
+  if (!std::ranges::is_sorted(tr.records, {}, when)) {
+    order.resize(tr.records.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::ranges::sort(order, {},
+                      [&](std::size_t i) { return std::pair{when(tr.records[i]), i}; });
+  }
+  tree.feed(tr.records, order);
   return tree.finish();
 }
 
@@ -165,11 +205,12 @@ NetworkReplayResult replay_over_network(TraceSource& source,
         throw std::invalid_argument(
             "replay_over_network: streaming replay requires a time-sorted trace");
       last_ts = record.timestamp_s;
-      tree.issue(record);
+      tree.validate(record);
     }
     // Execute everything up to the horizon of this chunk before pulling the
-    // next one: in-flight events stay pending, but the request backlog never
-    // exceeds one chunk.
+    // next one: the chunk's arrivals all dispatch by then, and in-flight
+    // events stay pending.
+    tree.feed(chunk);
     tree.sched_.run_until(tree.at(chunk.back()));
   }
   NetworkReplayResult result = tree.finish();

@@ -84,13 +84,17 @@ struct NetworkReplayResult {
 };
 
 /// Replay `tr` over the two-tier network. Deterministic for a given
-/// (trace, config) pair.
+/// (trace, config) pair. The records need not be sorted: they replay in
+/// (compressed time, index) order.
 [[nodiscard]] NetworkReplayResult replay_over_network(const Trace& tr,
                                                       const NetworkReplayConfig& config);
 
-/// Streaming overload: pull fixed-size chunks from `source` and interleave
-/// scheduling with execution, so peak memory is bounded by `chunk_records`
-/// (plus cache state) — independent of trace length. Requires records in
+/// Streaming overload: pull fixed-size chunks from `source`, check every
+/// timestamp of a chunk, then run the simulation to the chunk's last
+/// timestamp before pulling the next, so peak memory is bounded by
+/// `chunk_records` (plus cache state), independent of trace length. The
+/// arrivals are fed one at a time: the scheduler holds one pending arrival
+/// plus the in-flight work, never a chunk's backlog. Requires records in
 /// nondecreasing timestamp order (the trace formats guarantee it); throws
 /// std::invalid_argument otherwise. Deterministic for a given
 /// (source, config) pair and byte-identical to the in-memory overload on

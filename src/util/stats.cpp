@@ -90,13 +90,17 @@ void SampleSet::add(double x) {
 double SampleSet::quantile(double q) const {
   if (samples_.empty()) throw std::logic_error("SampleSet::quantile on empty set");
   q = std::clamp(q, 0.0, 1.0);
-  std::vector<double> sorted = samples_;
-  std::sort(sorted.begin(), sorted.end());
-  const double pos = q * static_cast<double>(sorted.size() - 1);
+  // Only order statistics i and i + 1 are needed: select element i, then
+  // take the minimum of the part above it, instead of sorting everything.
+  std::vector<double> values = samples_;
+  const double pos = q * static_cast<double>(values.size() - 1);
   const auto i = static_cast<std::size_t>(pos);
   const double frac = pos - static_cast<double>(i);
-  if (i + 1 >= sorted.size()) return sorted.back();
-  return sorted[i] * (1.0 - frac) + sorted[i + 1] * frac;
+  const auto ith = values.begin() + static_cast<std::ptrdiff_t>(i);
+  std::nth_element(values.begin(), ith, values.end());
+  if (i + 1 >= values.size()) return *ith;
+  const double next = *std::min_element(ith + 1, values.end());
+  return *ith * (1.0 - frac) + next * frac;
 }
 
 std::pair<Histogram, Histogram> SampleSet::paired_histograms(const SampleSet& a,

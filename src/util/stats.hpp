@@ -93,7 +93,8 @@ class SampleSet {
   [[nodiscard]] double min() const noexcept { return stats_.min(); }
   [[nodiscard]] double max() const noexcept { return stats_.max(); }
 
-  /// Exact quantile by sorting a copy; q in [0,1]. Throws if empty.
+  /// Exact quantile (linear between the two nearest order statistics,
+  /// selected from a copy); q in [0,1]. Throws if empty.
   [[nodiscard]] double quantile(double q) const;
 
   /// Histogram over [min, max] of the combined range of *both* sets, with

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -10,6 +12,7 @@
 
 #include "core/policies.hpp"
 #include "trace/stream.hpp"
+#include "util/rng.hpp"
 
 namespace ndnp::trace {
 namespace {
@@ -235,30 +238,80 @@ TEST(NetworkReplay, StreamingSurfacesMalformedLineCount) {
   EXPECT_EQ(result.malformed_records, 1u);
 }
 
+/// Runs `replay` and expects the TraceParseError of a timestamp that time
+/// compression pushes out of range (not, say, the streaming sortedness check).
+template <typename Replay>
+void expect_compression_error(Replay replay) {
+  try {
+    (void)replay();
+    ADD_FAILURE() << "replay_over_network did not throw";
+  } catch (const TraceParseError& error) {
+    EXPECT_NE(std::string(error.what()).find("after time compression"), std::string::npos)
+        << error.what();
+  }
+}
+
 TEST(NetworkReplay, RejectsATimestampThatCompressionPushesOutOfRange) {
   // 1e9 s is 1e18 ns, which both readers accept; at time_compression 0.01
-  // it becomes 1e20 ns, past SimTime's 2^63 ns.
+  // it becomes 1e20 ns, past SimTime's 2^63 ns. Every record's timestamp is
+  // checked before any of its chunk replays, wherever the bad one sits.
   ASSERT_TRUE(replayable_timestamp(1e9));
-  Trace tr;
-  tr.records.push_back({0.5, 0, ndn::Name("/web/dom1/obj1"), 8'192});
-  tr.records.push_back({1e9, 1, ndn::Name("/web/dom1/obj2"), 8'192});
   NetworkReplayConfig config = base_config();
   config.time_compression = 0.01;
-  EXPECT_THROW((void)replay_over_network(tr, config), TraceParseError);
-  VectorTraceSource source(tr);
-  EXPECT_THROW((void)replay_over_network(source, config, 64), TraceParseError);
+  const TraceRecord bad{1e9, 1, ndn::Name("/web/dom1/bad"), 8'192};
+  for (std::size_t position = 0; position < 3; ++position) {
+    SCOPED_TRACE("bad record at position " + std::to_string(position));
+    Trace tr;
+    tr.records.push_back({0.5, 0, ndn::Name("/web/dom1/obj1"), 8'192});
+    tr.records.push_back({1.5, 2, ndn::Name("/web/dom1/obj2"), 8'192});
+    tr.records.insert(tr.records.begin() + static_cast<std::ptrdiff_t>(position), bad);
+    expect_compression_error([&] { return replay_over_network(tr, config); });
+    for (const std::size_t chunk : {std::size_t{1}, std::size_t{64}}) {
+      VectorTraceSource source(tr);
+      expect_compression_error([&] { return replay_over_network(source, config, chunk); });
+    }
 
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "ndnp_netreplay_compressed.trace").string();
-  std::ofstream(path) << "0.5 0 /web/dom1/obj1 8192\n"
-                      << "1e9 1 /web/dom1/obj2 8192\n";
-  TextTraceSource text(path);
-  EXPECT_THROW((void)replay_over_network(text, config, 64), TraceParseError);
-  std::remove(path.c_str());
+    const std::string path =
+        (std::filesystem::temp_directory_path() / "ndnp_netreplay_compressed.trace").string();
+    {
+      std::ofstream out(path);
+      for (const TraceRecord& record : tr.records)
+        out << record.timestamp_s << ' ' << record.user_id << ' ' << record.name.to_uri()
+            << " 8192\n";
+    }
+    TextTraceSource text(path);
+    expect_compression_error([&] { return replay_over_network(text, config, 64); });
+    std::remove(path.c_str());
+  }
 
   // Compressed into range, the same records replay.
+  Trace tr;
+  tr.records.push_back({0.5, 0, ndn::Name("/web/dom1/obj1"), 8'192});
+  tr.records.push_back(bad);
   config.time_compression = 1e9;
   EXPECT_EQ(replay_over_network(tr, config).completed, 2u);
+}
+
+// An in-memory trace need not be sorted: it replays in (time, index) order,
+// exactly as its sorted original (generate_trace gives distinct timestamps,
+// so the index never breaks a tie here).
+TEST(NetworkReplay, InMemoryReplayAcceptsAnUnsortedTrace) {
+  const Trace sorted = small_trace();
+  Trace shuffled = sorted;
+  util::Rng rng(29);
+  rng.shuffle(shuffled.records);
+  ASSERT_FALSE(std::ranges::is_sorted(shuffled.records, {}, &TraceRecord::timestamp_s));
+
+  const NetworkReplayResult reference = replay_over_network(sorted, base_config());
+  const NetworkReplayResult result = replay_over_network(shuffled, base_config());
+  EXPECT_EQ(result.requests, reference.requests);
+  EXPECT_EQ(result.completed, reference.completed);
+  EXPECT_EQ(result.edge_hits, reference.edge_hits);
+  EXPECT_EQ(result.core_hits, reference.core_hits);
+  EXPECT_EQ(result.producer_fetches, reference.producer_fetches);
+  EXPECT_EQ(result.rtt_ms.mean(), reference.rtt_ms.mean());
+  for (const double q : {0.05, 0.5, 0.95})
+    EXPECT_EQ(result.rtt_ms.quantile(q), reference.rtt_ms.quantile(q)) << "q " << q;
 }
 
 }  // namespace

@@ -1,17 +1,22 @@
 // Scheduler contract tests, typed over BOTH implementations: the
 // timer-wheel default and the binary-heap reference. Every test runs twice
 // — the dispatch contract ((time, seq) FIFO order, run_until clock
-// semantics, past-time rejection) is shared, and
+// semantics, past-time rejection, reserved sequence numbers) is shared, and
 // tests/test_scheduler_differential.cpp additionally proves the two
 // equivalent over seeded random soak streams.
 #include "sim/scheduler.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <functional>
+#include <numeric>
+#include <utility>
 #include <vector>
 
 #include "oracle/heap_scheduler.hpp"
+#include "util/rng.hpp"
 
 namespace ndnp::sim {
 namespace {
@@ -169,6 +174,141 @@ TYPED_TEST(SchedulerContract, SparseFarFutureEventsDispatchInOrder) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(sched.now(), farther);
   EXPECT_EQ(sched.processed(), 3u);
+}
+
+// --- reserved sequence numbers ---------------------------------------------
+
+/// A seeded workload on a coarse time grid, so many events share a
+/// timestamp. Roots are scheduled in two batches with a run_until between
+/// them; every dispatched event logs itself and may spawn a child from its
+/// own id, so the child's id and time depend only on dispatch order.
+template <typename Sched>
+class GridWorkload {
+ public:
+  static constexpr std::size_t kBatch = 200;
+
+  explicit GridWorkload(bool lazy) : lazy_(lazy) {}
+
+  std::vector<std::uint64_t> run() {
+    add_batch(/*from=*/0);
+    sched_.run_until(10 * kGrid);
+    add_batch(/*from=*/sched_.now());
+    sched_.run();
+    return log_;
+  }
+
+ private:
+  static constexpr util::SimTime kGrid = 1'000;
+
+  struct Batch {
+    std::uint64_t base_seq = 0;
+    std::uint64_t first_id = 0;
+    std::vector<util::SimTime> at;
+    std::vector<std::size_t> order;  // (time, index) order
+    std::size_t pos = 0;
+  };
+
+  void add_batch(util::SimTime from) {
+    Batch batch;
+    batch.first_id = next_id_;
+    next_id_ += kBatch;
+    for (std::size_t k = 0; k < kBatch; ++k)
+      batch.at.push_back(from + kGrid * static_cast<util::SimTime>(rng_.uniform_u64(20)));
+    if (!lazy_) {
+      for (std::size_t k = 0; k < kBatch; ++k) {
+        const std::uint64_t id = batch.first_id + k;
+        sched_.schedule_at(batch.at[k], [this, id] { on_dispatch(id); });
+      }
+      return;
+    }
+    batch.base_seq = sched_.reserve_sequence(kBatch);
+    batch.order.resize(kBatch);
+    std::iota(batch.order.begin(), batch.order.end(), std::size_t{0});
+    std::ranges::sort(batch.order, {}, [&](std::size_t k) { return std::pair{batch.at[k], k}; });
+    batches_.push_back(std::move(batch));
+    feed_next(batches_.size() - 1);
+  }
+
+  void feed_next(std::size_t b) {
+    Batch& batch = batches_[b];
+    if (batch.pos == kBatch) return;
+    const std::size_t k = batch.order[batch.pos++];
+    sched_.schedule_reserved(batch.at[k], batch.base_seq + k, [this, b, k] {
+      on_dispatch(batches_[b].first_id + k);
+      feed_next(b);
+    });
+  }
+
+  void on_dispatch(std::uint64_t id) {
+    log_.push_back(id);
+    util::SplitMix64 mix(id * 0x9E3779B97F4A7C15ULL);
+    if (mix.next() % 3 == 0) {
+      const std::uint64_t child = next_id_++;
+      const auto delay = kGrid * static_cast<util::SimDuration>(mix.next() % 4);
+      sched_.schedule_in(delay, [this, child] { on_dispatch(child); });
+    }
+  }
+
+  Sched sched_;
+  bool lazy_;
+  util::Rng rng_{2013};
+  std::uint64_t next_id_ = 0;
+  std::vector<Batch> batches_;
+  std::vector<std::uint64_t> log_;
+};
+
+TYPED_TEST(SchedulerContract, ReservedSchedulesDispatchLikeEagerOnes) {
+  const std::vector<std::uint64_t> eager = GridWorkload<TypeParam>(/*lazy=*/false).run();
+  const std::vector<std::uint64_t> lazy = GridWorkload<TypeParam>(/*lazy=*/true).run();
+  EXPECT_GT(eager.size(), 2 * GridWorkload<TypeParam>::kBatch);  // some children ran
+  EXPECT_EQ(lazy, eager);
+}
+
+TYPED_TEST(SchedulerContract, ReserveSequenceHandsOutConsecutiveNumbers) {
+  TypeParam sched;
+  EXPECT_EQ(sched.reserve_sequence(3), 0u);
+  sched.schedule_at(1, [] {});  // takes seq 3
+  EXPECT_EQ(sched.reserve_sequence(2), 4u);
+  EXPECT_EQ(sched.reserve_sequence(0), 6u);
+  EXPECT_EQ(sched.reserve_sequence(1), 6u);
+}
+
+TYPED_TEST(SchedulerContract, ScheduleReservedRejectsUnreservedAndBehindNumbers) {
+  TypeParam sched;
+  EXPECT_THROW(sched.schedule_reserved(10, 0, [] {}), std::logic_error);  // nothing reserved
+  const std::uint64_t base = sched.reserve_sequence(3);                   // 0, 1, 2
+  EXPECT_THROW(sched.schedule_reserved(10, base + 3, [] {}), std::logic_error);
+  EXPECT_THROW(sched.schedule_reserved(10, base, std::function<void()>{}),
+               std::invalid_argument);
+
+  std::vector<int> order;
+  sched.schedule_at(50, [&] { order.push_back(3); });  // seq 3
+  ASSERT_TRUE(sched.run_one());
+  EXPECT_THROW(sched.schedule_reserved(49, base + 2, [] {}), std::logic_error);  // the past
+  // Now, but at or below the last dispatched seq: it would dispatch before it.
+  EXPECT_THROW(sched.schedule_reserved(50, base + 2, [] {}), std::logic_error);
+  const std::uint64_t later = sched.reserve_sequence(1);  // 4
+  EXPECT_EQ(sched.pending(), 0u);
+
+  sched.schedule_reserved(50, later, [&] { order.push_back(4); });
+  sched.schedule_reserved(51, base + 1, [&] { order.push_back(1); });
+  sched.schedule_reserved(51, base, [&] { order.push_back(0); });
+  sched.run();
+  EXPECT_EQ(order, (std::vector<int>{3, 4, 0, 1}));
+  EXPECT_EQ(sched.processed(), 4u);
+}
+
+// Before anything has dispatched there is no last event: a reserved number
+// may go at the current time, whatever it is.
+TYPED_TEST(SchedulerContract, ScheduleReservedAtTimeZeroBeforeAnyDispatch) {
+  TypeParam sched;
+  const std::uint64_t base = sched.reserve_sequence(2);
+  std::vector<int> order;
+  sched.schedule_at(0, [&] { order.push_back(2); });
+  sched.schedule_reserved(0, base + 1, [&] { order.push_back(1); });
+  sched.schedule_reserved(0, base, [&] { order.push_back(0); });
+  sched.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
 
 }  // namespace

@@ -3,8 +3,9 @@
 //
 // Both schedulers are driven in lockstep through identical seeded op
 // streams — schedule_at / schedule_in at wildly mixed time scales (same
-// tick, sub-tick, cross-slot, cross-level, far-future), run_one,
-// run_until, run — while every dispatched
+// tick, sub-tick, cross-slot, cross-level, far-future), batches placed
+// under reserved sequence numbers (all at once in reverse, or fed one
+// dispatch at a time), run_one, run_until, run — while every dispatched
 // event deterministically decides (from a SplitMix64 stream keyed by its
 // own id) whether to schedule children of its own. After every control op
 // the externally observable state must match exactly: dispatch log
@@ -19,10 +20,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -87,6 +90,30 @@ class Driver {
     }
   }
 
+  /// Reserve one sequence number per delay and place the events under
+  /// them. A fed batch goes in one at a time, in (time, index) order, each
+  /// dispatch placing the next; an unfed one is placed at once, last
+  /// reserved number first, so the wheel sees numbers out of order.
+  void schedule_reserved_batch(const std::vector<util::SimDuration>& delays, bool fed) {
+    Batch batch;
+    batch.base_seq = sched_.reserve_sequence(delays.size());
+    batch.first_id = next_id_;
+    next_id_ += delays.size();
+    for (const util::SimDuration delay : delays) batch.at.push_back(sched_.now() + delay);
+    if (!fed) {
+      for (std::size_t k = delays.size(); k-- > 0;) {
+        const std::uint64_t id = batch.first_id + k;
+        sched_.schedule_reserved(batch.at[k], batch.base_seq + k, [this, id] { on_dispatch(id); });
+      }
+      return;
+    }
+    batch.order.resize(delays.size());
+    std::iota(batch.order.begin(), batch.order.end(), std::size_t{0});
+    std::ranges::sort(batch.order, {}, [&](std::size_t k) { return std::pair{batch.at[k], k}; });
+    batches_.push_back(std::move(batch));
+    feed_next(batches_.size() - 1);
+  }
+
   std::uint64_t digest() const {
     std::uint64_t hash = 1469598103934665603ULL;  // FNV-1a offset basis
     auto mix = [&hash](std::uint64_t value) {
@@ -126,8 +153,27 @@ class Driver {
     }
   }
 
+  struct Batch {
+    std::uint64_t base_seq = 0;
+    std::uint64_t first_id = 0;
+    std::vector<util::SimTime> at;
+    std::vector<std::size_t> order;
+    std::size_t pos = 0;
+  };
+
+  void feed_next(std::size_t b) {
+    Batch& batch = batches_[b];
+    if (batch.pos == batch.order.size()) return;
+    const std::size_t k = batch.order[batch.pos++];
+    sched_.schedule_reserved(batch.at[k], batch.base_seq + k, [this, b, k] {
+      on_dispatch(batches_[b].first_id + k);
+      feed_next(b);
+    });
+  }
+
   Sched sched_;
   std::uint64_t master_seed_;
+  std::vector<Batch> batches_;
   std::uint64_t next_id_ = 1;
   std::vector<LogEntry> log_;
 };
@@ -150,10 +196,20 @@ util::SimDuration random_delay(util::Rng& rng) {
 /// schedulers and asserts observable equivalence after every op.
 void run_soak(std::uint64_t seed, std::size_t ops) {
   util::Rng rng(seed);
+  // Reserved batches draw from their own stream, so `rng` yields the same
+  // plain ops it always has.
+  util::Rng reserve_rng(seed ^ 0x5EEDB47C4ULL);
   Driver<WheelScheduler> wheel(seed);
   Driver<HeapScheduler> heap(seed);
 
   for (std::size_t op = 0; op < ops; ++op) {
+    if (reserve_rng.bernoulli(0.04)) {
+      std::vector<util::SimDuration> delays(1 + reserve_rng.uniform_u64(8));
+      for (util::SimDuration& delay : delays) delay = random_delay(reserve_rng);
+      const bool fed = reserve_rng.bernoulli(0.5);
+      wheel.schedule_reserved_batch(delays, fed);
+      heap.schedule_reserved_batch(delays, fed);
+    }
     const std::uint64_t kind = rng.uniform_u64(100);
     if (kind < 65) {
       const util::SimDuration delay = random_delay(rng);

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <vector>
 
 #include "util/rng.hpp"
 
@@ -134,6 +137,34 @@ TEST(SampleSet, QuantileInterpolates) {
   EXPECT_DOUBLE_EQ(s.quantile(0.5), 30.0);
   EXPECT_DOUBLE_EQ(s.quantile(0.25), 20.0);
   EXPECT_DOUBLE_EQ(s.quantile(0.125), 15.0);
+}
+
+// quantile selects its two order statistics instead of sorting; the
+// interpolated value must be exactly the one a full sort gives, duplicates
+// included.
+TEST(SampleSet, QuantileMatchesASortedReference) {
+  Rng rng(29);
+  for (int round = 0; round < 200; ++round) {
+    const std::size_t n = 1 + rng.uniform_u64(64);
+    // Few distinct values, so most sets hold runs of duplicates.
+    const std::uint64_t distinct = 1 + rng.uniform_u64(n);
+    SampleSet s;
+    std::vector<double> sorted;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double x = 0.25 * static_cast<double>(rng.uniform_u64(distinct));
+      s.add(x);
+      sorted.push_back(x);
+    }
+    std::sort(sorted.begin(), sorted.end());
+    for (const double q : {0.0, 0.5, 0.95, 1.0}) {
+      const double pos = q * static_cast<double>(n - 1);
+      const auto i = static_cast<std::size_t>(pos);
+      const double frac = pos - static_cast<double>(i);
+      const double expected =
+          i + 1 >= n ? sorted.back() : sorted[i] * (1.0 - frac) + sorted[i + 1] * frac;
+      EXPECT_EQ(s.quantile(q), expected) << "round " << round << " n " << n << " q " << q;
+    }
+  }
 }
 
 TEST(SampleSet, QuantileOnEmptyThrows) {
