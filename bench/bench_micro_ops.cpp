@@ -404,15 +404,15 @@ void BM_ForwarderRoundTripTelemetry(benchmark::State& state) {
 }
 BENCHMARK(BM_ForwarderRoundTripTelemetry);
 
-// --- Scheduler: wheel vs reference heap -------------------------------------
+// --- Scheduler vs reference heap --------------------------------------------
 // Self-rescheduling ticker workload: a fixed population of outstanding
 // events, each one rescheduling itself at a mixed-magnitude delay (same
-// tick through far-future, straddling every wheel level). One benchmark
-// iteration is one schedule_in + run_one cycle — the steady state every
-// simulation spends its time in. Two depths: 1024 outstanding (a small
-// topology) and 128k outstanding (large sharded replays), where the
-// heap's O(log n) sift over ~128-byte items turns into cache-miss chains
-// while the wheel stays O(1) per placement.
+// nanosecond through minutes ahead). One benchmark iteration is one
+// schedule_in + run_one cycle — the steady state every simulation spends
+// its time in. Three depths: 1024 outstanding (a small topology), 8192
+// (network_replay's peak) and 128k, where the reference heap's O(log n)
+// sift over 128-byte items turns into cache-miss chains while
+// sim::Scheduler sifts 24-byte items through a 4-ary heap.
 
 /// Fixed mixed-magnitude delay table so both scheduler benchmarks replay
 /// the identical access pattern with zero RNG cost in the timed region.
@@ -461,15 +461,15 @@ void scheduler_ticker_bench(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(dispatched));
 }
 
-void BM_SchedulerWheelTicker(benchmark::State& state) {
-  scheduler_ticker_bench<sim::WheelScheduler>(state);
+void BM_SchedulerTicker(benchmark::State& state) {
+  scheduler_ticker_bench<sim::Scheduler>(state);
 }
-BENCHMARK(BM_SchedulerWheelTicker)->Arg(1024)->Arg(131072);
+BENCHMARK(BM_SchedulerTicker)->Arg(1024)->Arg(8192)->Arg(131072);
 
 void BM_SchedulerHeapTicker(benchmark::State& state) {
   scheduler_ticker_bench<sim::HeapScheduler>(state);
 }
-BENCHMARK(BM_SchedulerHeapTicker)->Arg(1024)->Arg(131072);
+BENCHMARK(BM_SchedulerHeapTicker)->Arg(1024)->Arg(8192)->Arg(131072);
 
 // Trace source layer at the bench/e2e shape: one Zipf draw over the 1M-object
 // catalogue, and one whole synthetic record (arrival, user and object
@@ -599,9 +599,9 @@ double run_insert_evict64k(cache::EvictionPolicy policy, std::uint64_t ops) {
   return static_cast<double>(ops) / secs / 1e6;
 }
 
-/// Self-timed ticker harness (same workload as BM_Scheduler*Ticker): ~1024
-/// outstanding self-rescheduling events, `ops` dispatches timed. Returns
-/// events/sec in millions; `fallbacks`/`chunks` report the wheel's
+/// Self-timed ticker harness (same workload as BM_Scheduler*Ticker):
+/// `outstanding` self-rescheduling events, `ops` dispatches timed. Returns
+/// events/sec in millions; `fallbacks`/`chunks` report sim::Scheduler's
 /// allocation gauges (zero heap-fallback events and a slab that stopped
 /// growing are part of the acceptance criteria, not just speed).
 template <typename Sched>
@@ -613,13 +613,13 @@ double run_scheduler_ticker(int outstanding, std::uint64_t ops, std::size_t* fal
   std::uint64_t dispatched = 0;
   const SchedulerTicker<Sched> ticker{sched, delays, cursor, dispatched};
   for (int i = 0; i < outstanding; ++i) sched.schedule_in(delays[cursor++ & 0xFFFF], ticker);
-  // Warm-up carves the slab chunks and settles the wheel bitmap occupancy.
+  // Warm-up carves the slab chunks and grows the ready heap to its peak.
   while (dispatched < 100'000) (void)sched.run_one();
   const std::uint64_t timed_from = dispatched;
   const auto t0 = std::chrono::steady_clock::now();
   while (dispatched < timed_from + ops) (void)sched.run_one();
   const double secs = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  if constexpr (std::is_same_v<Sched, sim::WheelScheduler>) {
+  if constexpr (std::is_same_v<Sched, sim::Scheduler>) {
     if (fallbacks != nullptr) *fallbacks = sched.heap_fallback_events();
     if (chunks != nullptr) *chunks = sched.slab_chunks();
   }
@@ -666,38 +666,39 @@ void write_hot_path_report(const char* path) {
                 policy.c_str(), lookup, base.lookup_mops, lookup / base.lookup_mops, insert,
                 base.insert_evict_mops, insert / base.insert_evict_mops);
   }
-  // Scheduler section: wheel vs the in-tree reference heap, measured live
-  // in the same run (no frozen baseline constants — HeapScheduler is always
-  // compiled as the reference, so the speedup gauge stays honest on any
-  // machine). The primary acceptance row is the deep
-  // queue (128k outstanding, the sharded-replay regime) where the heap's
-  // log-depth sift chains dominate: speedup >= 2 with zero heap-fallback
-  // events in the ticker's steady state. The shallow row (1024) is locked
-  // too — at that depth the contract is parity-or-better plus the
-  // allocation win, not a large ratio.
+  // Scheduler section: sim::Scheduler vs the in-tree reference heap,
+  // measured live in the same run (no frozen baseline constants —
+  // HeapScheduler is always compiled as the reference, so the speedup gauge
+  // stays honest on any machine). sim::Scheduler sifts 24-byte (when, seq,
+  // node) items through a 4-ary heap where the reference's binary heap
+  // moves whole events, which is what the deep row (128k outstanding)
+  // shows: speedup >= 2 with zero heap-fallback events in the ticker's
+  // steady state. The mid row (8192) is the depth network_replay peaks
+  // near, and the shallow row (1024) the small-topology regime.
   struct TickerDepth {
     const char* key;
     int outstanding;
   };
   std::printf("Scheduler ticker (self-rescheduling events, mixed delays):\n");
   for (const TickerDepth& depth : {TickerDepth{"sched.ticker.deep", 131072},
+                                   TickerDepth{"sched.ticker.mid", 8192},
                                    TickerDepth{"sched.ticker.shallow", 1024}}) {
     std::size_t fallbacks = 0;
     std::size_t chunks = 0;
     const double heap_mops =
         run_scheduler_ticker<sim::HeapScheduler>(depth.outstanding, kSchedulerOps);
-    const double wheel_mops = run_scheduler_ticker<sim::WheelScheduler>(
+    const double sched_mops = run_scheduler_ticker<sim::Scheduler>(
         depth.outstanding, kSchedulerOps, &fallbacks, &chunks);
     const std::string key(depth.key);
     snap.gauges[key + ".outstanding"] = depth.outstanding;
-    snap.gauges[key + ".wheel.mops"] = wheel_mops;
+    snap.gauges[key + ".sched.mops"] = sched_mops;
     snap.gauges[key + ".heap.mops"] = heap_mops;
-    snap.gauges[key + ".speedup"] = wheel_mops / heap_mops;
-    snap.gauges[key + ".wheel.heap_fallback_events"] = static_cast<double>(fallbacks);
-    snap.gauges[key + ".wheel.slab_chunks"] = static_cast<double>(chunks);
-    std::printf("  %6d outstanding: wheel %7.3f Mev/s   heap %7.3f Mev/s   speedup x%.2f   "
+    snap.gauges[key + ".speedup"] = sched_mops / heap_mops;
+    snap.gauges[key + ".sched.heap_fallback_events"] = static_cast<double>(fallbacks);
+    snap.gauges[key + ".sched.slab_chunks"] = static_cast<double>(chunks);
+    std::printf("  %6d outstanding: sched %7.3f Mev/s   heap %7.3f Mev/s   speedup x%.2f   "
                 "heap_fallback=%zu slab_chunks=%zu\n",
-                depth.outstanding, wheel_mops, heap_mops, wheel_mops / heap_mops, fallbacks,
+                depth.outstanding, sched_mops, heap_mops, sched_mops / heap_mops, fallbacks,
                 chunks);
   }
   const double bytes_per_entry = cs_bytes_per_entry();

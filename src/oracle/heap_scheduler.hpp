@@ -1,11 +1,11 @@
 // HeapScheduler: the original binary-heap discrete-event scheduler, kept as
-// the obviously-correct reference for sim::WheelScheduler. It honours the
-// same contract (strict (time, sequence) dispatch order, FIFO among
-// equal-time events, no scheduling in the past, reserved sequence numbers)
-// with a std::priority_queue instead of a timer wheel.
+// the obviously-correct reference for sim::Scheduler. It honours the same
+// contract (strict (time, sequence) dispatch order, FIFO among equal-time
+// events, no scheduling in the past, reserved sequence numbers) with a
+// std::priority_queue of whole events instead of slab-held callables.
 // tests/test_scheduler_differential.cpp replays seeded random workloads
-// through both and requires identical dispatch; bench_micro_ops times the
-// wheel against it. The simulation never uses it,
+// through both and requires identical dispatch; bench_micro_ops times
+// sim::Scheduler against it. The simulation never uses it,
 // so it lives in the ndnp_oracle target, outside the shipped libraries.
 #pragma once
 

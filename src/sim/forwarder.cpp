@@ -85,12 +85,12 @@ void Forwarder::handle_interest(const ndn::Interest& interest, FaceId in_face) {
   const std::uint64_t name_hash = interest.name.hash64();
 
   // Loop suppression: a nonce already recorded for this name means the
-  // interest circled back.
-  if (PitEntry* pending = pit_find(name_hash, interest.name)) {
-    if (pending->nonces.contains(interest.nonce)) {
-      ++stats_.nonce_drops;
-      return;
-    }
+  // interest circled back. The CS lookup below leaves the PIT alone, so
+  // this probe's result also serves the aggregation step.
+  PitEntry* const entry = pit_find(name_hash, interest.name);
+  if (entry != nullptr && entry->nonces.contains(interest.nonce)) {
+    ++stats_.nonce_drops;
+    return;
   }
 
   // 1. Content Store, filtered through the privacy policy. A simulated
@@ -115,7 +115,7 @@ void Forwarder::handle_interest(const ndn::Interest& interest, FaceId in_face) {
   }
 
   // 2. PIT: collapse onto an existing pending interest for the same name.
-  if (PitEntry* entry = pit_find(name_hash, interest.name)) {
+  if (entry != nullptr) {
     // A resident entry past its expiry means the timeout event leaked.
     NDNP_INVARIANT_CHECK("forwarder", now() <= entry->expires_at,
                          "PIT entry for %s leaked past lifetime (now=%lld expires=%lld)",

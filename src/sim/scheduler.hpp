@@ -1,26 +1,23 @@
 // Discrete-event scheduler.
 //
-// `WheelScheduler` is a hierarchical timer wheel (calendar queue) of 7
-// levels x 256 slots over 1.024 us ticks, with event nodes carved from a
-// slab free-list and callables stored inline in the node
-// (util::SmallFunction). Steady-state schedule/run cycles perform zero heap
-// allocations once the peak working set has been carved. Events whose tick
-// has been reached are drained through a small (when, seq) binary heap,
-// which is what preserves the exact dispatch contract (see
-// docs/PERFORMANCE.md).
+// `Scheduler` keeps every pending event's callable in a slab free-list
+// (util::SmallFunction stored inline in the node) and orders them with a
+// 4-ary min-heap of 24-byte (when, seq, node) items. Steady-state
+// schedule/run cycles perform zero heap allocations once the peak working
+// set has been carved (see docs/PERFORMANCE.md).
 //
 // The contract, which makes runs byte-identical across --jobs: events
 // dispatch in strict (time, sequence) order — time never runs backwards,
 // and equal-time events run in schedule (FIFO) order. A caller may take
 // sequence numbers early (reserve_sequence) and place the events later
 // (schedule_reserved); such an event dispatches where it would have had it
-// been scheduled at reservation time. The binary-heap
-// reference implementation, oracle/heap_scheduler.hpp, lives outside the
-// shipped library; tests/test_scheduler_differential.cpp proves the two
-// dispatch identically over seeded random workloads. Single-threaded by
-// design: network simulations at this scale are dominated by event
-// dispatch, and determinism is worth more to the experiments than
-// parallelism.
+// been scheduled at reservation time. The reference implementation,
+// oracle/heap_scheduler.hpp (a std::priority_queue of whole events), lives
+// outside the shipped library; tests/test_scheduler_differential.cpp
+// proves the two dispatch identically over seeded random workloads.
+// Single-threaded by design: network simulations at this scale are
+// dominated by event dispatch, and determinism is worth more to the
+// experiments than parallelism.
 #pragma once
 
 #include <cstddef>
@@ -76,15 +73,12 @@ inline void throw_if_unusable_reservation(util::SimTime when, std::uint64_t seq,
 
 }  // namespace detail
 
-// ---------------------------------------------------------------------------
-// WheelScheduler: hierarchical timer wheel + slab-pooled events.
-
-class WheelScheduler {
+class Scheduler {
  public:
-  WheelScheduler() = default;
-  WheelScheduler(const WheelScheduler&) = delete;
-  WheelScheduler& operator=(const WheelScheduler&) = delete;
-  ~WheelScheduler();
+  Scheduler() = default;
+  Scheduler(const Scheduler&) = delete;
+  Scheduler& operator=(const Scheduler&) = delete;
+  ~Scheduler();
 
   /// Schedule at an absolute time; must not be in the past.
   template <typename F>
@@ -138,7 +132,7 @@ class WheelScheduler {
   /// past runs nothing and leaves the clock untouched).
   void run_until(util::SimTime until);
 
-  [[nodiscard]] std::size_t pending() const noexcept { return live_; }
+  [[nodiscard]] std::size_t pending() const noexcept { return ready_.size(); }
   [[nodiscard]] std::uint64_t processed() const noexcept { return processed_; }
 
   // --- introspection for tests / benches -----------------------------------
@@ -146,68 +140,33 @@ class WheelScheduler {
   [[nodiscard]] std::uint64_t heap_fallback_events() const noexcept {
     return heap_fallback_events_;
   }
-  /// Higher-level slot redistributions performed so far.
-  [[nodiscard]] std::uint64_t cascades() const noexcept { return cascades_; }
   /// Slab chunks backing the event nodes (stable after warm-up).
   [[nodiscard]] std::size_t slab_chunks() const noexcept { return slab_.chunks(); }
   [[nodiscard]] std::size_t slab_peak_live() const noexcept { return slab_.peak_live(); }
 
-  static constexpr const char* kImplName = "wheel";
+  static constexpr const char* kImplName = "sched";
 
  private:
-  // 1.024 us per level-0 tick; 7 levels x 256 slots cover 66 bits of
-  // nanoseconds, i.e. the full non-negative SimTime range.
-  static constexpr int kTickShift = 10;
-  static constexpr int kLevelBits = 8;
-  static constexpr std::size_t kSlots = std::size_t{1} << kLevelBits;
-  static constexpr std::size_t kSlotMask = kSlots - 1;
-  static constexpr int kLevels = 7;
-  static constexpr std::size_t kBitmapWords = kSlots / 64;
-
-  struct EventNode {
-    util::SimTime when;
-    std::uint64_t seq;
-    EventNode* next;
-    EventFn fn;
-
-    EventNode(util::SimTime w, std::uint64_t s, EventFn f)
-        : when(w), seq(s), next(nullptr), fn(std::move(f)) {}
-  };
-
   struct ReadyItem {
     util::SimTime when;
     std::uint64_t seq;
-    EventNode* node;
+    EventFn* fn;
   };
-  /// Min-heap comparator: true when `a` dispatches after `b`.
-  struct DispatchesAfter {
-    bool operator()(const ReadyItem& a, const ReadyItem& b) const noexcept {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
-    }
-  };
-
-  static constexpr std::uint64_t tick_of(util::SimTime when) noexcept {
-    return static_cast<std::uint64_t>(when) >> kTickShift;
+  /// Heap order: true when `a` dispatches after `b`.
+  static bool dispatches_after(const ReadyItem& a, const ReadyItem& b) noexcept {
+    if (a.when != b.when) return a.when > b.when;
+    return a.seq > b.seq;
   }
+  /// Children per node of the ready heap.
+  static constexpr std::size_t kArity = 4;
 
   void enqueue(util::SimTime when, std::uint64_t seq, EventFn fn);
-  void place(EventNode* node);
-  void ready_push(EventNode* node);
-  bool ensure_ready();
-  void advance();
-  void cascade(int level, std::size_t idx);
-  void dump_slot(std::size_t idx);
+  /// Removes and returns the earliest item; the heap must not be empty.
+  ReadyItem pop_front();
   void dispatch_front();
-  [[nodiscard]] int next_occupied(int level, std::size_t from) const noexcept;
 
-  util::Slab<EventNode> slab_;
-  EventNode* slots_[kLevels][kSlots] = {};
-  std::uint64_t bitmap_[kLevels][kBitmapWords] = {};
+  util::Slab<EventFn> slab_;
   std::vector<ReadyItem> ready_;
-  /// Tick whose level-0 slot has been drained into `ready_`; events at or
-  /// before it go straight to the ready heap.
-  std::uint64_t cursor_tick_ = 0;
 
   util::SimTime now_ = util::kTimeZero;
   std::uint64_t next_seq_ = 0;
@@ -215,12 +174,7 @@ class WheelScheduler {
   /// Sequence number of the most recently dispatched event; together with
   /// now_ this lets dispatch assert (time, seq) order.
   std::uint64_t last_seq_ = 0;
-  std::size_t live_ = 0;
   std::uint64_t heap_fallback_events_ = 0;
-  std::uint64_t cascades_ = 0;
 };
-
-/// The simulation-wide scheduler.
-using Scheduler = WheelScheduler;
 
 }  // namespace ndnp::sim

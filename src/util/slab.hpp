@@ -6,8 +6,8 @@
 //    list. Nodes have stable addresses, destroy() recycles into the free
 //    list without returning memory to the OS, so steady-state
 //    create/destroy cycles perform zero heap allocations once the peak
-//    working set has been carved. The timer-wheel scheduler's event nodes
-//    live here.
+//    working set has been carved. sim::Scheduler's event callables live
+//    here.
 //
 //  - `ObjectPool<T>` + `PoolRef<T>`: a recycling pool of *constructed*
 //    objects with intrusive reference-counted handles. Releasing a handle

@@ -17,11 +17,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <memory>
 #include <new>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/topology.hpp"
@@ -41,12 +43,24 @@ void* operator new(std::size_t size) {
   throw std::bad_alloc();
 }
 
+// std::stable_sort's buffer comes from the nothrow form and goes back
+// through plain delete, so the nothrow pair is replaced too: left to the
+// runtime, ASan reports that buffer as an alloc-dealloc mismatch.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  try {
+    return ::operator new(size);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+
 // The replacement operators pair ::new with std::free by design; GCC's
 // heuristic cannot see that this *is* the allocation function.
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 #pragma GCC diagnostic pop
 
 namespace ndnp::cache {
@@ -64,6 +78,20 @@ EntryMeta meta_at(util::SimTime t) {
   meta.inserted_at = t;
   meta.last_access = t;
   return meta;
+}
+
+// std::stable_sort takes its buffer through the nothrow operator new; the
+// counting allocator must see it, and the replaced delete must return it
+// (under ASan a mismatched pair aborts the binary here).
+TEST(CountingAllocator, StableSortBufferIsCountedAndReturned) {
+  std::vector<std::pair<int, int>> items;
+  for (int i = 0; i < 64; ++i) items.emplace_back(i % 4, i);
+  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  std::stable_sort(items.begin(), items.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  EXPECT_GT(g_allocations.load(std::memory_order_relaxed), before);
+  // Equal keys kept their original (ascending) order.
+  EXPECT_TRUE(std::is_sorted(items.begin(), items.end()));
 }
 
 TEST(ContentStoreAlloc, LfuSteadyStateHitChurnDoesNotAllocate) {

@@ -238,7 +238,7 @@ TEST(Golden, Fig4aMatchesGoldenVectorsAcrossDeltas) {
 // --- Parallelism must not perturb golden outputs ---------------------------
 // The runner promises byte-identical output for any --jobs value: work is
 // partitioned by run index, every run owns a seeded RNG derived from that
-// index, and merges happen in index order. With the timer-wheel scheduler
+// index, and merges happen in index order. With the event scheduler
 // underneath every replayed cell, this sweep re-locks that promise — each
 // experiment family reproduces the exact same golden bytes at jobs 1, 4
 // and 8.

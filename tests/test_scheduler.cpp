@@ -1,5 +1,5 @@
-// Scheduler contract tests, typed over BOTH implementations: the
-// timer-wheel default and the binary-heap reference. Every test runs twice
+// Scheduler contract tests, typed over BOTH implementations: sim::Scheduler
+// and the std::priority_queue reference. Every test runs twice
 // — the dispatch contract ((time, seq) FIFO order, run_until clock
 // semantics, past-time rejection, reserved sequence numbers) is shared, and
 // tests/test_scheduler_differential.cpp additionally proves the two
@@ -9,8 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <numeric>
 #include <utility>
 #include <vector>
@@ -24,7 +26,7 @@ namespace {
 template <typename Sched>
 class SchedulerContract : public ::testing::Test {};
 
-using Implementations = ::testing::Types<WheelScheduler, HeapScheduler>;
+using Implementations = ::testing::Types<Scheduler, HeapScheduler>;
 
 class ImplNames {
  public:
@@ -159,9 +161,8 @@ TYPED_TEST(SchedulerContract, SchedulingAtNowIsAllowed) {
   EXPECT_TRUE(ran);
 }
 
-// Sparse far-future schedules force the wheel through multi-level
-// placement and cascades (a no-op wrapper path for the reference heap,
-// which makes the typed expectations a cross-check in themselves).
+// Sparse far-future schedules: events days apart dispatch in time order
+// and the clock lands on the last one.
 TYPED_TEST(SchedulerContract, SparseFarFutureEventsDispatchInOrder) {
   TypeParam sched;
   std::vector<int> order;
@@ -224,7 +225,7 @@ class GridWorkload {
     batch.base_seq = sched_.reserve_sequence(kBatch);
     batch.order.resize(kBatch);
     std::iota(batch.order.begin(), batch.order.end(), std::size_t{0});
-    std::ranges::sort(batch.order, {}, [&](std::size_t k) { return std::pair{batch.at[k], k}; });
+    std::ranges::stable_sort(batch.order, {}, [&](std::size_t k) { return batch.at[k]; });
     batches_.push_back(std::move(batch));
     feed_next(batches_.size() - 1);
   }
@@ -309,6 +310,35 @@ TYPED_TEST(SchedulerContract, ScheduleReservedAtTimeZeroBeforeAnyDispatch) {
   sched.schedule_reserved(0, base, [&] { order.push_back(0); });
   sched.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+}
+
+// A scheduler destroyed with events still pending runs none of them and
+// destroys each captured object exactly once: every copy of `token` is
+// released, so its use count returns to 1 (a double destroy would drop it
+// below that, a leak would hold it above). One capture is too large for
+// the inline buffer, so the heap fallback is released too.
+TYPED_TEST(SchedulerContract, DestroyingWithPendingEventsRunsNoneAndReleasesEachCapture) {
+  const auto token = std::make_shared<int>(0);
+  int ran = 0;
+  {
+    TypeParam sched;
+    const std::uint64_t base = sched.reserve_sequence(2);
+    sched.schedule_at(10, [token, &ran] { ++ran; });
+    sched.schedule_in(util::SimTime{1} << 40, [token, &ran] { ++ran; });
+    sched.schedule_reserved(20, base + 1, [token, &ran] { ++ran; });
+    sched.schedule_reserved(5, base, [token, &ran] { ++ran; });
+    struct Big {
+      std::byte pad[200];
+    };
+    sched.schedule_at(10, [token, &ran, big = Big{}] {
+      (void)big;
+      ++ran;
+    });
+    EXPECT_EQ(sched.pending(), 5u);
+    EXPECT_EQ(token.use_count(), 6);
+  }
+  EXPECT_EQ(ran, 0);
+  EXPECT_EQ(token.use_count(), 1);
 }
 
 }  // namespace

@@ -39,12 +39,24 @@ void* operator new(std::size_t size) {
   throw std::bad_alloc();
 }
 
+// std::stable_sort's buffer comes from the nothrow form and goes back
+// through plain delete, so the nothrow pair is replaced too: left to the
+// runtime, ASan reports that buffer as an alloc-dealloc mismatch.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  try {
+    return ::operator new(size);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+
 // The replacement operators pair ::new with std::free by design; GCC's
 // heuristic cannot see that this *is* the allocation function.
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 #pragma GCC diagnostic pop
 
 namespace {
